@@ -30,6 +30,8 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
+
 namespace sns::codelets {
 namespace {
 
@@ -183,6 +185,79 @@ void Fma3F32(double v, const float* a, const float* b, double* out,
   }
 }
 
+// Weighted upper SYRK (see VecWeightedSyrkUpper). Register tiles of NR
+// rows × W columns stay in ymm accumulators across a chunk of cells; each
+// element takes one FMA per cell, in cell order, exactly like Axpy — so the
+// result is bitwise the per-cell AddOuterProduct accumulation. The 4-row
+// tiles use 12 accumulators + 3 column loads + 1 broadcast = 16 ymm.
+constexpr int64_t kSyrkMaxWidth = 12;
+constexpr int64_t kSyrkCellChunk = 128;  // Keeps a chunk's panel L1-resident.
+
+template <int NR, int W>
+void SyrkTile(const double* panel, const double* weights, int64_t cells,
+              int64_t m, int64_t row0, int64_t col0, double* out) {
+  constexpr int kV = W / 4;
+  __m256d acc[NR][kV] = {};
+  for (int r = 0; r < NR; ++r) {
+    for (int v = 0; v < kV; ++v) {
+      acc[r][v] = _mm256_loadu_pd(out + (row0 + r) * m + col0 + 4 * v);
+    }
+  }
+  for (int64_t c = 0; c < cells; ++c) {
+    const double* h = panel + c * m;
+    __m256d x[kV] = {};
+    for (int v = 0; v < kV; ++v) x[v] = _mm256_loadu_pd(h + col0 + 4 * v);
+    for (int r = 0; r < NR; ++r) {
+      const __m256d u = _mm256_set1_pd(weights[c] * h[row0 + r]);
+      for (int v = 0; v < kV; ++v) {
+        acc[r][v] = _mm256_fmadd_pd(u, x[v], acc[r][v]);
+      }
+    }
+  }
+  for (int r = 0; r < NR; ++r) {
+    for (int v = 0; v < kV; ++v) {
+      _mm256_storeu_pd(out + (row0 + r) * m + col0 + 4 * v, acc[r][v]);
+    }
+  }
+}
+
+template <int NR>
+void SyrkTileOfWidth(int64_t width, const double* panel,
+                     const double* weights, int64_t cells, int64_t m,
+                     int64_t row0, int64_t col0, double* out) {
+  switch (width) {
+    case 4:
+      return SyrkTile<NR, 4>(panel, weights, cells, m, row0, col0, out);
+    case 8:
+      return SyrkTile<NR, 8>(panel, weights, cells, m, row0, col0, out);
+    default:
+      return SyrkTile<NR, 12>(panel, weights, cells, m, row0, col0, out);
+  }
+}
+
+template <int64_t P>
+void WeightedSyrkUpper(const double* panel, const double* weights,
+                       int64_t cells, int64_t rows, double* out, int64_t n) {
+  const int64_t m = Trip<P>(n);
+  for (int64_t c0 = 0; c0 < cells; c0 += kSyrkCellChunk) {
+    const int64_t chunk = std::min(kSyrkCellChunk, cells - c0);
+    const double* p = panel + c0 * m;
+    const double* w = weights + c0;
+    for (int64_t i0 = 0; i0 < rows; i0 += 4) {
+      for (int64_t j0 = i0; j0 < m; j0 += kSyrkMaxWidth) {
+        const int64_t width = std::min(kSyrkMaxWidth, m - j0);
+        if (i0 + 4 <= rows) {
+          SyrkTileOfWidth<4>(width, p, w, chunk, m, i0, j0, out);
+        } else {
+          for (int64_t i = i0; i < rows; ++i) {
+            SyrkTileOfWidth<1>(width, p, w, chunk, m, i, j0, out);
+          }
+        }
+      }
+    }
+  }
+}
+
 template <int64_t P>
 constexpr RankKernelTable kTable = {KernelTier::kAvx2,
                                     P,
@@ -196,7 +271,8 @@ constexpr RankKernelTable kTable = {KernelTier::kAvx2,
                                     &GramRowDelta<P>,
                                     &ScaledDiffAccum<P>,
                                     &MulAccumF32<P>,
-                                    &Fma3F32<P>};
+                                    &Fma3F32<P>,
+                                    &WeightedSyrkUpper<P>};
 
 }  // namespace
 

@@ -19,6 +19,8 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
+
 namespace sns::codelets {
 namespace {
 
@@ -232,6 +234,98 @@ void Fma3F32(double v, const float* a, const float* b, double* out,
   }
 }
 
+// Weighted upper SYRK (see VecWeightedSyrkUpper and the AVX2 codelet).
+// A W-column tile row is W/8 zmm accumulators plus one ymm when W ≡ 4
+// (mod 8); the widest 4-row tile holds 16 accumulators + 4 column loads +
+// 1 broadcast of the 32 zmm registers. One FMA per element per cell, in
+// cell order, exactly like Axpy.
+constexpr int64_t kSyrkMaxWidth = 32;
+constexpr int64_t kSyrkCellChunk = 128;  // Keeps a chunk's panel L1-resident.
+
+template <int NR, int W>
+void SyrkTile(const double* panel, const double* weights, int64_t cells,
+              int64_t m, int64_t row0, int64_t col0, double* out) {
+  constexpr int kZ = W / 8;
+  constexpr bool kTail = W % 8 != 0;
+  constexpr int kZs = kZ > 0 ? kZ : 1;  // No zero-length arrays.
+  __m512d acc[NR][kZs] = {};
+  __m256d tail[NR] = {};
+  for (int r = 0; r < NR; ++r) {
+    double* o = out + (row0 + r) * m + col0;
+    for (int v = 0; v < kZ; ++v) acc[r][v] = _mm512_loadu_pd(o + 8 * v);
+    if constexpr (kTail) tail[r] = _mm256_loadu_pd(o + 8 * kZ);
+  }
+  for (int64_t c = 0; c < cells; ++c) {
+    const double* h = panel + c * m;
+    __m512d x[kZs] = {};
+    for (int v = 0; v < kZ; ++v) x[v] = _mm512_loadu_pd(h + col0 + 8 * v);
+    const __m256d xt =
+        kTail ? _mm256_loadu_pd(h + col0 + 8 * kZ) : _mm256_setzero_pd();
+    for (int r = 0; r < NR; ++r) {
+      const double u = weights[c] * h[row0 + r];
+      const __m512d u8 = _mm512_set1_pd(u);
+      for (int v = 0; v < kZ; ++v) {
+        acc[r][v] = _mm512_fmadd_pd(u8, x[v], acc[r][v]);
+      }
+      if constexpr (kTail) {
+        tail[r] = _mm256_fmadd_pd(_mm256_set1_pd(u), xt, tail[r]);
+      }
+    }
+  }
+  for (int r = 0; r < NR; ++r) {
+    double* o = out + (row0 + r) * m + col0;
+    for (int v = 0; v < kZ; ++v) _mm512_storeu_pd(o + 8 * v, acc[r][v]);
+    if constexpr (kTail) _mm256_storeu_pd(o + 8 * kZ, tail[r]);
+  }
+}
+
+template <int NR>
+void SyrkTileOfWidth(int64_t width, const double* panel,
+                     const double* weights, int64_t cells, int64_t m,
+                     int64_t row0, int64_t col0, double* out) {
+  switch (width) {
+    case 4:
+      return SyrkTile<NR, 4>(panel, weights, cells, m, row0, col0, out);
+    case 8:
+      return SyrkTile<NR, 8>(panel, weights, cells, m, row0, col0, out);
+    case 12:
+      return SyrkTile<NR, 12>(panel, weights, cells, m, row0, col0, out);
+    case 16:
+      return SyrkTile<NR, 16>(panel, weights, cells, m, row0, col0, out);
+    case 20:
+      return SyrkTile<NR, 20>(panel, weights, cells, m, row0, col0, out);
+    case 24:
+      return SyrkTile<NR, 24>(panel, weights, cells, m, row0, col0, out);
+    case 28:
+      return SyrkTile<NR, 28>(panel, weights, cells, m, row0, col0, out);
+    default:
+      return SyrkTile<NR, 32>(panel, weights, cells, m, row0, col0, out);
+  }
+}
+
+template <int64_t P>
+void WeightedSyrkUpper(const double* panel, const double* weights,
+                       int64_t cells, int64_t rows, double* out, int64_t n) {
+  const int64_t m = Trip<P>(n);
+  for (int64_t c0 = 0; c0 < cells; c0 += kSyrkCellChunk) {
+    const int64_t chunk = std::min(kSyrkCellChunk, cells - c0);
+    const double* p = panel + c0 * m;
+    const double* w = weights + c0;
+    for (int64_t i0 = 0; i0 < rows; i0 += 4) {
+      for (int64_t j0 = i0; j0 < m; j0 += kSyrkMaxWidth) {
+        const int64_t width = std::min(kSyrkMaxWidth, m - j0);
+        if (i0 + 4 <= rows) {
+          SyrkTileOfWidth<4>(width, p, w, chunk, m, i0, j0, out);
+        } else {
+          for (int64_t i = i0; i < rows; ++i) {
+            SyrkTileOfWidth<1>(width, p, w, chunk, m, i, j0, out);
+          }
+        }
+      }
+    }
+  }
+}
+
 template <int64_t P>
 constexpr RankKernelTable kTable = {KernelTier::kAvx512,
                                     P,
@@ -245,7 +339,8 @@ constexpr RankKernelTable kTable = {KernelTier::kAvx512,
                                     &GramRowDelta<P>,
                                     &ScaledDiffAccum<P>,
                                     &MulAccumF32<P>,
-                                    &Fma3F32<P>};
+                                    &Fma3F32<P>,
+                                    &WeightedSyrkUpper<P>};
 
 }  // namespace
 

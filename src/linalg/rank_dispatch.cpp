@@ -20,7 +20,8 @@ constexpr RankKernelTable kGenericTable = {KernelTier::kGeneric,
                                            &VecGramRowDelta<P>,
                                            &VecScaledDiffAccum<P>,
                                            &VecMulAccumF32<P>,
-                                           &VecFma3F32<P>};
+                                           &VecFma3F32<P>,
+                                           &VecWeightedSyrkUpper<P>};
 
 const RankKernelTable& GenericTable(int64_t padded_rank) {
   // Reuses DispatchPaddedRank so the specialization set lives in exactly

@@ -11,7 +11,8 @@
 //     template instantiation, with RankTag<0> as the runtime-bound generic
 //     fallback for larger ranks,
 //   - the templated __restrict vector primitives every dense kernel is
-//     built from (fill/copy/axpy/Hadamard/dot/rank-1 Gram deltas), and
+//     built from (fill/copy/axpy/Hadamard/dot/rank-1 Gram deltas, and the
+//     weighted upper-triangle SYRK of the GCP Newton step), and
 //   - RankKernelTable: a function-pointer table over those primitives,
 //     resolved ONCE at engine construction (UpdateWorkspace::Prepare) so
 //     the row updaters pay no per-call dispatch.
@@ -171,6 +172,32 @@ inline void VecScaledDiffAccum(double p, const double* SNS_RESTRICT new_row,
   for (int64_t j = 0; j < m; ++j) g[j] += p * (new_row[j] - prev_row[j]);
 }
 
+/// Weighted upper-triangle SYRK: for every cell c in [0, cells), in order,
+///   out[i·n + j] += (weights[c] · panel[c·n + i]) · panel[c·n + j]
+/// for i < rows and i <= j < n, with each element updated in the same
+/// multiply-add form as VecAxpy — the Σ ℓ''·h h' Newton curvature of the
+/// GCP row step (losses/gcp_row_update.h), element-for-element the
+/// accumulation a per-cell AddOuterProduct of (ℓ''·h, h) performs, over
+/// half the matrix. `panel` is cells × n row-major, `out` rows × n
+/// row-major (rows <= n), n the padded length. Entries below the diagonal
+/// are left unspecified (intrinsic tiers clobber them inside their
+/// diagonal register tiles). `out` must not alias the inputs.
+template <int64_t P>
+inline void VecWeightedSyrkUpper(const double* SNS_RESTRICT panel,
+                                 const double* SNS_RESTRICT weights,
+                                 int64_t cells, int64_t rows,
+                                 double* SNS_RESTRICT out, int64_t n) {
+  const int64_t m = TripCount<P>(n);
+  for (int64_t c = 0; c < cells; ++c) {
+    const double* SNS_RESTRICT h = panel + c * m;
+    for (int64_t i = 0; i < rows; ++i) {
+      const double u = weights[c] * h[i];
+      double* SNS_RESTRICT o = out + i * m;
+      for (int64_t j = i; j < m; ++j) o[j] += u * h[j];
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Float32-read primitives of the mixed-precision mode (factor rows stored
 // as float32, accumulation widened to double in-register — see
@@ -214,7 +241,9 @@ inline void VecFma3F32(double v, const float* SNS_RESTRICT a,
 /// through this table (so a baseline build never executes them on hosts
 /// without the extensions). Intrinsic tiers may fuse multiply-adds, so they
 /// match the generic tier to a few ulps, not bitwise; elementwise kernels
-/// (fill/copy/mul/mul_accum) are bitwise across tiers.
+/// (fill/copy/mul/mul_accum) are bitwise across tiers. Within one tier,
+/// weighted_syrk_upper is bitwise equal to the per-cell axpy accumulation
+/// it replaces (see VecWeightedSyrkUpper).
 struct RankKernelTable {
   KernelTier tier;      // Which implementation tier this table points at.
   int64_t padded_rank;  // 0 for the runtime-bound table of this tier.
@@ -234,6 +263,10 @@ struct RankKernelTable {
   void (*mul_accum_f32)(double* dst, const float* src, int64_t n);
   void (*fma3_f32)(double v, const float* a, const float* b, double* out,
                    int64_t n);
+  // GCP Newton curvature (rows × n upper triangle; see VecWeightedSyrkUpper).
+  void (*weighted_syrk_upper)(const double* panel, const double* weights,
+                              int64_t cells, int64_t rows, double* out,
+                              int64_t n);
 };
 
 /// The auto-tier table for a given padded rank: a specialization for every

@@ -1,5 +1,6 @@
 #include "losses/gcp_row_update.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -40,8 +41,14 @@ void GcpRowWorkspace::Prepare(int64_t rank, KernelTier tier) {
   step.Assign(rank, 0.0);
   candidate.Assign(rank, 0.0);
   old_row.Assign(rank, 0.0);
-  had.Assign(rank, 0.0);
-  had_scaled.Assign(rank, 0.0);
+}
+
+void GcpRowWorkspace::Reserve(size_t num_cells) {
+  curvature.resize(num_cells);
+  theta0.resize(num_cells);
+  dtheta.resize(num_cells);
+  const int64_t needed = static_cast<int64_t>(num_cells) * padded_rank;
+  if (panel.size() < needed) panel.Resize(std::max(needed, 2 * panel.size()));
 }
 
 bool GcpNewtonRowUpdate(CpdState& state, int mode, int64_t row,
@@ -58,28 +65,37 @@ bool GcpNewtonRowUpdate(CpdState& state, int mode, int64_t row,
   kr.copy(live_row, ws.old_row.data(), padded);
   if (cells.empty()) return false;  // No information: leave the row alone.
 
-  ws.theta0.resize(cells.size());
-  ws.dtheta.resize(cells.size());
+  const size_t n = cells.size();
+  ws.Reserve(n);
 
-  // Pass 1: restricted objective, gradient and curvature at the current row.
-  ws.hessian.SetZero();
+  // Pass 1: stage every cell's Hadamard row once, with θ, the objective,
+  // the gradient and the curvature weight at the current row.
   kr.fill(ws.grad.data(), 0.0, padded);
   double obj0 = 0.0;
-  size_t c = 0;
-  for (const SampledCell& cell : cells) {
-    HadamardDispatch(state, cell.index, mode, ws.had.data(), kr);
-    const double theta = kr.dot(ws.had.data(), ws.old_row.data(), padded);
+  for (size_t c = 0; c < n; ++c) {
+    double* had = ws.PanelRow(c);
+    HadamardDispatch(state, cells[c].index, mode, had, kr);
+    const double theta = kr.dot(had, ws.old_row.data(), padded);
+    const LossTerms terms = loss.Evaluate(cells[c].value, theta);
     ws.theta0[c] = theta;
-    ++c;
-    obj0 += loss.Value(cell.value, theta);
-    const double d1 = loss.FirstDerivative(cell.value, theta);
-    const double d2 = loss.SecondDerivative(cell.value, theta);
-    kr.axpy(-d1, ws.had.data(), ws.grad.data(), padded);
-    kr.fill(ws.had_scaled.data(), 0.0, padded);
-    kr.axpy(d2, ws.had.data(), ws.had_scaled.data(), padded);
-    AddOuterProduct(ws.hessian, ws.had_scaled.data(), ws.had.data(), kr);
+    ws.curvature[c] = terms.d2;
+    obj0 += terms.value;
+    kr.axpy(-terms.d1, had, ws.grad.data(), padded);
   }
   if (!std::isfinite(obj0)) return false;  // Already-poisoned row: bail out.
+
+  // Curvature: the upper triangle of Σ ℓ''·h h' in one tiled pass over the
+  // panel, mirrored so the solver's pseudoinverse fallback (which reads
+  // the whole matrix) sees a symmetric system.
+  ws.hessian.SetZero();
+  kr.weighted_syrk_upper(ws.panel.data(), ws.curvature.data(),
+                         static_cast<int64_t>(n), rank, ws.hessian.Row(0),
+                         padded);
+  for (int64_t i = 0; i < rank; ++i) {
+    for (int64_t j = i + 1; j < rank; ++j) {
+      ws.hessian(j, i) = ws.hessian(i, j);
+    }
+  }
 
   double trace = 0.0;
   for (int64_t r = 0; r < rank; ++r) trace += ws.hessian(r, r);
@@ -109,19 +125,16 @@ bool GcpNewtonRowUpdate(CpdState& state, int mode, int64_t row,
   const double dir_norm_sq = kr.dot(ws.step.data(), ws.step.data(), padded);
   if (!(dir_norm_sq > 0.0) || !std::isfinite(dir_norm_sq)) return false;
 
-  // Pass 2: the step's θ-rate at every cell.
-  c = 0;
-  for (const SampledCell& cell : cells) {
-    HadamardDispatch(state, cell.index, mode, ws.had.data(), kr);
-    ws.dtheta[c] = kr.dot(ws.had.data(), ws.step.data(), padded);
-    ++c;
+  // Pass 2: the step's θ-rate at every cell, against the staged rows.
+  for (size_t c = 0; c < n; ++c) {
+    ws.dtheta[c] = kr.dot(ws.PanelRow(c), ws.step.data(), padded);
   }
 
   // Backtracking: commit the first non-increasing candidate, else keep the
   // row exactly as it was (objective unchanged — monotone either way).
   for (double alpha : kAlphas) {
     double obj = 0.0;
-    for (size_t i = 0; i < cells.size(); ++i) {
+    for (size_t i = 0; i < n; ++i) {
       obj += loss.Value(cells[i].value, ws.theta0[i] + alpha * ws.dtheta[i]);
     }
     if (!std::isfinite(obj) || obj > obj0) continue;

@@ -24,11 +24,25 @@
 // their sampled cells (which include zero cells — those contribute ℓ(0, θ)
 // terms that pull spurious model mass down) plus the event's delta cells.
 //
-// Cost per row is O(|cells|·(M·R + R²) + R³) — the price of loss
-// generality; BM_LossUpdate tracks it against the Gaussian baseline. The
-// workspace reuses its buffers across events; per-cell scratch grows
-// geometrically to the largest slice seen, so steady state allocates
-// nothing new.
+// Cost model, per row with n = |cells|, M modes and padded rank P:
+//   - staging: each cell's Hadamard row h_J is built ONCE, O(M·P), into a
+//     cells × P panel of the workspace, next to one fused loss evaluation
+//     (LossFunction::Evaluate: ℓ, ℓ', ℓ'' from a single exponential), one
+//     θ dot and one gradient axpy;
+//   - curvature: only the upper triangle of Σ ℓ''·h h' is accumulated, by
+//     the register-tiled weighted SYRK of the kernel table
+//     (RankKernelTable::weighted_syrk_upper), O(n·P²/2);
+//   - the Cholesky solve, O(R³), then the step's θ-rates as one dot per
+//     staged panel row, O(n·P), and the backtracking search on cached
+//     scalars, O(n) loss values per trial length.
+// So O(n·(M·P + P²/2) + R³) in all — still the price of loss generality
+// against the Gaussian Gram shortcut; BM_LossUpdate tracks it. Every
+// element sees the same floating-point operations in the same cell order
+// as a per-cell outer-product accumulation, so the factor state is
+// bitwise that of the straightforward step per kernel tier
+// (tests/hot_path_test.cpp pins it). The workspace reuses its buffers
+// across events; the panel and per-cell scratch grow geometrically to the
+// largest cell set seen, so steady state allocates nothing new.
 
 #ifndef SLICENSTITCH_LOSSES_GCP_ROW_UPDATE_H_
 #define SLICENSTITCH_LOSSES_GCP_ROW_UPDATE_H_
@@ -54,20 +68,29 @@ struct GcpRowWorkspace {
   /// `tier`; allocation-free no-op when rank and tier are unchanged.
   void Prepare(int64_t rank, KernelTier tier = ResolveKernelTier());
 
+  /// Sizes the per-cell buffers for `num_cells` cells (Prepare first).
+  /// Capacity only grows, geometrically, so steady state never allocates.
+  void Reserve(size_t num_cells);
+
+  /// Staged Hadamard row h_J of cell c (padded_rank doubles).
+  double* PanelRow(size_t c) {
+    return panel.data() + static_cast<int64_t>(c) * padded_rank;
+  }
+
   const RankKernelTable* kernels = nullptr;
   int64_t padded_rank = 0;
 
-  Matrix hessian;           // Σ ℓ''·h h' + ridge·I.
+  Matrix hessian;           // Σ ℓ''·h h' + ridge·I (upper triangle mirrored).
   GramSolver solver;
   AlignedVector grad;       // −g accumulator (so Solve yields the step).
   AlignedVector step;       // Box-projected Newton direction.
   AlignedVector candidate;  // Trial row of the backtracking search.
   AlignedVector old_row;    // Row value at entry.
-  AlignedVector had;        // Per-cell Hadamard row h_J.
-  AlignedVector had_scaled; // ℓ''-scaled copy of h_J for the outer product.
+  AlignedVector panel;      // cells × padded_rank staged Hadamard rows.
 
-  /// Per-cell caches of the backtracking search (θ at entry and the step's
-  /// θ-rate per cell). Sized to the largest cell set seen.
+  /// Per-cell caches: curvature ℓ'' (the SYRK weights), θ at entry and the
+  /// step's θ-rate. Sized to the largest cell set seen.
+  std::vector<double> curvature;
   std::vector<double> theta0;
   std::vector<double> dtheta;
   /// Materialized cell set of the slice-driven entry points.

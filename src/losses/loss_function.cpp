@@ -24,19 +24,31 @@ double ClampedExp(double theta) {
   return std::exp(std::clamp(theta, -kExpClamp, kExpClamp));
 }
 
-// Numerically stable log(1 + e^θ): exact for large |θ| where the naive form
-// overflows (θ > 0) or cancels (θ < 0).
-double Softplus(double theta) {
-  return std::max(theta, 0.0) + std::log1p(std::exp(-std::abs(theta)));
+// Numerically stable log(1 + e^θ) and σ(θ), both from e = e^−|θ| so one
+// exponential serves the value and the derivatives: exact for large |θ|
+// where the naive forms overflow (θ > 0) or cancel (θ < 0).
+double SoftplusFrom(double theta, double e) {
+  return std::max(theta, 0.0) + std::log1p(e);
 }
 
-double Sigmoid(double theta) {
-  if (theta >= 0.0) {
-    const double e = std::exp(-theta);
-    return 1.0 / (1.0 + e);
-  }
-  const double e = std::exp(theta);
-  return e / (1.0 + e);
+double SigmoidFrom(double theta, double e) {
+  return theta >= 0.0 ? 1.0 / (1.0 + e) : e / (1.0 + e);
+}
+
+double ExpNegAbs(double theta) { return std::exp(-std::abs(theta)); }
+
+// The value terms from their exponential, shared by Value and Evaluate and
+// kept out of line so both run the same instructions: inlined, an FMA
+// build may contract − y·θ into a fused multiply-add in one caller but
+// vectorize it unfused beside ℓ' in the other, and the GCP row step
+// compares Evaluate's value against Value's.
+[[gnu::noinline]] double PoissonValueFrom(double e, double y, double theta) {
+  return e - y * theta;
+}
+
+[[gnu::noinline]] double BernoulliValueFrom(double e, double y,
+                                            double theta) {
+  return SoftplusFrom(theta, e) - y * theta;
 }
 
 class GaussianLoss final : public LossFunction {
@@ -47,11 +59,9 @@ class GaussianLoss final : public LossFunction {
     const double r = theta - y;
     return r * r;
   }
-  double FirstDerivative(double y, double theta) const override {
-    return 2.0 * (theta - y);
-  }
-  double SecondDerivative(double /*y*/, double /*theta*/) const override {
-    return 2.0;
+  LossTerms Evaluate(double y, double theta) const override {
+    const double r = theta - y;
+    return {r * r, 2.0 * r, 2.0};
   }
   double Link(double theta) const override { return theta; }
 };
@@ -63,13 +73,12 @@ class PoissonLoss final : public LossFunction {
   double Value(double y, double theta) const override {
     // Negative log-likelihood with log link, dropping the θ-free log(y!)
     // term: e^θ − y·θ.
-    return ClampedExp(theta) - y * theta;
+    return PoissonValueFrom(ClampedExp(theta), y, theta);
   }
-  double FirstDerivative(double y, double theta) const override {
-    return ClampedExp(theta) - y;
-  }
-  double SecondDerivative(double /*y*/, double theta) const override {
-    return std::max(ClampedExp(theta), kCurvatureFloor);
+  LossTerms Evaluate(double y, double theta) const override {
+    const double e = ClampedExp(theta);
+    return {PoissonValueFrom(e, y, theta), e - y,
+            std::max(e, kCurvatureFloor)};
   }
   double Link(double theta) const override { return ClampedExp(theta); }
 };
@@ -81,16 +90,17 @@ class BernoulliLogitLoss final : public LossFunction {
   double Value(double y, double theta) const override {
     // Negative log-likelihood of y ∈ {0,1} under p = σ(θ):
     // log(1 + e^θ) − y·θ.
-    return Softplus(theta) - y * theta;
+    return BernoulliValueFrom(ExpNegAbs(theta), y, theta);
   }
-  double FirstDerivative(double y, double theta) const override {
-    return Sigmoid(theta) - y;
+  LossTerms Evaluate(double y, double theta) const override {
+    const double e = ExpNegAbs(theta);
+    const double p = SigmoidFrom(theta, e);
+    return {BernoulliValueFrom(e, y, theta), p - y,
+            std::max(p * (1.0 - p), kCurvatureFloor)};
   }
-  double SecondDerivative(double /*y*/, double theta) const override {
-    const double p = Sigmoid(theta);
-    return std::max(p * (1.0 - p), kCurvatureFloor);
+  double Link(double theta) const override {
+    return SigmoidFrom(theta, ExpNegAbs(theta));
   }
-  double Link(double theta) const override { return Sigmoid(theta); }
 };
 
 }  // namespace

@@ -4,8 +4,9 @@
 // streamed by Phipps, Johnson & Kolda — see PAPERS.md) replaces the square
 // with any twice-differentiable pointwise loss ℓ(y, θ) of the data value y
 // and the model value θ = x̃_J (the natural parameter). Each loss exposes
-// its value, first and second θ-derivatives (the row-update Newton steps in
-// losses/gcp_row_update.h consume them) and its link function μ = Link(θ),
+// its value, a fused value-and-derivatives evaluation (one exponential per
+// call; the row-update Newton steps in losses/gcp_row_update.h consume it)
+// and its link function μ = Link(θ),
 // the model's prediction of the data mean — the quantity the robust mode
 // (losses/outlier_store.h) subtracts from an observation to form the
 // residual it soft-thresholds.
@@ -43,6 +44,14 @@ enum class LossKind : uint8_t {
 /// Short display name: "gaussian", "poisson", "bernoulli-logit".
 std::string LossKindName(LossKind kind);
 
+/// ℓ(y, θ) with its first two θ-derivatives, from one evaluation.
+struct LossTerms {
+  double value;  // ℓ(y, θ).
+  double d1;     // ∂ℓ/∂θ.
+  double d2;     // ∂²ℓ/∂θ², floored away from zero so Newton systems built
+                 // from it stay positive definite.
+};
+
 /// One pointwise loss ℓ(y, θ): y is the observed value, θ the model value
 /// x̃_J at the same cell. Stateless; obtained through GetLossFunction.
 class LossFunction {
@@ -54,11 +63,9 @@ class LossFunction {
 
   /// ℓ(y, θ).
   virtual double Value(double y, double theta) const = 0;
-  /// ∂ℓ/∂θ.
-  virtual double FirstDerivative(double y, double theta) const = 0;
-  /// ∂²ℓ/∂θ² — floored away from zero so Newton systems built from it stay
-  /// positive definite (see each implementation's floor).
-  virtual double SecondDerivative(double y, double theta) const = 0;
+  /// ℓ, ℓ' and ℓ'' at (y, θ), sharing one exponential. `value` equals
+  /// Value(y, θ) bitwise.
+  virtual LossTerms Evaluate(double y, double theta) const = 0;
   /// μ = E[y | θ]: identity (Gaussian), e^θ (Poisson), σ(θ) (Bernoulli).
   virtual double Link(double theta) const = 0;
 };

@@ -9,17 +9,22 @@
 //     tight-tolerance for the sampled RND variants (whose prev-Gram
 //     reconstruction U = Q + (p−a)'a is algebraically exact but rounds
 //     differently than the deep-copy-and-maintain path),
+//   - a per-tier bitwise pin of the staged, tiled GCP Newton row step
+//     against the straightforward per-cell step it replaced,
 //   - GramProductCache consistency against scratch recomputation under
 //     arbitrary invalidation sequences,
 //   - snapshot deduplication + O(1) PrevRow behavior,
 //   - MakeUpdater failing loudly on an unhandled SnsVariant.
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
+#include <limits>
 #include <new>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -38,6 +43,9 @@
 #include "core/sns_rnd_plus.h"
 #include "core/sns_vec.h"
 #include "core/sns_vec_plus.h"
+#include "linalg/rank_dispatch.h"
+#include "losses/gcp_row_update.h"
+#include "losses/loss_function.h"
 #include "telemetry/metrics_registry.h"
 #include "telemetry/scoped_timer.h"
 #include "tensor/mttkrp.h"
@@ -231,6 +239,33 @@ TEST(ZeroAllocationTest, SnsRndPlusSteadyStateEventsAllocateNothing) {
   SnsRndPlusUpdater updater(/*sample_threshold=*/2, /*clip_bound=*/50.0,
                             /*seed=*/7);
   EXPECT_EQ(SteadyStateAllocations(updater, 20, 80, 0xa110c4), 0u);
+}
+
+// The GCP loss path: the staged Hadamard panel and the per-cell caches
+// grow to the largest slice seen during warmup, then are reused.
+TEST(ZeroAllocationTest, PoissonSnsVecPlusSteadyStateEventsAllocateNothing) {
+  SnsVecPlusUpdater updater(/*clip_bound=*/50.0);
+  updater.set_loss(&GetLossFunction(LossKind::kPoisson));
+  EXPECT_EQ(SteadyStateAllocations(updater, 20, 80, 0xa110c7), 0u);
+}
+
+TEST(ZeroAllocationTest, BernoulliSnsVecPlusSteadyStateEventsAllocateNothing) {
+  SnsVecPlusUpdater updater(/*clip_bound=*/50.0);
+  updater.set_loss(&GetLossFunction(LossKind::kBernoulliLogit));
+  EXPECT_EQ(SteadyStateAllocations(updater, 20, 80, 0xa110c8), 0u);
+}
+
+TEST(ZeroAllocationTest, PoissonSnsRndSteadyStateEventsAllocateNothing) {
+  // θ = 2 forces the θ-sampled GCP cell set (sampled + delta cells).
+  SnsRndUpdater updater(/*sample_threshold=*/2, /*seed=*/7);
+  updater.set_loss(&GetLossFunction(LossKind::kPoisson));
+  EXPECT_EQ(SteadyStateAllocations(updater, 20, 80, 0xa110c9), 0u);
+}
+
+TEST(ZeroAllocationTest, BernoulliSnsRndSteadyStateEventsAllocateNothing) {
+  SnsRndUpdater updater(/*sample_threshold=*/2, /*seed=*/7);
+  updater.set_loss(&GetLossFunction(LossKind::kBernoulliLogit));
+  EXPECT_EQ(SteadyStateAllocations(updater, 20, 80, 0xa110ca), 0u);
 }
 
 TEST(ZeroAllocationTest, SnsMatSteadyStateEventsAllocateNothing) {
@@ -558,6 +593,207 @@ TEST(DifferentialTest, SnsMatBitwiseIdenticalToNaiveSweep) {
     }
     ExpectFactorsBitwiseEqual(state_real, state_ref, step);
   }
+}
+
+// ---------------------------------------------------------------------------
+// GCP Newton row step: the production step (each cell's Hadamard row staged
+// once, fused loss terms, tiled upper-triangle curvature) against the
+// straightforward per-cell step it replaced, kept here as the reference —
+// bitwise rows and Hessian upper triangles, on every tier the host runs.
+
+struct ReferenceGcpWorkspace {
+  Matrix hessian;
+  GramSolver solver;
+  AlignedVector grad, step, candidate, old_row, had, had_scaled;
+  std::vector<double> theta0, dtheta;
+};
+
+void ReferenceHadamard(const CpdState& state, const ModeIndex& index, int mode,
+                       double* out, const RankKernelTable& kr) {
+  if (state.mixed()) {
+    HadamardRowProduct32(state.factors32, index, mode, out, kr);
+  } else {
+    HadamardRowProduct(state.model.factors(), index, mode, out, kr);
+  }
+}
+
+double Clamp(double v, double lo, double hi) {
+  return v > hi ? hi : (v < lo ? lo : v);
+}
+
+// The per-cell damped Newton step: per cell, a Hadamard row, three loss
+// evaluations, an ℓ''-scaled copy and a full R×R AddOuterProduct; pass 2
+// rebuilds every Hadamard row.
+bool ReferenceGcpStep(CpdState& state, int mode, int64_t row,
+                      const LossFunction& loss,
+                      std::span<const SampledCell> cells, double clip_min,
+                      double clip_max, ReferenceGcpWorkspace& ws) {
+  const int64_t rank = state.rank();
+  const int64_t padded = PaddedRank(rank);
+  const RankKernelTable& kr = GetRankKernelTable(padded, state.kernel_tier);
+  ws.solver.set_kernels(&GetRankKernelTable(0, state.kernel_tier));
+  ws.hessian = Matrix(rank, rank);
+  for (AlignedVector* v : {&ws.grad, &ws.step, &ws.candidate, &ws.old_row,
+                           &ws.had, &ws.had_scaled}) {
+    v->Assign(rank, 0.0);
+  }
+  ws.theta0.assign(cells.size(), 0.0);
+  ws.dtheta.assign(cells.size(), 0.0);
+  double* live_row = state.model.factor(mode).Row(row);
+  kr.copy(live_row, ws.old_row.data(), padded);
+  if (cells.empty()) return false;
+
+  double obj0 = 0.0;
+  for (size_t c = 0; c < cells.size(); ++c) {
+    ReferenceHadamard(state, cells[c].index, mode, ws.had.data(), kr);
+    const double theta = kr.dot(ws.had.data(), ws.old_row.data(), padded);
+    ws.theta0[c] = theta;
+    obj0 += loss.Value(cells[c].value, theta);
+    const double d1 = loss.Evaluate(cells[c].value, theta).d1;
+    const double d2 = loss.Evaluate(cells[c].value, theta).d2;
+    kr.axpy(-d1, ws.had.data(), ws.grad.data(), padded);
+    kr.fill(ws.had_scaled.data(), 0.0, padded);
+    kr.axpy(d2, ws.had.data(), ws.had_scaled.data(), padded);
+    AddOuterProduct(ws.hessian, ws.had_scaled.data(), ws.had.data(), kr);
+  }
+  if (!std::isfinite(obj0)) return false;
+
+  double trace = 0.0;
+  for (int64_t r = 0; r < rank; ++r) trace += ws.hessian(r, r);
+  const double ridge = 1e-9 * (1.0 + trace / static_cast<double>(rank));
+  for (int64_t r = 0; r < rank; ++r) ws.hessian(r, r) += ridge;
+  ws.solver.Factorize(ws.hessian);
+  ws.solver.Solve(ws.grad.data(), ws.step.data());
+
+  for (int64_t r = 0; r < rank; ++r) {
+    const double v = Clamp(ws.old_row[r] + ws.step[r], clip_min, clip_max);
+    ws.candidate[r] = v;
+    ws.step[r] = v - ws.old_row[r];
+  }
+  const double dir_norm_sq = kr.dot(ws.step.data(), ws.step.data(), padded);
+  if (!(dir_norm_sq > 0.0) || !std::isfinite(dir_norm_sq)) return false;
+
+  for (size_t c = 0; c < cells.size(); ++c) {
+    ReferenceHadamard(state, cells[c].index, mode, ws.had.data(), kr);
+    ws.dtheta[c] = kr.dot(ws.had.data(), ws.step.data(), padded);
+  }
+  for (double alpha : {1.0, 0.5, 0.25, 0.125}) {
+    double obj = 0.0;
+    for (size_t i = 0; i < cells.size(); ++i) {
+      obj += loss.Value(cells[i].value, ws.theta0[i] + alpha * ws.dtheta[i]);
+    }
+    if (!std::isfinite(obj) || obj > obj0) continue;
+    kr.copy(ws.old_row.data(), ws.candidate.data(), padded);
+    kr.axpy(alpha, ws.step.data(), ws.candidate.data(), padded);
+    for (int64_t r = 0; r < rank; ++r) {
+      ws.candidate[r] = Clamp(ws.candidate[r], clip_min, clip_max);
+    }
+    kr.copy(ws.candidate.data(), live_row, padded);
+    state.SyncRowToF32(mode, row);
+    return true;
+  }
+  return false;
+}
+
+void ExpectBitwiseEqual(double actual, double expected, const char* what,
+                        int64_t i, int64_t j) {
+  ASSERT_EQ(std::bit_cast<uint64_t>(actual), std::bit_cast<uint64_t>(expected))
+      << what << "(" << i << ", " << j << "): " << actual << " vs "
+      << expected;
+}
+
+// Coverage counters of the pin, so it cannot pass vacuously.
+struct GcpPinCoverage {
+  int moved = 0;     // Steps that committed a new row.
+  int on_bound = 0;  // Committed clipped-step entries sitting on the box.
+};
+
+// Three consecutive steps of one row over a random cell set of each size.
+void RunGcpStepPin(LossKind kind, bool clipped, bool mixed, KernelTier tier,
+                   int64_t rank, GcpPinCoverage& coverage) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const LossFunction& loss = GetLossFunction(kind);
+  const double clip_min = clipped ? -0.25 : -kInf;
+  const double clip_max = clipped ? 1.0 : kInf;
+  const int mode = 0;
+  const int64_t row = 2;
+  for (const size_t num_cells : {size_t{1}, size_t{3}, size_t{64},
+                                 size_t{257}}) {
+    SCOPED_TRACE(testing::Message() << "cells=" << num_cells);
+    Rng rng(0x6c9 + num_cells + static_cast<uint64_t>(rank));
+    const std::vector<int64_t> dims = {5, 30, 12};
+    KruskalModel model = KruskalModel::Random(dims, rank, rng);
+    CpdState prod(model, tier), ref(model, tier);
+    if (mixed) {
+      prod.SetFactorPrecision(FactorPrecision::kFloat32Accum64);
+      ref.SetFactorPrecision(FactorPrecision::kFloat32Accum64);
+    }
+    std::vector<SampledCell> cells;
+    for (size_t c = 0; c < num_cells; ++c) {
+      const auto j = static_cast<int32_t>(rng.UniformInt(0, dims[1] - 1));
+      const auto k = static_cast<int32_t>(rng.UniformInt(0, dims[2] - 1));
+      const double y = kind == LossKind::kPoisson
+                           ? static_cast<double>(rng.UniformInt(0, 6))
+                           : static_cast<double>(rng.UniformInt(0, 1));
+      cells.push_back({ModeIndex{static_cast<int32_t>(row), j, k}, y});
+    }
+    GcpRowWorkspace ws;
+    ReferenceGcpWorkspace ref_ws;
+    for (int step = 0; step < 3; ++step) {
+      SCOPED_TRACE(testing::Message() << "step " << step);
+      const bool moved = GcpNewtonRowUpdate(prod, mode, row, loss, cells,
+                                            clip_min, clip_max, ws);
+      const bool ref_moved = ReferenceGcpStep(ref, mode, row, loss, cells,
+                                              clip_min, clip_max, ref_ws);
+      ASSERT_EQ(moved, ref_moved);
+      coverage.moved += moved ? 1 : 0;
+      for (int64_t i = 0; i < rank; ++i) {
+        for (int64_t j = i; j < rank; ++j) {
+          ExpectBitwiseEqual(ws.hessian(i, j), ref_ws.hessian(i, j),
+                             "hessian", i, j);
+        }
+      }
+      const double* a = prod.model.factor(mode).Row(row);
+      const double* b = ref.model.factor(mode).Row(row);
+      for (int64_t r = 0; r < rank; ++r) {
+        ExpectBitwiseEqual(a[r], b[r], "row", row, r);
+        if (a[r] == clip_min || a[r] == clip_max) ++coverage.on_bound;
+      }
+    }
+  }
+}
+
+TEST(GcpStepDifferentialTest, BitwiseIdenticalToPerCellStepOnEveryTier) {
+  // Ranks: a partial last row block (7), the benchmarks' rank (20), and two
+  // that run the runtime-bound kernel tables (37 with a padded tail, 40).
+  std::vector<KernelTier> tiers = {KernelTier::kGeneric};
+  for (const KernelTier t : {KernelTier::kAvx2, KernelTier::kAvx512}) {
+    if (KernelTierSupported(t)) tiers.push_back(t);
+  }
+  GcpPinCoverage coverage;
+  for (const KernelTier tier : tiers) {
+    for (const int64_t rank : {int64_t{7}, int64_t{20}, int64_t{37},
+                               int64_t{40}}) {
+      for (const LossKind kind :
+           {LossKind::kPoisson, LossKind::kBernoulliLogit}) {
+        for (const bool clipped : {false, true}) {
+          for (const bool mixed : {false, true}) {
+            SCOPED_TRACE(testing::Message()
+                         << KernelTierName(tier) << " rank=" << rank << " "
+                         << LossKindName(kind)
+                         << (clipped ? " clipped" : " unclipped")
+                         << (mixed ? " mixed" : " float64"));
+            RunGcpStepPin(kind, clipped, mixed, tier, rank, coverage);
+            if (HasFatalFailure()) return;
+          }
+        }
+      }
+    }
+  }
+  // Steps must actually commit, and the clipped configurations must
+  // actually exercise the projection.
+  EXPECT_GT(coverage.moved, 0);
+  EXPECT_GT(coverage.on_bound, 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -235,8 +235,9 @@ TEST_P(KernelDispatchTest, GramRowUpdatesMatchNaive) {
 // Every RankKernelTable entry point, per available tier, against a scalar
 // reference. Elementwise kernels (fill/copy/mul/mul_accum and the widening
 // mul_accum_f32) are bitwise on every tier — same per-entry arithmetic;
-// FMA-bearing kernels (axpy/fma3/dot/gram deltas/fma3_f32) are bitwise on
-// the generic tier and ulp-tight on the intrinsic ones.
+// FMA-bearing kernels (axpy/fma3/dot/gram deltas/fma3_f32/
+// weighted_syrk_upper) are bitwise on the generic tier and ulp-tight on the
+// intrinsic ones.
 
 TEST_P(KernelDispatchTest, TableKernelsMatchNaivePerTier) {
   const int64_t rank = GetParam();
@@ -257,6 +258,13 @@ TEST_P(KernelDispatchTest, TableKernelsMatchNaivePerTier) {
   a32.AssignFromDouble(aq);
   b32.AssignFromDouble(bq);
 
+  // weighted_syrk_upper inputs: 150 cells cross the codelets' cell chunks.
+  const int64_t cells = 150;
+  const Matrix panel = Matrix::RandomNormal(cells, rank, rng);
+  std::vector<double> weights(cells);
+  for (double& w : weights) w = 0.1 + rng.UniformDouble();
+  const Matrix base = Matrix::RandomNormal(rank, rank, rng);
+
   AlignedVector out(rank), scratch(rank);
   for (const KernelTier tier : AvailableTiers()) {
     SCOPED_TRACE(KernelTierName(tier));
@@ -266,7 +274,7 @@ TEST_P(KernelDispatchTest, TableKernelsMatchNaivePerTier) {
     ASSERT_EQ(kr.padded_rank, padded <= 32 ? padded : 0);
 
     kr.fill(out.data(), 1.75, padded);
-    for (int64_t r = 0; r < padded; ++r) ASSERT_EQ(out[r], 1.75);
+    for (int64_t r = 0; r < padded; ++r) ASSERT_EQ(out.data()[r], 1.75);
 
     kr.copy(a.data(), out.data(), padded);
     for (int64_t r = 0; r < rank; ++r) ASSERT_EQ(out[r], a[r]);
@@ -327,6 +335,39 @@ TEST_P(KernelDispatchTest, TableKernelsMatchNaivePerTier) {
     kr.fma3_f32(1.5, a32.Row(0), b32.Row(0), out.data(), padded);
     for (int64_t r = 0; r < rank; ++r) {
       ExpectTierValue(tier, out[r], 0.25 + 1.5 * (aq(0, r) * bq(0, r)));
+    }
+
+    // weighted_syrk_upper: the upper triangle against a naive scalar
+    // accumulation (tier tolerance, scaled to the summed term magnitudes),
+    // and bitwise against the per-cell AddOuterProduct accumulation through
+    // this tier's own axpy — the form the GCP Newton step used to take.
+    Matrix syrk = base;
+    kr.weighted_syrk_upper(panel.Row(0), weights.data(), cells, rank,
+                           syrk.Row(0), padded);
+    EXPECT_TRUE(syrk.PaddingIsZero());
+    Matrix naive = base, magnitude(rank, rank), per_cell = base;
+    for (int64_t c = 0; c < cells; ++c) {
+      const double* h = panel.Row(c);
+      for (int64_t i = 0; i < rank; ++i) {
+        const double u = weights[static_cast<size_t>(c)] * h[i];
+        scratch[i] = u;
+        for (int64_t j = i; j < rank; ++j) {
+          naive(i, j) = naive(i, j) + u * h[j];
+          magnitude(i, j) += std::fabs(u * h[j]);
+        }
+      }
+      AddOuterProduct(per_cell, scratch.data(), h, kr);
+    }
+    for (int64_t i = 0; i < rank; ++i) {
+      for (int64_t j = i; j < rank; ++j) {
+        ASSERT_EQ(syrk(i, j), per_cell(i, j)) << "(" << i << ", " << j << ")";
+        if (tier == KernelTier::kGeneric) {
+          ASSERT_EQ(syrk(i, j), naive(i, j));
+        } else {
+          ASSERT_NEAR(syrk(i, j), naive(i, j),
+                      1e-13 * (1.0 + magnitude(i, j) + std::fabs(base(i, j))));
+        }
+      }
     }
   }
 }

@@ -1,10 +1,12 @@
-// Loss subsystem coverage: analytic derivatives of every LossFunction
-// against central differences (boundary data values included), link
+// Loss subsystem coverage: the fused analytic derivatives of every
+// LossFunction against central differences (boundary data values
+// included) and against the closed forms bitwise, link
 // functions, the bounded outlier store's capture/evict/decay/serialize
 // semantics, and the GCP Newton sweep's differential contracts — the
 // monotone non-increase of the reference objective on a static window and
 // the generalized running fitness agreeing with the slow reference.
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -37,14 +39,16 @@ double NumericFirst(const LossFunction& loss, double y, double theta) {
 
 double NumericSecond(const LossFunction& loss, double y, double theta) {
   const double h = 1e-6 * std::max(1.0, std::fabs(theta));
-  return (loss.FirstDerivative(y, theta + h) -
-          loss.FirstDerivative(y, theta - h)) /
+  return (loss.Evaluate(y, theta + h).d1 - loss.Evaluate(y, theta - h).d1) /
          (2.0 * h);
 }
 
 void ExpectDerivativesMatch(const LossFunction& loss, double y, double theta) {
-  const double d1 = loss.FirstDerivative(y, theta);
-  const double d2 = loss.SecondDerivative(y, theta);
+  const LossTerms terms = loss.Evaluate(y, theta);
+  const double d1 = terms.d1;
+  const double d2 = terms.d2;
+  EXPECT_EQ(terms.value, loss.Value(y, theta))
+      << loss.name() << " fused value at y=" << y << " theta=" << theta;
   EXPECT_NEAR(d1, NumericFirst(loss, y, theta),
               1e-4 * std::max(1.0, std::fabs(d1)))
       << loss.name() << " d1 at y=" << y << " theta=" << theta;
@@ -97,12 +101,14 @@ TEST(LossFunctionTest, PoissonStaysFiniteUnderExponentialClamp) {
   const LossFunction& loss = GetLossFunction(LossKind::kPoisson);
   for (double theta : {45.0, 100.0, 1e6}) {
     EXPECT_TRUE(std::isfinite(loss.Value(3.0, theta)));
-    EXPECT_TRUE(std::isfinite(loss.FirstDerivative(3.0, theta)));
-    EXPECT_TRUE(std::isfinite(loss.SecondDerivative(3.0, theta)));
+    const LossTerms terms = loss.Evaluate(3.0, theta);
+    EXPECT_TRUE(std::isfinite(terms.value));
+    EXPECT_TRUE(std::isfinite(terms.d1));
+    EXPECT_TRUE(std::isfinite(terms.d2));
     EXPECT_TRUE(std::isfinite(loss.Link(theta)));
   }
   // Far negative θ: curvature collapses toward 0 but must stay floored.
-  EXPECT_GT(loss.SecondDerivative(0.0, -1e3), 0.0);
+  EXPECT_GT(loss.Evaluate(0.0, -1e3).d2, 0.0);
 }
 
 TEST(LossFunctionTest, BernoulliSoftplusIsStableAtExtremeTheta) {
@@ -111,7 +117,9 @@ TEST(LossFunctionTest, BernoulliSoftplusIsStableAtExtremeTheta) {
   // overflow anywhere in between.
   EXPECT_NEAR(loss.Value(0.0, 800.0), 800.0, 1e-9);
   EXPECT_NEAR(loss.Value(0.0, -800.0), 0.0, 1e-9);
-  EXPECT_GT(loss.SecondDerivative(1.0, 700.0), 0.0);
+  EXPECT_GT(loss.Evaluate(1.0, 700.0).d2, 0.0);
+  EXPECT_NEAR(loss.Evaluate(0.0, 800.0).value, 800.0, 1e-9);
+  EXPECT_NEAR(loss.Evaluate(0.0, -800.0).value, 0.0, 1e-9);
 }
 
 TEST(LossFunctionTest, LinkFunctionsMatchTheCatalog) {
@@ -127,9 +135,53 @@ TEST(LossFunctionTest, LinkFunctionsMatchTheCatalog) {
 TEST(LossFunctionTest, MinimizerSitsAtTheMatchingLink) {
   // ∂ℓ/∂θ = 0 exactly where Link(θ) = y — the GCP stationarity condition.
   const LossFunction& poisson = GetLossFunction(LossKind::kPoisson);
-  EXPECT_NEAR(poisson.FirstDerivative(5.0, std::log(5.0)), 0.0, 1e-9);
+  EXPECT_NEAR(poisson.Evaluate(5.0, std::log(5.0)).d1, 0.0, 1e-9);
   const LossFunction& gaussian = GetLossFunction(LossKind::kGaussian);
-  EXPECT_DOUBLE_EQ(gaussian.FirstDerivative(2.5, 2.5), 0.0);
+  EXPECT_DOUBLE_EQ(gaussian.Evaluate(2.5, 2.5).d1, 0.0);
+}
+
+// The fused evaluation shares one exponential between ℓ, ℓ' and ℓ''. Its
+// value must equal Value() bitwise in every build (the GCP row step mixes
+// the two), and ℓ', ℓ'' must equal their standalone closed forms bitwise.
+// The closed-form values carry a multiply-subtract that FMA builds may
+// contract in this file but not in the library, so those compare to an ulp
+// of the summed term magnitudes instead.
+TEST(LossFunctionTest, FusedTermsMatchTheClosedForms) {
+  const LossFunction& gaussian = GetLossFunction(LossKind::kGaussian);
+  const LossFunction& poisson = GetLossFunction(LossKind::kPoisson);
+  const LossFunction& bernoulli = GetLossFunction(LossKind::kBernoulliLogit);
+  const double ulp = std::numeric_limits<double>::epsilon();
+  Rng rng(19);
+  for (int i = 0; i < 200; ++i) {
+    const double theta = (rng.UniformDouble() - 0.5) * 120.0;  // Past ±40.
+    const double y = std::floor(rng.UniformDouble() * 4.0);
+    const double b = y >= 2.0 ? 1.0 : 0.0;
+
+    const LossTerms g = gaussian.Evaluate(y, theta);
+    EXPECT_EQ(g.value, gaussian.Value(y, theta));
+    EXPECT_EQ(g.value, (theta - y) * (theta - y));
+    EXPECT_EQ(g.d1, 2.0 * (theta - y));
+    EXPECT_EQ(g.d2, 2.0);
+
+    const double e = std::exp(std::clamp(theta, -40.0, 40.0));
+    const LossTerms p = poisson.Evaluate(y, theta);
+    EXPECT_EQ(p.value, poisson.Value(y, theta));
+    EXPECT_NEAR(p.value, e - y * theta, 2 * ulp * (e + std::fabs(y * theta)));
+    EXPECT_EQ(p.d1, e - y);
+    EXPECT_EQ(p.d2, std::max(e, 1e-12));
+
+    const double sigma = theta >= 0.0 ? 1.0 / (1.0 + std::exp(-theta))
+                                       : std::exp(theta) / (1.0 + std::exp(theta));
+    const double softplus =
+        std::max(theta, 0.0) + std::log1p(std::exp(-std::abs(theta)));
+    const LossTerms q = bernoulli.Evaluate(b, theta);
+    EXPECT_EQ(q.value, bernoulli.Value(b, theta));
+    EXPECT_NEAR(q.value, softplus - b * theta,
+                2 * ulp * (softplus + std::fabs(b * theta)));
+    EXPECT_EQ(q.d1, sigma - b);
+    EXPECT_EQ(q.d2, std::max(sigma * (1.0 - sigma), 1e-12));
+    EXPECT_EQ(bernoulli.Link(theta), sigma);
+  }
 }
 
 TEST(LossFunctionTest, NamesAndKindsRoundTrip) {
