@@ -14,6 +14,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/check.h"
+
 namespace sns {
 
 /// Complete serializable state of an Rng: the xoshiro256** engine words plus
@@ -47,16 +49,46 @@ class Rng {
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return ~uint64_t{0}; }
 
-  /// Next raw 64-bit value.
+  /// Next raw 64-bit value. Inline with NextUint64 and UniformInt: the
+  /// θ-sampler draws one per sampled cell coordinate.
   uint64_t operator()() { return Next(); }
-  uint64_t Next();
+  uint64_t Next() {
+    const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
+    const uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = Rotl(state_[3], 45);
+    return result;
+  }
 
   /// Uniform in [0, bound). bound must be > 0. Uses Lemire rejection to avoid
   /// modulo bias.
-  uint64_t NextUint64(uint64_t bound);
+  uint64_t NextUint64(uint64_t bound) {
+    SNS_DCHECK(bound > 0);
+    // Lemire's nearly-divisionless method.
+    uint64_t x = Next();
+    __uint128_t m = static_cast<__uint128_t>(x) * bound;
+    uint64_t l = static_cast<uint64_t>(m);
+    if (l < bound) {
+      const uint64_t t = -bound % bound;
+      while (l < t) {
+        x = Next();
+        m = static_cast<__uint128_t>(x) * bound;
+        l = static_cast<uint64_t>(m);
+      }
+    }
+    return static_cast<uint64_t>(m >> 64);
+  }
 
   /// Uniform integer in [lo, hi] inclusive.
-  int64_t UniformInt(int64_t lo, int64_t hi);
+  int64_t UniformInt(int64_t lo, int64_t hi) {
+    SNS_DCHECK(lo <= hi);
+    return lo + static_cast<int64_t>(
+                    NextUint64(static_cast<uint64_t>(hi - lo) + 1));
+  }
 
   /// Uniform double in [0, 1).
   double UniformDouble();
@@ -91,6 +123,10 @@ class Rng {
   void RestoreState(const RngState& s);
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   uint64_t state_[4];
   bool has_cached_normal_ = false;
   double cached_normal_ = 0.0;

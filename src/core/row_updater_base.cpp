@@ -1,6 +1,7 @@
 #include "core/row_updater_base.h"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "tensor/mttkrp.h"
 
@@ -127,21 +128,6 @@ const double* RowUpdaterBase::PrevRow(int mode, int64_t row,
   return state.model.factor(mode).Row(row);
 }
 
-double RowUpdaterBase::EvaluatePrevModel(const ModeIndex& index,
-                                         const CpdState& state) const {
-  const int modes = state.num_modes();
-  const int64_t rank = state.rank();
-  const double* rows[kMaxTensorModes];
-  for (int m = 0; m < modes; ++m) rows[m] = PrevRow(m, index[m], state);
-  double sum = 0.0;
-  for (int64_t r = 0; r < rank; ++r) {
-    double prod = 1.0;
-    for (int m = 0; m < modes; ++m) prod *= rows[m][r];
-    sum += prod;
-  }
-  return sum;
-}
-
 void RowUpdaterBase::CommitRow(int mode, int64_t row, const double* old_row,
                                CpdState& state) {
   // Mixed precision: quantize the just-written row through float32 (and
@@ -167,29 +153,207 @@ void RowUpdaterBase::CommitRow(int mode, int64_t row, const double* old_row,
   }
 }
 
-void RowUpdaterBase::HadamardOfPrevGramsExcept(const CpdState& state,
-                                               int skip_mode,
-                                               UpdateWorkspace& ws) const {
-  ws.h_prev.Fill(1.0);
-  for (int n = 0; n < state.num_modes(); ++n) {
-    if (n == skip_mode) continue;
-    const Matrix& gram = state.grams[static_cast<size_t>(n)];
-    bool has_delta = false;
-    for (int k = 0; k < num_gram_deltas_; ++k) {
-      if (delta_mode_[static_cast<size_t>(k)] == n) has_delta = true;
+void RowUpdaterBase::SampledRowRhs(int mode, int64_t row,
+                                   const SparseTensor& window,
+                                   const WindowDelta& delta,
+                                   const CpdState& state,
+                                   int64_t sample_threshold, Rng& rng,
+                                   UpdateWorkspace& ws) const {
+  const RankKernelTable& kr = *ws.kernels;
+  const int64_t padded = ws.padded_rank;
+  double* rhs = ws.rhs.data();
+
+  // First term: A(m)(row,:)·H_prev, H_prev = ∗_{n≠m} U(n).
+  PrevGramETerm(state, mode, ws.old_row.data(), ws);
+
+  // Residual corrections x̄_J = x_J − x̃_J at θ cells sampled uniformly from
+  // the slice grid (zero cells included — they pull spurious model mass
+  // down; delta cells excluded per footnote 2), staged a panel at a time
+  // and accumulated in cell order.
+  SampleSliceCellsInto(window, mode, row, sample_threshold, delta, rng,
+                       ws.samples);
+  const size_t capacity = static_cast<size_t>(ws.sample_residual.size());
+  SNS_DCHECK(capacity > 0);
+  for (size_t begin = 0; begin < ws.samples.size(); begin += capacity) {
+    const size_t end = std::min(ws.samples.size(), begin + capacity);
+    if (state.mixed()) {
+      StageSamples(state.factors32, state, mode, row, begin, end, ws);
+    } else {
+      StageSamples(state.model.factors(), state, mode, row, begin, end, ws);
     }
-    if (!has_delta) {
-      // No row of mode n committed yet this event: U(n) = Q(n).
-      HadamardAccumulate(ws.h_prev, gram, *ws.kernels);
-      continue;
+    for (size_t c = 0; c < end - begin; ++c) {
+      kr.axpy(ws.sample_residual.data()[c],
+              ws.sample_panel.data() + static_cast<int64_t>(c) * padded, rhs,
+              padded);
     }
-    ws.u_scratch.CopyFrom(gram);
-    for (int k = 0; k < num_gram_deltas_; ++k) {
-      if (delta_mode_[static_cast<size_t>(k)] != n) continue;
-      const double* diff = delta_values_.data() + 2 * k * snap_stride_;
-      AddOuterProduct(ws.u_scratch, diff, diff + snap_stride_, *ws.kernels);
+  }
+
+  // ΔX term.
+  for (const DeltaCell& cell : delta.cells) {
+    if (cell.index[mode] != row) continue;
+    HadamardRowDispatch(state, cell.index, mode, ws.had.data(), ws);
+    kr.axpy(cell.delta, ws.had.data(), rhs, padded);
+  }
+}
+
+void RowUpdaterBase::PrevGramETerm(const CpdState& state, int skip_mode,
+                                   const double* b,
+                                   UpdateWorkspace& ws) const {
+  const RankKernelTable& kr = *ws.kernels;
+  const int64_t padded = ws.padded_rank;
+  double* rhs = ws.rhs.data();
+  double* h_row = ws.h_prev_row.data();
+  double* u_row = ws.u_row.data();
+  uint32_t has_delta = 0;  // Modes with a row committed this event.
+  for (int k = 0; k < num_gram_deltas_; ++k) {
+    has_delta |= 1u << delta_mode_[static_cast<size_t>(k)];
+  }
+
+  // rhs = Σ_i b_i·(∗_{n≠m} U(n))(i, :), skipping b_i = 0. Row i of the
+  // Hadamard product is the first U(n) row copied, the others multiplied
+  // in, and U(n) row i is Q(n) row i plus, per committed row of mode n, its
+  // (p−a)_i·a axpy unless (p−a)_i = 0.
+  kr.fill(rhs, 0.0, padded);
+  for (int64_t i = 0; i < state.rank(); ++i) {
+    const double b_i = b[i];
+    if (b_i == 0.0) continue;
+    bool first = true;
+    for (int n = 0; n < state.num_modes(); ++n) {
+      if (n == skip_mode) continue;
+      const double* u = state.grams[static_cast<size_t>(n)].Row(i);
+      if (has_delta & (1u << n)) {
+        // U(n) = Q(n) + Σ_rows (p−a)'a, built in place when n comes first.
+        double* dst = first ? h_row : u_row;
+        kr.copy(u, dst, padded);
+        for (int k = 0; k < num_gram_deltas_; ++k) {
+          if (delta_mode_[static_cast<size_t>(k)] != n) continue;
+          const double* diff = delta_values_.data() + 2 * k * snap_stride_;
+          if (diff[i] == 0.0) continue;
+          kr.axpy(diff[i], diff + snap_stride_, dst, padded);
+        }
+        u = dst;
+      }
+      if (first) {
+        if (u != h_row) kr.copy(u, h_row, padded);
+        first = false;
+      } else {
+        kr.mul_accum(h_row, u, padded);
+      }
     }
-    HadamardAccumulate(ws.h_prev, ws.u_scratch, *ws.kernels);
+    kr.axpy(b_i, h_row, rhs, padded);
+  }
+}
+
+namespace {
+
+// out = ∗ of `count` padded rows, in order: the first copied, the others
+// multiplied in — the values a Hadamard accumulation started from 1.0
+// yields, as 1.0·a = a. Float32 mirror rows are widened lane by lane.
+void DirectHadamard(const double* const* rows, int count, double* out,
+                    int64_t padded, const RankKernelTable& kr) {
+  if (count == 1) {
+    kr.copy(rows[0], out, padded);
+    return;
+  }
+  kr.mul(rows[0], rows[1], out, padded);
+  for (int k = 2; k < count; ++k) kr.mul_accum(out, rows[k], padded);
+}
+
+void DirectHadamard(const float* const* rows, int count, double* out,
+                    int64_t padded, const RankKernelTable& kr) {
+  const float* a = rows[0];
+  if (count == 1) {
+    for (int64_t r = 0; r < padded; ++r) out[r] = static_cast<double>(a[r]);
+    return;
+  }
+  const float* b = rows[1];
+  for (int64_t r = 0; r < padded; ++r) {
+    out[r] = static_cast<double>(a[r]) * static_cast<double>(b[r]);
+  }
+  for (int k = 2; k < count; ++k) kr.mul_accum_f32(out, rows[k], padded);
+}
+
+// Pre-event values x̃ of kLanes staged cells; rows[l][n] is cell l's
+// event-start row of mode n. Each cell's sum runs over r in order with the
+// product formed in mode order — the scalar Σ_r Π_n rows[n][r] — while the
+// independent per-cell chains interleave. kModes = 0 reads `modes`.
+template <int kLanes, int kModes>
+void PrevModelValues(const double* (*rows)[kMaxTensorModes], int modes,
+                     int64_t rank, double* out) {
+  const int m = kModes > 0 ? kModes : modes;
+  double sum[kLanes] = {};
+  for (int64_t r = 0; r < rank; ++r) {
+    for (int l = 0; l < kLanes; ++l) {
+      double prod = rows[l][0][r];
+      for (int n = 1; n < m; ++n) prod *= rows[l][n][r];
+      sum[l] += prod;
+    }
+  }
+  for (int l = 0; l < kLanes; ++l) out[l] = sum[l];
+}
+
+// Three modes, the common case, gets a compile-time product length.
+template <int kLanes>
+void PrevModelValues(const double* (*rows)[kMaxTensorModes], int modes,
+                     int64_t rank, double* out) {
+  if (modes == 3) return PrevModelValues<kLanes, 3>(rows, modes, rank, out);
+  PrevModelValues<kLanes, 0>(rows, modes, rank, out);
+}
+
+}  // namespace
+
+template <typename Factors>
+void RowUpdaterBase::StageSamples(const Factors& factors,
+                                  const CpdState& state, int mode,
+                                  int64_t row, size_t begin, size_t end,
+                                  UpdateWorkspace& ws) const {
+  constexpr int kLanes = 4;
+  using Element = std::remove_cv_t<
+      std::remove_pointer_t<decltype(factors[0].Row(0))>>;
+  const RankKernelTable& kr = *ws.kernels;
+  const int64_t padded = ws.padded_rank;
+  const int64_t rank = state.rank();
+  const int modes = state.num_modes();
+  const double* own_prev = PrevRow(mode, row, state);  // Shared by all cells.
+  const SampledCell* cells = ws.samples.data();
+
+  const double* prev[kLanes][kMaxTensorModes];
+  const Element* current[kMaxTensorModes];
+  double x_tilde[kLanes];
+  // One gather per cell: its event-start rows (for x̃) and its current
+  // rows of the other modes (for the panel row), in mode order.
+  auto gather = [&](size_t c, int lane) {
+    const ModeIndex& index = cells[c].index;
+    int k = 0;
+    for (int n = 0; n < modes; ++n) {
+      if (n == mode) {
+        prev[lane][n] = own_prev;
+        continue;
+      }
+      prev[lane][n] = PrevRow(n, index[n], state);
+      current[k++] = factors[static_cast<size_t>(n)].Row(index[n]);
+    }
+    DirectHadamard(current, k, ws.sample_panel.data() +
+                                   static_cast<int64_t>(c - begin) * padded,
+                   padded, kr);
+  };
+  auto residuals = [&](size_t c, int lanes) {
+    for (int l = 0; l < lanes; ++l) {
+      ws.sample_residual.data()[c - begin + static_cast<size_t>(l)] =
+          cells[c + static_cast<size_t>(l)].value - x_tilde[l];
+    }
+  };
+
+  size_t c = begin;
+  for (; c + kLanes <= end; c += kLanes) {
+    for (int l = 0; l < kLanes; ++l) gather(c + static_cast<size_t>(l), l);
+    PrevModelValues<kLanes>(prev, modes, rank, x_tilde);
+    residuals(c, kLanes);
+  }
+  for (; c < end; ++c) {
+    gather(c, 0);
+    PrevModelValues<1>(prev, modes, rank, x_tilde);
+    residuals(c, 1);
   }
 }
 

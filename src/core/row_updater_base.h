@@ -14,6 +14,9 @@
 //     pre-event model X̃ = ⟦B(1)…B(M)⟧ can be evaluated exactly while rows
 //     are being overwritten (needed by the residual corrections
 //     x̄_J = x_J − x̃_J of Eqs. 16/23),
+//   - the sampled rule of the RND variants itself (SampledRowRhs): one
+//     staged routine for SNS-RND and SNS+RND, O(MR² + θ(M + MR)) per heavy
+//     row, hence the O(M²Rθ + M²R²) per event of Theorems 5 and 7,
 //   - the per-event UpdateWorkspace and the GramProductCache that hands each
 //     UpdateRow its Hadamard-of-Grams product in O(R²) amortized.
 //
@@ -70,11 +73,6 @@ class RowUpdaterBase : public EventUpdater {
   /// mode, time-mode snapshots are at most two slots.
   const double* PrevRow(int mode, int64_t row, const CpdState& state) const;
 
-  /// X̃ at one cell using the event-start factors B(m) (λ is 1 for all row
-  /// variants).
-  double EvaluatePrevModel(const ModeIndex& index,
-                           const CpdState& state) const;
-
   /// After writing the new row into state.model, updates Q(mode) (Eq. 13 /
   /// Eqs. 24-25) and, when NeedsPrevGrams(), records the rank-1 delta that
   /// lets U(mode) be reconstructed from Q(mode) (Eq. 17 / Eq. 26).
@@ -83,11 +81,25 @@ class RowUpdaterBase : public EventUpdater {
   void CommitRow(int mode, int64_t row, const double* old_row,
                  CpdState& state);
 
-  /// ws.h_prev = ∗_{n≠skip_mode} U(n), with each U(n) reconstructed from the
-  /// live Q(n) and this event's committed-row deltas:
-  /// U(n) = Q(n) + Σ_rows (p−a)'a. Only valid when NeedsPrevGrams().
-  void HadamardOfPrevGramsExcept(const CpdState& state, int skip_mode,
-                                 UpdateWorkspace& ws) const;
+  /// The sampled rule shared by SNS-RND (Eq. 16) and SNS+RND (Eq. 23):
+  /// writes into ws.rhs, for a row with deg > θ,
+  ///   b·(∗_{n≠m} U(n)) + Σ_{J∈S} (x_J − x̃_J)·h_J + Σ_{J∈ΔX} Δx_J·h_J,
+  /// with b = ws.old_row (the row's event-start value, loaded by the
+  /// caller), S the θ cells SampleSliceCellsInto draws from `rng`, x̃ the
+  /// pre-event model, and h_J = ∗_{n≠m} a(n)_{j_n} under the current
+  /// factors. Only valid when NeedsPrevGrams().
+  ///
+  /// Staged for cost O(MR² + θ(M + MR)) per row: the e-term builds row i of
+  /// ∗ U(n) — each U(n) = Q(n) + Σ (p−a)'a reconstructed one row at a time
+  /// — only where b_i ≠ 0 and folds it straight into rhs; every sample's
+  /// rows are gathered once, feeding both its Hadamard row (a direct
+  /// product into ws.sample_panel) and its x̃ (per-cell sums interleaved
+  /// across cells); the residual axpys then run in cell order. Every value
+  /// is bitwise the one the plain per-cell formulation produces.
+  void SampledRowRhs(int mode, int64_t row, const SparseTensor& window,
+                     const WindowDelta& delta, const CpdState& state,
+                     int64_t sample_threshold, Rng& rng,
+                     UpdateWorkspace& ws) const;
 
   /// Non-Gaussian escape hatch shared by every row variant, called first
   /// thing in each UpdateRow: returns false (doing nothing) under the
@@ -119,6 +131,14 @@ class RowUpdaterBase : public EventUpdater {
 
  private:
   void BeginEvent(const WindowDelta& delta, const CpdState& state);
+
+  // Stages of SampledRowRhs (row_updater_base.cpp).
+  void PrevGramETerm(const CpdState& state, int skip_mode, const double* b,
+                     UpdateWorkspace& ws) const;
+  template <typename Factors>
+  void StageSamples(const Factors& factors, const CpdState& state, int mode,
+                    int64_t row, size_t begin, size_t end,
+                    UpdateWorkspace& ws) const;
 
   UpdateWorkspace ws_;
   GramProductCache gram_cache_;

@@ -8,7 +8,14 @@
 // by the current event are excluded per footnote 2.
 //
 // Sampled cells carry their window value, fetched exactly once here, so the
-// consumers (sns_rnd, sns_rnd_plus) never re-hash the window per cell.
+// consumers (the RND rows of RowUpdaterBase, the θ-sampled GCP step) never
+// re-hash the window per cell.
+//
+// Cost per call: θ·(M−1) bounded-integer draws, one window lookup per
+// accepted cell, and O(θ²) integer compares — each candidate is keyed by
+// its mixed-radix offset in the slice grid, so de-duplication compares one
+// uint64 per accepted cell, not M coordinates. Delta-cell exclusion compares
+// coordinates against the (at most two) delta cells.
 
 #ifndef SLICENSTITCH_CORE_SLICE_SAMPLER_H_
 #define SLICENSTITCH_CORE_SLICE_SAMPLER_H_
@@ -21,11 +28,14 @@
 
 namespace sns {
 
-/// One sampled slice cell: its window coordinate and current window value
-/// (0.0 for the — typical — zero cells).
+/// One sampled slice cell: its window coordinate, current window value
+/// (0.0 for the — typical — zero cells) and slice-grid offset: the other
+/// modes' coordinates read as a mixed-radix number in mode order (wrapping
+/// modulo 2^64 for grids that large; 0 for cells not made by the sampler).
 struct SampledCell {
   ModeIndex index;
   double value = 0.0;
+  uint64_t offset = 0;
 };
 
 /// Samples up to `count` distinct cells uniformly without replacement from
@@ -33,7 +43,9 @@ struct SampledCell {
 /// (cleared first, capacity preserved), never returning a cell of `delta`.
 /// If the slice grid (minus delta cells) has at most `count` cells, all of
 /// them are returned — so at most count + delta.cells.size() cells are ever
-/// produced. Each cell carries its window value. With `out` pre-reserved
+/// produced. Each cell carries its window value. The RNG draw order is one
+/// UniformInt per non-`mode` coordinate per candidate, in mode order; the
+/// enumeration branch draws nothing. With `out` pre-reserved
 /// (see UpdateWorkspace) this performs no heap allocation — the hot-path
 /// form used by the RND updaters.
 void SampleSliceCellsInto(const SparseTensor& window, int mode, int64_t row,

@@ -2,9 +2,6 @@
 
 #include <limits>
 
-#include "core/slice_sampler.h"
-#include "tensor/mttkrp.h"
-
 namespace sns {
 
 void SnsRndUpdater::UpdateRow(int mode, int64_t row,
@@ -29,31 +26,11 @@ void SnsRndUpdater::UpdateRow(int mode, int64_t row,
     MttkrpRowDispatch(window, state, mode, row, ws.rhs.data(), ws.had.data(),
                       ws);
   } else {
-    // Sampled path (Alg. 4 lines 11-14): Eq. 16.
-    // First term: A(m)(row,:) H_prev with H_prev = ∗_{n≠m} U(n), each U(n)
-    // reconstructed from Q(n) and this event's committed-row deltas. The
-    // row is still at its event-start value B(m)(row,:) here.
-    HadamardOfPrevGramsExcept(state, mode, ws);
-    RowTimesMatrixPadded(ws.old_row.data(), ws.h_prev, ws.rhs.data(), kr);
-
-    // Residual corrections x̄_J = x_J − x̃_J at θ cells sampled uniformly
-    // from the slice grid (zero cells included — they pull spurious model
-    // mass down), with x̃ evaluated under the pre-event factors.
-    SampleSliceCellsInto(window, mode, row, sample_threshold_, delta, rng_,
-                         ws.samples);
-    for (const SampledCell& cell : ws.samples) {
-      const double residual =
-          cell.value - EvaluatePrevModel(cell.index, state);
-      HadamardRowDispatch(state, cell.index, mode, ws.had.data(), ws);
-      kr.axpy(residual, ws.had.data(), ws.rhs.data(), padded);
-    }
-
-    // ΔX term of Eq. 16.
-    for (const DeltaCell& cell : delta.cells) {
-      if (cell.index[mode] != row) continue;
-      HadamardRowDispatch(state, cell.index, mode, ws.had.data(), ws);
-      kr.axpy(cell.delta, ws.had.data(), ws.rhs.data(), padded);
-    }
+    // Sampled path (Alg. 4 lines 11-14): Eq. 16 — the e-term through
+    // H_prev = ∗_{n≠m} U(n), the θ-sample residuals under the pre-event
+    // model, and the ΔX term.
+    SampledRowRhs(mode, row, window, delta, state, sample_threshold_, rng_,
+                  ws);
   }
 
   ws.solver.Factorize(ws.h);  // H(m) = ∗_{n≠m} Q(n), preloaded by the base.

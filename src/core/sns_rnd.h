@@ -5,7 +5,8 @@
 // A(m)(i,:) ← A(m)(i,:) H_prev H† + (X̄+ΔX)_(m)(i,:) K H† (Eq. 16) with
 // H_prev = ∗_{n≠m} A(n)'_prev A(n) maintained incrementally (Eq. 17).
 // Per-event cost is O(M²Rθ + M²R² + MR³): constant in the data size
-// (Theorem 5).
+// (Theorem 5). The sampled right-hand side is RowUpdaterBase::SampledRowRhs,
+// shared with SNS+RND; the MR³ is the per-row Cholesky solve.
 
 #ifndef SLICENSTITCH_CORE_SNS_RND_H_
 #define SLICENSTITCH_CORE_SNS_RND_H_

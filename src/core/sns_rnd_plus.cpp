@@ -1,8 +1,6 @@
 #include "core/sns_rnd_plus.h"
 
-#include "core/slice_sampler.h"
 #include "core/sns_vec_plus.h"
-#include "tensor/mttkrp.h"
 
 namespace sns {
 
@@ -32,25 +30,8 @@ void SnsRndPlusUpdater::UpdateRow(int mode, int64_t row,
     // e_k + Σ (x̄_J + Δx_J)·Π_{n≠m} a(n)_{j_n k} with
     // e_k = Σ_r b_{i r} (∗_{n≠m} U(n))(r, k), U(n) reconstructed from Q(n)
     // and this event's committed-row deltas.
-    HadamardOfPrevGramsExcept(state, mode, ws);
-    RowTimesMatrixPadded(ws.old_row.data(), ws.h_prev, ws.rhs.data(), kr);
-
-    // θ cells sampled uniformly from the slice grid, zero cells included
-    // (their x̄ = −x̃ pulls spurious mass down); delta cells excluded per
-    // footnote 2.
-    SampleSliceCellsInto(window, mode, row, sample_threshold_, delta, rng_,
-                         ws.samples);
-    for (const SampledCell& cell : ws.samples) {
-      const double residual =
-          cell.value - EvaluatePrevModel(cell.index, state);
-      HadamardRowDispatch(state, cell.index, mode, ws.had.data(), ws);
-      kr.axpy(residual, ws.had.data(), ws.rhs.data(), padded);
-    }
-    for (const DeltaCell& cell : delta.cells) {
-      if (cell.index[mode] != row) continue;
-      HadamardRowDispatch(state, cell.index, mode, ws.had.data(), ws);
-      kr.axpy(cell.delta, ws.had.data(), ws.rhs.data(), padded);
-    }
+    SampledRowRhs(mode, row, window, delta, state, sample_threshold_, rng_,
+                  ws);
   }
 
   CoordinateDescentRow(factor.Row(row), rank, ws.h, ws.rhs.data(), clip_min_,

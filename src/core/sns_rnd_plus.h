@@ -4,6 +4,10 @@
 // heavy rows replace X with X̃ + X̄ and use Eq. 23, where the e-term flows
 // through the incrementally maintained U(m) = A(m)'_prev A(m) (Eq. 26).
 // Per-event cost O(M²Rθ + M²R²): constant for fixed M, R, θ (Theorem 7).
+// The sampled right-hand side is RowUpdaterBase::SampledRowRhs, shared
+// with SNS-RND: O(MR²) for the e-term and O(MR) per sampled cell (one row
+// gather feeding both its Hadamard row and its pre-event value x̃) per
+// heavy row; the coordinate-descent pass adds O(R²).
 
 #ifndef SLICENSTITCH_CORE_SNS_RND_PLUS_H_
 #define SLICENSTITCH_CORE_SNS_RND_PLUS_H_

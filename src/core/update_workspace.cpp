@@ -18,14 +18,17 @@ void UpdateWorkspace::Prepare(int num_modes, int64_t rank,
   solver.set_kernels(&GetRankKernelTable(0, tier));
 
   h = Matrix(rank, rank);
-  h_prev = Matrix(rank, rank);
-  u_scratch = Matrix(rank, rank);
   old_row.Assign(rank, 0.0);
   rhs.Assign(rank, 0.0);
   solution.Assign(rank, 0.0);
   had.Assign(rank, 0.0);
   samples.clear();
   samples.reserve(static_cast<size_t>(sample_capacity));
+  const int64_t staged = sample_capacity > 0 ? rank : 0;
+  h_prev_row.Assign(staged, 0.0);
+  u_row.Assign(staged, 0.0);
+  sample_panel.Assign(sample_capacity * padded_rank, 0.0);
+  sample_residual.Assign(sample_capacity, 0.0);
 }
 
 }  // namespace sns

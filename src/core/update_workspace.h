@@ -46,11 +46,6 @@ struct UpdateWorkspace {
   /// ∗_{n≠m} Q(n) for the row currently being updated — preloaded by
   /// RowUpdaterBase::OnEvent (via GramProductCache) before each UpdateRow.
   Matrix h;
-  /// ∗_{n≠m} U(n) of the sampled paths, written by
-  /// RowUpdaterBase::HadamardOfPrevGramsExcept.
-  Matrix h_prev;
-  /// One reconstructed prev-Gram U(n) = Q(n) + Σ (p−a)'a.
-  Matrix u_scratch;
   /// Cholesky-backed row solver (allocation-free fast path).
   GramSolver solver;
 
@@ -58,7 +53,18 @@ struct UpdateWorkspace {
   AlignedVector rhs;       // Right-hand side / numerator accumulator.
   AlignedVector solution;  // Solve output before the factor write.
   AlignedVector had;       // Per-entry Hadamard row product.
-  std::vector<SampledCell> samples;  // θ-sample output (RND variants).
+
+  // Sampled rule of the RND variants (RowUpdaterBase::SampledRowRhs).
+  std::vector<SampledCell> samples;  // θ-sample output.
+  /// Row i of ∗_{n≠m} U(n), built one row at a time for the e-term.
+  AlignedVector h_prev_row;
+  /// Row i of one reconstructed prev-Gram U(n) = Q(n) + Σ (p−a)'a.
+  AlignedVector u_row;
+  /// sample_capacity × padded_rank: row c holds sample c's current-factor
+  /// Hadamard row ∗_{n≠m} a(n)_{j_n}.
+  AlignedVector sample_panel;
+  /// sample_capacity residuals x_J − x̃_J, one per staged sample.
+  AlignedVector sample_residual;
 
  private:
   int num_modes_ = 0;

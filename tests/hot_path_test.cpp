@@ -11,6 +11,9 @@
 //     differently than the deep-copy-and-maintain path),
 //   - a per-tier bitwise pin of the staged, tiled GCP Newton row step
 //     against the straightforward per-cell step it replaced,
+//   - a per-tier bitwise pin of the staged sampled rule of SNS-RND /
+//     SNS+RND against the per-cell loop, sampler and pre-event evaluation
+//     it replaced,
 //   - GramProductCache consistency against scratch recomputation under
 //     arbitrary invalidation sequences,
 //   - snapshot deduplication + O(1) PrevRow behavior,
@@ -25,6 +28,7 @@
 #include <limits>
 #include <new>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -794,6 +798,391 @@ TEST(GcpStepDifferentialTest, BitwiseIdenticalToPerCellStepOnEveryTier) {
   // actually exercise the projection.
   EXPECT_GT(coverage.moved, 0);
   EXPECT_GT(coverage.on_bound, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Sampled rule of SNS-RND / SNS+RND: the staged RowUpdaterBase::SampledRowRhs
+// (offset-keyed sampler, one row gather per sample, direct Hadamard rows,
+// interleaved x̃ sums, row-wise e-term) against the per-cell loop it
+// replaced, kept here with that loop's sampler and EvaluatePrevModel as
+// references — bitwise right-hand sides, factor rows, sampled cells and
+// post-sampling RNG state, on every tier the host runs.
+
+// Coverage counters of the pin, so it cannot pass vacuously.
+struct SampledRulePinCoverage {
+  int sampled_rows = 0;      // Rows that took the sampled rule.
+  int delta_rejections = 0;  // Drawn delta cells the sampler rejected.
+  int duplicates = 0;        // Drawn cells rejected as already sampled.
+  int enumerations = 0;      // Rows that took the enumerate-all branch.
+};
+
+// The sampler before slice-grid offset keys: coordinate scans for the
+// delta-cell exclusion and the de-duplication.
+void ReferenceSampleSliceCells(const SparseTensor& window, int mode,
+                               int64_t row, int64_t count,
+                               const WindowDelta& delta, Rng& rng,
+                               std::vector<SampledCell>& cells,
+                               SampledRulePinCoverage& coverage) {
+  auto is_delta = [&](const ModeIndex& index) {
+    for (const DeltaCell& cell : delta.cells) {
+      if (cell.index == index) return true;
+    }
+    return false;
+  };
+  const int modes = window.num_modes();
+  double grid_size = 1.0;
+  for (int n = 0; n < modes; ++n) {
+    if (n != mode) grid_size *= static_cast<double>(window.dim(n));
+  }
+  cells.clear();
+  if (grid_size <= static_cast<double>(count) + delta.cells.size()) {
+    ++coverage.enumerations;
+    ModeIndex index;
+    for (int n = 0; n < modes; ++n) index.PushBack(0);
+    index[mode] = static_cast<int32_t>(row);
+    while (true) {
+      if (!is_delta(index)) cells.push_back({index, window.Get(index)});
+      int n = modes - 1;
+      while (n >= 0) {
+        if (n == mode) {
+          --n;
+          continue;
+        }
+        if (++index[n] < window.dim(n)) break;
+        index[n] = 0;
+        --n;
+      }
+      if (n < 0) break;
+    }
+    return;
+  }
+  int attempts = 0;
+  const int max_attempts = static_cast<int>(count) * 20 + 64;
+  while (static_cast<int64_t>(cells.size()) < count &&
+         attempts++ < max_attempts) {
+    ModeIndex index;
+    for (int n = 0; n < modes; ++n) {
+      index.PushBack(n == mode ? static_cast<int32_t>(row)
+                               : static_cast<int32_t>(rng.UniformInt(
+                                     0, window.dim(n) - 1)));
+    }
+    if (is_delta(index)) {
+      ++coverage.delta_rejections;
+      continue;
+    }
+    bool seen = false;
+    for (const SampledCell& cell : cells) {
+      if (cell.index == index) seen = true;
+    }
+    if (seen) {
+      ++coverage.duplicates;
+      continue;
+    }
+    cells.push_back({index, window.Get(index)});
+  }
+}
+
+// What each side logs per updated row: the right-hand side the row solve
+// consumed, the sampled cells (sampled rows only) and the RNG state after
+// the row.
+struct SampledRowRecord {
+  int mode = 0;
+  int64_t row = 0;
+  std::vector<double> rhs;
+  std::vector<SampledCell> cells;
+  RngState rng;
+};
+
+// Production updater with a logging hook around its UpdateRow.
+template <typename Updater>
+class SampledRuleProbe : public Updater {
+ public:
+  template <typename... Args>
+  explicit SampledRuleProbe(int64_t theta, Args... args)
+      : Updater(theta, args...), theta_(theta) {}
+
+  std::vector<SampledRowRecord> log;
+
+ protected:
+  void UpdateRow(int mode, int64_t row, const SparseTensor& window,
+                 const WindowDelta& delta, CpdState& state,
+                 UpdateWorkspace& ws) override {
+    Updater::UpdateRow(mode, row, window, delta, state, ws);
+    SampledRowRecord record;
+    record.mode = mode;
+    record.row = row;
+    record.rhs.assign(ws.rhs.data(), ws.rhs.data() + state.rank());
+    if (window.Degree(mode, row) > theta_) record.cells = ws.samples;
+    record.rng = this->MutableRng()->SaveState();
+    log.push_back(std::move(record));
+  }
+
+ private:
+  int64_t theta_;
+};
+
+// The per-cell sampled rule, as SNS-RND (plus = false) and SNS+RND ran it:
+// H_prev = ∗ U(n) as a full R×R matrix, then per sampled cell a scalar
+// pre-event evaluation, a 1.0-filled Hadamard row and an axpy. The prev-Gram
+// delta records are kept here (the base's are private), built exactly as
+// CommitRow builds its own.
+class ReferenceSampledRuleUpdater : public RowUpdaterBase {
+ public:
+  ReferenceSampledRuleUpdater(bool plus, int64_t theta, double clip_bound,
+                              uint64_t seed, SampledRulePinCoverage& coverage)
+      : RowUpdaterBase(theta + 4), plus_(plus), theta_(theta),
+        clip_bound_(clip_bound), rng_(seed), coverage_(coverage) {}
+
+  std::string_view name() const override { return "reference-rnd"; }
+
+  /// Call before each OnEvent: drops the previous event's delta records.
+  void StartEvent() { deltas_.clear(); }
+
+  std::vector<SampledRowRecord> log;
+
+ protected:
+  bool NeedsPrevGrams() const override { return true; }
+
+  void UpdateRow(int mode, int64_t row, const SparseTensor& window,
+                 const WindowDelta& delta, CpdState& state,
+                 UpdateWorkspace& ws) override {
+    const int64_t rank = state.rank();
+    const RankKernelTable& kr = *ws.kernels;
+    const int64_t padded = ws.padded_rank;
+    Matrix& factor = state.model.factor(mode);
+    kr.copy(factor.Row(row), ws.old_row.data(), padded);
+    SampledRowRecord record;
+    record.mode = mode;
+    record.row = row;
+    if (window.Degree(mode, row) <= theta_) {
+      MttkrpRowDispatch(window, state, mode, row, ws.rhs.data(),
+                        ws.had.data(), ws);
+    } else {
+      ++coverage_.sampled_rows;
+      PrevGramHadamard(state, mode, kr);
+      RowTimesMatrixPadded(ws.old_row.data(), h_prev_, ws.rhs.data(), kr);
+      ReferenceSampleSliceCells(window, mode, row, theta_, delta, rng_,
+                                record.cells, coverage_);
+      for (const SampledCell& cell : record.cells) {
+        const double residual =
+            cell.value - EvaluatePrevModel(cell.index, state);
+        HadamardRowDispatch(state, cell.index, mode, ws.had.data(), ws);
+        kr.axpy(residual, ws.had.data(), ws.rhs.data(), padded);
+      }
+      for (const DeltaCell& cell : delta.cells) {
+        if (cell.index[mode] != row) continue;
+        HadamardRowDispatch(state, cell.index, mode, ws.had.data(), ws);
+        kr.axpy(cell.delta, ws.had.data(), ws.rhs.data(), padded);
+      }
+    }
+    record.rhs.assign(ws.rhs.data(), ws.rhs.data() + rank);
+    record.rng = rng_.SaveState();
+    log.push_back(std::move(record));
+
+    if (plus_) {
+      CoordinateDescentRow(factor.Row(row), rank, ws.h, ws.rhs.data(),
+                           -clip_bound_, clip_bound_, kr);
+    } else {
+      ws.solver.Factorize(ws.h);
+      ws.solver.Solve(ws.rhs.data(), ws.solution.data());
+      kr.copy(ws.solution.data(), factor.Row(row), padded);
+    }
+    CommitRow(mode, row, ws.old_row.data(), state);
+    GramDelta d{mode, AlignedVector(rank), AlignedVector(rank)};
+    const double* new_row = factor.Row(row);
+    for (int64_t r = 0; r < padded; ++r) {
+      d.diff.data()[r] = ws.old_row.data()[r] - new_row[r];
+      d.saved_new.data()[r] = new_row[r];
+    }
+    deltas_.push_back(std::move(d));
+  }
+
+ private:
+  struct GramDelta {
+    int mode;
+    AlignedVector diff, saved_new;
+  };
+
+  // X̃ at one cell under the event-start factors.
+  double EvaluatePrevModel(const ModeIndex& index,
+                           const CpdState& state) const {
+    const int modes = state.num_modes();
+    const double* rows[kMaxTensorModes];
+    for (int m = 0; m < modes; ++m) rows[m] = PrevRow(m, index[m], state);
+    double sum = 0.0;
+    for (int64_t r = 0; r < state.rank(); ++r) {
+      double prod = 1.0;
+      for (int m = 0; m < modes; ++m) prod *= rows[m][r];
+      sum += prod;
+    }
+    return sum;
+  }
+
+  // h_prev_ = ∗_{n≠skip} U(n), U(n) = Q(n) + Σ (p−a)'a as full matrices.
+  void PrevGramHadamard(const CpdState& state, int skip,
+                        const RankKernelTable& kr) {
+    const int64_t rank = state.rank();
+    h_prev_ = Matrix(rank, rank);
+    h_prev_.Fill(1.0);
+    for (int n = 0; n < state.num_modes(); ++n) {
+      if (n == skip) continue;
+      Matrix u = state.grams[static_cast<size_t>(n)];
+      for (const GramDelta& d : deltas_) {
+        if (d.mode == n) {
+          AddOuterProduct(u, d.diff.data(), d.saved_new.data(), kr);
+        }
+      }
+      HadamardAccumulate(h_prev_, u, kr);
+    }
+  }
+
+  bool plus_;
+  int64_t theta_;
+  double clip_bound_;
+  Rng rng_;
+  SampledRulePinCoverage& coverage_;
+  std::vector<GramDelta> deltas_;
+  Matrix h_prev_;
+};
+
+// A random arrival or slide on a window of any mode count (time last).
+WindowDelta RandomEventAnyOrder(SparseTensor& window, Rng& rng,
+                                const std::vector<int64_t>& dims) {
+  const int w_size = static_cast<int>(dims.back());
+  ModeIndex key;
+  for (size_t m = 0; m + 1 < dims.size(); ++m) {
+    key.PushBack(static_cast<int32_t>(rng.UniformInt(0, dims[m] - 1)));
+  }
+  const double v = rng.UniformDouble(0.5, 1.5);
+  WindowDelta delta;
+  delta.tuple = Tuple{key, v, 0};
+  if (rng.NextUint64(3) == 0 && w_size > 1) {
+    const int w = 1 + static_cast<int>(rng.NextUint64(
+                          static_cast<uint64_t>(w_size - 1)));
+    delta.kind = EventKind::kSlide;
+    delta.w = w;
+    const ModeIndex from = key.WithAppended(w_size - w);
+    const ModeIndex to = key.WithAppended(w_size - w - 1);
+    window.Add(from, -v);
+    window.Add(to, v);
+    delta.cells.push_back({from, -v});
+    delta.cells.push_back({to, v});
+  } else {
+    delta.kind = EventKind::kArrival;
+    delta.w = 0;
+    const ModeIndex cell = key.WithAppended(w_size - 1);
+    window.Add(cell, v);
+    delta.cells.push_back({cell, v});
+  }
+  return delta;
+}
+
+void ExpectSameRecords(const std::vector<SampledRowRecord>& prod,
+                       const std::vector<SampledRowRecord>& ref) {
+  ASSERT_EQ(prod.size(), ref.size());
+  for (size_t i = 0; i < prod.size(); ++i) {
+    const SampledRowRecord& a = prod[i];
+    const SampledRowRecord& b = ref[i];
+    ASSERT_EQ(a.mode, b.mode);
+    ASSERT_EQ(a.row, b.row);
+    ASSERT_EQ(a.cells.size(), b.cells.size()) << "mode " << a.mode;
+    for (size_t c = 0; c < a.cells.size(); ++c) {
+      ASSERT_TRUE(a.cells[c].index == b.cells[c].index)
+          << a.cells[c].index.ToString() << " vs "
+          << b.cells[c].index.ToString();
+      ExpectBitwiseEqual(a.cells[c].value, b.cells[c].value, "cell value",
+                         a.mode, static_cast<int64_t>(c));
+    }
+    ASSERT_TRUE(a.rng == b.rng) << "mode " << a.mode << " row " << a.row;
+    ASSERT_EQ(a.rhs.size(), b.rhs.size());
+    for (size_t r = 0; r < a.rhs.size(); ++r) {
+      ExpectBitwiseEqual(a.rhs[r], b.rhs[r], "rhs", a.mode,
+                         static_cast<int64_t>(r));
+    }
+  }
+}
+
+template <typename Updater, typename... Args>
+void RunSampledRulePin(bool mixed, KernelTier tier, int64_t rank,
+                       const std::vector<int64_t>& dims, int64_t theta,
+                       SampledRulePinCoverage& coverage, Args... args) {
+  constexpr bool plus = std::is_same_v<Updater, SnsRndPlusUpdater>;
+  const uint64_t seed = 0x5a3d + static_cast<uint64_t>(rank + theta) +
+                        dims.size();
+  Rng rng(seed);
+  KruskalModel model = KruskalModel::Random(dims, rank, rng);
+  SparseTensor window_prod = DenseWindowFromModel(model);
+  SparseTensor window_ref = DenseWindowFromModel(model);
+  CpdState prod(model, tier), ref(model, tier);
+  if (mixed) {
+    prod.SetFactorPrecision(FactorPrecision::kFloat32Accum64);
+    ref.SetFactorPrecision(FactorPrecision::kFloat32Accum64);
+  }
+  SampledRuleProbe<Updater> prod_updater(theta, args..., seed);
+  ReferenceSampledRuleUpdater ref_updater(plus, theta, 50.0, seed, coverage);
+  prod_updater.set_kernel_tier(tier);
+  ref_updater.set_kernel_tier(tier);
+
+  Rng events(seed + 1);
+  for (int step = 0; step < 20; ++step) {
+    SCOPED_TRACE(testing::Message() << "step " << step);
+    Rng events_copy = events;  // Same event on both windows.
+    const WindowDelta delta_prod =
+        RandomEventAnyOrder(window_prod, events, dims);
+    const WindowDelta delta_ref =
+        RandomEventAnyOrder(window_ref, events_copy, dims);
+    prod_updater.OnEvent(window_prod, delta_prod, prod);
+    ref_updater.StartEvent();
+    ref_updater.OnEvent(window_ref, delta_ref, ref);
+    ExpectSameRecords(prod_updater.log, ref_updater.log);
+    if (::testing::Test::HasFatalFailure()) return;
+    prod_updater.log.clear();
+    ref_updater.log.clear();
+    ExpectFactorsBitwiseEqual(prod, ref, step);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(SampledRuleDifferentialTest, BitwiseIdenticalToPerCellLoopOnEveryTier) {
+  std::vector<KernelTier> tiers = {KernelTier::kGeneric};
+  for (const KernelTier t : {KernelTier::kAvx2, KernelTier::kAvx512}) {
+    if (KernelTierSupported(t)) tiers.push_back(t);
+  }
+  // Shapes (time mode last) and θ: a 3-mode grid where the sampler often
+  // draws a delta cell; a small 3-mode grid whose mode-0 and time slices
+  // take the enumerate-all branch on slides (12 cells ≤ θ + 2); a 4-mode
+  // grid.
+  struct Shape {
+    std::vector<int64_t> dims;
+    int64_t theta;
+  };
+  const std::vector<Shape> shapes = {
+      {{5, 6, 4}, 3}, {{3, 4, 3}, 10}, {{4, 3, 5, 3}, 4}};
+  SampledRulePinCoverage coverage;
+  for (const KernelTier tier : tiers) {
+    for (const int64_t rank : {int64_t{7}, int64_t{20}, int64_t{37}}) {
+      for (const Shape& shape : shapes) {
+        for (const bool mixed : {false, true}) {
+          SCOPED_TRACE(testing::Message()
+                       << KernelTierName(tier) << " rank=" << rank
+                       << " modes=" << shape.dims.size()
+                       << " theta=" << shape.theta
+                       << (mixed ? " mixed" : " float64"));
+          RunSampledRulePin<SnsRndUpdater>(mixed, tier, rank, shape.dims,
+                                           shape.theta, coverage);
+          if (HasFatalFailure()) return;
+          RunSampledRulePin<SnsRndPlusUpdater>(mixed, tier, rank, shape.dims,
+                                               shape.theta, coverage,
+                                               /*clip_bound=*/50.0);
+          if (HasFatalFailure()) return;
+        }
+      }
+    }
+  }
+  EXPECT_GT(coverage.sampled_rows, 0);
+  EXPECT_GT(coverage.delta_rejections, 0);
+  EXPECT_GT(coverage.duplicates, 0);
+  EXPECT_GT(coverage.enumerations, 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -63,7 +63,8 @@ TEST(Matrix32Test, F32KernelsMatchDoubleOnRepresentableData) {
       kr.mul_accum(out_d.data(), a.Row(i), padded);
       kr.mul_accum_f32(out_f.data(), a32.Row(i), padded);
       for (int64_t r = 0; r < padded; ++r) {
-        ASSERT_EQ(out_d[r], out_f[r]) << "mul_accum rank " << rank;
+        ASSERT_EQ(out_d.data()[r], out_f.data()[r])
+            << "mul_accum rank " << rank;
       }
 
       kr.fill(out_d.data(), 0.5, padded);
@@ -71,7 +72,8 @@ TEST(Matrix32Test, F32KernelsMatchDoubleOnRepresentableData) {
       kr.fma3(1.75, a.Row(i), b.Row(i), out_d.data(), padded);
       kr.fma3_f32(1.75, a32.Row(i), b32.Row(i), out_f.data(), padded);
       for (int64_t r = 0; r < padded; ++r) {
-        ASSERT_EQ(out_d[r], out_f[r]) << "fma3 rank " << rank;
+        ASSERT_EQ(out_d.data()[r], out_f.data()[r])
+            << "fma3 rank " << rank;
       }
     }
   }
@@ -107,12 +109,16 @@ TEST(Matrix32Test, HadamardAndMttkrpRow32MatchDoublePath) {
   for (int mode = 0; mode < 3; ++mode) {
     HadamardRowProduct(factors, {1, 2, 0}, mode, out_d.data(), kr);
     HadamardRowProduct32(factors32, {1, 2, 0}, mode, out_f.data(), kr);
-    for (int64_t r = 0; r < padded; ++r) ASSERT_EQ(out_d[r], out_f[r]);
+    for (int64_t r = 0; r < padded; ++r) {
+      ASSERT_EQ(out_d.data()[r], out_f.data()[r]);
+    }
 
     for (int64_t row = 0; row < dims[mode]; ++row) {
       MttkrpRow(x, factors, mode, row, out_d.data(), had.data(), kr);
       MttkrpRow32(x, factors32, mode, row, out_f.data(), had.data(), kr);
-      for (int64_t r = 0; r < padded; ++r) ASSERT_EQ(out_d[r], out_f[r]);
+      for (int64_t r = 0; r < padded; ++r) {
+        ASSERT_EQ(out_d.data()[r], out_f.data()[r]);
+      }
     }
   }
 }
