@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "common/monotonic_clock.h"
 #include "core/als.h"
 #include "data/datasets.h"
 #include "experiments/harness.h"
@@ -81,10 +82,11 @@ void Run() {
     // --- Batch ALS at this granularity (one decomposition = one update).
     {
       Rng rng(spec.engine.seed + 3);
-      Stopwatch timer;
+      const int64_t start_ns = MonotonicNanos();
       KruskalModel model =
           AlsDecompose(fine_window, rank, spec.engine.init, rng);
-      const double micros = timer.ElapsedMicros();
+      const double micros =
+          static_cast<double>(MonotonicNanos() - start_ns) * 1e-3;
       const double fitness =
           MergeTimeRows(model, merge_group).Fitness(hourly);
       rows.push_back({"ALS", std::to_string(fine_period) + "s", fitness,
@@ -121,9 +123,10 @@ void Run() {
           ++i;
         }
         window.CloseUpTo(boundary);
-        Stopwatch timer;
+        const int64_t start_ns = MonotonicNanos();
         algorithm->OnPeriod(window.WindowTensor(), window.NewestUnit());
-        total_micros += timer.ElapsedMicros();
+        total_micros +=
+            static_cast<double>(MonotonicNanos() - start_ns) * 1e-3;
         ++update_count;
       }
       const double fitness =

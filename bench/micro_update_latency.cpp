@@ -1,9 +1,8 @@
 // google-benchmark microbenchmarks: steady-state per-event update latency of
 // every SliceNStitch variant (the quantity behind Fig. 5a), the continuous
-// window bookkeeping alone (Algorithm 1), the storage-engine comparison
-// (flat entry pool vs the pre-refactor map-of-structs), and the Gram-solver
-// ablation (Cholesky fast path vs symmetric-eigen pseudoinverse) called out
-// in DESIGN.md.
+// window bookkeeping alone (Algorithm 1), the storage share of one event,
+// and the Gram-solver ablation (Cholesky fast path vs the symmetric-eigen
+// pseudoinverse fallback) called out in DESIGN.md.
 //
 // Unless --benchmark_out is given, results are also written as JSON to
 // BENCH_micro_update_latency.json in the working directory so the perf
@@ -11,16 +10,12 @@
 
 #include <benchmark/benchmark.h>
 
-#include <array>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "api/sns_service.h"
@@ -545,81 +540,11 @@ void BM_GramSolveProduction(benchmark::State& state) {
 BENCHMARK(BM_GramSolveProduction)->Arg(10)->Arg(20)->Arg(40);
 
 // ---------------------------------------------------------------------------
-// Storage-engine comparison: the flat entry pool (tensor/entry_pool.h)
-// against a faithful replica of the pre-refactor storage — an
-// std::unordered_map of per-entry structs with per-mode buckets holding full
-// ModeIndex copies, std::function non-zero iteration, and a redundant
-// Get() re-hash per slice entry during row MTTKRP. Both run the identical
-// synthetic 3-mode workload: continuous-window churn (insert at the newest
-// slice, expire the oldest active cell) followed by the per-event row-MTTKRP
-// consumption of all three affected rows, i.e. the storage share of one
-// SliceNStitch event.
-
-/// Pre-refactor SparseTensor internals, preserved as the benchmark baseline.
-class LegacyMapTensor {
- public:
-  explicit LegacyMapTensor(std::vector<int64_t> dims)
-      : dims_(std::move(dims)) {
-    buckets_.resize(dims_.size());
-    for (size_t m = 0; m < dims_.size(); ++m) {
-      buckets_[m].resize(static_cast<size_t>(dims_[m]));
-    }
-  }
-
-  double Get(const ModeIndex& index) const {
-    auto it = entries_.find(index);
-    return it == entries_.end() ? 0.0 : it->second.value;
-  }
-
-  double Add(const ModeIndex& index, double delta) {
-    auto [it, inserted] = entries_.try_emplace(index);
-    Entry& entry = it->second;
-    if (inserted) {
-      entry.value = delta;
-      for (int m = 0; m < index.size(); ++m) {
-        auto& bucket = buckets_[m][static_cast<size_t>(index[m])];
-        entry.bucket_pos[m] = static_cast<uint32_t>(bucket.size());
-        bucket.push_back(index);
-      }
-    } else {
-      entry.value += delta;
-    }
-    const double value = entry.value;
-    if (std::fabs(value) < 1e-12) {
-      for (int m = 0; m < index.size(); ++m) {
-        auto& bucket = buckets_[m][static_cast<size_t>(index[m])];
-        const uint32_t pos = entry.bucket_pos[m];
-        const uint32_t last = static_cast<uint32_t>(bucket.size()) - 1;
-        if (pos != last) {
-          bucket[pos] = bucket[last];
-          entries_.find(bucket[pos])->second.bucket_pos[m] = pos;
-        }
-        bucket.pop_back();
-      }
-      entries_.erase(it);
-      return 0.0;
-    }
-    return value;
-  }
-
-  const std::vector<ModeIndex>& SliceNonzeros(int mode, int64_t index) const {
-    return buckets_[mode][index];
-  }
-
-  void ForEachNonzero(
-      const std::function<void(const ModeIndex&, double)>& fn) const {
-    for (const auto& [index, entry] : entries_) fn(index, entry.value);
-  }
-
- private:
-  struct Entry {
-    double value;
-    std::array<uint32_t, kMaxTensorModes> bucket_pos;
-  };
-  std::vector<int64_t> dims_;
-  std::unordered_map<ModeIndex, Entry, ModeIndexHash> entries_;
-  std::vector<std::vector<std::vector<ModeIndex>>> buckets_;
-};
+// Storage share of one SliceNStitch event on the flat entry pool
+// (tensor/entry_pool.h): continuous-window churn on a synthetic 3-mode
+// workload (insert at the newest slice, expire the oldest active cell)
+// followed by the per-event row-MTTKRP consumption of all three affected
+// rows.
 
 constexpr int64_t kStorageRank = 20;
 constexpr int64_t kStorageActiveCells = 4000;
@@ -648,39 +573,8 @@ struct StorageWorkload {
   AlignedVector out = AlignedVector(kStorageRank);
 };
 
-// One synthetic event against the legacy storage: churn + per-entry-Get row
-// MTTKRP over the three affected rows.
-void BM_StoragePerEventLegacyMap(benchmark::State& state) {
-  LegacyMapTensor x(kStorageDims);
-  StorageWorkload w;
-  for (auto _ : state) {
-    const ModeIndex cell = w.NextCell();
-    x.Add(cell, 1.0);
-    w.active.push_back(cell);
-    if (static_cast<int64_t>(w.active.size()) > kStorageActiveCells) {
-      x.Add(w.active.front(), -1.0);
-      w.active.pop_front();
-    }
-    for (int mode = 0; mode < 3; ++mode) {
-      std::fill(w.out.begin(), w.out.end(), 0.0);
-      for (const ModeIndex& index : x.SliceNonzeros(mode, cell[mode])) {
-        const double value = x.Get(index);  // The pre-refactor re-hash.
-        HadamardRowProduct(w.factors, index, mode, w.had.data());
-        for (int64_t r = 0; r < kStorageRank; ++r) {
-          w.out[static_cast<size_t>(r)] +=
-              value * w.had[static_cast<size_t>(r)];
-        }
-      }
-      benchmark::DoNotOptimize(w.out.data());
-    }
-  }
-  state.SetItemsProcessed(state.iterations());
-  state.SetLabel("unordered_map storage (pre-refactor)");
-}
-BENCHMARK(BM_StoragePerEventLegacyMap)->Unit(benchmark::kMicrosecond);
-
-// The same event against the flat entry pool, consuming slices through the
-// value-carrying SliceView (MttkrpRow's access pattern).
+// One synthetic event, consuming slices through the value-carrying
+// SliceView (MttkrpRow's access pattern).
 void BM_StoragePerEventFlatPool(benchmark::State& state) {
   SparseTensor x(kStorageDims, kStorageActiveCells);
   StorageWorkload w;

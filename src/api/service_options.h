@@ -2,12 +2,13 @@
 // shards execute stream operations, and what happens when a shard's mailbox
 // is full.
 //
-// The default (shards = 0) is the degenerate inline configuration: every
-// entry point executes synchronously on the caller's thread, exactly as the
-// pre-runtime service did. With shards >= 1 the service spawns that many
-// worker threads; each stream is pinned to one shard at creation and every
-// operation on it runs there, so per-stream order — and therefore factor
-// state — is bitwise identical to the inline path.
+// The default (shards = 0) runs the service on a caller-runs executor: no
+// threads and no mailboxes, so every entry point executes synchronously on
+// the caller's thread through the same submission path as the sharded
+// service. With shards >= 1 the service spawns that many worker threads;
+// each stream is pinned to one shard at creation and every operation on it
+// runs there, so per-stream order — and therefore factor state — is bitwise
+// identical to the inline path.
 
 #ifndef SLICENSTITCH_API_SERVICE_OPTIONS_H_
 #define SLICENSTITCH_API_SERVICE_OPTIONS_H_
@@ -52,11 +53,13 @@ struct MetricsOptions {
 
 /// Runtime configuration of an SnsService.
 struct ServiceOptions {
-  /// Worker shards executing stream operations. 0 = inline synchronous
-  /// execution on the caller's thread (no runtime threads at all).
+  /// Worker shards executing stream operations. 0 = the caller-runs
+  /// executor: synchronous execution on the caller's thread, no runtime
+  /// threads at all, and no queue for backpressure to act on.
   int shards = 0;
 
-  /// Policy when an owning shard's mailbox is at max_queue_depth.
+  /// Policy when an owning shard's mailbox is at max_queue_depth (moot at
+  /// shards = 0).
   BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
 
   /// Per-shard mailbox capacity, counted in tasks (one ingest batch, one

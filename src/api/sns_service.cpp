@@ -193,9 +193,9 @@ Status SnsService::ExecuteMutation(StreamEntry& entry, uint64_t sequence,
     // HandleAppendFailure swaps in a fresh writer whose cursors restart.
     const int64_t bytes_before = entry.journal->bytes_appended();
     const int64_t segments_before = entry.journal->segments_opened();
-    const int64_t start_ns = telemetry::MonotonicNanos();
+    const int64_t start_ns = MonotonicNanos();
     append = AppendJournal(entry, sequence, op, time, tuples);
-    metrics->journal_append_ns.Record(telemetry::MonotonicNanos() - start_ns);
+    metrics->journal_append_ns.Record(MonotonicNanos() - start_ns);
     if (append.ok()) {
       metrics->journal_appends.Add(1);
       metrics->journal_bytes.Add(static_cast<uint64_t>(
@@ -221,7 +221,7 @@ Status SnsService::ExecuteMutation(StreamEntry& entry, uint64_t sequence,
       track_loss ? entry.handle->OutlierCaptures() : 0;
   const uint64_t evictions_before =
       track_loss ? entry.handle->OutlierEvictions() : 0;
-  const int64_t loss_start_ns = track_loss ? telemetry::MonotonicNanos() : 0;
+  const int64_t loss_start_ns = track_loss ? MonotonicNanos() : 0;
   Status applied;
   switch (op) {
     case durability::JournalOpType::kWarmup:
@@ -240,8 +240,7 @@ Status SnsService::ExecuteMutation(StreamEntry& entry, uint64_t sequence,
       return Status::Internal("journal op outside the JournalOpType enum");
   }
   if (track_loss) {
-    metrics->loss_update_ns.Record(telemetry::MonotonicNanos() -
-                                   loss_start_ns);
+    metrics->loss_update_ns.Record(MonotonicNanos() - loss_start_ns);
     metrics->outlier_captures.Add(entry.handle->OutlierCaptures() -
                                   captures_before);
     metrics->outlier_evictions.Add(entry.handle->OutlierEvictions() -
@@ -266,26 +265,31 @@ Status SnsService::ValidateAdmission(const StreamEntry& entry,
   // Validated against the entry's immutable schema copy — never the handle,
   // which the owning shard may be rebuilding — so admission is safe from
   // any producer thread. Whole-batch: a refused batch changes nothing.
+  const auto reject = [&entry](std::string message) {
+    if (entry.stream_metrics != nullptr) {
+      entry.stream_metrics->admission_rejects.Add(1);
+    }
+    return Status::InvalidArgument(std::move(message));
+  };
   const size_t arity = entry.mode_dims.size();
   for (size_t n = 0; n < tuples.size(); ++n) {
     const Tuple& tuple = tuples[n];
     if (static_cast<size_t>(tuple.index.size()) != arity) {
-      return Status::InvalidArgument(
-          "tuple " + std::to_string(n) + " has " +
-          std::to_string(tuple.index.size()) + " mode indices; stream '" +
-          entry.name + "' has " + std::to_string(arity) + " non-time modes");
+      return reject("tuple " + std::to_string(n) + " has " +
+                    std::to_string(tuple.index.size()) +
+                    " mode indices; stream '" + entry.name + "' has " +
+                    std::to_string(arity) + " non-time modes");
     }
     for (size_t m = 0; m < arity; ++m) {
       if (tuple.index[m] < 0 || tuple.index[m] >= entry.mode_dims[m]) {
-        return Status::InvalidArgument(
-            "tuple " + std::to_string(n) + " index " +
-            std::to_string(tuple.index[m]) + " is outside mode " +
-            std::to_string(m) + " of size " +
-            std::to_string(entry.mode_dims[m]));
+        return reject("tuple " + std::to_string(n) + " index " +
+                      std::to_string(tuple.index[m]) + " is outside mode " +
+                      std::to_string(m) + " of size " +
+                      std::to_string(entry.mode_dims[m]));
       }
     }
     if (!std::isfinite(tuple.value)) {
-      return Status::InvalidArgument(
+      return reject(
           "tuple " + std::to_string(n) +
           " carries a non-finite value; stream values must be finite");
     }
@@ -295,7 +299,7 @@ Status SnsService::ValidateAdmission(const StreamEntry& entry,
 
 // --- Construction / moves -------------------------------------------------
 
-SnsService::SnsService() : registry_(std::make_unique<Registry>()) {}
+SnsService::SnsService() : SnsService(ServiceOptions()) {}
 
 SnsService::SnsService(const ServiceOptions& options)
     : options_(options), registry_(std::make_unique<Registry>()) {
@@ -305,16 +309,14 @@ SnsService::SnsService(const ServiceOptions& options)
     SNS_CHECK(valid.ok());
   }
   if (options_.metrics.enabled) {
-    // One shard domain per worker shard; the inline service records into a
-    // single domain 0. Allocated before the executor so shard threads can
-    // record from their first task.
+    // One shard domain per worker shard; the caller-runs executor records
+    // into a single domain 0. Allocated before the executor so shard
+    // threads can record from their first task.
     metrics_ = std::make_unique<telemetry::MetricsRegistry>(
         std::max(1, options_.shards));
   }
-  if (options_.shards > 0) {
-    executor_ = std::make_unique<ShardedExecutor>(
-        options_.shards, options_.max_queue_depth, metrics_.get());
-  }
+  executor_ = std::make_unique<ShardedExecutor>(
+      options_.shards, options_.max_queue_depth, metrics_.get());
   StartExporter();
 }
 
@@ -334,8 +336,7 @@ SnsService::SnsService(SnsService&& other)
   // unique_ptrs above transfer without relocating — so the thread keeps
   // running across the move untouched.
   // Leave `other` a valid empty inline service, not a null-registry husk.
-  other.options_ = ServiceOptions();
-  other.registry_ = std::make_unique<Registry>();
+  other.ResetToEmptyInline();
 }
 
 SnsService& SnsService::operator=(SnsService&& other) {
@@ -344,14 +345,13 @@ SnsService& SnsService::operator=(SnsService&& other) {
     // quiesce and join our own runtime before the registry its tasks point
     // into is replaced.
     StopExporter();
-    if (executor_ != nullptr) executor_->Shutdown();
+    executor_->Shutdown();
     exporter_ = std::move(other.exporter_);
     executor_ = std::move(other.executor_);
     metrics_ = std::move(other.metrics_);
     registry_ = std::move(other.registry_);
     options_ = other.options_;
-    other.options_ = ServiceOptions();
-    other.registry_ = std::make_unique<Registry>();
+    other.ResetToEmptyInline();
   }
   return *this;
 }
@@ -361,7 +361,13 @@ SnsService::~SnsService() {
   // shard threads while every stream handle is still alive; only then may
   // the registry (and the handles in it) die.
   StopExporter();
-  if (executor_ != nullptr) executor_->Shutdown();
+  executor_->Shutdown();
+}
+
+void SnsService::ResetToEmptyInline() {
+  options_ = ServiceOptions();
+  registry_ = std::make_unique<Registry>();
+  executor_ = std::make_unique<ShardedExecutor>(0, options_.max_queue_depth);
 }
 
 // --- Pool management ------------------------------------------------------
@@ -389,7 +395,7 @@ StatusOr<StreamHandle*> SnsService::CreateStream(
   entry->handle = std::make_unique<StreamHandle>(std::move(handle).value());
   entry->name = entry->handle->name();
   entry->mode_dims = entry->handle->mode_dims();
-  if (executor_ != nullptr) entry->shard = executor_->AssignShard();
+  entry->shard = executor_->AssignShard();
   AttachMetrics(*entry);
   StreamHandle* raw = entry->handle.get();
   registry_->streams.emplace(std::move(name), std::move(entry));
@@ -398,9 +404,8 @@ StatusOr<StreamHandle*> SnsService::CreateStream(
 
 void SnsService::AttachMetrics(StreamEntry& entry) {
   if (metrics_ == nullptr) return;
-  const int domain = entry.shard < 0 ? 0 : entry.shard;
-  entry.shard_metrics = &metrics_->shard(domain);
-  entry.stream_metrics = metrics_->RegisterStream(entry.name, domain);
+  entry.shard_metrics = &metrics_->shard(entry.shard);
+  entry.stream_metrics = metrics_->RegisterStream(entry.name, entry.shard);
 }
 
 SnsService::StreamEntry* SnsService::ResolveEntry(
@@ -424,7 +429,7 @@ Status SnsService::Remove(std::string_view name) {
   // Two-phase: read the pinned shard under the lock, drain unlocked, then
   // re-resolve before erasing — never touching the entry outside the lock,
   // so a concurrent Remove of the same name safely loses with NotFound.
-  int shard = -1;
+  int shard = 0;
   {
     std::lock_guard<std::mutex> lock(registry_->mu);
     auto it = registry_->streams.find(name);
@@ -434,7 +439,7 @@ Status SnsService::Remove(std::string_view name) {
   // Flush the owning shard so no in-flight task still references the
   // handle we are about to destroy. (Submissions racing with Remove are a
   // caller error — see the class comment.)
-  if (executor_ != nullptr && shard >= 0) executor_->DrainShard(shard);
+  executor_->DrainShard(shard);
   std::lock_guard<std::mutex> lock(registry_->mu);
   auto it = registry_->streams.find(name);
   if (it == registry_->streams.end()) return NoSuchStream(name);
@@ -462,31 +467,8 @@ int64_t SnsService::stream_count() const {
 Ticket SnsService::IngestAsync(std::string_view stream,
                                std::span<const Tuple> tuples,
                                std::optional<std::chrono::milliseconds> deadline) {
-  StreamEntry* entry = ResolveEntry(stream);
-  if (entry == nullptr) return Ticket::Completed(NoSuchStream(stream));
-  Status admit = ValidateAdmission(*entry, tuples);
-  if (!admit.ok()) {
-    if (entry->stream_metrics != nullptr) {
-      entry->stream_metrics->admission_rejects.Add(1);
-    }
-    return Ticket::Completed(std::move(admit));
-  }
-  if (executor_ == nullptr) {
-    // Inline: applied synchronously before returning, so the span needs no
-    // owning copy.
-    return SubmitOp(*entry, [tuples](StreamEntry& e, uint64_t seq) {
-      return ExecuteMutation(e, seq, durability::JournalOpType::kIngest, 0,
-                             tuples);
-    });
-  }
-  return SubmitOp(
-      *entry,
-      [batch = std::vector<Tuple>(tuples.begin(), tuples.end())](
-          StreamEntry& e, uint64_t seq) {
-        return ExecuteMutation(e, seq, durability::JournalOpType::kIngest, 0,
-                               batch);
-      },
-      /*force_block=*/false, deadline);
+  return IngestAsync(stream, std::vector<Tuple>(tuples.begin(), tuples.end()),
+                     deadline);
 }
 
 Ticket SnsService::IngestAsync(std::string_view stream,
@@ -495,12 +477,7 @@ Ticket SnsService::IngestAsync(std::string_view stream,
   StreamEntry* entry = ResolveEntry(stream);
   if (entry == nullptr) return Ticket::Completed(NoSuchStream(stream));
   Status admit = ValidateAdmission(*entry, tuples);
-  if (!admit.ok()) {
-    if (entry->stream_metrics != nullptr) {
-      entry->stream_metrics->admission_rejects.Add(1);
-    }
-    return Ticket::Completed(std::move(admit));
-  }
+  if (!admit.ok()) return Ticket::Completed(std::move(admit));
   return SubmitOp(
       *entry,
       [batch = std::move(tuples)](StreamEntry& e, uint64_t seq) {
@@ -532,13 +509,7 @@ Status SnsService::Warmup(std::string_view stream,
                           std::span<const Tuple> tuples) {
   StreamEntry* entry = ResolveEntry(stream);
   if (entry == nullptr) return NoSuchStream(stream);
-  Status admit = ValidateAdmission(*entry, tuples);
-  if (!admit.ok()) {
-    if (entry->stream_metrics != nullptr) {
-      entry->stream_metrics->admission_rejects.Add(1);
-    }
-    return admit;
-  }
+  SNS_RETURN_IF_ERROR(ValidateAdmission(*entry, tuples));
   return SubmitOp(
              *entry,
              [tuples](StreamEntry& e, uint64_t seq) {
@@ -566,13 +537,7 @@ Status SnsService::Ingest(std::string_view stream,
                           std::span<const Tuple> tuples) {
   StreamEntry* entry = ResolveEntry(stream);
   if (entry == nullptr) return NoSuchStream(stream);
-  Status admit = ValidateAdmission(*entry, tuples);
-  if (!admit.ok()) {
-    if (entry->stream_metrics != nullptr) {
-      entry->stream_metrics->admission_rejects.Add(1);
-    }
-    return admit;
-  }
+  SNS_RETURN_IF_ERROR(ValidateAdmission(*entry, tuples));
   return SubmitOp(
              *entry,
              [tuples](StreamEntry& e, uint64_t seq) {
@@ -711,8 +676,7 @@ StatusOr<telemetry::ServiceMetricsSnapshot> SnsService::Metrics() {
         "metrics are disabled; create the service with "
         "ServiceOptions::metrics.enabled");
   }
-  if (executor_ != nullptr &&
-      !registry_->shutdown.load(std::memory_order_acquire)) {
+  if (!registry_->shutdown.load(std::memory_order_acquire)) {
     // Sequence barrier: one blocking no-op task per shard. Each shard's
     // mailbox is FIFO, so once the barrier runs, every operation issued to
     // that shard before this call has been applied — the same consistency
@@ -777,9 +741,9 @@ void SnsService::StartExporter() {
       // Per-stream OnMetrics delivery on the owning shard. Non-blocking
       // push: a shard under backpressure simply skips this tick rather
       // than wedging the exporter (the next interval retries). kClosed
-      // means shutdown is racing in — drop likewise. Inline services have
-      // no shard thread, so delivery happens right here on the exporter
-      // thread (documented in EventSink::OnMetrics).
+      // means shutdown is racing in — drop likewise. The caller-runs
+      // executor of an inline service runs the delivery right here on the
+      // exporter thread (documented in EventSink::OnMetrics).
       struct Delivery {
         StreamHandle* handle;
         int shard;
@@ -797,17 +761,13 @@ void SnsService::StartExporter() {
         }
       }
       for (const Delivery& delivery : deliveries) {
-        if (executor != nullptr && delivery.shard >= 0) {
-          StreamHandle* handle = delivery.handle;
-          (void)executor->Submit(
-              delivery.shard,
-              Task([handle, sample = *delivery.sample] {
-                handle->NotifyMetrics(sample);
-              }),
-              /*block=*/false);
-        } else {
-          delivery.handle->NotifyMetrics(*delivery.sample);
-        }
+        StreamHandle* handle = delivery.handle;
+        (void)executor->Submit(
+            delivery.shard,
+            Task([handle, sample = *delivery.sample] {
+              handle->NotifyMetrics(sample);
+            }),
+            /*block=*/false);
       }
     }
   });
@@ -877,9 +837,7 @@ Status SnsService::EnableAutoRecovery(std::string_view stream,
     if (!probe.ok()) return probe.status();
   }
   // Quiesce the owning shard so the config attaches at a sequence point.
-  if (executor_ != nullptr && entry->shard >= 0) {
-    executor_->DrainShard(entry->shard);
-  }
+  executor_->DrainShard(entry->shard);
   auto cfg = std::make_unique<AutoRecoveryConfig>();
   cfg->checkpoint_path = checkpoint_path;
   cfg->journal_directory = entry->journal->directory();
@@ -914,8 +872,7 @@ Status SnsService::CheckpointToFile(std::string_view stream,
   StreamEntry* entry = ResolveEntry(stream);
   telemetry::StreamMetrics* metrics =
       entry != nullptr ? entry->stream_metrics : nullptr;
-  const int64_t start_ns =
-      metrics != nullptr ? telemetry::MonotonicNanos() : 0;
+  const int64_t start_ns = metrics != nullptr ? MonotonicNanos() : 0;
   serial::StringSink envelope;
   SNS_RETURN_IF_ERROR(Checkpoint(stream, envelope));
   // Write-to-temporary + rename: a failure anywhere before the rename
@@ -944,8 +901,7 @@ Status SnsService::CheckpointToFile(std::string_view stream,
     // hop included), temp-file write, fsync, rename.
     metrics->checkpoint_writes.Add(1);
     metrics->checkpoint_bytes.Add(envelope.data().size());
-    metrics->checkpoint_write_ns.Record(telemetry::MonotonicNanos() -
-                                        start_ns);
+    metrics->checkpoint_write_ns.Record(MonotonicNanos() - start_ns);
   }
   return Status::OK();
 }
@@ -968,7 +924,7 @@ StatusOr<StreamHandle*> SnsService::Restore(serial::ByteSource& source) {
       std::move(restored).value().handle);
   entry->name = entry->handle->name();
   entry->mode_dims = entry->handle->mode_dims();
-  if (executor_ != nullptr) entry->shard = executor_->AssignShard();
+  entry->shard = executor_->AssignShard();
   AttachMetrics(*entry);
   entry->issued_seq = sequence;
   entry->applied_seq.store(sequence, std::memory_order_release);
@@ -1007,25 +963,21 @@ Status SnsService::EnableJournal(std::string_view stream,
   // Quiesce the owning shard so the journal attaches at a sequence point:
   // every in-flight ticket lands un-journaled (covered by the caller's
   // checkpoint), every later one is journaled.
-  if (executor_ != nullptr && entry->shard >= 0) {
-    executor_->DrainShard(entry->shard);
-  }
+  executor_->DrainShard(entry->shard);
   entry->journal = std::move(writer).value();
   return Status::OK();
 }
 
 // --- Runtime lifecycle ----------------------------------------------------
 
-void SnsService::Drain() {
-  if (executor_ != nullptr) executor_->Drain();
-}
+void SnsService::Drain() { executor_->Drain(); }
 
 void SnsService::Shutdown() {
   // The exporter submits OnMetrics tasks; stop it before the executor it
   // submits to goes away.
   StopExporter();
   registry_->shutdown.store(true, std::memory_order_release);
-  if (executor_ != nullptr) executor_->Shutdown();
+  executor_->Shutdown();
 }
 
 }  // namespace sns

@@ -14,9 +14,10 @@
 // every operation on the stream executes on that shard's thread in FIFO
 // order — so per-stream event order, and therefore every factor value, is
 // bitwise identical to synchronous execution, while distinct streams
-// proceed in parallel. shards = 0 (the default) is the degenerate inline
-// configuration: no threads, every call runs synchronously on the caller,
-// exactly the pre-runtime behavior.
+// proceed in parallel. shards = 0 (the default) runs the same code on a
+// caller-runs executor (runtime/sharded_executor.h): no threads and no
+// mailboxes, every operation executes on the calling thread before the
+// call returns.
 //
 // Entry points:
 //   - IngestAsync / AdvanceToAsync enqueue onto the owning shard and return
@@ -106,12 +107,12 @@
 #include "api/service_options.h"
 #include "api/stream_handle.h"
 #include "api/stream_health.h"
+#include "common/monotonic_clock.h"
 #include "common/status.h"
 #include "core/options.h"
 #include "runtime/sharded_executor.h"
 #include "runtime/ticket.h"
 #include "telemetry/metrics_registry.h"
-#include "telemetry/scoped_timer.h"
 
 namespace sns {
 
@@ -130,7 +131,8 @@ enum class JournalOpType : uint8_t;
 /// and shard threads are owned by the service.
 class SnsService {
  public:
-  /// Inline service (shards = 0): no runtime threads, synchronous calls.
+  /// Inline service (shards = 0): a caller-runs executor, no runtime
+  /// threads, synchronous calls.
   SnsService();
 
   /// Service with an explicit runtime configuration. SNS_CHECK-fails on
@@ -141,8 +143,8 @@ class SnsService {
   static StatusOr<SnsService> Create(const ServiceOptions& options);
 
   /// Moves leave `other` as a valid empty inline service (fresh registry,
-  /// no runtime), so accidental use of a moved-from service degrades to
-  /// "no streams" instead of undefined behavior.
+  /// fresh caller-runs executor), so accidental use of a moved-from service
+  /// degrades to "no streams" instead of undefined behavior.
   SnsService(SnsService&& other);
   SnsService& operator=(SnsService&& other);
 
@@ -189,12 +191,14 @@ class SnsService {
   // shard still full at the deadline completes the ticket with
   // kDeadlineExceeded, enqueueing nothing and consuming no token, so the
   // stream is left exactly as if the call never happened. (Inline services
-  // have no queue; deadlines never fire there.) Unknown streams, hostile
+  // run the operation before returning; there is no queue, so neither
+  // policy nor deadline ever fires.) Unknown streams, hostile
   // input (admission control), unhealthy streams, and a shut-down service
   // also complete immediately with their typed status.
 
-  /// Processes one chronological batch of live tuples (copied into the
-  /// task). Semantics of the applied operation match StreamHandle::Ingest.
+  /// Processes one chronological batch of live tuples: copies it and
+  /// forwards to the move-in form. Semantics of the applied operation match
+  /// StreamHandle::Ingest.
   Ticket IngestAsync(
       std::string_view stream, std::span<const Tuple> tuples,
       std::optional<std::chrono::milliseconds> deadline = std::nullopt);
@@ -379,7 +383,7 @@ class SnsService {
     ~StreamEntry();
 
     std::unique_ptr<StreamHandle> handle;
-    int shard = -1;  // Pinned owning shard; -1 inline.
+    int shard = 0;  // Pinned owning shard (0 on the caller-runs executor).
     std::mutex submit_mu;    // Serializes ticket issue + enqueue.
     uint64_t issued_seq = 0;  // Guarded by submit_mu.
     std::atomic<uint64_t> applied_seq{0};  // Written on the owning shard.
@@ -424,6 +428,10 @@ class SnsService {
     std::atomic<bool> shutdown{false};
   };
 
+  /// Turns a moved-from service into an empty inline one: default
+  /// options, a fresh registry, a fresh caller-runs executor.
+  void ResetToEmptyInline();
+
   StreamEntry* ResolveEntry(std::string_view name) const;
 
   /// Points a freshly registered entry at its telemetry domains (no-op when
@@ -441,17 +449,19 @@ class SnsService {
 
   /// Hostile-input admission control: validates a batch against the
   /// entry's immutable schema copy (arity, coordinate range, finiteness).
-  /// Violations are kInvalidArgument and happen BEFORE a token is issued,
-  /// so nothing is journaled. Chronology is apply-time (state-dependent).
+  /// Violations are kInvalidArgument, counted in the stream's
+  /// admission_rejects, and happen BEFORE a token is issued, so nothing is
+  /// journaled. Chronology is apply-time (state-dependent).
   static Status ValidateAdmission(const StreamEntry& entry,
                                   std::span<const Tuple> tuples);
 
   /// Issues a ticket for `op(StreamEntry&, uint64_t seq) -> Status` and
-  /// enqueues it on the owning shard (or runs it inline). The only entry
-  /// point that consumes sequence tokens; ops receive their token so they
-  /// can journal write-ahead before applying. Honors BackpressurePolicy
-  /// unless `force_block` — the synchronous mutation forms, whose callers
-  /// self-throttle by waiting on the ticket anyway. A rejected submission
+  /// submits it to the owning shard; the caller-runs executor has run it
+  /// by the time this returns. The only entry point that consumes sequence
+  /// tokens; ops receive their token so they can journal write-ahead before
+  /// applying. Honors BackpressurePolicy unless `force_block` — the
+  /// synchronous mutation forms, whose callers self-throttle by waiting on
+  /// the ticket anyway. A rejected submission
   /// (health gate / backpressure / deadline / shutdown) consumes no token
   /// and journals nothing, so tokens and journal records stay 1:1.
   template <typename Op>
@@ -493,9 +503,9 @@ class SnsService {
                         const Status& cause, int attempt);
 
   /// Blocking request/reply hop: runs `fn(StreamHandle&) -> R` on the
-  /// owning shard and returns R. Always blocks for mailbox room; falls back
-  /// to inline execution when the runtime is shut down (threads gone) or
-  /// absent.
+  /// owning shard (on the caller-runs executor: right here) and returns R.
+  /// Always blocks for mailbox room; falls back to running `fn` on the
+  /// caller when the runtime is shut down (threads gone).
   template <typename Fn>
   auto RunOnShard(StreamEntry& entry, Fn fn)
       -> std::invoke_result_t<Fn&, StreamHandle&>;
@@ -516,7 +526,7 @@ class SnsService {
   /// instrumentation pointers survive service moves. Declared before the
   /// executor, whose shards record into it.
   std::unique_ptr<telemetry::MetricsRegistry> metrics_;
-  std::unique_ptr<ShardedExecutor> executor_;  // Null inline.
+  std::unique_ptr<ShardedExecutor> executor_;  // Never null.
   std::unique_ptr<PeriodicExporter> exporter_;  // Null without an interval.
 };
 
@@ -531,33 +541,6 @@ Ticket SnsService::SubmitOp(StreamEntry& entry, Op op, bool force_block,
   }
   std::lock_guard<std::mutex> lock(entry.submit_mu);
   const uint64_t seq = entry.issued_seq + 1;
-  if (executor_ == nullptr) {
-    // Inline: apply on the caller's thread, sequence numbers, shutdown
-    // fencing and all, so the ticketed surface behaves identically at
-    // shards = 0. No queue exists, so deadlines cannot expire here.
-    if (registry_->shutdown.load(std::memory_order_acquire)) {
-      return Ticket::Completed(
-          Status::FailedPrecondition("service is shut down"));
-    }
-    entry.issued_seq = seq;
-    Status status;
-    if (entry.shard_metrics != nullptr) {
-      // Inline parity with the worker-shard instrumentation: the applied
-      // operation is both the "task" and the whole issue→complete span.
-      const int64_t start_ns = telemetry::MonotonicNanos();
-      status = op(entry, seq);
-      const int64_t elapsed_ns = telemetry::MonotonicNanos() - start_ns;
-      entry.shard_metrics->apply_ns.Record(elapsed_ns);
-      entry.shard_metrics->ingest_latency_ns.Record(elapsed_ns);
-      entry.shard_metrics->tasks_executed.Add(1);
-    } else {
-      status = op(entry, seq);
-    }
-    entry.applied_seq.store(seq, std::memory_order_release);
-    auto record = std::make_shared<internal::TicketRecord>(seq);
-    record->Complete(std::move(status));
-    return Ticket(std::move(record));
-  }
   std::optional<Mailbox::Deadline> absolute;
   if (deadline.has_value()) {
     absolute = std::chrono::steady_clock::now() + *deadline;
@@ -571,15 +554,14 @@ Ticket SnsService::SubmitOp(StreamEntry& entry, Op op, bool force_block,
       entry.shard_metrics != nullptr
           ? &entry.shard_metrics->ingest_latency_ns
           : nullptr;
-  const int64_t issued_ns =
-      latency != nullptr ? telemetry::MonotonicNanos() : 0;
+  const int64_t issued_ns = latency != nullptr ? MonotonicNanos() : 0;
   const Mailbox::PushResult result = executor_->Submit(
       entry.shard,
       Task([e, record, latency, issued_ns, op = std::move(op)]() mutable {
         Status status = op(*e, record->sequence());
         e->applied_seq.store(record->sequence(), std::memory_order_release);
         if (latency != nullptr) {
-          latency->Record(telemetry::MonotonicNanos() - issued_ns);
+          latency->Record(MonotonicNanos() - issued_ns);
         }
         record->Complete(std::move(status));
       }),
@@ -609,7 +591,6 @@ auto SnsService::RunOnShard(StreamEntry& entry, Fn fn)
     -> std::invoke_result_t<Fn&, StreamHandle&> {
   using R = std::invoke_result_t<Fn&, StreamHandle&>;
   static_assert(!std::is_void_v<R>, "shard hops must return a value");
-  if (executor_ == nullptr) return fn(*entry.handle);
   std::optional<R> slot;
   auto done = std::make_shared<internal::TicketRecord>();
   StreamEntry* e = &entry;

@@ -1,6 +1,6 @@
 #include "baselines/periodic_runner.h"
 
-#include "common/stopwatch.h"
+#include "common/monotonic_clock.h"
 
 namespace sns {
 
@@ -29,9 +29,10 @@ void PeriodicRunner::RunBoundary(int64_t boundary) {
   window_.CloseUpTo(boundary);
   SparseTensor window_tensor = window_.WindowTensor();
   SparseTensor newest_unit = window_.NewestUnit();
-  Stopwatch timer;
+  const int64_t start_ns = MonotonicNanos();
   algorithm_->OnPeriod(window_tensor, newest_unit);
-  const double micros = timer.ElapsedMicros();
+  const double micros =
+      static_cast<double>(MonotonicNanos() - start_ns) * 1e-3;
   observations_.push_back(
       {boundary, algorithm_->model().Fitness(window_tensor), micros});
 }

@@ -199,9 +199,9 @@ void ContinuousCpd::HandleEvent(const WindowDelta& delta,
     observer_(delta, state_.model, window_.tensor(), outlier_capture);
   }
   fitness_tracker_.OnWindowDelta(delta, window_.tensor(), state_);
-  Stopwatch timer;
+  const int64_t start_ns = MonotonicNanos();
   updater_->OnEvent(window_.tensor(), delta, state_);
-  update_seconds_ += timer.ElapsedSeconds();
+  update_seconds_ += static_cast<double>(MonotonicNanos() - start_ns) * 1e-9;
   ++events_processed_;
   fitness_tracker_.OnFactorsUpdated(state_);
 }
@@ -244,26 +244,15 @@ void ContinuousCpd::MaybeDecayOutliers(int64_t time) {
 }
 
 void ContinuousCpd::ProcessTuple(const Tuple& tuple) {
-  window_.AdvanceTo(tuple.time,
-                    [this](const WindowDelta& delta) { HandleEvent(delta); });
-  if (options_.robust.enabled && updates_enabled_) {
-    Tuple cleaned = tuple;
-    const double captured = MaybeCaptureOutlier(cleaned);
-    WindowDelta delta = window_.Ingest(cleaned);
-    HandleEvent(delta, captured);
-    return;
-  }
-  WindowDelta delta = window_.Ingest(tuple);
-  HandleEvent(delta);
+  ProcessBatch({&tuple, 1});
 }
 
 void ContinuousCpd::ProcessBatch(std::span<const Tuple> tuples) {
-  // Same event order as per-tuple processing (scheduled events due at or
-  // before each arrival drain first), but the earliest due time is cached
-  // across the batch: a tuple only touches the schedule heap when an event
-  // is actually due. Ingest schedules the tuple's first slide at
-  // t + period, which is folded into the cached bound without re-reading
-  // the heap.
+  // Scheduled events due at or before each arrival drain first, but the
+  // earliest due time is cached across the batch: a tuple only touches the
+  // schedule heap when an event is actually due. Ingest schedules the
+  // tuple's first slide at t + period, which is folded into the cached
+  // bound without re-reading the heap.
   int64_t next_due = window_.NextScheduledTime();
   for (const Tuple& tuple : tuples) {
     if (next_due <= tuple.time) {
@@ -271,21 +260,15 @@ void ContinuousCpd::ProcessBatch(std::span<const Tuple> tuples) {
           tuple.time, [this](const WindowDelta& delta) { HandleEvent(delta); });
       next_due = window_.NextScheduledTime();
     }
-    if (options_.robust.enabled && updates_enabled_) {
-      Tuple cleaned = tuple;
-      const double captured = MaybeCaptureOutlier(cleaned);
-      WindowDelta delta = window_.Ingest(cleaned);
-      if (!delta.cells.empty()) {
-        next_due = std::min(next_due, tuple.time + options_.period);
-      }
-      HandleEvent(delta, captured);
-      continue;
-    }
-    WindowDelta delta = window_.Ingest(tuple);
+    // Robust mode diverts the outlier part of the arrival into S; only the
+    // cleaned value reaches the window (a no-op copy otherwise).
+    Tuple arrival = tuple;
+    const double captured = MaybeCaptureOutlier(arrival);
+    WindowDelta delta = window_.Ingest(arrival);
     if (!delta.cells.empty()) {
       next_due = std::min(next_due, tuple.time + options_.period);
     }
-    HandleEvent(delta);
+    HandleEvent(delta, captured);
   }
 }
 

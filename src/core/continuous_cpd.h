@@ -25,9 +25,9 @@
 #include <string_view>
 #include <vector>
 
+#include "common/monotonic_clock.h"
 #include "common/random.h"
 #include "common/status.h"
-#include "common/stopwatch.h"
 #include "core/cpd_state.h"
 #include "core/fitness_tracker.h"
 #include "core/options.h"
@@ -71,14 +71,15 @@ class ContinuousCpd {
   /// back into the factors.
   void InitializeWithAls();
 
-  /// Processes one arriving tuple: drains scheduled slide/expiry events due
-  /// before it (each updating the factors), then the arrival event.
+  /// Processes one arriving tuple: a batch of one (ProcessBatch).
   void ProcessTuple(const Tuple& tuple);
 
-  /// Processes a chronological batch of tuples with event ordering identical
-  /// to calling ProcessTuple per tuple (pinned by tests), but the scheduled
-  /// due time is kept in a register across the batch, so tuples that trigger
-  /// no slide/expiry skip the schedule heap entirely.
+  /// Processes a chronological batch of tuples. For each arrival: drains
+  /// the scheduled slide/expiry events due at or before it (each updating
+  /// the factors), then applies the arrival event. The scheduled due time
+  /// is kept in a register across the batch, so tuples that trigger no
+  /// slide/expiry skip the schedule heap entirely; splitting a batch never
+  /// changes the result (pinned by tests).
   void ProcessBatch(std::span<const Tuple> tuples);
 
   /// Drains scheduled events due at or before `time` with factor updates.

@@ -19,6 +19,12 @@
 
 namespace sns {
 
+/// Runs one task on the calling thread, recording its apply time and count
+/// into `metrics` when non-null. The one execution step of the runtime:
+/// worker-shard threads and the caller-runs executor (shards = 0) both run
+/// every task through it.
+void RunTask(Task& task, telemetry::ShardMetrics* metrics);
+
 class WorkerShard {
  public:
   /// Spawns the shard thread, which immediately starts draining the mailbox.

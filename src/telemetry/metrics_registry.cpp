@@ -13,7 +13,6 @@ MetricsRegistry::MetricsRegistry(int num_shards) {
 
 StreamMetrics* MetricsRegistry::RegisterStream(std::string_view name,
                                                int shard) {
-  if (shard < 0) shard = 0;
   std::lock_guard<std::mutex> lock(mu_);
   auto it = streams_.find(name);
   if (it == streams_.end()) {

@@ -1,7 +1,7 @@
 // MetricsRegistry: the telemetry domains owned by a running SnsService.
 //
 // Two kinds of domain:
-//   - ShardMetrics, one per worker shard (or one for the inline service):
+//   - ShardMetrics, one per worker shard (one for the caller-runs executor):
 //     the hot-path instruments — mailbox traffic, queue depth, per-task
 //     apply time, ingest-to-ticket latency.
 //   - StreamMetrics, one per registered stream: ingest/journal/checkpoint
@@ -36,7 +36,7 @@
 namespace sns {
 namespace telemetry {
 
-/// Hot-path instruments for one worker shard (or the inline executor).
+/// Hot-path instruments for one worker shard (or the caller-runs executor).
 struct ShardMetrics {
   /// Tasks run to completion on the shard (queries and barriers included).
   Counter tasks_executed;

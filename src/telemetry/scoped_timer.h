@@ -1,29 +1,21 @@
-// Monotonic-clock timing helpers for the telemetry layer.
+// Scope timing for the telemetry layer.
 //
-// MonotonicNanos() reads std::chrono::steady_clock — immune to wall-clock
-// steps — and ScopedTimer records the elapsed nanoseconds of a scope into a
-// LatencyHistogram on destruction. Both are null-tolerant: constructed with a
-// null histogram (telemetry disabled) the timer never touches the clock, so
-// the disabled cost of an instrumented scope is one pointer test.
+// ScopedTimer records the elapsed nanoseconds of a scope, measured with the
+// library's one clock (common/monotonic_clock.h), into a LatencyHistogram on
+// destruction. It is null-tolerant: constructed with a null histogram
+// (telemetry disabled) the timer never touches the clock, so the disabled
+// cost of an instrumented scope is one pointer test.
 
 #ifndef SLICENSTITCH_TELEMETRY_SCOPED_TIMER_H_
 #define SLICENSTITCH_TELEMETRY_SCOPED_TIMER_H_
 
-#include <chrono>
 #include <cstdint>
 
+#include "common/monotonic_clock.h"
 #include "telemetry/histogram.h"
 
 namespace sns {
 namespace telemetry {
-
-/// Nanoseconds on the monotonic (steady) clock. The absolute value is
-/// meaningless; only differences are.
-inline int64_t MonotonicNanos() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// Records the lifetime of the object, in nanoseconds, into `histogram` when
 /// non-null. With a null histogram the constructor and destructor are both a

@@ -10,9 +10,9 @@
 #include "api/service_options.h"
 #include "api/stream_health.h"
 #include "common/csv.h"
+#include "common/monotonic_clock.h"
 #include "common/random.h"
 #include "common/status.h"
-#include "common/stopwatch.h"
 
 namespace sns {
 namespace {
@@ -196,12 +196,13 @@ TEST(CsvTest, MissingFileIsIOError) {
   EXPECT_EQ(rows.status().code(), StatusCode::kIOError);
 }
 
-TEST(StopwatchTest, MeasuresNonNegativeIncreasingTime) {
-  Stopwatch sw;
-  double t1 = sw.ElapsedSeconds();
-  double t2 = sw.ElapsedSeconds();
-  EXPECT_GE(t1, 0.0);
-  EXPECT_GE(t2, t1);
+TEST(MonotonicClockTest, ReadsNeverDecrease) {
+  int64_t previous = MonotonicNanos();
+  for (int i = 0; i < 1000; ++i) {
+    const int64_t now = MonotonicNanos();
+    EXPECT_GE(now, previous);
+    previous = now;
+  }
 }
 
 // --- Status taxonomy (self-healing additions) ------------------------------

@@ -8,12 +8,17 @@
 // Status — never a crash, never a silently wrong state.
 
 #include <algorithm>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <limits>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -1012,6 +1017,70 @@ RecoveryPolicy TestPolicy(std::vector<int64_t>* backoffs = nullptr) {
   return policy;
 }
 
+/// Polls the supervisor surface until the stream is healthy again, for at
+/// most 30 s. False on timeout.
+bool WaitUntilHealthy(const SnsService& service, const std::string& name) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (service.Health(name).value().health != StreamHealth::kHealthy) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+/// IngestAsync that retries the documented submit-time refusal. A producer
+/// racing a recovery on the owning shard can be refused by the health gate
+/// with the retryable kUnavailable (api/stream_health.h). Such a ticket
+/// completed at submit time with sequence 0: it consumed no token and
+/// never entered the stream's order, so it is resubmitted once the stream
+/// is healthy again, before any later batch. Every other outcome, any other
+/// non-OK status included, is returned as is.
+Ticket IngestAsyncRetryingRefusal(SnsService& service, const std::string& name,
+                                  std::span<const Tuple> batch) {
+  for (;;) {
+    Ticket ticket = service.IngestAsync(name, batch);
+    if (ticket.sequence() != 0 ||
+        ticket.Wait().code() != StatusCode::kUnavailable ||
+        !WaitUntilHealthy(service, name)) {
+      return ticket;
+    }
+  }
+}
+
+/// Holds a recovery attempt on the owning shard (installed as
+/// RecoveryPolicy::sleep_fn) until the test releases it.
+class RecoveryGate {
+ public:
+  void Hold() {
+    std::unique_lock<std::mutex> lock(mu_);
+    held_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return released_; });
+  }
+
+  /// True once a recovery is parked in Hold (false after 30 s).
+  bool WaitUntilHeld() {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(30),
+                        [this] { return held_; });
+  }
+
+  void Release() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      released_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool held_ = false;      // Guarded by mu_.
+  bool released_ = false;  // Guarded by mu_.
+};
+
 std::string ReadFileBytes(const std::string& path) {
   auto source = serial::FileSource::Open(path);
   SNS_CHECK(source.ok());
@@ -1030,7 +1099,9 @@ std::string ReadFileBytes(const std::string& path) {
 // middle of an async barrage; the stream quarantines, auto-recovers on its
 // owning shard, re-appends, and every ticket still lands OK — and the
 // resumed factor state is bitwise identical to the uninterrupted run, for
-// inline, one-shard, and multi-shard services.
+// inline, one-shard, and multi-shard services. A batch submitted while the
+// recovery is still running is refused with the retryable kUnavailable and
+// resubmitted after the stream heals (IngestAsyncRetryingRefusal).
 TEST_F(SelfHealingTest, InjectedAppendFailureHealsBitwise) {
   const DataStream stream = SmallStream(120, 61);
   const ProtocolInput input =
@@ -1054,7 +1125,8 @@ TEST_F(SelfHealingTest, InjectedAppendFailureHealsBitwise) {
       if (i == input.batches.size() / 2) {
         ASSERT_TRUE(failpoint::Arm("journal.append", "once").ok());
       }
-      tickets.push_back(service.IngestAsync("s", input.batches[i]));
+      tickets.push_back(
+          IngestAsyncRetryingRefusal(service, "s", input.batches[i]));
     }
     for (Ticket& ticket : tickets) EXPECT_TRUE(ticket.Wait().ok());
     ASSERT_TRUE(service.AdvanceTo("s", input.horizon).ok());
@@ -1078,6 +1150,72 @@ TEST_F(SelfHealingTest, InjectedAppendFailureHealsBitwise) {
     ASSERT_TRUE(report.ok());
     EXPECT_EQ(CheckpointBytes(recovered, "s"), reference);
   }
+}
+
+// The refusal the barrage above can race into, made deterministic: a gate
+// in the recovery's sleep parks the owning shard mid-recovery while the
+// producer submits. The submission is refused at submit time with the
+// retryable kUnavailable and consumes no token; resubmitted after the
+// stream heals, it lands, and the final state is bitwise the uninterrupted
+// one.
+TEST_F(SelfHealingTest, SubmitDuringRecoveryIsRefusedWithoutAToken) {
+  const DataStream stream = SmallStream(120, 61);
+  const ProtocolInput input =
+      MakeProtocol(stream, SmallEngineOptions(SnsVariant::kVecPlus));
+  ASSERT_GE(input.batches.size(), 4u);
+  const std::string reference = RunUninterrupted(input, /*shards=*/0);
+  const std::string dir = FreshDir("heal_refused");
+  const std::string ckpt = dir + ".ckpt";
+  fs::remove(ckpt);
+  const auto gate = std::make_shared<RecoveryGate>();
+  RecoveryPolicy policy = TestPolicy();
+  policy.sleep_fn = [gate](int64_t) { gate->Hold(); };
+
+  SnsService service = MakeService(1);
+  // Declared after the service, so it runs first on every exit path: the
+  // shard must leave Hold before the service can drain and join it.
+  struct ReleaseOnExit {
+    std::shared_ptr<RecoveryGate> gate;
+    ~ReleaseOnExit() { gate->Release(); }
+  } release_on_exit{gate};
+  ASSERT_TRUE(service.CreateStream("s", {6, 5}, input.options).ok());
+  ASSERT_TRUE(service.EnableJournal("s", dir).ok());
+  ASSERT_TRUE(service.CheckpointToFile("s", ckpt).ok());
+  ASSERT_TRUE(service.EnableAutoRecovery("s", ckpt, policy).ok());
+  ASSERT_TRUE(service.Warmup("s", input.warmup).ok());
+  ASSERT_TRUE(service.Initialize("s").ok());
+  const size_t fault = input.batches.size() / 2;
+  for (size_t i = 0; i < fault; ++i) {
+    ASSERT_TRUE(service.Ingest("s", input.batches[i]).ok());
+  }
+
+  ASSERT_TRUE(failpoint::Arm("journal.append", "once").ok());
+  const Ticket failing = service.IngestAsync("s", input.batches[fault]);
+  ASSERT_TRUE(gate->WaitUntilHeld());
+  EXPECT_EQ(service.Health("s").value().health, StreamHealth::kRecovering);
+
+  const Ticket refused = service.IngestAsync("s", input.batches[fault + 1]);
+  ASSERT_TRUE(refused.done());
+  EXPECT_EQ(refused.Wait().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(refused.sequence(), 0u);
+
+  gate->Release();
+  ASSERT_TRUE(failing.Wait().ok());
+  EXPECT_EQ(service.Health("s").value().health, StreamHealth::kHealthy);
+  // The refusal consumed no token: the resubmission takes the next one.
+  const Ticket resubmitted =
+      service.IngestAsync("s", input.batches[fault + 1]);
+  ASSERT_TRUE(resubmitted.Wait().ok());
+  EXPECT_EQ(resubmitted.sequence(), failing.sequence() + 1);
+  for (size_t i = fault + 2; i < input.batches.size(); ++i) {
+    ASSERT_TRUE(service.Ingest("s", input.batches[i]).ok());
+  }
+  ASSERT_TRUE(service.AdvanceTo("s", input.horizon).ok());
+
+  const StreamHealthInfo health = service.Health("s").value();
+  EXPECT_EQ(health.quarantine_count, 1u);
+  EXPECT_EQ(health.recoveries_completed, 1u);
+  EXPECT_EQ(CheckpointBytes(service, "s"), reference);
 }
 
 TEST_F(SelfHealingTest, TornWriteHealsBitwiseViaTailRepair) {

@@ -123,6 +123,86 @@ TEST(TicketTest, CompletedAndEmptyTickets) {
   EXPECT_EQ(done.sequence(), 0u);  // Never enqueued.
 }
 
+// --- Caller-runs executor (shards = 0) ------------------------------------
+
+TEST(CallerRunsExecutorTest, RunsEachTaskOnTheCallerBeforeSubmitReturns) {
+  ShardedExecutor executor(0, /*queue_capacity=*/1);
+  EXPECT_EQ(executor.num_shards(), 0);
+  EXPECT_EQ(executor.AssignShard(), 0);
+  EXPECT_EQ(executor.AssignShard(), 0);
+
+  const std::thread::id caller = std::this_thread::get_id();
+  std::thread::id ran_on;
+  std::vector<int> order;
+  ASSERT_EQ(executor.Submit(0,
+                            [&] {
+                              ran_on = std::this_thread::get_id();
+                              order.push_back(1);
+                            },
+                            /*block=*/false),
+            Mailbox::PushResult::kOk);
+  EXPECT_EQ(ran_on, caller);
+  EXPECT_EQ(order, (std::vector<int>{1}));  // Ran before Submit returned.
+
+  // No lock is held while a task runs: it may submit again, and the inner
+  // task runs to completion inside the outer one.
+  ASSERT_EQ(executor.Submit(0,
+                            [&] {
+                              order.push_back(2);
+                              EXPECT_EQ(executor.Submit(
+                                            0, [&] { order.push_back(3); },
+                                            /*block=*/true),
+                                        Mailbox::PushResult::kOk);
+                              order.push_back(4);
+                            },
+                            /*block=*/true),
+            Mailbox::PushResult::kOk);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+
+  executor.Drain();  // Nothing queued anywhere: returns immediately.
+  executor.DrainShard(0);
+}
+
+TEST(CallerRunsExecutorTest, HasNoMailboxSoFailpointAndDeadlineNeverFire) {
+  failpoint::DisarmAll();
+  ASSERT_TRUE(failpoint::Arm("mailbox.push", "after:0").ok());
+  Mailbox probe(1);  // The armed failpoint wedges every real mailbox.
+  ASSERT_EQ(probe.Push([] {}, /*block=*/false), Mailbox::PushResult::kFull);
+  ShardedExecutor executor(0, /*queue_capacity=*/1);
+  int ran = 0;
+  // A capacity of one is never "full" either: nothing queues.
+  EXPECT_EQ(executor.Submit(0, [&] { ++ran; }, /*block=*/false),
+            Mailbox::PushResult::kOk);
+  EXPECT_EQ(executor.Submit(0, [&] { ++ran; }, /*block=*/false),
+            Mailbox::PushResult::kOk);
+  const Mailbox::Deadline past =
+      std::chrono::steady_clock::now() - std::chrono::seconds(1);
+  EXPECT_EQ(executor.Submit(0, [&] { ++ran; }, /*block=*/true, past),
+            Mailbox::PushResult::kOk);
+  EXPECT_EQ(ran, 3);
+  failpoint::DisarmAll();
+}
+
+TEST(CallerRunsExecutorTest, ShutdownClosesAndDomainZeroCountsTasks) {
+  telemetry::MetricsRegistry metrics(1);
+  ShardedExecutor executor(0, /*queue_capacity=*/1, &metrics);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_EQ(executor.Submit(0, [] {}, /*block=*/false),
+              Mailbox::PushResult::kOk);
+  }
+  EXPECT_EQ(metrics.shard(0).tasks_executed.Get(), 3u);
+  EXPECT_EQ(metrics.shard(0).apply_ns.Snapshot().count, 3u);
+  EXPECT_EQ(metrics.shard(0).mailbox_pushes.Get(), 0u);  // No mailbox.
+
+  executor.Shutdown();
+  executor.Shutdown();  // Idempotent.
+  bool ran = false;
+  EXPECT_EQ(executor.Submit(0, [&] { ran = true; }, /*block=*/true),
+            Mailbox::PushResult::kClosed);
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(metrics.shard(0).tasks_executed.Get(), 3u);
+}
+
 TEST(ServiceOptionsTest, ValidateAndPolicyNames) {
   ServiceOptions options;
   EXPECT_TRUE(options.Validate().ok());  // shards = 0 inline default.

@@ -29,6 +29,7 @@ headers=(
   src/common/cpu_features.h
   src/common/crc32.h
   src/common/failpoint.h
+  src/common/monotonic_clock.h
   src/common/serial.h
   src/durability/checkpoint.h
   src/durability/journal.h
