@@ -34,7 +34,6 @@
 #include "data/datasets.h"
 #include "linalg/cholesky.h"
 #include "losses/loss_function.h"
-#include "linalg/matrix32.h"
 #include "linalg/pseudo_inverse.h"
 #include "linalg/rank_dispatch.h"
 #include "linalg/simd.h"
@@ -648,23 +647,12 @@ bool ResolveBenchTier(benchmark::State& state, KernelTier* tier) {
   ArgsProduct({{8, 20, 32, 40}, {0, 1, 2}})              \
       ->ArgNames({"rank", "tier"})
 
-// One prepared 3-mode factor set + float32 mirrors + a pool of random cell
-// indices. The factors are pre-quantized through float32 so the double and
-// mixed paths read identical values.
+// One prepared 3-mode factor set + a pool of random cell indices.
 struct KernelFixture {
   KernelFixture(int64_t rank, KernelTier tier)
       : rng(33), kr(&GetRankKernelTable(PaddedRank(rank), tier)) {
     for (int m = 0; m < 3; ++m) {
-      Matrix f = Matrix::RandomUniform(kKernelDim, rank, rng);
-      for (int64_t i = 0; i < f.rows(); ++i) {
-        for (int64_t j = 0; j < rank; ++j) {
-          f(i, j) = static_cast<double>(static_cast<float>(f(i, j)));
-        }
-      }
-      Matrix32 f32;
-      f32.AssignFromDouble(f);
-      factors.push_back(std::move(f));
-      factors32.push_back(std::move(f32));
+      factors.push_back(Matrix::RandomUniform(kKernelDim, rank, rng));
     }
     for (int i = 0; i < 256; ++i) {
       ModeIndex cell;
@@ -680,7 +668,6 @@ struct KernelFixture {
   Rng rng;
   const RankKernelTable* kr;
   std::vector<Matrix> factors;
-  std::vector<Matrix32> factors32;
   std::vector<ModeIndex> cells;
   AlignedVector out;
   AlignedVector had;
@@ -701,22 +688,6 @@ void BM_KernelHadamardRow(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_KernelHadamardRow)->SNS_KERNEL_BENCH_ARGS;
-
-// Mixed-precision Hadamard row: float32 factor reads, double accumulation.
-void BM_KernelHadamardRowF32(benchmark::State& state) {
-  KernelTier tier;
-  if (!ResolveBenchTier(state, &tier)) return;
-  KernelFixture w(state.range(0), tier);
-  size_t next = 0;
-  for (auto _ : state) {
-    HadamardRowProduct32(w.factors32, w.cells[next], /*skip_mode=*/0,
-                         w.out.data(), *w.kr);
-    benchmark::DoNotOptimize(w.out.data());
-    next = (next + 1) % w.cells.size();
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_KernelHadamardRowF32)->SNS_KERNEL_BENCH_ARGS;
 
 // Shared slice tensor of the row-MTTKRP benches.
 SparseTensor MttkrpBenchTensor() {
@@ -747,23 +718,6 @@ void BM_KernelMttkrpRow(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_KernelMttkrpRow)->SNS_KERNEL_BENCH_ARGS;
-
-// Mixed-precision row MTTKRP (float32 factor reads, double accumulation).
-void BM_KernelMttkrpRowF32(benchmark::State& state) {
-  KernelTier tier;
-  if (!ResolveBenchTier(state, &tier)) return;
-  KernelFixture w(state.range(0), tier);
-  SparseTensor x = MttkrpBenchTensor();
-  int64_t row = 0;
-  for (auto _ : state) {
-    MttkrpRow32(x, w.factors32, /*mode=*/0, row, w.out.data(), w.had.data(),
-                *w.kr);
-    benchmark::DoNotOptimize(w.out.data());
-    row = (row + 1) % kKernelDim;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_KernelMttkrpRowF32)->SNS_KERNEL_BENCH_ARGS;
 
 // Gram rank-1 update Q ← Q − p'p + a'a (Eq. 13).
 void BM_KernelGramRankOneUpdate(benchmark::State& state) {

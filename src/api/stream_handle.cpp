@@ -327,7 +327,7 @@ Status StreamHandle::SerializeState(serial::Writer& w) const {
   w.U8(opt.nonnegative_factors ? 1 : 0);
   w.I64(opt.expected_nnz);
   w.I64(opt.fitness_resync_interval);
-  w.U8(static_cast<uint8_t>(opt.factor_precision));
+  w.U8(0);  // Factor-precision byte: always 0 (float64).
   w.U8(opt.force_generic_kernels ? 1 : 0);
   w.I32(opt.init.max_iterations);
   w.F64(opt.init.fitness_tolerance);
@@ -409,13 +409,17 @@ StatusOr<StreamHandle> StreamHandle::DeserializeState(serial::Reader& r,
     return Status::DataLoss("checkpoint names unknown variant " +
                             std::to_string(variant));
   }
-  if (precision > static_cast<uint8_t>(FactorPrecision::kFloat32Accum64)) {
+  if (precision == 1) {
+    return Status::FailedPrecondition(
+        "checkpoint uses the float32-mirror factor mode, which was removed; "
+        "restore it with a build that still has the mode");
+  }
+  if (precision > 1) {
     return Status::DataLoss("checkpoint names unknown factor precision " +
                             std::to_string(precision));
   }
   opt.variant = static_cast<SnsVariant>(variant);
   opt.nonnegative_factors = nonnegative != 0;
-  opt.factor_precision = static_cast<FactorPrecision>(precision);
   opt.force_generic_kernels = force_generic != 0;
   opt.init.normalize_columns = normalize != 0;
   auto handle = StreamHandle::Create(std::move(name), std::move(mode_dims),

@@ -129,7 +129,6 @@ ContinuousCpd::ContinuousCpd(std::vector<int64_t> mode_dims,
           WithTimeMode(std::move(mode_dims), options.window_size),
           options.rank, rng_),
       ResolveKernelTier(options_.force_generic_kernels));
-  state_.SetFactorPrecision(options_.factor_precision);
   updater_ = MakeUpdater(options_);
   SNS_CHECK(updater_ != nullptr);
   updater_->set_kernel_tier(
@@ -178,9 +177,6 @@ void ContinuousCpd::InitializeWithAls() {
     }
     state_.RecomputeGrams();
   }
-  // Re-enter the configured precision: ALS produced fresh double factors,
-  // so mixed mode re-quantizes them and rebuilds the float32 mirrors.
-  state_.SetFactorPrecision(options_.factor_precision);
   fitness_tracker_.Reset(window_.tensor(), state_,
                          options_.fitness_resync_interval);
   // Robust mode restarts from a clean slate: (re)initialization explains the
@@ -297,7 +293,9 @@ void ContinuousCpd::SerializeTo(serial::Writer& w) const {
   // accumulate rounding in event order, so they bitwise-differ from a fresh
   // recomputation; restoring a recomputed Gram would fork the trajectory.
   for (const Matrix& gram : state_.grams) WriteMatrixEntries(w, gram);
-  w.U8(static_cast<uint8_t>(state_.precision));
+  // Factor-precision byte: always 0 (float64). The format keeps it so
+  // existing checkpoints keep their layout.
+  w.U8(0);
 
   w.U32(kTagFitness);
   const FitnessAccumulators acc = fitness_tracker_.SaveAccumulators();
@@ -357,17 +355,13 @@ Status ContinuousCpd::RestoreFrom(serial::Reader& r) {
     SNS_RETURN_IF_ERROR(ReadMatrixEntries(r, factor));
   }
   for (double& lambda : model.lambda()) SNS_RETURN_IF_ERROR(r.F64(&lambda));
-  // Mixed precision: the serialized doubles already hold float32-
-  // representable values, so re-quantizing is an identity on them — it only
-  // rebuilds the float32 mirrors. Runs before the Grams are read because it
-  // recomputes them as a side effect.
-  if (state_.mixed()) state_.QuantizeFactorsToF32();
   for (Matrix& gram : state_.grams) SNS_RETURN_IF_ERROR(ReadMatrixEntries(r, gram));
   uint8_t stored_precision = 0;
   SNS_RETURN_IF_ERROR(r.U8(&stored_precision));
-  if (stored_precision != static_cast<uint8_t>(options_.factor_precision)) {
-    return Status::DataLoss(
-        "snapshot factor precision does not match the engine options");
+  if (stored_precision != 0) {
+    return Status::DataLoss("snapshot factor precision byte is " +
+                            std::to_string(stored_precision) +
+                            "; only 0 (float64) is valid");
   }
 
   SNS_RETURN_IF_ERROR(ExpectTag(r, kTagFitness, "fitness"));

@@ -13,8 +13,8 @@ void CpdState::RecomputeGrams() {
     return;
   }
   const int64_t r = rank();
-  // In place when already shaped (keeps SNS-MAT's per-event quantization
-  // refresh allocation-free); (re)allocate otherwise.
+  // In place when already shaped (keeps SNS-MAT's per-event GCP refresh
+  // allocation-free); (re)allocate otherwise.
   if (static_cast<int>(grams.size()) != modes || grams[0].rows() != r) {
     grams.assign(static_cast<size_t>(modes), Matrix(r, r));
   }
@@ -43,50 +43,6 @@ void CpdState::AbsorbLambda() {
     lambda_k = 1.0;
   }
   RecomputeGrams();
-}
-
-void CpdState::SetFactorPrecision(FactorPrecision p) {
-  precision = p;
-  if (mixed()) {
-    QuantizeFactorsToF32();
-  } else {
-    factors32.clear();
-  }
-}
-
-void CpdState::QuantizeFactorsToF32() {
-  if (!mixed() || num_modes() == 0) return;
-  factors32.resize(static_cast<size_t>(num_modes()));
-  const int64_t r = rank();
-  for (int m = 0; m < num_modes(); ++m) {
-    Matrix& f = model.factor(m);
-    Matrix32& f32 = factors32[static_cast<size_t>(m)];
-    if (f32.rows() != f.rows() || f32.cols() != r) {
-      f32 = Matrix32(f.rows(), r);
-    }
-    for (int64_t i = 0; i < f.rows(); ++i) {
-      double* d = f.Row(i);
-      float* s = f32.Row(i);
-      for (int64_t k = 0; k < r; ++k) {
-        const float q = static_cast<float>(d[k]);
-        s[k] = q;
-        d[k] = static_cast<double>(q);
-      }
-    }
-  }
-  RecomputeGrams();
-}
-
-void CpdState::SyncRowToF32(int mode, int64_t row) {
-  if (!mixed()) return;
-  double* d = model.factor(mode).Row(row);
-  float* s = factors32[static_cast<size_t>(mode)].Row(row);
-  const int64_t r = rank();
-  for (int64_t k = 0; k < r; ++k) {
-    const float q = static_cast<float>(d[k]);
-    s[k] = q;
-    d[k] = static_cast<double>(q);
-  }
 }
 
 void ApplyGramRowUpdate(Matrix& gram, const double* old_row,

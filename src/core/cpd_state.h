@@ -8,9 +8,7 @@
 #include <vector>
 
 #include "common/cpu_features.h"
-#include "core/options.h"
 #include "linalg/matrix.h"
-#include "linalg/matrix32.h"
 #include "tensor/kruskal.h"
 
 namespace sns {
@@ -23,16 +21,9 @@ struct CpdState {
   /// grams[m] = A(m)'A(m), kept in lockstep with the factors by the update
   /// rules (Eqs. 13, 24, 25) or recomputed wholesale after batch steps.
   std::vector<Matrix> grams;
-  /// Mixed precision only (empty otherwise): float32 mirrors of the factors,
-  /// read by the hot Hadamard/MTTKRP paths. The double factors remain the
-  /// store of record — every committed row passes through float32 (see
-  /// SyncRowToF32), so each mirror row equals its double row exactly.
-  std::vector<Matrix32> factors32;
-  /// Numeric storage mode; set through SetFactorPrecision.
-  FactorPrecision precision = FactorPrecision::kFloat64;
-  /// Tier the state's own kernels (RecomputeGrams, quantization refresh)
-  /// run at. Engines construct their state with their resolved tier so a
-  /// forced-generic run never touches an intrinsic codelet.
+  /// Tier the state's own kernels (RecomputeGrams) run at. Engines
+  /// construct their state with their resolved tier so a forced-generic run
+  /// never touches an intrinsic codelet.
   KernelTier kernel_tier = ResolveKernelTier();
 
   CpdState() = default;
@@ -44,7 +35,6 @@ struct CpdState {
 
   int num_modes() const { return model.num_modes(); }
   int64_t rank() const { return model.rank(); }
-  bool mixed() const { return precision == FactorPrecision::kFloat32Accum64; }
 
   /// Recomputes every Gram matrix from the factors (O(Σ N_m R²)).
   void RecomputeGrams();
@@ -53,24 +43,6 @@ struct CpdState {
   /// The unnormalized variants (everything except SNS-MAT) operate on plain
   /// factors, so ALS-initialized models are de-normalized through this.
   void AbsorbLambda();
-
-  /// Switches precision. Entering mixed mode quantizes the current factors
-  /// (QuantizeFactorsToF32); leaving it drops the mirrors — the double
-  /// factors keep their (quantized) values.
-  void SetFactorPrecision(FactorPrecision p);
-
-  /// Mixed mode: rounds EVERY factor entry through float32 (writing the
-  /// rounded value back to the double factor), rebuilds the float32
-  /// mirrors, and recomputes the Grams from the quantized factors. Called
-  /// on entry to mixed mode and after whole-factor rewrites (ALS init,
-  /// SNS-MAT sweeps). No-op in float64 mode.
-  void QuantizeFactorsToF32();
-
-  /// Mixed mode: rounds one factor row through float32 in place and syncs
-  /// its mirror row. Called by CommitRow BEFORE the Gram row updates, so
-  /// Grams stay in lockstep with the quantized factors. No-op in float64
-  /// mode.
-  void SyncRowToF32(int mode, int64_t row);
 };
 
 /// Eq. 13 (and Eqs. 24–25 taken together): Q ← Q − p'p + a'a after the row

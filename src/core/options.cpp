@@ -1,5 +1,8 @@
 #include "core/options.h"
 
+#include <cmath>
+#include <utility>
+
 namespace sns {
 
 std::string VariantName(SnsVariant variant) {
@@ -22,18 +25,21 @@ std::string VariantName(SnsVariant variant) {
   return "";  // Unreachable.
 }
 
-std::string FactorPrecisionName(FactorPrecision precision) {
-  switch (precision) {
-    case FactorPrecision::kFloat64:
-      return "f64";
-    case FactorPrecision::kFloat32Accum64:
-      return "f32a64";
-  }
-  SNS_CHECK(false && "FactorPrecisionName: unhandled FactorPrecision");
-  return "";  // Unreachable.
-}
-
 Status ContinuousCpdOptions::Validate() const {
+  // Every double first, whether or not its feature is enabled: NaN slips
+  // through each ordered comparison below, and ±inf through the one-sided
+  // ones, into engine invariants that abort.
+  const std::pair<const char*, double> doubles[] = {
+      {"clip_bound", clip_bound},
+      {"robust.threshold", robust.threshold},
+      {"robust.decay", robust.decay},
+      {"init.fitness_tolerance", init.fitness_tolerance},
+  };
+  for (const auto& [name, value] : doubles) {
+    if (!std::isfinite(value)) {
+      return Status::InvalidArgument(std::string(name) + " must be finite");
+    }
+  }
   if (rank < 1) return Status::InvalidArgument("rank must be >= 1");
   if (window_size < 1) {
     return Status::InvalidArgument("window_size must be >= 1");

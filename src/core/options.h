@@ -24,23 +24,6 @@ enum class SnsVariant {
 /// Short display name, e.g. "SNS-MAT", "SNS+RND".
 std::string VariantName(SnsVariant variant);
 
-/// Numeric storage mode of the factor matrices.
-enum class FactorPrecision {
-  /// Factors stored and read as float64 — the paper's arithmetic.
-  kFloat64,
-  /// Mixed precision: every committed factor row is quantized to float32
-  /// (the double factors then hold exactly float32-representable values and
-  /// remain the store of record for snapshots, deltas, Grams and solves),
-  /// and the per-event hot reads — Hadamard row products and row MTTKRPs —
-  /// consume a float32 mirror of the factors with float64 in-register
-  /// accumulation. Halves hot-loop factor read traffic at a bounded
-  /// accuracy cost (see README "Kernel tiers and mixed precision").
-  kFloat32Accum64,
-};
-
-/// Short display name: "f64", "f32a64".
-std::string FactorPrecisionName(FactorPrecision precision);
-
 /// Robust (outlier-separating) mode: X = L + S following Hawkins & Zhang's
 /// robust streaming factorization (see losses/outlier_store.h). At every
 /// arrival the residual of the observation against the model's predicted
@@ -108,8 +91,6 @@ struct ContinuousCpdOptions {
   /// until the next ALS initialization). Affects RunningFitness() only,
   /// never the factors.
   int64_t fitness_resync_interval = 128;
-  /// Numeric storage mode of the factors (see FactorPrecision).
-  FactorPrecision factor_precision = FactorPrecision::kFloat64;
   /// Pin the engine's rank kernels to the portable generic tier, ignoring
   /// any SIMD codelets the host supports. Diagnostic knob: a forced-generic
   /// engine and the process-wide SNS_FORCE_GENERIC_KERNELS env override run
@@ -130,7 +111,8 @@ struct ContinuousCpdOptions {
   /// Seed for factor initialization and θ-sampling.
   uint64_t seed = 0x5115e9;
 
-  /// Validates ranges; returned by ContinuousCpd::Create on failure.
+  /// Validates ranges and rejects every non-finite double; returned by
+  /// ContinuousCpd::Create on failure.
   Status Validate() const;
 };
 

@@ -1,7 +1,6 @@
 #include "core/row_updater_base.h"
 
 #include <algorithm>
-#include <type_traits>
 
 #include "tensor/mttkrp.h"
 
@@ -130,10 +129,6 @@ const double* RowUpdaterBase::PrevRow(int mode, int64_t row,
 
 void RowUpdaterBase::CommitRow(int mode, int64_t row, const double* old_row,
                                CpdState& state) {
-  // Mixed precision: quantize the just-written row through float32 (and
-  // sync its mirror) BEFORE the Gram update, so Q tracks the quantized
-  // factors exactly. No-op in float64 mode.
-  state.SyncRowToF32(mode, row);
   const double* new_row = state.model.factor(mode).Row(row);
   ApplyGramRowUpdate(state.grams[static_cast<size_t>(mode)], old_row, new_row,
                      *ws_.kernels);
@@ -176,11 +171,7 @@ void RowUpdaterBase::SampledRowRhs(int mode, int64_t row,
   SNS_DCHECK(capacity > 0);
   for (size_t begin = 0; begin < ws.samples.size(); begin += capacity) {
     const size_t end = std::min(ws.samples.size(), begin + capacity);
-    if (state.mixed()) {
-      StageSamples(state.factors32, state, mode, row, begin, end, ws);
-    } else {
-      StageSamples(state.model.factors(), state, mode, row, begin, end, ws);
-    }
+    StageSamples(state, mode, row, begin, end, ws);
     for (size_t c = 0; c < end - begin; ++c) {
       kr.axpy(ws.sample_residual.data()[c],
               ws.sample_panel.data() + static_cast<int64_t>(c) * padded, rhs,
@@ -191,7 +182,8 @@ void RowUpdaterBase::SampledRowRhs(int mode, int64_t row,
   // ΔX term.
   for (const DeltaCell& cell : delta.cells) {
     if (cell.index[mode] != row) continue;
-    HadamardRowDispatch(state, cell.index, mode, ws.had.data(), ws);
+    HadamardRowProduct(state.model.factors(), cell.index, mode, ws.had.data(),
+                       kr);
     kr.axpy(cell.delta, ws.had.data(), rhs, padded);
   }
 }
@@ -248,7 +240,7 @@ namespace {
 
 // out = ∗ of `count` padded rows, in order: the first copied, the others
 // multiplied in — the values a Hadamard accumulation started from 1.0
-// yields, as 1.0·a = a. Float32 mirror rows are widened lane by lane.
+// yields, as 1.0·a = a.
 void DirectHadamard(const double* const* rows, int count, double* out,
                     int64_t padded, const RankKernelTable& kr) {
   if (count == 1) {
@@ -257,20 +249,6 @@ void DirectHadamard(const double* const* rows, int count, double* out,
   }
   kr.mul(rows[0], rows[1], out, padded);
   for (int k = 2; k < count; ++k) kr.mul_accum(out, rows[k], padded);
-}
-
-void DirectHadamard(const float* const* rows, int count, double* out,
-                    int64_t padded, const RankKernelTable& kr) {
-  const float* a = rows[0];
-  if (count == 1) {
-    for (int64_t r = 0; r < padded; ++r) out[r] = static_cast<double>(a[r]);
-    return;
-  }
-  const float* b = rows[1];
-  for (int64_t r = 0; r < padded; ++r) {
-    out[r] = static_cast<double>(a[r]) * static_cast<double>(b[r]);
-  }
-  for (int k = 2; k < count; ++k) kr.mul_accum_f32(out, rows[k], padded);
 }
 
 // Pre-event values x̃ of kLanes staged cells; rows[l][n] is cell l's
@@ -302,14 +280,11 @@ void PrevModelValues(const double* (*rows)[kMaxTensorModes], int modes,
 
 }  // namespace
 
-template <typename Factors>
-void RowUpdaterBase::StageSamples(const Factors& factors,
-                                  const CpdState& state, int mode,
+void RowUpdaterBase::StageSamples(const CpdState& state, int mode,
                                   int64_t row, size_t begin, size_t end,
                                   UpdateWorkspace& ws) const {
   constexpr int kLanes = 4;
-  using Element = std::remove_cv_t<
-      std::remove_pointer_t<decltype(factors[0].Row(0))>>;
+  const std::vector<Matrix>& factors = state.model.factors();
   const RankKernelTable& kr = *ws.kernels;
   const int64_t padded = ws.padded_rank;
   const int64_t rank = state.rank();
@@ -318,7 +293,7 @@ void RowUpdaterBase::StageSamples(const Factors& factors,
   const SampledCell* cells = ws.samples.data();
 
   const double* prev[kLanes][kMaxTensorModes];
-  const Element* current[kMaxTensorModes];
+  const double* current[kMaxTensorModes];
   double x_tilde[kLanes];
   // One gather per cell: its event-start rows (for x̃) and its current
   // rows of the other modes (for the panel row), in mode order.
@@ -354,29 +329,6 @@ void RowUpdaterBase::StageSamples(const Factors& factors,
     gather(c, 0);
     PrevModelValues<1>(prev, modes, rank, x_tilde);
     residuals(c, 1);
-  }
-}
-
-void RowUpdaterBase::HadamardRowDispatch(const CpdState& state,
-                                         const ModeIndex& index, int skip_mode,
-                                         double* out,
-                                         UpdateWorkspace& ws) const {
-  if (state.mixed()) {
-    HadamardRowProduct32(state.factors32, index, skip_mode, out, *ws.kernels);
-  } else {
-    HadamardRowProduct(state.model.factors(), index, skip_mode, out,
-                       *ws.kernels);
-  }
-}
-
-void RowUpdaterBase::MttkrpRowDispatch(const SparseTensor& window,
-                                       const CpdState& state, int mode,
-                                       int64_t row, double* out, double* had,
-                                       UpdateWorkspace& ws) const {
-  if (state.mixed()) {
-    MttkrpRow32(window, state.factors32, mode, row, out, had, *ws.kernels);
-  } else {
-    MttkrpRow(window, state.model.factors(), mode, row, out, had, *ws.kernels);
   }
 }
 

@@ -118,27 +118,14 @@ class RowUpdaterBase : public EventUpdater {
   /// for the dedup guarantee).
   int snapshot_count() const { return num_time_snaps_ + time_mode_; }
 
-  /// Precision-dispatched per-row kernels shared by every variant: mixed
-  /// precision reads the float32 factor mirrors with double accumulation,
-  /// float64 reads the double factors. Both run through ws.kernels (the
-  /// engine's pinned tier).
-  void HadamardRowDispatch(const CpdState& state, const ModeIndex& index,
-                           int skip_mode, double* out,
-                           UpdateWorkspace& ws) const;
-  void MttkrpRowDispatch(const SparseTensor& window, const CpdState& state,
-                         int mode, int64_t row, double* out, double* had,
-                         UpdateWorkspace& ws) const;
-
  private:
   void BeginEvent(const WindowDelta& delta, const CpdState& state);
 
   // Stages of SampledRowRhs (row_updater_base.cpp).
   void PrevGramETerm(const CpdState& state, int skip_mode, const double* b,
                      UpdateWorkspace& ws) const;
-  template <typename Factors>
-  void StageSamples(const Factors& factors, const CpdState& state, int mode,
-                    int64_t row, size_t begin, size_t end,
-                    UpdateWorkspace& ws) const;
+  void StageSamples(const CpdState& state, int mode, int64_t row,
+                    size_t begin, size_t end, UpdateWorkspace& ws) const;
 
   UpdateWorkspace ws_;
   GramProductCache gram_cache_;

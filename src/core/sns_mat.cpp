@@ -12,20 +12,12 @@ void SnsMatUpdater::OnEvent(const SparseTensor& window,
     // are refreshed here — wholesale, like the Gaussian sweep's
     // normalization path — before the next event reads them.
     GcpSweep(window, state, *loss_, gcp_ws_);
-    if (state.mixed()) {
-      state.QuantizeFactorsToF32();  // Recomputes the Grams as a side effect.
-    } else {
-      state.RecomputeGrams();
-    }
+    state.RecomputeGrams();
     return;
   }
   // The maintained factors are a strong warm start, so a single ALS sweep
   // with column normalization (Alg. 2) suffices per event.
   AlsSweep(window, state, /*normalize_columns=*/true, ws_);
-  // Mixed precision quantizes at sweep granularity (the sweep itself runs
-  // in double): round every factor through float32, refresh the mirrors,
-  // and recompute the Grams from the quantized factors.
-  if (state.mixed()) state.QuantizeFactorsToF32();
 }
 
 }  // namespace sns

@@ -2,6 +2,8 @@
 
 #include <limits>
 
+#include "tensor/mttkrp.h"
+
 namespace sns {
 
 void SnsRndUpdater::UpdateRow(int mode, int64_t row,
@@ -23,8 +25,8 @@ void SnsRndUpdater::UpdateRow(int mode, int64_t row,
   if (degree <= sample_threshold_) {
     // Exact path (Alg. 4 lines 9-10): Eq. 12, identical to SNS-VEC's
     // non-time rule, applied to every mode including time.
-    MttkrpRowDispatch(window, state, mode, row, ws.rhs.data(), ws.had.data(),
-                      ws);
+    MttkrpRow(window, state.model.factors(), mode, row, ws.rhs.data(),
+              ws.had.data(), kr);
   } else {
     // Sampled path (Alg. 4 lines 11-14): Eq. 16 — the e-term through
     // H_prev = ∗_{n≠m} U(n), the θ-sample residuals under the pre-event

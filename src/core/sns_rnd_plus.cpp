@@ -1,6 +1,7 @@
 #include "core/sns_rnd_plus.h"
 
 #include "core/sns_vec_plus.h"
+#include "tensor/mttkrp.h"
 
 namespace sns {
 
@@ -23,8 +24,8 @@ void SnsRndPlusUpdater::UpdateRow(int mode, int64_t row,
 
   if (degree <= sample_threshold_) {
     // Exact coordinate rule (Alg. 5 line 13 → Eq. 21) for every mode.
-    MttkrpRowDispatch(window, state, mode, row, ws.rhs.data(), ws.had.data(),
-                      ws);
+    MttkrpRow(window, state.model.factors(), mode, row, ws.rhs.data(),
+              ws.had.data(), kr);
   } else {
     // Sampled coordinate rule (Alg. 5 lines 9-11, 14 → Eq. 23):
     // e_k + Σ (x̄_J + Δx_J)·Π_{n≠m} a(n)_{j_n k} with

@@ -61,15 +61,16 @@ void SnsVecPlusUpdater::UpdateRow(int mode, int64_t row,
     RowTimesMatrixPadded(ws.old_row.data(), ws.h, ws.rhs.data(), kr);
     for (const DeltaCell& cell : delta.cells) {
       if (cell.index[time_mode] != row) continue;
-      HadamardRowDispatch(state, cell.index, time_mode, ws.had.data(), ws);
+      HadamardRowProduct(state.model.factors(), cell.index, time_mode,
+                         ws.had.data(), kr);
       kr.axpy(cell.delta, ws.had.data(), ws.rhs.data(), padded);
     }
   } else {
     // Eq. 21: Σ_{J∈Ω} (x_J + Δx_J) Π_{n≠m} a(n)_{j_n k} — the row MTTKRP
     // over the live window. It only involves other modes' rows, so it stays
     // constant across the coordinate loop.
-    MttkrpRowDispatch(window, state, mode, row, ws.rhs.data(), ws.had.data(),
-                      ws);
+    MttkrpRow(window, state.model.factors(), mode, row, ws.rhs.data(),
+              ws.had.data(), kr);
   }
 
   CoordinateDescentRow(factor.Row(row), rank, ws.h, ws.rhs.data(), clip_min_,

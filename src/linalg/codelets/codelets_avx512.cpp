@@ -192,48 +192,6 @@ void ScaledDiffAccum(double p, const double* new_row, const double* prev_row,
   for (; r < m; ++r) g[r] += p * (new_row[r] - prev_row[r]);
 }
 
-template <int64_t P>
-void MulAccumF32(double* dst, const float* src, int64_t n) {
-  const int64_t m = Trip<P>(n);
-  int64_t r = 0;
-  for (; r + 8 <= m; r += 8) {
-    const __m512d wide = _mm512_cvtps_pd(_mm256_loadu_ps(src + r));
-    _mm512_storeu_pd(dst + r, _mm512_mul_pd(_mm512_loadu_pd(dst + r), wide));
-  }
-  if (r + 4 <= m) {
-    const __m256d wide = _mm256_cvtps_pd(_mm_loadu_ps(src + r));
-    _mm256_storeu_pd(dst + r, _mm256_mul_pd(_mm256_loadu_pd(dst + r), wide));
-    r += 4;
-  }
-  for (; r < m; ++r) dst[r] *= static_cast<double>(src[r]);
-}
-
-template <int64_t P>
-void Fma3F32(double v, const float* a, const float* b, double* out,
-             int64_t n) {
-  const int64_t m = Trip<P>(n);
-  const __m512d vv8 = _mm512_set1_pd(v);
-  int64_t r = 0;
-  for (; r + 8 <= m; r += 8) {
-    const __m512d wa = _mm512_cvtps_pd(_mm256_loadu_ps(a + r));
-    const __m512d wb = _mm512_cvtps_pd(_mm256_loadu_ps(b + r));
-    _mm512_storeu_pd(out + r, _mm512_fmadd_pd(vv8, _mm512_mul_pd(wa, wb),
-                                              _mm512_loadu_pd(out + r)));
-  }
-  if (r + 4 <= m) {
-    const __m256d wa = _mm256_cvtps_pd(_mm_loadu_ps(a + r));
-    const __m256d wb = _mm256_cvtps_pd(_mm_loadu_ps(b + r));
-    _mm256_storeu_pd(out + r,
-                     _mm256_fmadd_pd(_mm512_castpd512_pd256(vv8),
-                                     _mm256_mul_pd(wa, wb),
-                                     _mm256_loadu_pd(out + r)));
-    r += 4;
-  }
-  for (; r < m; ++r) {
-    out[r] += v * (static_cast<double>(a[r]) * static_cast<double>(b[r]));
-  }
-}
-
 // Weighted upper SYRK (see VecWeightedSyrkUpper and the AVX2 codelet).
 // A W-column tile row is W/8 zmm accumulators plus one ymm when W ≡ 4
 // (mod 8); the widest 4-row tile holds 16 accumulators + 4 column loads +
@@ -338,8 +296,6 @@ constexpr RankKernelTable kTable = {KernelTier::kAvx512,
                                     &Dot<P>,
                                     &GramRowDelta<P>,
                                     &ScaledDiffAccum<P>,
-                                    &MulAccumF32<P>,
-                                    &Fma3F32<P>,
                                     &WeightedSyrkUpper<P>};
 
 }  // namespace

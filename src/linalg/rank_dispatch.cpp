@@ -19,8 +19,6 @@ constexpr RankKernelTable kGenericTable = {KernelTier::kGeneric,
                                            &VecDot<P>,
                                            &VecGramRowDelta<P>,
                                            &VecScaledDiffAccum<P>,
-                                           &VecMulAccumF32<P>,
-                                           &VecFma3F32<P>,
                                            &VecWeightedSyrkUpper<P>};
 
 const RankKernelTable& GenericTable(int64_t padded_rank) {

@@ -34,49 +34,29 @@ inline constexpr int64_t kSimdByteAlignment = 64;
 /// Rank padding quantum, in doubles (4 doubles = 32 bytes = one AVX2 lane).
 inline constexpr int64_t kRankPadDoubles = 4;
 
-/// Rank padding quantum of the float32 factor mirrors (8 floats = 32 bytes;
-/// see linalg/matrix32.h). Keeping both quanta at one 256-bit vector means
-/// a float32 row's stride is always >= the matching double row's padded
-/// rank, so the double-padded trip count is in-bounds on float rows too.
-inline constexpr int64_t kRankPadFloats = 8;
-
 /// `n` rounded up to a multiple of kRankPadDoubles — the leading stride of a
 /// padded rank-n row.
 constexpr int64_t PaddedRank(int64_t n) {
   return (n + kRankPadDoubles - 1) / kRankPadDoubles * kRankPadDoubles;
 }
 
-/// `n` rounded up to a multiple of kRankPadFloats — the leading stride of a
-/// padded rank-n float32 row.
-constexpr int64_t PaddedRank32(int64_t n) {
-  return (n + kRankPadFloats - 1) / kRankPadFloats * kRankPadFloats;
-}
-
-/// 64-byte-aligned buffer with a padded capacity and a zero-padding
-/// invariant: the buffer holds Padded(size()) elements (size() rounded up
-/// to a multiple of kPadElems), and the lanes past size() are zero on
-/// allocation and must be kept zero by callers (the padded kernels do so
-/// automatically — they only ever write products/sums of the zero lanes
-/// there).
+/// 64-byte-aligned double buffer with a padded capacity and a zero-padding
+/// invariant: the buffer holds PaddedRank(size()) elements, and the lanes
+/// past size() are zero on allocation and must be kept zero by callers (the
+/// padded kernels do so automatically — they only ever write products/sums
+/// of the zero lanes there).
 ///
-/// The scratch-row counterpart of Matrix: UpdateWorkspace / AlsWorkspace
-/// rank-length buffers live here so the padded kernels may read and write
-/// the full stride. Use through the AlignedVector (double) and
-/// AlignedVector32 (float) aliases below.
-template <typename T, int64_t kPadElems>
-class AlignedBuffer {
+/// The scratch-row counterpart of Matrix, and the buffer every rank-R
+/// kernel operates on: UpdateWorkspace / AlsWorkspace rank-length buffers
+/// live here so the padded kernels may read and write the full stride.
+class AlignedVector {
  public:
-  AlignedBuffer() = default;
-  explicit AlignedBuffer(int64_t n, T value = T(0)) { Assign(n, value); }
-  ~AlignedBuffer() { Release(); }
+  AlignedVector() = default;
+  explicit AlignedVector(int64_t n, double value = 0.0) { Assign(n, value); }
+  ~AlignedVector() { Release(); }
 
-  /// size() rounded up to the padding quantum.
-  static constexpr int64_t Padded(int64_t n) {
-    return (n + kPadElems - 1) / kPadElems * kPadElems;
-  }
-
-  AlignedBuffer(const AlignedBuffer& other) { *this = other; }
-  AlignedBuffer& operator=(const AlignedBuffer& other) {
+  AlignedVector(const AlignedVector& other) { *this = other; }
+  AlignedVector& operator=(const AlignedVector& other) {
     if (this == &other) return *this;
     if (padded_ != other.padded_) {
       Release();
@@ -88,8 +68,8 @@ class AlignedBuffer {
     return *this;
   }
 
-  AlignedBuffer(AlignedBuffer&& other) noexcept { Swap(other); }
-  AlignedBuffer& operator=(AlignedBuffer&& other) noexcept {
+  AlignedVector(AlignedVector&& other) noexcept { Swap(other); }
+  AlignedVector& operator=(AlignedVector&& other) noexcept {
     if (this != &other) {
       Release();
       Swap(other);
@@ -99,21 +79,21 @@ class AlignedBuffer {
 
   /// Logical length.
   int64_t size() const { return size_; }
-  /// Allocated length: Padded(size()).
+  /// Allocated length: PaddedRank(size()).
   int64_t padded_size() const { return padded_; }
 
-  T* data() { return data_; }
-  const T* data() const { return data_; }
-  T* begin() { return data_; }
-  T* end() { return data_ + size_; }
-  const T* begin() const { return data_; }
-  const T* end() const { return data_ + size_; }
+  double* data() { return data_; }
+  const double* data() const { return data_; }
+  double* begin() { return data_; }
+  double* end() { return data_ + size_; }
+  const double* begin() const { return data_; }
+  const double* end() const { return data_ + size_; }
 
-  T& operator[](int64_t i) {
+  double& operator[](int64_t i) {
     SNS_DCHECK(i >= 0 && i < size_);
     return data_[i];
   }
-  T operator[](int64_t i) const {
+  double operator[](int64_t i) const {
     SNS_DCHECK(i >= 0 && i < size_);
     return data_[i];
   }
@@ -124,9 +104,9 @@ class AlignedBuffer {
   /// logical range so the padding invariant holds for the new length.
   void Resize(int64_t n) {
     SNS_CHECK(n >= 0);
-    const int64_t padded = Padded(n);
+    const int64_t padded = PaddedRank(n);
     if (padded == padded_) {
-      if (n < size_) std::fill(data_ + n, data_ + size_, T(0));
+      if (n < size_) std::fill(data_ + n, data_ + size_, 0.0);
       size_ = n;
       return;
     }
@@ -137,28 +117,28 @@ class AlignedBuffer {
   }
 
   /// Resizes to n and sets every logical lane to `value` (padding to zero).
-  void Assign(int64_t n, T value) {
+  void Assign(int64_t n, double value) {
     Resize(n);
     std::fill(data_, data_ + size_, value);
-    std::fill(data_ + size_, data_ + padded_, T(0));
+    std::fill(data_ + size_, data_ + padded_, 0.0);
   }
 
   /// True when every padding lane holds exactly zero (test hook for the
   /// zero-padding invariant).
   bool PaddingIsZero() const {
     for (int64_t i = size_; i < padded_; ++i) {
-      if (data_[i] != T(0)) return false;
+      if (data_[i] != 0.0) return false;
     }
     return true;
   }
 
  private:
-  static T* Allocate(int64_t padded) {
+  static double* Allocate(int64_t padded) {
     if (padded == 0) return nullptr;
-    void* raw = ::operator new(static_cast<size_t>(padded) * sizeof(T),
+    void* raw = ::operator new(static_cast<size_t>(padded) * sizeof(double),
                                std::align_val_t{kSimdByteAlignment});
-    T* data = static_cast<T*>(raw);
-    std::fill(data, data + padded, T(0));
+    double* data = static_cast<double*>(raw);
+    std::fill(data, data + padded, 0.0);
     return data;
   }
 
@@ -171,24 +151,16 @@ class AlignedBuffer {
     padded_ = 0;
   }
 
-  void Swap(AlignedBuffer& other) {
+  void Swap(AlignedVector& other) {
     std::swap(data_, other.data_);
     std::swap(size_, other.size_);
     std::swap(padded_, other.padded_);
   }
 
-  T* data_ = nullptr;
+  double* data_ = nullptr;
   int64_t size_ = 0;
   int64_t padded_ = 0;
 };
-
-/// The double buffer every rank-R kernel operates on (stride quantum:
-/// kRankPadDoubles).
-using AlignedVector = AlignedBuffer<double, kRankPadDoubles>;
-
-/// Float32 counterpart used by the mixed-precision factor mirrors (stride
-/// quantum: kRankPadFloats; see linalg/matrix32.h).
-using AlignedVector32 = AlignedBuffer<float, kRankPadFloats>;
 
 }  // namespace sns
 

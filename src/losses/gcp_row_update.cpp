@@ -18,15 +18,6 @@ constexpr double kRidgeScale = 1e-9;
 // Backtracking schedule of the damped step.
 constexpr double kAlphas[] = {1.0, 0.5, 0.25, 0.125};
 
-void HadamardDispatch(const CpdState& state, const ModeIndex& index,
-                      int skip_mode, double* out, const RankKernelTable& kr) {
-  if (state.mixed()) {
-    HadamardRowProduct32(state.factors32, index, skip_mode, out, kr);
-  } else {
-    HadamardRowProduct(state.model.factors(), index, skip_mode, out, kr);
-  }
-}
-
 }  // namespace
 
 void GcpRowWorkspace::Prepare(int64_t rank, KernelTier tier) {
@@ -74,7 +65,7 @@ bool GcpNewtonRowUpdate(CpdState& state, int mode, int64_t row,
   double obj0 = 0.0;
   for (size_t c = 0; c < n; ++c) {
     double* had = ws.PanelRow(c);
-    HadamardDispatch(state, cells[c].index, mode, had, kr);
+    HadamardRowProduct(state.model.factors(), cells[c].index, mode, had, kr);
     const double theta = kr.dot(had, ws.old_row.data(), padded);
     const LossTerms terms = loss.Evaluate(cells[c].value, theta);
     ws.theta0[c] = theta;
@@ -151,7 +142,6 @@ bool GcpNewtonRowUpdate(CpdState& state, int mode, int64_t row,
       ws.candidate.data()[r] = v;
     }
     kr.copy(ws.candidate.data(), live_row, padded);
-    state.SyncRowToF32(mode, row);
     return true;
   }
   return false;

@@ -103,11 +103,10 @@ struct GcpRowWorkspace {
 
 /// One damped Newton step of A(mode)(row, :) on the restricted objective
 /// over `cells` (window coordinates + values; every cell must have
-/// index[mode] == row). Factors are read through the mixed-precision mirror
-/// when state.mixed() (matching the Gaussian hot path); the updated row is
-/// written back and re-quantized (SyncRowToF32) but the Grams are NOT
-/// touched — callers commit the row through their own Gram maintenance
-/// (RowUpdaterBase::CommitRow) or recompute afterwards (GcpSweep).
+/// index[mode] == row). The updated row is written back into the factor,
+/// but the Grams are NOT touched — callers commit the row through their own
+/// Gram maintenance (RowUpdaterBase::CommitRow) or recompute afterwards
+/// (GcpSweep).
 /// Returns true when the row changed; ws.old_row then holds its previous
 /// value. Pass clip_min = -inf / clip_max = +inf for unclipped variants.
 bool GcpNewtonRowUpdate(CpdState& state, int mode, int64_t row,
@@ -128,7 +127,7 @@ bool GcpNewtonRowUpdateOnSlice(const SparseTensor& window, CpdState& state,
 /// live (partially updated) factors like ALS does. λ is left untouched
 /// (non-Gaussian engines absorb λ into the factors at initialization) and
 /// the Grams are left stale — the caller refreshes them (SNS-MAT recomputes
-/// or re-quantizes after the sweep).
+/// them after the sweep).
 void GcpSweep(const SparseTensor& window, CpdState& state,
               const LossFunction& loss, GcpRowWorkspace& ws);
 

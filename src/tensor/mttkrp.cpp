@@ -17,33 +17,6 @@ inline void OtherTwoModes(int mode, int* a, int* b) {
   *b = mode == 2 ? 1 : 2;
 }
 
-// Body of HadamardRowProduct. The padded lanes end at 0.0: they start at
-// 0.0, and every accumulated factor row has zero padding.
-inline void HadamardRowProductImpl(const std::vector<Matrix>& factors,
-                                   const ModeIndex& index, int skip_mode,
-                                   double* out, int64_t rank, int64_t padded,
-                                   const RankKernelTable& kr) {
-  std::fill(out, out + rank, 1.0);
-  std::fill(out + rank, out + padded, 0.0);
-  for (size_t m = 0; m < factors.size(); ++m) {
-    if (static_cast<int>(m) == skip_mode) continue;
-    kr.mul_accum(out, factors[m].Row(index[static_cast<int>(m)]), padded);
-  }
-}
-
-inline void HadamardRowProduct32Impl(const std::vector<Matrix32>& factors32,
-                                     const ModeIndex& index, int skip_mode,
-                                     double* out, int64_t rank, int64_t padded,
-                                     const RankKernelTable& kr) {
-  std::fill(out, out + rank, 1.0);
-  std::fill(out + rank, out + padded, 0.0);
-  for (size_t m = 0; m < factors32.size(); ++m) {
-    if (static_cast<int>(m) == skip_mode) continue;
-    kr.mul_accum_f32(out, factors32[m].Row(index[static_cast<int>(m)]),
-                     padded);
-  }
-}
-
 }  // namespace
 
 void HadamardRowProduct(const std::vector<Matrix>& factors,
@@ -52,19 +25,19 @@ void HadamardRowProduct(const std::vector<Matrix>& factors,
                      GetRankKernelTable(factors[0].stride()));
 }
 
+// The padded lanes end at 0.0: they start at 0.0, and every accumulated
+// factor row has zero padding.
 void HadamardRowProduct(const std::vector<Matrix>& factors,
                         const ModeIndex& index, int skip_mode, double* out,
                         const RankKernelTable& kr) {
-  HadamardRowProductImpl(factors, index, skip_mode, out, factors[0].cols(),
-                         factors[0].stride(), kr);
-}
-
-void HadamardRowProduct32(const std::vector<Matrix32>& factors32,
-                          const ModeIndex& index, int skip_mode, double* out,
-                          const RankKernelTable& kr) {
-  const int64_t rank = factors32[0].cols();
-  HadamardRowProduct32Impl(factors32, index, skip_mode, out, rank,
-                           PaddedRank(rank), kr);
+  const int64_t rank = factors[0].cols();
+  const int64_t padded = factors[0].stride();
+  std::fill(out, out + rank, 1.0);
+  std::fill(out + rank, out + padded, 0.0);
+  for (size_t m = 0; m < factors.size(); ++m) {
+    if (static_cast<int>(m) == skip_mode) continue;
+    kr.mul_accum(out, factors[m].Row(index[static_cast<int>(m)]), padded);
+  }
 }
 
 Matrix Mttkrp(const SparseTensor& x, const std::vector<Matrix>& factors,
@@ -101,7 +74,7 @@ void MttkrpInto(const SparseTensor& x, const std::vector<Matrix>& factors,
     return;
   }
   x.ForEachNonzero([&](const ModeIndex& index, double value) {
-    HadamardRowProductImpl(factors, index, mode, had, rank, padded, kr);
+    HadamardRowProduct(factors, index, mode, had, kr);
     kr.axpy(value, had, out.Row(index[mode]), padded);
   });
 }
@@ -121,7 +94,6 @@ void MttkrpRow(const SparseTensor& x, const std::vector<Matrix>& factors,
 void MttkrpRow(const SparseTensor& x, const std::vector<Matrix>& factors,
                int mode, int64_t row, double* out, double* had,
                const RankKernelTable& kr) {
-  const int64_t rank = factors[0].cols();
   const int64_t padded = factors[0].stride();
   kr.fill(out, 0.0, padded);
   if (factors.size() == 3) {
@@ -136,31 +108,7 @@ void MttkrpRow(const SparseTensor& x, const std::vector<Matrix>& factors,
     return;
   }
   for (const SparseTensor::SliceEntry entry : x.Slice(mode, row)) {
-    HadamardRowProductImpl(factors, entry.coords, mode, had, rank, padded, kr);
-    kr.axpy(entry.value, had, out, padded);
-  }
-}
-
-void MttkrpRow32(const SparseTensor& x, const std::vector<Matrix32>& factors32,
-                 int mode, int64_t row, double* out, double* had,
-                 const RankKernelTable& kr) {
-  const int64_t rank = factors32[0].cols();
-  const int64_t padded = PaddedRank(rank);
-  kr.fill(out, 0.0, padded);
-  if (factors32.size() == 3) {
-    int a, b;
-    OtherTwoModes(mode, &a, &b);
-    const Matrix32& fa = factors32[static_cast<size_t>(a)];
-    const Matrix32& fb = factors32[static_cast<size_t>(b)];
-    for (const SparseTensor::SliceEntry entry : x.Slice(mode, row)) {
-      kr.fma3_f32(entry.value, fa.Row(entry.coords[a]),
-                  fb.Row(entry.coords[b]), out, padded);
-    }
-    return;
-  }
-  for (const SparseTensor::SliceEntry entry : x.Slice(mode, row)) {
-    HadamardRowProduct32Impl(factors32, entry.coords, mode, had, rank, padded,
-                             kr);
+    HadamardRowProduct(factors, entry.coords, mode, had, kr);
     kr.axpy(entry.value, had, out, padded);
   }
 }

@@ -3,6 +3,7 @@
 // quality of every variant on a synthetic low-rank stream.
 
 #include <cmath>
+#include <limits>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -103,6 +104,42 @@ TEST(ContinuousCpdTest, CreateValidatesConfiguration) {
   options = TestOptions(SnsVariant::kRndPlus);
   options.window_size = 0;
   EXPECT_FALSE(ContinuousCpd::Create({5, 5}, options).ok());
+}
+
+TEST(ContinuousCpdTest, CreateRejectsNonFiniteDoubles) {
+  // NaN passes every ordered comparison's negation (clip_bound <= 0 is false
+  // for NaN), so without an explicit finiteness check a NaN clip bound
+  // reaches the + variants' constructor invariant and aborts.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto expect_invalid = [](const ContinuousCpdOptions& options,
+                                 const char* what) {
+    const auto created = ContinuousCpd::Create({5, 5}, options);
+    ASSERT_FALSE(created.ok()) << what;
+    EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument) << what;
+  };
+  for (const double bad : {kNaN, kInf, -kInf}) {
+    SCOPED_TRACE(testing::Message() << "value " << bad);
+    for (const SnsVariant variant : {SnsVariant::kVecPlus,
+                                     SnsVariant::kRndPlus, SnsVariant::kVec}) {
+      ContinuousCpdOptions options = TestOptions(variant);
+      options.clip_bound = bad;
+      expect_invalid(options, "clip_bound");
+    }
+    ContinuousCpdOptions options = TestOptions(SnsVariant::kRndPlus);
+    options.init.fitness_tolerance = bad;
+    expect_invalid(options, "init.fitness_tolerance");
+    for (const bool enabled : {true, false}) {
+      options = TestOptions(SnsVariant::kRndPlus);
+      options.robust.enabled = enabled;
+      options.robust.threshold = bad;
+      expect_invalid(options, "robust.threshold");
+      options = TestOptions(SnsVariant::kRndPlus);
+      options.robust.enabled = enabled;
+      options.robust.decay = bad;
+      expect_invalid(options, "robust.decay");
+    }
+  }
 }
 
 TEST(ContinuousCpdTest, WarmupDoesNotTouchFactorsButFillsWindow) {

@@ -18,12 +18,14 @@
 #include <mutex>
 #include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/crc32.h"
 #include "slicenstitch.h"
 #include "tensor/sparse_tensor.h"
 
@@ -32,9 +34,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
-ContinuousCpdOptions SmallEngineOptions(
-    SnsVariant variant,
-    FactorPrecision precision = FactorPrecision::kFloat64) {
+ContinuousCpdOptions SmallEngineOptions(SnsVariant variant) {
   ContinuousCpdOptions options;
   options.rank = 4;
   options.window_size = 3;
@@ -42,7 +42,6 @@ ContinuousCpdOptions SmallEngineOptions(
   options.variant = variant;
   options.sample_threshold = 10;
   options.clip_bound = 1000.0;
-  options.factor_precision = precision;
   return options;
 }
 
@@ -322,6 +321,140 @@ TEST(CheckpointFaultInjectionTest, MagicAndVersionSkewAreTyped) {
   newer_version[4] = static_cast<char>(3);
   EXPECT_EQ(TryRestore(newer_version).code(),
             StatusCode::kFailedPrecondition);
+}
+
+// --- Patched fields under a recomputed CRC --------------------------------
+//
+// The envelope CRC catches corruption, not a crafted payload or a buggy
+// writer: these cases patch one field of a valid checkpoint, reseal the CRC
+// and require a typed status.
+
+/// Offset of the engine options (starting at `rank`) in the checkpoint of a
+/// stream named `name` with `num_dims` non-time modes: envelope header
+/// (magic u32, version u32, payload size u64), sequence u64, name (u64
+/// length + bytes), dims count u32, dims i64 each.
+size_t OptionsOffset(const std::string& name, size_t num_dims) {
+  return 16 + 8 + 8 + name.size() + 4 + 8 * num_dims;
+}
+// Past rank i64, window_size i32, period i64, variant u8, theta i64.
+constexpr size_t kClipBoundField = 29;
+// Past clip_bound f64, nonnegative u8, expected_nnz i64, resync i64.
+constexpr size_t kOptionsPrecisionField = 54;
+
+/// Offset of the engine snapshot's precision byte: the last byte of the
+/// model section, just before the fitness section tag "FITN".
+size_t EnginePrecisionOffset(const std::string& bytes) {
+  const size_t tag = bytes.find("FITN");
+  SNS_CHECK(tag != std::string::npos && tag == bytes.rfind("FITN"));
+  return tag - 1;
+}
+
+/// Recomputes the payload CRC (the envelope's last four bytes).
+void ResealCrc(std::string& bytes) {
+  const uint32_t crc = Crc32(bytes.data() + 16, bytes.size() - 20);
+  std::memcpy(bytes.data() + bytes.size() - 4, &crc, sizeof(crc));
+}
+
+/// Restores `bytes` with the zero byte at `at` set to `value`.
+Status RestoreWithByte(std::string bytes, size_t at, char value) {
+  SNS_CHECK(bytes[at] == 0);
+  bytes[at] = value;
+  ResealCrc(bytes);
+  return TryRestore(bytes);
+}
+
+TEST(CheckpointFieldPatchTest, NanClipBoundIsTypedNotAnAbort) {
+  std::string bytes = MakeValidCheckpoint();
+  const size_t at = OptionsOffset("fi", 2) + kClipBoundField;
+  double clip_bound = 0.0;
+  std::memcpy(&clip_bound, bytes.data() + at, sizeof(clip_bound));
+  ASSERT_EQ(clip_bound, 1000.0);  // The offset arithmetic is right.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::memcpy(bytes.data() + at, &nan, sizeof(nan));
+  ResealCrc(bytes);
+  EXPECT_EQ(TryRestore(bytes).code(), StatusCode::kInvalidArgument);
+}
+
+TEST(CheckpointFieldPatchTest, OptionsPrecisionByteOneIsFailedPrecondition) {
+  // 1 named the removed float32-mirror mode: refused as a known but
+  // unsupported configuration, distinct from corruption.
+  const Status status = RestoreWithByte(
+      MakeValidCheckpoint(), OptionsOffset("fi", 2) + kOptionsPrecisionField,
+      1);
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition)
+      << status.ToString();
+}
+
+TEST(CheckpointFieldPatchTest, OptionsPrecisionByteTwoIsDataLoss) {
+  EXPECT_EQ(RestoreWithByte(MakeValidCheckpoint(),
+                            OptionsOffset("fi", 2) + kOptionsPrecisionField, 2)
+                .code(),
+            StatusCode::kDataLoss);
+}
+
+TEST(CheckpointFieldPatchTest, EngineSnapshotPrecisionByteOneIsDataLoss) {
+  const std::string bytes = MakeValidCheckpoint();
+  EXPECT_EQ(RestoreWithByte(bytes, EnginePrecisionOffset(bytes), 1).code(),
+            StatusCode::kDataLoss);
+}
+
+std::string FromHex(std::string_view hex) {
+  std::string bytes;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes.push_back(static_cast<char>(
+        std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return bytes;
+}
+
+TEST(CheckpointFieldPatchTest, PreRemovalFloat64CheckpointRestoresBitwise) {
+  // Written by the last build that still had the float32-mirror factor
+  // mode: an initialized SNS+RND stream "golden" ({3, 2}, rank 2, W = 2,
+  // T = 10, θ = 2, seed 7) after 8 warm-up and 6 live tuples. Both
+  // precision bytes are 0; restoring and re-checkpointing reproduces every
+  // byte.
+  const std::string golden = FromHex(
+    "534e435001000000290400000000000000000000000000000600000000000000676f6c"
+    "64656e0200000003000000000000000200000000000000020000000000000002000000"
+    "0a000000000000000402000000000000000000000000408f4000000000000000000080"
+    "00000000000000000032000000f168e388b5f8e43e0107000000000000002300000000"
+    "0000000157494e44030000000300000000000000020000000000000002000000000000"
+    "000600000000000000010000000000000000000000000000000000e03f010000000000"
+    "0000000000000200000000000000010000000000000000000440000000000200000001"
+    "0000000100000001000000010000000000000000000040000000000000000000000000"
+    "000000000000000001000000000000000000f83f000000000100000002000000020000"
+    "000100000000000000000000000000f03f010000000100000001000000000000000100"
+    "0000010000000000000000000840010000000200000003000000180000000000000023"
+    "0000000000000006000000000000002400000000000000120000000000000001000000"
+    "020000000000000000000000000000000000f83f1a0000000000000027000000000000"
+    "0013000000000000000100000002000000010000000100000000000000000000401d00"
+    "0000000000002800000000000000140000000000000002000000020000000100000000"
+    "000000000000000000e03f14000000000000002a000000000000001500000000000000"
+    "01000000020000000200000000000000000000000000044020000000000000002b0000"
+    "0000000000160000000000000002000000020000000200000001000000000000000000"
+    "f03f17000000000000002d000000000000001700000000000000010000000200000000"
+    "0000000100000000000000000008402300000000000000435044530300000002000000"
+    "000000000300000000000000451d7861ca97ed3f56401a4068c5ecbf8d470df2bedbf6"
+    "3fc07b48ff335ffbbfdff1f3f9ff64f23fff4cf937a638f4bf0200000000000000164d"
+    "bd01aa930a40a46514a7724709404efbf6555bcae53f3d934b207e90c5bf0200000000"
+    "000000cae5eda1aed0e63f1e2ab91829efe73f064d937947fdf93fbfe2547d6bccf43f"
+    "000000000000f03f000000000000f03f22af650233df1040152b7572f9e912c0152b75"
+    "72f9e912c001981d8d425415408e2d7a2007002740d82ca8e9f6c32440d82ca8e9f6c3"
+    "2440248a6bddca0624400b84eea0a42c09402295bffa722805402295bffa722805404c"
+    "36f9d851fe0140004649544e0000000000c03640123fc87e11b2ee3f15000000000000"
+    "00524e4753fa657bf2f0a175a6f24ac0ff30ff012ed1d34820d8d2059df95ca0248769"
+    "9b430000000000000000000117311292397935cf7631d5dc6018eafc840b2a45829b35"
+    "73c6608d2d3f41e92e000000000000000000434e545201150000000000000073b6d5cd");
+  ASSERT_EQ(golden.size(), 1085u);
+  EXPECT_EQ(golden[OptionsOffset("golden", 2) + kOptionsPrecisionField], 0);
+  EXPECT_EQ(golden[EnginePrecisionOffset(golden)], 0);
+  serial::StringSource source(golden);
+  auto restored = StreamHandle::Restore(source);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_TRUE(restored.value().initialized());
+  serial::StringSink sink;
+  ASSERT_TRUE(restored.value().Checkpoint(sink).ok());
+  EXPECT_EQ(sink.data(), golden);
 }
 
 // --- Journal unit behavior ------------------------------------------------
@@ -754,21 +887,6 @@ TEST(RecoveryDifferentialTest, AllVariantsShardsAndInterruptPoints) {
             << " interrupt=" << static_cast<int>(interrupt);
       }
     }
-  }
-}
-
-TEST(RecoveryDifferentialTest, MixedPrecisionRecoversBitwise) {
-  const DataStream stream = SmallStream(110, 23);
-  const ProtocolInput input = MakeProtocol(
-      stream, SmallEngineOptions(SnsVariant::kRndPlus,
-                                 FactorPrecision::kFloat32Accum64));
-  const std::string reference = RunUninterrupted(input, 0);
-  for (Interrupt interrupt :
-       {Interrupt::kBeforeWarmup, Interrupt::kMidBatches}) {
-    const std::string recovered =
-        RunRecovered(input, /*shards=*/1, interrupt, FreshDir("mixed"));
-    EXPECT_EQ(recovered, reference)
-        << "interrupt=" << static_cast<int>(interrupt);
   }
 }
 

@@ -614,15 +614,6 @@ struct ReferenceGcpWorkspace {
   std::vector<double> theta0, dtheta;
 };
 
-void ReferenceHadamard(const CpdState& state, const ModeIndex& index, int mode,
-                       double* out, const RankKernelTable& kr) {
-  if (state.mixed()) {
-    HadamardRowProduct32(state.factors32, index, mode, out, kr);
-  } else {
-    HadamardRowProduct(state.model.factors(), index, mode, out, kr);
-  }
-}
-
 double Clamp(double v, double lo, double hi) {
   return v > hi ? hi : (v < lo ? lo : v);
 }
@@ -651,7 +642,8 @@ bool ReferenceGcpStep(CpdState& state, int mode, int64_t row,
 
   double obj0 = 0.0;
   for (size_t c = 0; c < cells.size(); ++c) {
-    ReferenceHadamard(state, cells[c].index, mode, ws.had.data(), kr);
+    HadamardRowProduct(state.model.factors(), cells[c].index, mode,
+                       ws.had.data(), kr);
     const double theta = kr.dot(ws.had.data(), ws.old_row.data(), padded);
     ws.theta0[c] = theta;
     obj0 += loss.Value(cells[c].value, theta);
@@ -680,7 +672,8 @@ bool ReferenceGcpStep(CpdState& state, int mode, int64_t row,
   if (!(dir_norm_sq > 0.0) || !std::isfinite(dir_norm_sq)) return false;
 
   for (size_t c = 0; c < cells.size(); ++c) {
-    ReferenceHadamard(state, cells[c].index, mode, ws.had.data(), kr);
+    HadamardRowProduct(state.model.factors(), cells[c].index, mode,
+                       ws.had.data(), kr);
     ws.dtheta[c] = kr.dot(ws.had.data(), ws.step.data(), padded);
   }
   for (double alpha : {1.0, 0.5, 0.25, 0.125}) {
@@ -695,7 +688,6 @@ bool ReferenceGcpStep(CpdState& state, int mode, int64_t row,
       ws.candidate[r] = Clamp(ws.candidate[r], clip_min, clip_max);
     }
     kr.copy(ws.candidate.data(), live_row, padded);
-    state.SyncRowToF32(mode, row);
     return true;
   }
   return false;
@@ -715,8 +707,8 @@ struct GcpPinCoverage {
 };
 
 // Three consecutive steps of one row over a random cell set of each size.
-void RunGcpStepPin(LossKind kind, bool clipped, bool mixed, KernelTier tier,
-                   int64_t rank, GcpPinCoverage& coverage) {
+void RunGcpStepPin(LossKind kind, bool clipped, KernelTier tier, int64_t rank,
+                   GcpPinCoverage& coverage) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const LossFunction& loss = GetLossFunction(kind);
   const double clip_min = clipped ? -0.25 : -kInf;
@@ -730,10 +722,6 @@ void RunGcpStepPin(LossKind kind, bool clipped, bool mixed, KernelTier tier,
     const std::vector<int64_t> dims = {5, 30, 12};
     KruskalModel model = KruskalModel::Random(dims, rank, rng);
     CpdState prod(model, tier), ref(model, tier);
-    if (mixed) {
-      prod.SetFactorPrecision(FactorPrecision::kFloat32Accum64);
-      ref.SetFactorPrecision(FactorPrecision::kFloat32Accum64);
-    }
     std::vector<SampledCell> cells;
     for (size_t c = 0; c < num_cells; ++c) {
       const auto j = static_cast<int32_t>(rng.UniformInt(0, dims[1] - 1));
@@ -783,15 +771,12 @@ TEST(GcpStepDifferentialTest, BitwiseIdenticalToPerCellStepOnEveryTier) {
       for (const LossKind kind :
            {LossKind::kPoisson, LossKind::kBernoulliLogit}) {
         for (const bool clipped : {false, true}) {
-          for (const bool mixed : {false, true}) {
-            SCOPED_TRACE(testing::Message()
-                         << KernelTierName(tier) << " rank=" << rank << " "
-                         << LossKindName(kind)
-                         << (clipped ? " clipped" : " unclipped")
-                         << (mixed ? " mixed" : " float64"));
-            RunGcpStepPin(kind, clipped, mixed, tier, rank, coverage);
-            if (HasFatalFailure()) return;
-          }
+          SCOPED_TRACE(testing::Message()
+                       << KernelTierName(tier) << " rank=" << rank << " "
+                       << LossKindName(kind)
+                       << (clipped ? " clipped" : " unclipped"));
+          RunGcpStepPin(kind, clipped, tier, rank, coverage);
+          if (HasFatalFailure()) return;
         }
       }
     }
@@ -957,8 +942,8 @@ class ReferenceSampledRuleUpdater : public RowUpdaterBase {
     record.mode = mode;
     record.row = row;
     if (window.Degree(mode, row) <= theta_) {
-      MttkrpRowDispatch(window, state, mode, row, ws.rhs.data(),
-                        ws.had.data(), ws);
+      MttkrpRow(window, state.model.factors(), mode, row, ws.rhs.data(),
+                ws.had.data(), kr);
     } else {
       ++coverage_.sampled_rows;
       PrevGramHadamard(state, mode, kr);
@@ -968,12 +953,14 @@ class ReferenceSampledRuleUpdater : public RowUpdaterBase {
       for (const SampledCell& cell : record.cells) {
         const double residual =
             cell.value - EvaluatePrevModel(cell.index, state);
-        HadamardRowDispatch(state, cell.index, mode, ws.had.data(), ws);
+        HadamardRowProduct(state.model.factors(), cell.index, mode,
+                           ws.had.data(), kr);
         kr.axpy(residual, ws.had.data(), ws.rhs.data(), padded);
       }
       for (const DeltaCell& cell : delta.cells) {
         if (cell.index[mode] != row) continue;
-        HadamardRowDispatch(state, cell.index, mode, ws.had.data(), ws);
+        HadamardRowProduct(state.model.factors(), cell.index, mode,
+                           ws.had.data(), kr);
         kr.axpy(cell.delta, ws.had.data(), ws.rhs.data(), padded);
       }
     }
@@ -1105,7 +1092,7 @@ void ExpectSameRecords(const std::vector<SampledRowRecord>& prod,
 }
 
 template <typename Updater, typename... Args>
-void RunSampledRulePin(bool mixed, KernelTier tier, int64_t rank,
+void RunSampledRulePin(KernelTier tier, int64_t rank,
                        const std::vector<int64_t>& dims, int64_t theta,
                        SampledRulePinCoverage& coverage, Args... args) {
   constexpr bool plus = std::is_same_v<Updater, SnsRndPlusUpdater>;
@@ -1116,10 +1103,6 @@ void RunSampledRulePin(bool mixed, KernelTier tier, int64_t rank,
   SparseTensor window_prod = DenseWindowFromModel(model);
   SparseTensor window_ref = DenseWindowFromModel(model);
   CpdState prod(model, tier), ref(model, tier);
-  if (mixed) {
-    prod.SetFactorPrecision(FactorPrecision::kFloat32Accum64);
-    ref.SetFactorPrecision(FactorPrecision::kFloat32Accum64);
-  }
   SampledRuleProbe<Updater> prod_updater(theta, args..., seed);
   ReferenceSampledRuleUpdater ref_updater(plus, theta, 50.0, seed, coverage);
   prod_updater.set_kernel_tier(tier);
@@ -1164,20 +1147,17 @@ TEST(SampledRuleDifferentialTest, BitwiseIdenticalToPerCellLoopOnEveryTier) {
   for (const KernelTier tier : tiers) {
     for (const int64_t rank : {int64_t{7}, int64_t{20}, int64_t{37}}) {
       for (const Shape& shape : shapes) {
-        for (const bool mixed : {false, true}) {
-          SCOPED_TRACE(testing::Message()
-                       << KernelTierName(tier) << " rank=" << rank
-                       << " modes=" << shape.dims.size()
-                       << " theta=" << shape.theta
-                       << (mixed ? " mixed" : " float64"));
-          RunSampledRulePin<SnsRndUpdater>(mixed, tier, rank, shape.dims,
-                                           shape.theta, coverage);
-          if (HasFatalFailure()) return;
-          RunSampledRulePin<SnsRndPlusUpdater>(mixed, tier, rank, shape.dims,
-                                               shape.theta, coverage,
-                                               /*clip_bound=*/50.0);
-          if (HasFatalFailure()) return;
-        }
+        SCOPED_TRACE(testing::Message()
+                     << KernelTierName(tier) << " rank=" << rank
+                     << " modes=" << shape.dims.size()
+                     << " theta=" << shape.theta);
+        RunSampledRulePin<SnsRndUpdater>(tier, rank, shape.dims, shape.theta,
+                                         coverage);
+        if (HasFatalFailure()) return;
+        RunSampledRulePin<SnsRndPlusUpdater>(tier, rank, shape.dims,
+                                             shape.theta, coverage,
+                                             /*clip_bound=*/50.0);
+        if (HasFatalFailure()) return;
       }
     }
   }

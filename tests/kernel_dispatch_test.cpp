@@ -22,7 +22,6 @@
 #include "core/sns_vec_plus.h"
 #include "linalg/cholesky.h"
 #include "linalg/matrix.h"
-#include "linalg/matrix32.h"
 #include "linalg/rank_dispatch.h"
 #include "linalg/simd.h"
 #include "tensor/mttkrp.h"
@@ -233,11 +232,10 @@ TEST_P(KernelDispatchTest, GramRowUpdatesMatchNaive) {
 
 // ---------------------------------------------------------------------------
 // Every RankKernelTable entry point, per available tier, against a scalar
-// reference. Elementwise kernels (fill/copy/mul/mul_accum and the widening
-// mul_accum_f32) are bitwise on every tier — same per-entry arithmetic;
-// FMA-bearing kernels (axpy/fma3/dot/gram deltas/fma3_f32/
-// weighted_syrk_upper) are bitwise on the generic tier and ulp-tight on the
-// intrinsic ones.
+// reference. Elementwise kernels (fill/copy/mul/mul_accum) are bitwise on
+// every tier — same per-entry arithmetic; FMA-bearing kernels
+// (axpy/fma3/dot/gram deltas/weighted_syrk_upper) are bitwise on the
+// generic tier and ulp-tight on the intrinsic ones.
 
 TEST_P(KernelDispatchTest, TableKernelsMatchNaivePerTier) {
   const int64_t rank = GetParam();
@@ -248,16 +246,6 @@ TEST_P(KernelDispatchTest, TableKernelsMatchNaivePerTier) {
     a[r] = rng.Normal();
     b[r] = rng.Normal();
   }
-  // Pre-quantized rows + float32 mirrors for the f32 kernels.
-  Matrix aq(1, rank), bq(1, rank);
-  for (int64_t r = 0; r < rank; ++r) {
-    aq(0, r) = static_cast<double>(static_cast<float>(a[r]));
-    bq(0, r) = static_cast<double>(static_cast<float>(b[r]));
-  }
-  Matrix32 a32(1, rank), b32(1, rank);
-  a32.AssignFromDouble(aq);
-  b32.AssignFromDouble(bq);
-
   // weighted_syrk_upper inputs: 150 cells cross the codelets' cell chunks.
   const int64_t cells = 150;
   const Matrix panel = Matrix::RandomNormal(cells, rank, rng);
@@ -323,18 +311,6 @@ TEST_P(KernelDispatchTest, TableKernelsMatchNaivePerTier) {
     kr.scaled_diff_accum(1.1, a.data(), b.data(), out.data(), padded);
     for (int64_t r = 0; r < rank; ++r) {
       ExpectTierValue(tier, out[r], b[r] + 1.1 * (a[r] - b[r]));
-    }
-
-    kr.copy(aq.Row(0), out.data(), padded);
-    kr.mul_accum_f32(out.data(), b32.Row(0), padded);
-    for (int64_t r = 0; r < rank; ++r) {
-      ASSERT_EQ(out[r], aq(0, r) * bq(0, r));
-    }
-
-    kr.fill(out.data(), 0.25, padded);
-    kr.fma3_f32(1.5, a32.Row(0), b32.Row(0), out.data(), padded);
-    for (int64_t r = 0; r < rank; ++r) {
-      ExpectTierValue(tier, out[r], 0.25 + 1.5 * (aq(0, r) * bq(0, r)));
     }
 
     // weighted_syrk_upper: the upper triangle against a naive scalar

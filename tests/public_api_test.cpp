@@ -382,6 +382,14 @@ TEST(StreamHandleTest, IngestionStatusErrorPaths) {
   EXPECT_TRUE(handle.Ingest(std::span<const Tuple>()).ok());
 }
 
+TEST(StreamHandleTest, CreateRejectsNanClipBoundWithoutAborting) {
+  ContinuousCpdOptions options = SmallOptions();
+  options.clip_bound = std::nan("");
+  const auto handle = StreamHandle::Create("nan", {6, 5}, options);
+  ASSERT_FALSE(handle.ok());
+  EXPECT_EQ(handle.status().code(), StatusCode::kInvalidArgument);
+}
+
 // --- Umbrella-header reachability (the original README-flow check) --------
 
 TEST(PublicApiTest, UmbrellaHeaderReachesToolkitAndPresets) {

@@ -16,9 +16,9 @@ compiler="${1:-${CXX:-g++}}"
 # (tickets, mailboxes, shards), the durability layer (checkpoints, journals,
 # serialization primitives), the fault-injection surface, the telemetry
 # layer (counters, histograms, registry, timers, JSON export), and the
-# kernel dispatch surface (CPU probe, codelet table contract, float32
-# mirrors), and the generalized-loss layer (loss catalog, GCP row update,
-# outlier store, reference objectives).
+# kernel dispatch surface (CPU probe, codelet table contract), and the
+# generalized-loss layer (loss catalog, GCP row update, outlier store,
+# reference objectives).
 headers=(
   src/slicenstitch.h
   src/api/service_options.h
@@ -34,7 +34,6 @@ headers=(
   src/durability/checkpoint.h
   src/durability/journal.h
   src/linalg/codelets/codelet_tables.h
-  src/linalg/matrix32.h
   src/losses/gcp_row_update.h
   src/losses/loss_function.h
   src/losses/outlier_store.h
