@@ -10,6 +10,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <deque>
@@ -749,7 +750,8 @@ void BM_KernelGramRankOneUpdate(benchmark::State& state) {
 BENCHMARK(BM_KernelGramRankOneUpdate)->SNS_KERNEL_BENCH_ARGS;
 
 // Cholesky row solve x = b H⁻¹ against a prefactorized Gram (the per-row
-// GramSolver fast path: copy + forward/back substitution).
+// GramSolver fast path: copy + forward/back substitution), run through the
+// tier's runtime-length table.
 void BM_KernelCholeskySolve(benchmark::State& state) {
   KernelTier tier;
   if (!ResolveBenchTier(state, &tier)) return;
@@ -758,13 +760,14 @@ void BM_KernelCholeskySolve(benchmark::State& state) {
   Matrix a = Matrix::RandomNormal(4 * rank, rank, rng);
   Matrix h = MultiplyTransposeA(a, a);
   for (int64_t i = 0; i < rank; ++i) h(i, i) += 1.0;
-  GramSolver solver;
-  solver.set_kernels(&GetRankKernelTable(0, tier));
-  solver.Factorize(h);
+  const RankKernelTable& rt = GetRankKernelTable(0, tier);
+  Matrix upper(rank, rank);
+  SNS_CHECK(CholeskyFactorizeUpperInto(h, upper, rt));
   AlignedVector b(rank), x(rank);
   for (int64_t r = 0; r < rank; ++r) b[r] = rng.Normal();
   for (auto _ : state) {
-    solver.Solve(b.data(), x.data());
+    std::copy(b.data(), b.data() + rank, x.data());
+    CholeskySolveUpperInPlace(upper, x.data(), rt);
     benchmark::DoNotOptimize(x.data());
   }
   state.SetItemsProcessed(state.iterations());

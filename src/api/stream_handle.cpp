@@ -328,7 +328,7 @@ Status StreamHandle::SerializeState(serial::Writer& w) const {
   w.I64(opt.expected_nnz);
   w.I64(opt.fitness_resync_interval);
   w.U8(0);  // Factor-precision byte: always 0 (float64).
-  w.U8(opt.force_generic_kernels ? 1 : 0);
+  w.U8(0);  // Retired kernel-tier byte: always 0 (see DeserializeState).
   w.I32(opt.init.max_iterations);
   w.F64(opt.init.fitness_tolerance);
   w.U8(opt.init.normalize_columns ? 1 : 0);
@@ -368,7 +368,7 @@ StatusOr<StreamHandle> StreamHandle::DeserializeState(serial::Reader& r,
   uint8_t variant = 0;
   uint8_t nonnegative = 0;
   uint8_t precision = 0;
-  uint8_t force_generic = 0;
+  uint8_t retired_tier = 0;
   uint8_t normalize = 0;
   SNS_RETURN_IF_ERROR(r.I64(&opt.rank));
   SNS_RETURN_IF_ERROR(r.I32(&opt.window_size));
@@ -380,7 +380,7 @@ StatusOr<StreamHandle> StreamHandle::DeserializeState(serial::Reader& r,
   SNS_RETURN_IF_ERROR(r.I64(&opt.expected_nnz));
   SNS_RETURN_IF_ERROR(r.I64(&opt.fitness_resync_interval));
   SNS_RETURN_IF_ERROR(r.U8(&precision));
-  SNS_RETURN_IF_ERROR(r.U8(&force_generic));
+  SNS_RETURN_IF_ERROR(r.U8(&retired_tier));
   SNS_RETURN_IF_ERROR(r.I32(&opt.init.max_iterations));
   SNS_RETURN_IF_ERROR(r.F64(&opt.init.fitness_tolerance));
   SNS_RETURN_IF_ERROR(r.U8(&normalize));
@@ -418,9 +418,15 @@ StatusOr<StreamHandle> StreamHandle::DeserializeState(serial::Reader& r,
     return Status::DataLoss("checkpoint names unknown factor precision " +
                             std::to_string(precision));
   }
+  // Earlier builds stored a per-engine force_generic_kernels flag here.
+  // The kernel tier is now a process property, so a stored 1 restores like
+  // a 0 and the stream continues at the process tier.
+  if (retired_tier > 1) {
+    return Status::DataLoss("checkpoint has kernel-tier byte " +
+                            std::to_string(retired_tier));
+  }
   opt.variant = static_cast<SnsVariant>(variant);
   opt.nonnegative_factors = nonnegative != 0;
-  opt.force_generic_kernels = force_generic != 0;
   opt.init.normalize_columns = normalize != 0;
   auto handle = StreamHandle::Create(std::move(name), std::move(mode_dims),
                                      opt);

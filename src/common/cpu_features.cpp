@@ -3,6 +3,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "common/check.h"
+
 namespace sns {
 namespace {
 
@@ -82,10 +84,7 @@ bool KernelTierSupported(KernelTier tier) {
   return false;
 }
 
-KernelTier ResolveKernelTier(bool force_generic) {
-  if (force_generic) return KernelTier::kGeneric;
-  return CachedAutoTier();
-}
+KernelTier ResolveKernelTier() { return CachedAutoTier(); }
 
 std::string CpuFeaturesSummary() {
   const CpuFeatures& f = DetectCpuFeatures();
@@ -107,7 +106,10 @@ std::string CpuFeaturesSummary() {
 }
 
 namespace internal {
-void RefreshKernelTierForTest() { CachedAutoTier() = ComputeAutoTier(); }
+void RefreshKernelTierForTest(std::optional<KernelTier> tier) {
+  SNS_CHECK(!tier || KernelTierSupported(*tier));
+  CachedAutoTier() = tier ? *tier : ComputeAutoTier();
+}
 }  // namespace internal
 
 }  // namespace sns

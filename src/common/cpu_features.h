@@ -9,15 +9,15 @@
 // where available. Non-x86 builds (or builds without the codelet TUs)
 // always resolve to the generic tier.
 //
-// Overrides, checked in this order:
-//   - ContinuousCpdOptions::force_generic_kernels pins one engine to the
-//     generic tier (passed as `force_generic` below),
-//   - the SNS_FORCE_GENERIC_KERNELS environment variable (set to anything
-//     but "0") pins the whole process.
+// The tier is a property of the process, not of an engine: every kernel
+// table resolved without an explicit tier uses it. The one override is the
+// SNS_FORCE_GENERIC_KERNELS environment variable (set to anything but "0"),
+// which pins the whole process to the generic tier.
 
 #ifndef SLICENSTITCH_COMMON_CPU_FEATURES_H_
 #define SLICENSTITCH_COMMON_CPU_FEATURES_H_
 
+#include <optional>
 #include <string>
 
 namespace sns {
@@ -53,19 +53,22 @@ bool KernelTierCompiledIn(KernelTier tier);
 bool KernelTierSupported(KernelTier tier);
 
 /// The tier every auto-dispatched table resolves to: the widest supported
-/// tier, unless pinned to generic by `force_generic` or the
-/// SNS_FORCE_GENERIC_KERNELS environment variable. The environment lookup
-/// is cached after the first call (see internal::RefreshKernelTierForTest).
-KernelTier ResolveKernelTier(bool force_generic = false);
+/// tier, unless the SNS_FORCE_GENERIC_KERNELS environment variable pins it
+/// to generic. Computed once and cached (see
+/// internal::RefreshKernelTierForTest).
+KernelTier ResolveKernelTier();
 
 /// One-line provenance summary for benchmark JSON, e.g.
 /// "sse4.2+avx+fma+avx2+avx512f tier=avx512".
 std::string CpuFeaturesSummary();
 
 namespace internal {
-/// Re-reads SNS_FORCE_GENERIC_KERNELS and recomputes the cached auto tier.
-/// Test hook only — production code resolves the tier once per process.
-void RefreshKernelTierForTest();
+/// Replaces the cached process tier: with `tier`, pins it (which must be
+/// supported); without, re-reads SNS_FORCE_GENERIC_KERNELS and recomputes
+/// it. Test hook only — production code resolves the tier once per process.
+/// Kernel tables already resolved keep their tier; workspaces prepared
+/// after the call pick up the new one.
+void RefreshKernelTierForTest(std::optional<KernelTier> tier = std::nullopt);
 }  // namespace internal
 
 }  // namespace sns

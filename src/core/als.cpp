@@ -22,8 +22,6 @@ void AlsWorkspace::Prepare(const CpdState& state) {
     col_norm_sq.Assign(rank, 0.0);
     col_scale.Assign(rank, 0.0);
   }
-  solver.set_kernels(&GetRankKernelTable(0, tier));
-  grams.set_kernels(&GetRankKernelTable(PaddedRank(rank), tier));
 }
 
 void AlsSweep(const SparseTensor& x, CpdState& state, bool normalize_columns,
@@ -32,7 +30,7 @@ void AlsSweep(const SparseTensor& x, CpdState& state, bool normalize_columns,
   const int64_t rank = state.rank();
   ws.Prepare(state);
   ws.grams.BeginEvent(state.grams);
-  const RankKernelTable& kr = GetRankKernelTable(PaddedRank(rank), ws.tier);
+  const RankKernelTable& kr = GetRankKernelTable(PaddedRank(rank));
   for (int m = 0; m < modes; ++m) {
     Matrix& mttkrp = ws.mttkrp[static_cast<size_t>(m)];
     MttkrpInto(x, state.model.factors(), m, mttkrp, ws.had.data(), kr);
@@ -82,11 +80,9 @@ void AlsSweep(const SparseTensor& x, CpdState& state,
 }
 
 KruskalModel AlsDecompose(const SparseTensor& x, int64_t rank,
-                          const AlsOptions& options, Rng& rng,
-                          KernelTier tier) {
-  CpdState state(KruskalModel::Random(x.dims(), rank, rng), tier);
+                          const AlsOptions& options, Rng& rng) {
+  CpdState state(KruskalModel::Random(x.dims(), rank, rng));
   AlsWorkspace ws;
-  ws.tier = tier;
   double previous_fitness = state.model.Fitness(x);
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     AlsSweep(x, state, options.normalize_columns, ws);

@@ -10,7 +10,6 @@
 
 #include <vector>
 
-#include "common/cpu_features.h"
 #include "common/random.h"
 #include "core/cpd_state.h"
 #include "core/gram_product_cache.h"
@@ -27,13 +26,9 @@ namespace sns {
 /// tests/hot_path_test.cpp). Rank-length scratch is aligned and padded
 /// (linalg/simd.h) so the padded rank-dispatch kernels apply.
 struct AlsWorkspace {
-  /// (Re)sizes the buffers for `state`'s shape and pins the solver / Gram
-  /// chain to `tier`; allocation-free no-op when the shape is unchanged.
+  /// (Re)sizes the buffers for `state`'s shape; allocation-free no-op when
+  /// the shape is unchanged.
   void Prepare(const CpdState& state);
-
-  /// Kernel tier every rank kernel of the sweep runs at. Set before
-  /// Prepare (SNS-MAT threads the engine's resolved tier through here).
-  KernelTier tier = ResolveKernelTier();
 
   std::vector<Matrix> mttkrp;  // Per-mode MTTKRP output (factor-shaped).
   Matrix h;                    // Hadamard-of-Grams of the current mode.
@@ -56,11 +51,9 @@ void AlsSweep(const SparseTensor& x, CpdState& state, bool normalize_columns);
 
 /// Batch CP decomposition of `x` with random Uniform[0,1) initialization:
 /// sweeps until the fitness gain drops below options.fitness_tolerance or
-/// options.max_iterations is hit. `tier` pins the sweep kernels (the
-/// fitness evaluations of the stopping rule run at the auto tier).
+/// options.max_iterations is hit.
 KruskalModel AlsDecompose(const SparseTensor& x, int64_t rank,
-                          const AlsOptions& options, Rng& rng,
-                          KernelTier tier = ResolveKernelTier());
+                          const AlsOptions& options, Rng& rng);
 
 /// Fitness reached by a fresh batch ALS on `x` — the denominator of the
 /// paper's relative-fitness metric.

@@ -124,15 +124,11 @@ ContinuousCpd::ContinuousCpd(std::vector<int64_t> mode_dims,
       window_(mode_dims, options.window_size, options.period,
               options.expected_nnz),
       rng_(options.seed) {
-  state_ = CpdState(
-      KruskalModel::Random(
-          WithTimeMode(std::move(mode_dims), options.window_size),
-          options.rank, rng_),
-      ResolveKernelTier(options_.force_generic_kernels));
+  state_ = CpdState(KruskalModel::Random(
+      WithTimeMode(std::move(mode_dims), options.window_size), options.rank,
+      rng_));
   updater_ = MakeUpdater(options_);
   SNS_CHECK(updater_ != nullptr);
-  updater_->set_kernel_tier(
-      ResolveKernelTier(options_.force_generic_kernels));
   loss_ = &GetLossFunction(options_.loss);
   if (options_.loss != LossKind::kGaussian) {
     // The Gaussian default deliberately leaves the updater and tracker
@@ -152,10 +148,8 @@ void ContinuousCpd::IngestOnly(const Tuple& tuple) {
 }
 
 void ContinuousCpd::InitializeWithAls() {
-  const KernelTier tier = ResolveKernelTier(options_.force_generic_kernels);
   state_ = CpdState(
-      AlsDecompose(window_.tensor(), options_.rank, options_.init, rng_, tier),
-      tier);
+      AlsDecompose(window_.tensor(), options_.rank, options_.init, rng_));
   if (options_.variant != SnsVariant::kMat ||
       options_.loss != LossKind::kGaussian) {
     // The row variants operate on raw factors with λ = 1. The GCP sweep

@@ -18,7 +18,7 @@ void CpdState::RecomputeGrams() {
   if (static_cast<int>(grams.size()) != modes || grams[0].rows() != r) {
     grams.assign(static_cast<size_t>(modes), Matrix(r, r));
   }
-  const RankKernelTable& kr = GetRankKernelTable(PaddedRank(r), kernel_tier);
+  const RankKernelTable& kr = GetRankKernelTable(PaddedRank(r));
   for (int m = 0; m < modes; ++m) {
     const Matrix& f = model.factor(m);
     MultiplyTransposeAInto(f, f, grams[static_cast<size_t>(m)], kr);

@@ -7,7 +7,6 @@
 
 #include <vector>
 
-#include "common/cpu_features.h"
 #include "linalg/matrix.h"
 #include "tensor/kruskal.h"
 
@@ -21,17 +20,9 @@ struct CpdState {
   /// grams[m] = A(m)'A(m), kept in lockstep with the factors by the update
   /// rules (Eqs. 13, 24, 25) or recomputed wholesale after batch steps.
   std::vector<Matrix> grams;
-  /// Tier the state's own kernels (RecomputeGrams) run at. Engines
-  /// construct their state with their resolved tier so a forced-generic run
-  /// never touches an intrinsic codelet.
-  KernelTier kernel_tier = ResolveKernelTier();
 
   CpdState() = default;
   explicit CpdState(KruskalModel m) : model(std::move(m)) { RecomputeGrams(); }
-  CpdState(KruskalModel m, KernelTier tier)
-      : model(std::move(m)), kernel_tier(tier) {
-    RecomputeGrams();
-  }
 
   int num_modes() const { return model.num_modes(); }
   int64_t rank() const { return model.rank(); }

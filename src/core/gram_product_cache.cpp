@@ -17,6 +17,7 @@ void GramProductCache::BeginEvent(const std::vector<Matrix>& grams) {
     suffix_.assign(static_cast<size_t>(n) + 1, Matrix(rank, rank));
     prefix_[0].Fill(1.0);
     suffix_[static_cast<size_t>(n)].Fill(1.0);
+    kr_ = &GetRankKernelTable(grams[0].stride());
   }
   prefix_valid_ = 0;
   suffix_valid_ = n;
@@ -35,8 +36,7 @@ void GramProductCache::ProductExcept(int mode, Matrix& out) {
   const std::vector<Matrix>& grams = *grams_;
   const int n = static_cast<int>(grams.size());
   SNS_DCHECK(mode >= 0 && mode <= n);
-  const RankKernelTable& kr =
-      kr_ ? *kr_ : GetRankKernelTable(grams[0].stride());
+  const RankKernelTable& kr = *kr_;
   for (int i = prefix_valid_ + 1; i <= mode; ++i) {
     HadamardInto(prefix_[i - 1], grams[i - 1], prefix_[i], kr);
   }

@@ -44,13 +44,10 @@ class GramProductCache {
   /// past the end": the product over all modes.
   void ProductExcept(int mode, Matrix& out);
 
-  /// Pins the kernel table (matching the Grams' padded stride) the chain
-  /// Hadamards run through — set by RowUpdaterBase to the engine's tier.
-  /// Unset, each ProductExcept resolves the process-wide auto tier.
-  void set_kernels(const RankKernelTable* kr) { kr_ = kr; }
-
  private:
   const std::vector<Matrix>* grams_ = nullptr;
+  // Table of the chain Hadamards (the Grams' padded stride), resolved at the
+  // process tier whenever the chain is sized.
   const RankKernelTable* kr_ = nullptr;
   std::vector<Matrix> prefix_;  // prefix_[i] = ∗_{n<i} Q(n); prefix_[0] = 1.
   std::vector<Matrix> suffix_;  // suffix_[i] = ∗_{n≥i} Q(n); suffix_[N] = 1.

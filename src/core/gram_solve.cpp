@@ -28,11 +28,13 @@ bool FactorIsWellConditioned(const Matrix& factor) {
 
 void GramSolver::Factorize(const Matrix& h) {
   const int64_t n = h.rows();
-  if (upper_.rows() != n) upper_ = Matrix(n, n);
-  const RankKernelTable& rt = rt_ ? *rt_ : GetRankKernelTable(0);
+  if (rt_ == nullptr || upper_.rows() != n) {
+    upper_ = Matrix(n, n);
+    rt_ = &GetRankKernelTable(0);
+  }
   // Row-suffix (U'U) factorization: every inner loop contiguous — see
   // CholeskyFactorizeUpperInto.
-  use_pinv_ = !(CholeskyFactorizeUpperInto(h, upper_, rt) &&
+  use_pinv_ = !(CholeskyFactorizeUpperInto(h, upper_, *rt_) &&
                 FactorIsWellConditioned(upper_));
   if (use_pinv_) pinv_ = PseudoInverseSymmetric(h);
 }
@@ -45,8 +47,7 @@ void GramSolver::Solve(const double* b, double* x) const {
   // H symmetric: b H† == (H⁻¹ b')' for nonsingular H.
   const int64_t n = upper_.rows();
   std::copy(b, b + n, x);
-  CholeskySolveUpperInPlace(upper_, x,
-                            rt_ ? *rt_ : GetRankKernelTable(0));
+  CholeskySolveUpperInPlace(upper_, x, *rt_);
 }
 
 void SolveRowAgainstGram(const Matrix& h, const double* b, double* x) {

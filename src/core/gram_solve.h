@@ -30,16 +30,12 @@ class GramSolver {
   /// must not alias.
   void Solve(const double* b, double* x) const;
 
-  /// Pins the RUNTIME-LENGTH kernel table (padded_rank == 0) the Cholesky
-  /// row-suffix loops run through — set by UpdateWorkspace::Prepare to the
-  /// engine's kernel tier. Unset, each Factorize/Solve resolves the
-  /// process-wide auto tier.
-  void set_kernels(const RankKernelTable* rt) { rt_ = rt; }
-
  private:
   Matrix upper_;  // A = U'U factor (row-suffix kernels; linalg/cholesky.h).
   Matrix pinv_;
   bool use_pinv_ = false;
+  // RUNTIME-LENGTH table (padded_rank == 0) of the Cholesky row-suffix
+  // loops, resolved at the process tier whenever upper_ is sized.
   const RankKernelTable* rt_ = nullptr;
 };
 

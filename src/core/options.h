@@ -58,7 +58,10 @@ struct AlsOptions {
   bool normalize_columns = true;
 };
 
-/// Full configuration of a continuous CPD engine.
+/// Full configuration of a continuous CPD engine. The SIMD kernel tier is
+/// not an option: every engine runs at the process tier
+/// (common/cpu_features.h), which only the SNS_FORCE_GENERIC_KERNELS
+/// environment variable overrides.
 struct ContinuousCpdOptions {
   /// Decomposition rank R.
   int64_t rank = 20;
@@ -91,13 +94,6 @@ struct ContinuousCpdOptions {
   /// until the next ALS initialization). Affects RunningFitness() only,
   /// never the factors.
   int64_t fitness_resync_interval = 128;
-  /// Pin the engine's rank kernels to the portable generic tier, ignoring
-  /// any SIMD codelets the host supports. Diagnostic knob: a forced-generic
-  /// engine and the process-wide SNS_FORCE_GENERIC_KERNELS env override run
-  /// bit-identical trajectories. Never a correctness knob on its own — the
-  /// elementwise kernels are bitwise tier-invariant and the FMA kernels
-  /// agree to a few ulps (linalg/rank_dispatch.h).
-  bool force_generic_kernels = false;
   /// Pointwise loss the engine minimizes (losses/loss_function.h). The
   /// Gaussian default reproduces the paper's least-squares engine exactly
   /// (bitwise — regression-guarded by tests/losses_gaussian_bitwise_test);

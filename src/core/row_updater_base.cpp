@@ -38,8 +38,7 @@ void RowUpdaterBase::BeginEvent(const WindowDelta& delta,
   time_mode_ = state.num_modes() - 1;
   snap_rank_ = state.rank();
   snap_stride_ = PaddedRank(snap_rank_);
-  ws_.Prepare(state.num_modes(), snap_rank_, sample_capacity_, tier_);
-  gram_cache_.set_kernels(ws_.kernels);
+  ws_.Prepare(state.num_modes(), snap_rank_, sample_capacity_);
   gram_cache_.BeginEvent(state.grams);
   // No-ops (and allocation-free) once sized for this shape.
   snapshot_values_.Resize((kMaxTensorModes + 2) * snap_stride_);

@@ -41,11 +41,6 @@ class RowUpdaterBase : public EventUpdater {
   void OnEvent(const SparseTensor& window, const WindowDelta& delta,
                CpdState& state) final;
 
-  /// Engine-resolved kernel tier for every rank kernel this updater runs
-  /// (workspace table, Gram cache, Cholesky solver). Takes effect at the
-  /// next event's workspace Prepare.
-  void set_kernel_tier(KernelTier tier) final { tier_ = tier; }
-
   /// Engine-configured pointwise loss. Gaussian (the default) changes
   /// nothing anywhere — GcpUpdateRow below bails out before touching any
   /// loss machinery, keeping the least-squares paths bitwise intact.
@@ -133,7 +128,6 @@ class RowUpdaterBase : public EventUpdater {
   // under the Gaussian default.
   GcpRowWorkspace gcp_ws_;
   const LossFunction* loss_ = nullptr;
-  KernelTier tier_ = ResolveKernelTier();
   int64_t sample_capacity_;
   int time_mode_ = 0;
   int64_t snap_rank_ = 0;

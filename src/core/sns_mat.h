@@ -18,8 +18,6 @@ class SnsMatUpdater : public EventUpdater {
   void OnEvent(const SparseTensor& window, const WindowDelta& delta,
                CpdState& state) override;
 
-  void set_kernel_tier(KernelTier tier) override { ws_.tier = tier; }
-
   /// Non-Gaussian losses swap the per-event ALS sweep for a GCP Newton
   /// sweep (losses/gcp_row_update.h). Gaussian (default) is untouched.
   void set_loss(const LossFunction* loss) override { loss_ = loss; }

@@ -3,19 +3,17 @@
 namespace sns {
 
 void UpdateWorkspace::Prepare(int num_modes, int64_t rank,
-                              int64_t sample_capacity, KernelTier tier) {
+                              int64_t sample_capacity) {
   if (num_modes == num_modes_ && rank == rank_ &&
-      sample_capacity == sample_capacity_ && tier == tier_) {
+      sample_capacity == sample_capacity_) {
     return;
   }
   num_modes_ = num_modes;
   rank_ = rank;
   sample_capacity_ = sample_capacity;
-  tier_ = tier;
 
   padded_rank = PaddedRank(rank);
-  kernels = &GetRankKernelTable(padded_rank, tier);
-  solver.set_kernels(&GetRankKernelTable(0, tier));
+  kernels = &GetRankKernelTable(padded_rank);
 
   h = Matrix(rank, rank);
   old_row.Assign(rank, 0.0);

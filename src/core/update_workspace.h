@@ -29,16 +29,14 @@ namespace sns {
 
 struct UpdateWorkspace {
   /// (Re)sizes every buffer for the given shape and resolves the rank
-  /// kernel tables for `tier`. No-op — and in particular allocation-free —
-  /// when the shape and tier are unchanged. sample_capacity bounds the
-  /// number of cells SampleSliceCellsInto may produce per row (0 for
+  /// kernel table at the process tier. No-op — and in particular
+  /// allocation-free — when the shape is unchanged. sample_capacity bounds
+  /// the number of cells SampleSliceCellsInto may produce per row (0 for
   /// variants that never sample).
-  void Prepare(int num_modes, int64_t rank, int64_t sample_capacity,
-               KernelTier tier = ResolveKernelTier());
+  void Prepare(int num_modes, int64_t rank, int64_t sample_capacity);
 
-  /// Compile-time-rank kernel set for padded_rank at the prepared tier,
-  /// resolved once by Prepare (i.e. at engine construction). Null before
-  /// the first Prepare.
+  /// Compile-time-rank kernel set for padded_rank, resolved once by Prepare
+  /// (i.e. at the first event). Null before the first Prepare.
   const RankKernelTable* kernels = nullptr;
   /// PaddedRank(rank): the trip count of every padded kernel call.
   int64_t padded_rank = 0;
@@ -70,7 +68,6 @@ struct UpdateWorkspace {
   int num_modes_ = 0;
   int64_t rank_ = 0;
   int64_t sample_capacity_ = 0;
-  KernelTier tier_ = KernelTier::kGeneric;
 };
 
 }  // namespace sns

@@ -106,33 +106,4 @@ void CholeskySolveUpperInPlace(const Matrix& upper, double* x,
   }
 }
 
-StatusOr<Cholesky> Cholesky::Factorize(const Matrix& a) {
-  SNS_CHECK(a.rows() == a.cols());
-  Matrix lower(a.rows(), a.rows());
-  if (!CholeskyFactorizeInto(a, lower)) {
-    return Status::FailedPrecondition("matrix is not positive definite");
-  }
-  return Cholesky(std::move(lower));
-}
-
-std::vector<double> Cholesky::Solve(const std::vector<double>& b) const {
-  SNS_CHECK(static_cast<int64_t>(b.size()) == lower_.rows());
-  std::vector<double> x(b);
-  CholeskySolveInPlace(lower_, x.data());
-  return x;
-}
-
-Matrix Cholesky::Solve(const Matrix& b) const {
-  const int64_t n = lower_.rows();
-  SNS_CHECK(b.rows() == n);
-  Matrix x(n, b.cols());
-  std::vector<double> col(n);
-  for (int64_t j = 0; j < b.cols(); ++j) {
-    for (int64_t i = 0; i < n; ++i) col[i] = b(i, j);
-    std::vector<double> sol = Solve(col);
-    for (int64_t i = 0; i < n; ++i) x(i, j) = sol[i];
-  }
-  return x;
-}
-
 }  // namespace sns

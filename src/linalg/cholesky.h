@@ -6,7 +6,6 @@
 #ifndef SLICENSTITCH_LINALG_CHOLESKY_H_
 #define SLICENSTITCH_LINALG_CHOLESKY_H_
 
-#include "common/status.h"
 #include "linalg/matrix.h"
 
 namespace sns {
@@ -21,8 +20,8 @@ struct RankKernelTable;  // linalg/rank_dispatch.h
 bool CholeskyFactorizeInto(const Matrix& a, Matrix& lower);
 
 /// In-place solve A x = b against a factorization produced by
-/// CholeskyFactorizeInto (or Cholesky::lower()): `x` holds b on entry and
-/// the solution on exit (n = lower order values).
+/// CholeskyFactorizeInto: `x` holds b on entry and the solution on exit
+/// (n = lower order values).
 void CholeskySolveInPlace(const Matrix& lower, double* x);
 
 /// Right-looking factorization A = U'U with U upper-triangular in row-major
@@ -40,8 +39,9 @@ void CholeskySolveInPlace(const Matrix& lower, double* x);
 ///
 /// The table-taking overloads run the suffix axpys/dots through a
 /// RUNTIME-LENGTH RankKernelTable (padded_rank == 0 — the row suffixes are
-/// unaligned and of arbitrary length), letting the engine pin a kernel
-/// tier; the plain overloads resolve the process-wide auto tier per call.
+/// unaligned and of arbitrary length), so GramSolver resolves its table
+/// once and benches can time one tier; the plain overloads resolve the
+/// process-wide auto tier per call.
 bool CholeskyFactorizeUpperInto(const Matrix& a, Matrix& upper);
 bool CholeskyFactorizeUpperInto(const Matrix& a, Matrix& upper,
                                 const RankKernelTable& kr);
@@ -52,27 +52,6 @@ bool CholeskyFactorizeUpperInto(const Matrix& a, Matrix& upper,
 void CholeskySolveUpperInPlace(const Matrix& upper, double* x);
 void CholeskySolveUpperInPlace(const Matrix& upper, double* x,
                                const RankKernelTable& kr);
-
-/// Cholesky factorization of a symmetric positive-definite matrix.
-class Cholesky {
- public:
-  /// Factorizes `a` (only the lower triangle is read). Fails with
-  /// FailedPrecondition if a non-positive pivot is found.
-  static StatusOr<Cholesky> Factorize(const Matrix& a);
-
-  /// Solves A x = b for a single right-hand side (b.size() == n).
-  std::vector<double> Solve(const std::vector<double>& b) const;
-
-  /// Solves A X = B columnwise; B is n×m, the result is n×m.
-  Matrix Solve(const Matrix& b) const;
-
-  /// The lower-triangular factor L with A = L L'.
-  const Matrix& lower() const { return lower_; }
-
- private:
-  explicit Cholesky(Matrix lower) : lower_(std::move(lower)) {}
-  Matrix lower_;
-};
 
 }  // namespace sns
 

@@ -143,9 +143,9 @@ Matrix Hadamard(const Matrix& a, const Matrix& b);
 
 /// out = a ∗ b elementwise into a preallocated `out`; all shapes must match.
 /// `out` may alias `a` or `b`. The allocation-free form of Hadamard.
-/// The table-taking overload lets engine-resolved call sites (hot path /
-/// forced tier) reuse their cached RankKernelTable; the plain overload
-/// resolves the process-wide auto tier per call.
+/// The table-taking overload lets hot-path call sites reuse their cached
+/// RankKernelTable; the plain overload resolves the process-wide auto tier
+/// per call.
 void HadamardInto(const Matrix& a, const Matrix& b, Matrix& out);
 void HadamardInto(const Matrix& a, const Matrix& b, Matrix& out,
                   const RankKernelTable& kr);

@@ -32,9 +32,4 @@ Matrix PseudoInverseSymmetric(const Matrix& a, double rel_tolerance) {
   return out;
 }
 
-void SolveRowSystem(const Matrix& h_pinv, const double* b, double* x) {
-  // H symmetric ⇒ b H† is h_pinv applied from the left or right identically.
-  RowTimesMatrix(b, h_pinv, x);
-}
-
 }  // namespace sns

@@ -16,11 +16,6 @@ namespace sns {
 /// symmetric.
 Matrix PseudoInverseSymmetric(const Matrix& a, double rel_tolerance = 1e-10);
 
-/// Solves x H = b for a row vector (i.e. x = b H†) where H is symmetric.
-/// Convenience wrapper used by row update rules; `x` and `b` have H.rows()
-/// entries and may not alias.
-void SolveRowSystem(const Matrix& h_pinv, const double* b, double* x);
-
 }  // namespace sns
 
 #endif  // SLICENSTITCH_LINALG_PSEUDO_INVERSE_H_

@@ -14,8 +14,8 @@
 //     built from (fill/copy/axpy/Hadamard/dot/rank-1 Gram deltas, and the
 //     weighted upper-triangle SYRK of the GCP Newton step), and
 //   - RankKernelTable: a function-pointer table over those primitives,
-//     resolved ONCE at engine construction (UpdateWorkspace::Prepare) so
-//     the row updaters pay no per-call dispatch.
+//     resolved ONCE per workspace (UpdateWorkspace::Prepare) so the row
+//     updaters pay no per-call dispatch.
 //
 // Contract shared by all padded primitives: pointer arguments reference
 // buffers of at least the padded length, with the padding lanes holding
@@ -202,8 +202,8 @@ inline void VecWeightedSyrkUpper(const double* SNS_RESTRICT panel,
 // Function-pointer table over the primitives, resolved once per engine.
 
 /// The row-level kernel set the per-event updaters call directly. Resolved
-/// by GetRankKernelTable at engine construction (UpdateWorkspace::Prepare)
-/// and cached, so steady-state events perform no dispatch at all. Every
+/// by GetRankKernelTable once per workspace (UpdateWorkspace::Prepare) and
+/// cached, so steady-state events perform no dispatch at all. Every
 /// function takes the padded length as its trailing argument; specialized
 /// tables (padded_rank > 0) ignore it.
 ///

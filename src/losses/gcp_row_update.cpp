@@ -20,13 +20,11 @@ constexpr double kAlphas[] = {1.0, 0.5, 0.25, 0.125};
 
 }  // namespace
 
-void GcpRowWorkspace::Prepare(int64_t rank, KernelTier tier) {
-  if (rank == rank_ && tier == tier_ && kernels != nullptr) return;
+void GcpRowWorkspace::Prepare(int64_t rank) {
+  if (rank == rank_ && kernels != nullptr) return;
   rank_ = rank;
-  tier_ = tier;
   padded_rank = PaddedRank(rank);
-  kernels = &GetRankKernelTable(padded_rank, tier);
-  solver.set_kernels(&GetRankKernelTable(0, tier));
+  kernels = &GetRankKernelTable(padded_rank);
   hessian = Matrix(rank, rank);
   grad.Assign(rank, 0.0);
   step.Assign(rank, 0.0);
@@ -47,7 +45,7 @@ bool GcpNewtonRowUpdate(CpdState& state, int mode, int64_t row,
                         std::span<const SampledCell> cells, double clip_min,
                         double clip_max, GcpRowWorkspace& ws) {
   const int64_t rank = state.rank();
-  ws.Prepare(rank, state.kernel_tier);
+  ws.Prepare(rank);
   const RankKernelTable& kr = *ws.kernels;
   const int64_t padded = ws.padded_rank;
   double* live_row = state.model.factor(mode).Row(row);

@@ -50,7 +50,6 @@
 #include <span>
 #include <vector>
 
-#include "common/cpu_features.h"
 #include "core/cpd_state.h"
 #include "core/gram_solve.h"
 #include "core/slice_sampler.h"
@@ -64,9 +63,9 @@ namespace sns {
 
 /// Scratch of one GCP Newton row step, reused across rows and events.
 struct GcpRowWorkspace {
-  /// (Re)sizes the rank-shaped buffers and resolves the kernel table for
-  /// `tier`; allocation-free no-op when rank and tier are unchanged.
-  void Prepare(int64_t rank, KernelTier tier = ResolveKernelTier());
+  /// (Re)sizes the rank-shaped buffers and resolves the kernel table at the
+  /// process tier; allocation-free no-op when the rank is unchanged.
+  void Prepare(int64_t rank);
 
   /// Sizes the per-cell buffers for `num_cells` cells (Prepare first).
   /// Capacity only grows, geometrically, so steady state never allocates.
@@ -98,7 +97,6 @@ struct GcpRowWorkspace {
 
  private:
   int64_t rank_ = 0;
-  KernelTier tier_ = KernelTier::kGeneric;
 };
 
 /// One damped Newton step of A(mode)(row, :) on the restricted objective

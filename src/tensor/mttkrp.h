@@ -26,8 +26,8 @@ struct RankKernelTable;  // linalg/rank_dispatch.h
 /// PaddedRank(R) values (padding is left zeroed).
 ///
 /// Table-taking overloads (here and below) run through the caller's cached
-/// RankKernelTable — the hot-path form, honoring an engine-pinned kernel
-/// tier; the plain overloads resolve the process-wide auto tier per call.
+/// RankKernelTable — the hot-path form; the plain overloads resolve the
+/// process-wide auto tier per call.
 void HadamardRowProduct(const std::vector<Matrix>& factors,
                         const ModeIndex& index, int skip_mode, double* out);
 void HadamardRowProduct(const std::vector<Matrix>& factors,

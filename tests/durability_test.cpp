@@ -340,6 +340,9 @@ size_t OptionsOffset(const std::string& name, size_t num_dims) {
 constexpr size_t kClipBoundField = 29;
 // Past clip_bound f64, nonnegative u8, expected_nnz i64, resync i64.
 constexpr size_t kOptionsPrecisionField = 54;
+// The retired kernel-tier byte right after it: earlier builds stored a
+// per-engine force-generic flag there.
+constexpr size_t kOptionsTierField = 55;
 
 /// Offset of the engine snapshot's precision byte: the last byte of the
 /// model section, just before the fitness section tag "FITN".
@@ -388,6 +391,49 @@ TEST(CheckpointFieldPatchTest, OptionsPrecisionByteOneIsFailedPrecondition) {
 TEST(CheckpointFieldPatchTest, OptionsPrecisionByteTwoIsDataLoss) {
   EXPECT_EQ(RestoreWithByte(MakeValidCheckpoint(),
                             OptionsOffset("fi", 2) + kOptionsPrecisionField, 2)
+                .code(),
+            StatusCode::kDataLoss);
+}
+
+TEST(CheckpointFieldPatchTest, RetiredTierByteOneRestoresAtProcessTier) {
+  // 1 is what an earlier build wrote for a forced-generic engine. The flag
+  // never changed what was saved, so the stream restores, keeps running at
+  // the process tier, and writes the byte back as 0: its checkpoints match
+  // those of the unpatched stream byte for byte, before and after more
+  // ingestion.
+  const std::string valid = MakeValidCheckpoint();
+  const size_t at = OptionsOffset("fi", 2) + kOptionsTierField;
+  ASSERT_EQ(valid[at], 0);
+  std::string patched = valid;
+  patched[at] = 1;
+  ResealCrc(patched);
+
+  auto restore = [](const std::string& bytes) {
+    serial::StringSource source(bytes);
+    auto restored = StreamHandle::Restore(source);
+    SNS_CHECK(restored.ok());
+    return std::move(restored).value();
+  };
+  auto checkpoint = [](const StreamHandle& handle) {
+    serial::StringSink sink;
+    SNS_CHECK(handle.Checkpoint(sink).ok());
+    return sink.TakeData();
+  };
+  StreamHandle from_patched = restore(patched);
+  StreamHandle from_valid = restore(valid);
+  EXPECT_EQ(checkpoint(from_patched), valid);
+
+  const DataStream stream = SmallStream(100, 13);
+  const auto [warmup, live] =
+      SplitWarmup(stream, SmallEngineOptions(SnsVariant::kVecPlus));
+  ASSERT_TRUE(from_patched.Ingest(live.subspan(30)).ok());
+  ASSERT_TRUE(from_valid.Ingest(live.subspan(30)).ok());
+  EXPECT_EQ(checkpoint(from_patched), checkpoint(from_valid));
+}
+
+TEST(CheckpointFieldPatchTest, RetiredTierByteTwoIsDataLoss) {
+  EXPECT_EQ(RestoreWithByte(MakeValidCheckpoint(),
+                            OptionsOffset("fi", 2) + kOptionsTierField, 2)
                 .code(),
             StatusCode::kDataLoss);
 }

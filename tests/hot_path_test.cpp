@@ -117,6 +117,29 @@ class ForceGenericTierEnvironment : public ::testing::Environment {
 const auto* const kForceGenericTier =
     ::testing::AddGlobalTestEnvironment(new ForceGenericTierEnvironment);
 
+// The per-tier differentials below pin the process tier for one
+// configuration: states, updaters and workspaces built inside the scope
+// resolve their kernel tables at `tier`. On exit the binary returns to the
+// generic pin above.
+class ScopedProcessTier {
+ public:
+  explicit ScopedProcessTier(KernelTier tier) {
+    internal::RefreshKernelTierForTest(tier);
+  }
+  ~ScopedProcessTier() { internal::RefreshKernelTierForTest(); }
+  ScopedProcessTier(const ScopedProcessTier&) = delete;
+  ScopedProcessTier& operator=(const ScopedProcessTier&) = delete;
+};
+
+// Generic plus every intrinsic tier the host runs.
+std::vector<KernelTier> SupportedTiers() {
+  std::vector<KernelTier> tiers = {KernelTier::kGeneric};
+  for (const KernelTier t : {KernelTier::kAvx2, KernelTier::kAvx512}) {
+    if (KernelTierSupported(t)) tiers.push_back(t);
+  }
+  return tiers;
+}
+
 // ---------------------------------------------------------------------------
 // Shared event helpers (mirroring core_updaters_test).
 
@@ -627,8 +650,7 @@ bool ReferenceGcpStep(CpdState& state, int mode, int64_t row,
                       double clip_max, ReferenceGcpWorkspace& ws) {
   const int64_t rank = state.rank();
   const int64_t padded = PaddedRank(rank);
-  const RankKernelTable& kr = GetRankKernelTable(padded, state.kernel_tier);
-  ws.solver.set_kernels(&GetRankKernelTable(0, state.kernel_tier));
+  const RankKernelTable& kr = GetRankKernelTable(padded);
   ws.hessian = Matrix(rank, rank);
   for (AlignedVector* v : {&ws.grad, &ws.step, &ws.candidate, &ws.old_row,
                            &ws.had, &ws.had_scaled}) {
@@ -715,13 +737,14 @@ void RunGcpStepPin(LossKind kind, bool clipped, KernelTier tier, int64_t rank,
   const double clip_max = clipped ? 1.0 : kInf;
   const int mode = 0;
   const int64_t row = 2;
+  const ScopedProcessTier pin(tier);
   for (const size_t num_cells : {size_t{1}, size_t{3}, size_t{64},
                                  size_t{257}}) {
     SCOPED_TRACE(testing::Message() << "cells=" << num_cells);
     Rng rng(0x6c9 + num_cells + static_cast<uint64_t>(rank));
     const std::vector<int64_t> dims = {5, 30, 12};
     KruskalModel model = KruskalModel::Random(dims, rank, rng);
-    CpdState prod(model, tier), ref(model, tier);
+    CpdState prod(model), ref(model);
     std::vector<SampledCell> cells;
     for (size_t c = 0; c < num_cells; ++c) {
       const auto j = static_cast<int32_t>(rng.UniformInt(0, dims[1] - 1));
@@ -737,6 +760,7 @@ void RunGcpStepPin(LossKind kind, bool clipped, KernelTier tier, int64_t rank,
       SCOPED_TRACE(testing::Message() << "step " << step);
       const bool moved = GcpNewtonRowUpdate(prod, mode, row, loss, cells,
                                             clip_min, clip_max, ws);
+      ASSERT_EQ(ws.kernels->tier, tier);  // The pin reached the step.
       const bool ref_moved = ReferenceGcpStep(ref, mode, row, loss, cells,
                                               clip_min, clip_max, ref_ws);
       ASSERT_EQ(moved, ref_moved);
@@ -760,12 +784,8 @@ void RunGcpStepPin(LossKind kind, bool clipped, KernelTier tier, int64_t rank,
 TEST(GcpStepDifferentialTest, BitwiseIdenticalToPerCellStepOnEveryTier) {
   // Ranks: a partial last row block (7), the benchmarks' rank (20), and two
   // that run the runtime-bound kernel tables (37 with a padded tail, 40).
-  std::vector<KernelTier> tiers = {KernelTier::kGeneric};
-  for (const KernelTier t : {KernelTier::kAvx2, KernelTier::kAvx512}) {
-    if (KernelTierSupported(t)) tiers.push_back(t);
-  }
   GcpPinCoverage coverage;
-  for (const KernelTier tier : tiers) {
+  for (const KernelTier tier : SupportedTiers()) {
     for (const int64_t rank : {int64_t{7}, int64_t{20}, int64_t{37},
                                int64_t{40}}) {
       for (const LossKind kind :
@@ -889,12 +909,14 @@ class SampledRuleProbe : public Updater {
       : Updater(theta, args...), theta_(theta) {}
 
   std::vector<SampledRowRecord> log;
+  KernelTier tier = KernelTier::kGeneric;  // Of the workspace's table.
 
  protected:
   void UpdateRow(int mode, int64_t row, const SparseTensor& window,
                  const WindowDelta& delta, CpdState& state,
                  UpdateWorkspace& ws) override {
     Updater::UpdateRow(mode, row, window, delta, state, ws);
+    tier = ws.kernels->tier;
     SampledRowRecord record;
     record.mode = mode;
     record.row = row;
@@ -1096,17 +1118,16 @@ void RunSampledRulePin(KernelTier tier, int64_t rank,
                        const std::vector<int64_t>& dims, int64_t theta,
                        SampledRulePinCoverage& coverage, Args... args) {
   constexpr bool plus = std::is_same_v<Updater, SnsRndPlusUpdater>;
+  const ScopedProcessTier pin(tier);
   const uint64_t seed = 0x5a3d + static_cast<uint64_t>(rank + theta) +
                         dims.size();
   Rng rng(seed);
   KruskalModel model = KruskalModel::Random(dims, rank, rng);
   SparseTensor window_prod = DenseWindowFromModel(model);
   SparseTensor window_ref = DenseWindowFromModel(model);
-  CpdState prod(model, tier), ref(model, tier);
+  CpdState prod(model), ref(model);
   SampledRuleProbe<Updater> prod_updater(theta, args..., seed);
   ReferenceSampledRuleUpdater ref_updater(plus, theta, 50.0, seed, coverage);
-  prod_updater.set_kernel_tier(tier);
-  ref_updater.set_kernel_tier(tier);
 
   Rng events(seed + 1);
   for (int step = 0; step < 20; ++step) {
@@ -1117,6 +1138,7 @@ void RunSampledRulePin(KernelTier tier, int64_t rank,
     const WindowDelta delta_ref =
         RandomEventAnyOrder(window_ref, events_copy, dims);
     prod_updater.OnEvent(window_prod, delta_prod, prod);
+    ASSERT_EQ(prod_updater.tier, tier);  // The pin reached the updater.
     ref_updater.StartEvent();
     ref_updater.OnEvent(window_ref, delta_ref, ref);
     ExpectSameRecords(prod_updater.log, ref_updater.log);
@@ -1129,10 +1151,6 @@ void RunSampledRulePin(KernelTier tier, int64_t rank,
 }
 
 TEST(SampledRuleDifferentialTest, BitwiseIdenticalToPerCellLoopOnEveryTier) {
-  std::vector<KernelTier> tiers = {KernelTier::kGeneric};
-  for (const KernelTier t : {KernelTier::kAvx2, KernelTier::kAvx512}) {
-    if (KernelTierSupported(t)) tiers.push_back(t);
-  }
   // Shapes (time mode last) and θ: a 3-mode grid where the sampler often
   // draws a delta cell; a small 3-mode grid whose mode-0 and time slices
   // take the enumerate-all branch on slides (12 cells ≤ θ + 2); a 4-mode
@@ -1144,7 +1162,7 @@ TEST(SampledRuleDifferentialTest, BitwiseIdenticalToPerCellLoopOnEveryTier) {
   const std::vector<Shape> shapes = {
       {{5, 6, 4}, 3}, {{3, 4, 3}, 10}, {{4, 3, 5, 3}, 4}};
   SampledRulePinCoverage coverage;
-  for (const KernelTier tier : tiers) {
+  for (const KernelTier tier : SupportedTiers()) {
     for (const int64_t rank : {int64_t{7}, int64_t{20}, int64_t{37}}) {
       for (const Shape& shape : shapes) {
         SCOPED_TRACE(testing::Message()

@@ -1,8 +1,7 @@
 // Runtime kernel-tier dispatch (common/cpu_features.h): probe sanity, the
-// SNS_FORCE_GENERIC_KERNELS env override, the per-engine
-// force_generic_kernels flag, and the cross-tier consistency contract —
-// a forced-generic engine is bitwise identical to an env-forced process,
-// and (on hosts without AVX2) to the auto-tier default.
+// SNS_FORCE_GENERIC_KERNELS env override, the test hook that pins the
+// process tier, and the cross-tier consistency contract — on hosts without
+// AVX2 an env-forced engine is bitwise identical to the auto-tier default.
 
 #include <cstdlib>
 #include <memory>
@@ -70,10 +69,6 @@ TEST(CpuFeaturesTest, AutoTierIsSupportedAndCompiledIn) {
   EXPECT_TRUE(KernelTierSupported(tier));
 }
 
-TEST(CpuFeaturesTest, ForceGenericFlagWins) {
-  EXPECT_EQ(ResolveKernelTier(/*force_generic=*/true), KernelTier::kGeneric);
-}
-
 TEST(CpuFeaturesTest, EnvOverrideForcesGeneric) {
   ScopedForceGenericEnv env("1");
   EXPECT_EQ(ResolveKernelTier(), KernelTier::kGeneric);
@@ -85,6 +80,20 @@ TEST(CpuFeaturesTest, EnvZeroDoesNotForce) {
     return ResolveKernelTier();
   }();
   ScopedForceGenericEnv env("0");
+  EXPECT_EQ(ResolveKernelTier(), unforced);
+}
+
+TEST(CpuFeaturesTest, TestHookPinsEverySupportedTier) {
+  ScopedForceGenericEnv env(nullptr);  // Restores the env tier on exit.
+  const KernelTier unforced = ResolveKernelTier();
+  for (const KernelTier tier :
+       {KernelTier::kGeneric, KernelTier::kAvx2, KernelTier::kAvx512}) {
+    if (!KernelTierSupported(tier)) continue;
+    internal::RefreshKernelTierForTest(tier);
+    EXPECT_EQ(ResolveKernelTier(), tier);
+    EXPECT_EQ(GetRankKernelTable(PaddedRank(20)).tier, tier);
+  }
+  internal::RefreshKernelTierForTest();
   EXPECT_EQ(ResolveKernelTier(), unforced);
 }
 
@@ -108,16 +117,12 @@ TEST(KernelTierTableTest, TierFieldMatchesRequest) {
   }
 }
 
-// Runs one engine per configuration over the same synthetic stream (warm-up
-// + one-sweep ALS init + live events) and returns the final factors.
-// max_iterations = 1 keeps the ALS stopping rule out of the picture — its
-// fitness evaluations run at the auto tier by design, so an iteration-count
-// dependence on fitness ulps would make bitwise comparisons tier-sensitive.
+// Runs one engine over a synthetic stream (warm-up + ALS init + live
+// events) at the current process tier and returns the final factors.
 std::vector<Matrix> RunEngine(ContinuousCpdOptions options) {
   options.rank = 6;
   options.window_size = 4;
   options.period = 5;
-  options.init.max_iterations = 1;
   auto created = ContinuousCpd::Create({7, 9}, options);
   SNS_CHECK(created.ok());
   std::unique_ptr<ContinuousCpd> engine = std::move(created).value();
@@ -154,32 +159,6 @@ void ExpectBitwiseEqual(const std::vector<Matrix>& a,
   }
 }
 
-// The per-engine flag must reproduce the env override bit for bit: both pin
-// every kernel the factor state flows through to the generic tier.
-TEST(ForcedGenericTest, FlagMatchesEnvOverrideBitwise) {
-  for (const SnsVariant variant :
-       {SnsVariant::kVec, SnsVariant::kRnd, SnsVariant::kVecPlus,
-        SnsVariant::kRndPlus, SnsVariant::kMat}) {
-    ContinuousCpdOptions options;
-    options.variant = variant;
-    options.sample_threshold = 3;
-
-    std::vector<Matrix> env_forced;
-    {
-      ScopedForceGenericEnv env("1");
-      env_forced = RunEngine(options);
-    }
-    std::vector<Matrix> flag_forced;
-    {
-      ScopedForceGenericEnv env(nullptr);
-      options.force_generic_kernels = true;
-      flag_forced = RunEngine(options);
-    }
-    SCOPED_TRACE(VariantName(variant));
-    ExpectBitwiseEqual(env_forced, flag_forced);
-  }
-}
-
 // On hosts without a usable AVX2 tier the auto tier IS generic, so forcing
 // must change nothing at all.
 TEST(ForcedGenericTest, ForcedMatchesAutoWhenHostLacksAvx2) {
@@ -190,9 +169,16 @@ TEST(ForcedGenericTest, ForcedMatchesAutoWhenHostLacksAvx2) {
   ContinuousCpdOptions options;
   options.variant = SnsVariant::kRndPlus;
   options.sample_threshold = 3;
-  const std::vector<Matrix> auto_tier = RunEngine(options);
-  options.force_generic_kernels = true;
-  const std::vector<Matrix> forced = RunEngine(options);
+  std::vector<Matrix> auto_tier;
+  {
+    ScopedForceGenericEnv env(nullptr);
+    auto_tier = RunEngine(options);
+  }
+  std::vector<Matrix> forced;
+  {
+    ScopedForceGenericEnv env("1");
+    forced = RunEngine(options);
+  }
   ExpectBitwiseEqual(auto_tier, forced);
 }
 

@@ -311,8 +311,7 @@ TEST(GcpRowUpdateTest, SweepNeverIncreasesTheReferenceObjective) {
     const LossFunction& loss = GetLossFunction(kind);
     const SparseTensor window = CountWindow(dims, kind, 31);
     Rng rng(7);
-    CpdState state(KruskalModel::Random(dims, /*rank=*/4, rng),
-                   ResolveKernelTier());
+    CpdState state(KruskalModel::Random(dims, /*rank=*/4, rng));
 
     GcpRowWorkspace ws;
     double prev = WindowLoss(window, state.model, loss);
@@ -337,7 +336,7 @@ TEST(GcpRowUpdateTest, ClippedStepsRespectTheBox) {
   const LossFunction& loss = GetLossFunction(LossKind::kPoisson);
   const SparseTensor window = CountWindow(dims, LossKind::kPoisson, 33);
   Rng rng(9);
-  CpdState state(KruskalModel::Random(dims, 4, rng), ResolveKernelTier());
+  CpdState state(KruskalModel::Random(dims, 4, rng));
 
   GcpRowWorkspace ws;
   const double clip_max = 0.8;
