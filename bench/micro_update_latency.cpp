@@ -1,8 +1,9 @@
-// google-benchmark microbenchmarks: steady-state per-event update latency of
-// every SliceNStitch variant (the quantity behind Fig. 5a), the continuous
-// window bookkeeping alone (Algorithm 1), the storage share of one event,
-// and the Gram-solver ablation (Cholesky fast path vs the symmetric-eigen
-// pseudoinverse fallback) called out in DESIGN.md.
+// google-benchmark microbenchmarks: per-event update latency under each
+// loss, sharded-service throughput, the storage share of one event, the
+// Gram-solver ablation (Cholesky fast path vs the symmetric-eigen
+// pseudoinverse fallback) called out in DESIGN.md, and the rank-R kernels
+// per tier. Per-layer latency of the engine, handle and service lives in
+// the perfbench ledger (perfbench/run.py --trace 1).
 //
 // Unless --benchmark_out is given, results are also written as JSON to
 // BENCH_micro_update_latency.json in the working directory so the perf
@@ -15,43 +16,31 @@
 #include <cstring>
 #include <deque>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "api/sns_service.h"
-#include "api/stream_handle.h"
 #include "common/cpu_features.h"
 #include "common/random.h"
-#include "core/als.h"
 #include "core/continuous_cpd.h"
 #include "core/cpd_state.h"
 #include "core/gram_solve.h"
-#include "core/sns_mat.h"
-#include "core/sns_rnd.h"
-#include "core/sns_rnd_plus.h"
-#include "core/sns_vec.h"
-#include "core/sns_vec_plus.h"
 #include "data/datasets.h"
 #include "linalg/cholesky.h"
 #include "losses/loss_function.h"
 #include "linalg/pseudo_inverse.h"
-#include "linalg/rank_dispatch.h"
 #include "linalg/simd.h"
-#include "stream/continuous_window.h"
 #include "tensor/mttkrp.h"
 
 namespace sns {
 namespace {
 
-// A prepared engine over a mid-size window plus an endless arrival
+// A prepared SNS+VEC engine over a mid-size window plus an endless arrival
 // synthesizer, so iterations measure steady-state event processing.
 struct EngineFixture {
-  explicit EngineFixture(SnsVariant variant,
-                         LossKind loss = LossKind::kGaussian,
-                         bool robust = false)
+  EngineFixture(LossKind loss, bool robust)
       : spec(NewYorkTaxiPreset(0.4)), rng(7) {
-    spec.engine.variant = variant;
+    spec.engine.variant = SnsVariant::kVecPlus;
     spec.engine.loss = loss;
     if (robust) {
       spec.engine.robust.enabled = true;
@@ -93,28 +82,6 @@ struct EngineFixture {
   int64_t now = 0;
 };
 
-void BM_ProcessTuple(benchmark::State& state) {
-  EngineFixture fixture(static_cast<SnsVariant>(state.range(0)));
-  for (auto _ : state) {
-    fixture.engine->ProcessTuple(fixture.NextTuple());
-  }
-  state.SetItemsProcessed(state.iterations());
-  state.SetLabel(VariantName(static_cast<SnsVariant>(state.range(0))));
-}
-// Fixed iteration count: per-tuple cost ramps as the continuous window
-// fills toward its steady state and (for the unclipped variants) as the
-// factors drift on the synthetic arrivals, so a run's mean depends on how
-// many tuples it covers. 10000 tuples matches the iteration count of the
-// PR 2 committed SNS-VEC/SNS-RND runs, keeping the committed numbers
-// comparable across PRs.
-BENCHMARK(BM_ProcessTuple)
-    ->Arg(static_cast<int>(SnsVariant::kVec))
-    ->Arg(static_cast<int>(SnsVariant::kRnd))
-    ->Arg(static_cast<int>(SnsVariant::kVecPlus))
-    ->Arg(static_cast<int>(SnsVariant::kRndPlus))
-    ->Iterations(10000)
-    ->Unit(benchmark::kMicrosecond);
-
 // ---------------------------------------------------------------------------
 // Generalized-loss update latency: the damped Newton GCP row step
 // (losses/gcp_row_update.h) under Poisson and Bernoulli losses, and the
@@ -124,7 +91,7 @@ BENCHMARK(BM_ProcessTuple)
 void BM_LossUpdate(benchmark::State& state) {
   const LossKind loss = static_cast<LossKind>(state.range(0));
   const bool robust = state.range(1) != 0;
-  EngineFixture fixture(SnsVariant::kVecPlus, loss, robust);
+  EngineFixture fixture(loss, robust);
   for (auto _ : state) {
     fixture.engine->ProcessTuple(fixture.NextTuple());
   }
@@ -132,8 +99,9 @@ void BM_LossUpdate(benchmark::State& state) {
   state.SetLabel(std::string("SNS+VEC ") + std::string(LossKindName(loss)) +
                  (robust ? "+robust" : ""));
 }
-// Same fixed 10000-tuple workload as BM_ProcessTuple so the Gaussian row
-// here is directly comparable with the committed SNS+VEC numbers.
+// Fixed iteration count: per-tuple cost ramps as the continuous window
+// fills toward its steady state, so a run's mean depends on how many tuples
+// it covers. Every row covers the same 10000 tuples.
 BENCHMARK(BM_LossUpdate)
     ->Args({static_cast<int>(LossKind::kGaussian), 0})  // Baseline.
     ->Args({static_cast<int>(LossKind::kPoisson), 0})
@@ -141,85 +109,6 @@ BENCHMARK(BM_LossUpdate)
     ->Args({static_cast<int>(LossKind::kGaussian), 1})  // Robust capture.
     ->Args({static_cast<int>(LossKind::kPoisson), 1})
     ->Iterations(10000)
-    ->Unit(benchmark::kMicrosecond);
-
-// SNS-MAT separately with fewer iterations (it is ~1000x slower).
-void BM_ProcessTupleMat(benchmark::State& state) {
-  EngineFixture fixture(SnsVariant::kMat);
-  for (auto _ : state) {
-    fixture.engine->ProcessTuple(fixture.NextTuple());
-  }
-  state.SetLabel("SNS-MAT");
-}
-BENCHMARK(BM_ProcessTupleMat)->Iterations(100)->Unit(benchmark::kMicrosecond);
-
-// ---------------------------------------------------------------------------
-// Batched ingestion through the service facade (StreamHandle::Ingest over a
-// span) vs the per-tuple path, on the same prepared engine state as
-// BM_ProcessTuple. One iteration ingests one batch; per-tuple cost is
-// real_time / batch_size (items_processed counts tuples, so the reported
-// items/s is directly comparable across batch sizes and with
-// BM_ProcessTuple). Iteration counts are scaled so every batch size covers
-// the same ~10k-tuple workload as the committed per-tuple runs.
-
-struct FacadeFixture {
-  explicit FacadeFixture(SnsVariant variant)
-      : spec(NewYorkTaxiPreset(0.4)), rng(7) {
-    spec.engine.variant = variant;
-    auto stream = GenerateSyntheticStream(spec.stream);
-    SNS_CHECK(stream.ok());
-    spec.engine.expected_nnz =
-        stream.value().CountTuplesThrough(spec.WarmupEndTime());
-    auto created = StreamHandle::Create("bench", stream.value().mode_dims(),
-                                        spec.engine);
-    SNS_CHECK(created.ok());
-    handle = std::make_unique<StreamHandle>(std::move(created).value());
-    const int64_t warmup_end = spec.WarmupEndTime();
-    const std::span<const Tuple> tuples(stream.value().tuples());
-    const size_t warm =
-        static_cast<size_t>(stream.value().CountTuplesThrough(warmup_end));
-    SNS_CHECK(handle->Warmup(tuples.subspan(0, warm)).ok());
-    SNS_CHECK(handle->Initialize().ok());
-    now = warmup_end;
-  }
-
-  Tuple NextTuple() {
-    now += 1 + static_cast<int64_t>(rng.NextUint64(3));
-    Tuple tuple;
-    for (int64_t dim : spec.stream.mode_dims) {
-      tuple.index.PushBack(static_cast<int32_t>(rng.UniformInt(0, dim - 1)));
-    }
-    tuple.value = 1.0;
-    tuple.time = now;
-    return tuple;
-  }
-
-  DatasetSpec spec;
-  Rng rng;
-  std::unique_ptr<StreamHandle> handle;
-  int64_t now = 0;
-};
-
-void BM_BatchIngest(benchmark::State& state) {
-  const int64_t batch_size = state.range(0);
-  FacadeFixture fixture(SnsVariant::kRndPlus);
-  std::vector<Tuple> batch(static_cast<size_t>(batch_size));
-  for (auto _ : state) {
-    for (Tuple& tuple : batch) tuple = fixture.NextTuple();
-    const Status status =
-        fixture.handle->Ingest(std::span<const Tuple>(batch));
-    SNS_CHECK(status.ok());
-  }
-  state.SetItemsProcessed(state.iterations() * batch_size);
-  state.SetLabel("SNS+RND batch=" + std::to_string(batch_size));
-}
-// ~10k tuples per run regardless of batch size, matching BM_ProcessTuple's
-// fixed workload (see the comment there on why iteration counts are pinned).
-BENCHMARK(BM_BatchIngest)->Arg(1)->Iterations(10000)
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_BatchIngest)->Arg(16)->Iterations(625)
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_BatchIngest)->Arg(256)->Iterations(40)
     ->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------------
@@ -364,7 +253,7 @@ void BM_ServiceThroughput(benchmark::State& state) {
         benchmark::Counter(shard_tuples[s], benchmark::Counter::kIsRate);
   }
 }
-// Fixed iteration count (see BM_ProcessTuple): every configuration covers
+// Fixed iteration count (see BM_LossUpdate): every configuration covers
 // the identical ~12.8k-tuple workload, so items/s is comparable across
 // shard counts and PRs. Real time, not CPU time — shard work happens off
 // the main thread.
@@ -377,151 +266,6 @@ BENCHMARK(BM_ServiceThroughput)
     ->Iterations(50)
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
-
-// ---------------------------------------------------------------------------
-// Update algebra in isolation: a bounded synthetic window plus hand-built
-// arrival/removal deltas, measuring EventUpdater::OnEvent alone — no
-// scheduler, stopwatch, or ingestion bookkeeping. This is the quantity the
-// zero-allocation workspace + Gram-product-cache refactor targets.
-
-constexpr int64_t kAlgebraRank = 20;
-constexpr int64_t kAlgebraActiveCells = 4000;
-const std::vector<int64_t> kAlgebraDims = {265, 265, 10};  // W = 10.
-
-struct UpdaterFixture {
-  explicit UpdaterFixture(SnsVariant variant)
-      : window(kAlgebraDims, kAlgebraActiveCells), rng(17) {
-    // Steady-state window: kAlgebraActiveCells live cells in the newest
-    // slice (the arrival steady state).
-    for (int64_t i = 0; i < kAlgebraActiveCells; ++i) {
-      const ModeIndex cell = NextCell();
-      window.Add(cell, 1.0);
-      active.push_back(cell);
-    }
-    Rng init_rng(23);
-    state = CpdState(
-        KruskalModel::Random(kAlgebraDims, kAlgebraRank, init_rng));
-    // A few ALS sweeps stand in for InitializeWithAls: without a warm start
-    // the unclipped variants drift into the pseudoinverse fallback.
-    const bool is_mat = variant == SnsVariant::kMat;
-    for (int i = 0; i < 3; ++i) {
-      AlsSweep(window, state, /*normalize_columns=*/is_mat);
-    }
-    switch (variant) {
-      case SnsVariant::kMat:
-        updater = std::make_unique<SnsMatUpdater>();
-        break;
-      case SnsVariant::kVec:
-        updater = std::make_unique<SnsVecUpdater>();
-        break;
-      case SnsVariant::kRnd:
-        updater = std::make_unique<SnsRndUpdater>(20, 19);
-        break;
-      case SnsVariant::kVecPlus:
-        updater = std::make_unique<SnsVecPlusUpdater>(1000.0);
-        break;
-      case SnsVariant::kRndPlus:
-        updater = std::make_unique<SnsRndPlusUpdater>(20, 1000.0, 19);
-        break;
-    }
-  }
-
-  ModeIndex NextCell() {
-    ModeIndex index;
-    index.PushBack(static_cast<int32_t>(rng.UniformInt(0, 264)));
-    index.PushBack(static_cast<int32_t>(rng.UniformInt(0, 264)));
-    index.PushBack(9);  // Newest slice W−1.
-    return index;
-  }
-
-  // One arrival event; once the window is at capacity, also one removal
-  // event for the oldest live cell so nnz stays bounded.
-  void NextEvent() {
-    const ModeIndex cell = NextCell();
-    window.Add(cell, 1.0);
-    active.push_back(cell);
-    FireArrival(cell, 1.0);
-    if (static_cast<int64_t>(active.size()) > kAlgebraActiveCells) {
-      const ModeIndex old = active.front();
-      active.pop_front();
-      window.Add(old, -1.0);
-      FireArrival(old, -1.0);
-    }
-  }
-
-  void FireArrival(const ModeIndex& cell, double value) {
-    delta.kind = EventKind::kArrival;
-    delta.w = 0;
-    delta.tuple.index = ModeIndex{cell[0], cell[1]};
-    delta.tuple.value = value;
-    delta.cells.clear();
-    delta.cells.push_back({cell, value});
-    updater->OnEvent(window, delta, state);
-  }
-
-  SparseTensor window;
-  Rng rng;
-  CpdState state;
-  std::unique_ptr<EventUpdater> updater;
-  std::deque<ModeIndex> active;
-  WindowDelta delta;  // Reused so delta construction is not measured.
-};
-
-void BM_UpdateEventAlgebra(benchmark::State& state) {
-  UpdaterFixture fixture(static_cast<SnsVariant>(state.range(0)));
-  for (auto _ : state) {
-    fixture.NextEvent();
-  }
-  state.SetItemsProcessed(state.iterations());
-  state.SetLabel(VariantName(static_cast<SnsVariant>(state.range(0))));
-}
-// Fixed iteration count: the fixture feeds i.i.d. random unit cells, which
-// the unclipped variants cannot fit — SNS-VEC's factors drift and
-// eventually blow up (the paper's Observation 3), at which point the
-// ill-conditioned Gram drops the solver into the (allocating, ~40× slower)
-// pseudoinverse fallback. Letting google-benchmark pick the iteration
-// count makes the mean race that cliff; 20k events per run keeps every
-// variant in the same steady-state regime.
-BENCHMARK(BM_UpdateEventAlgebra)
-    ->Arg(static_cast<int>(SnsVariant::kVec))
-    ->Arg(static_cast<int>(SnsVariant::kRnd))
-    ->Arg(static_cast<int>(SnsVariant::kVecPlus))
-    ->Arg(static_cast<int>(SnsVariant::kRndPlus))
-    ->Iterations(20000)
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_UpdateEventAlgebraMat(benchmark::State& state) {
-  UpdaterFixture fixture(SnsVariant::kMat);
-  for (auto _ : state) {
-    fixture.NextEvent();
-  }
-  state.SetLabel("SNS-MAT");
-}
-BENCHMARK(BM_UpdateEventAlgebraMat)
-    ->Iterations(100)
-    ->Unit(benchmark::kMicrosecond);
-
-// Algorithm 1 alone: window bookkeeping without factor updates.
-void BM_WindowOnly(benchmark::State& state) {
-  DatasetSpec spec = NewYorkTaxiPreset(0.4);
-  ContinuousTensorWindow window(spec.stream.mode_dims,
-                                spec.engine.window_size, spec.engine.period);
-  Rng rng(11);
-  int64_t now = 0;
-  for (auto _ : state) {
-    now += 1 + static_cast<int64_t>(rng.NextUint64(3));
-    Tuple tuple;
-    for (int64_t dim : spec.stream.mode_dims) {
-      tuple.index.PushBack(static_cast<int32_t>(rng.UniformInt(0, dim - 1)));
-    }
-    tuple.value = 1.0;
-    tuple.time = now;
-    window.AdvanceTo(now);
-    benchmark::DoNotOptimize(window.Ingest(tuple));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_WindowOnly);
 
 // Gram-solver ablation: R x R solve via the production path (Cholesky with
 // pseudoinverse fallback) vs always-pseudoinverse.
@@ -615,10 +359,9 @@ BENCHMARK(BM_GramSolvePinvOnly)->Arg(10)->Arg(20)->Arg(40);
 // Per-kernel microbenchmarks of the SIMD kernel layer (the rank-R inner
 // loops behind Theorem 4), across ranks hitting different dispatch
 // specializations (8, 20, 32) and the generic fallback (40), and across
-// kernel tiers (common/cpu_features.h). The RankKernelTable is resolved in
-// the fixture, outside the timed region — exactly like the production path,
-// where UpdateWorkspace::Prepare caches it per engine — so iterations
-// measure the codelet, not the dispatch. Reported per-op, not per-event.
+// kernel tiers (common/cpu_features.h). Each row pins the process tier and
+// calls the kernel the way the engine does, so the per-call table lookup is
+// part of what it times. Reported per-op, not per-event.
 
 constexpr int64_t kKernelDim = 128;
 
@@ -644,14 +387,25 @@ bool ResolveBenchTier(benchmark::State& state, KernelTier* tier) {
   return true;
 }
 
+// Pins the process tier for one benchmark row and restores auto dispatch
+// when the row ends.
+class ScopedProcessTier {
+ public:
+  explicit ScopedProcessTier(KernelTier tier) {
+    internal::RefreshKernelTierForTest(tier);
+  }
+  ~ScopedProcessTier() { internal::RefreshKernelTierForTest(); }
+  ScopedProcessTier(const ScopedProcessTier&) = delete;
+  ScopedProcessTier& operator=(const ScopedProcessTier&) = delete;
+};
+
 #define SNS_KERNEL_BENCH_ARGS                            \
   ArgsProduct({{8, 20, 32, 40}, {0, 1, 2}})              \
       ->ArgNames({"rank", "tier"})
 
 // One prepared 3-mode factor set + a pool of random cell indices.
 struct KernelFixture {
-  KernelFixture(int64_t rank, KernelTier tier)
-      : rng(33), kr(&GetRankKernelTable(PaddedRank(rank), tier)) {
+  explicit KernelFixture(int64_t rank) : rng(33) {
     for (int m = 0; m < 3; ++m) {
       factors.push_back(Matrix::RandomUniform(kKernelDim, rank, rng));
     }
@@ -667,7 +421,6 @@ struct KernelFixture {
   }
 
   Rng rng;
-  const RankKernelTable* kr;
   std::vector<Matrix> factors;
   std::vector<ModeIndex> cells;
   AlignedVector out;
@@ -678,11 +431,12 @@ struct KernelFixture {
 void BM_KernelHadamardRow(benchmark::State& state) {
   KernelTier tier;
   if (!ResolveBenchTier(state, &tier)) return;
-  KernelFixture w(state.range(0), tier);
+  const ScopedProcessTier pin(tier);
+  KernelFixture w(state.range(0));
   size_t next = 0;
   for (auto _ : state) {
     HadamardRowProduct(w.factors, w.cells[next], /*skip_mode=*/0,
-                       w.out.data(), *w.kr);
+                       w.out.data());
     benchmark::DoNotOptimize(w.out.data());
     next = (next + 1) % w.cells.size();
   }
@@ -707,12 +461,12 @@ SparseTensor MttkrpBenchTensor() {
 void BM_KernelMttkrpRow(benchmark::State& state) {
   KernelTier tier;
   if (!ResolveBenchTier(state, &tier)) return;
-  KernelFixture w(state.range(0), tier);
+  const ScopedProcessTier pin(tier);
+  KernelFixture w(state.range(0));
   SparseTensor x = MttkrpBenchTensor();
   int64_t row = 0;
   for (auto _ : state) {
-    MttkrpRow(x, w.factors, /*mode=*/0, row, w.out.data(), w.had.data(),
-              *w.kr);
+    MttkrpRow(x, w.factors, /*mode=*/0, row, w.out.data(), w.had.data());
     benchmark::DoNotOptimize(w.out.data());
     row = (row + 1) % kKernelDim;
   }
@@ -724,11 +478,11 @@ BENCHMARK(BM_KernelMttkrpRow)->SNS_KERNEL_BENCH_ARGS;
 void BM_KernelGramRankOneUpdate(benchmark::State& state) {
   KernelTier tier;
   if (!ResolveBenchTier(state, &tier)) return;
+  const ScopedProcessTier pin(tier);
   const int64_t rank = state.range(0);
   Rng rng(41);
   Matrix factor = Matrix::RandomUniform(kKernelDim, rank, rng);
   Matrix gram = MultiplyTransposeA(factor, factor);
-  const RankKernelTable& kr = GetRankKernelTable(gram.stride(), tier);
   AlignedVector old_row(rank), new_row(rank);
   for (int64_t r = 0; r < rank; ++r) {
     old_row[r] = rng.UniformDouble();
@@ -738,9 +492,9 @@ void BM_KernelGramRankOneUpdate(benchmark::State& state) {
   for (auto _ : state) {
     // Alternate directions so the Gram stays bounded across iterations.
     if (flip) {
-      ApplyGramRowUpdate(gram, new_row.data(), old_row.data(), kr);
+      ApplyGramRowUpdate(gram, new_row.data(), old_row.data());
     } else {
-      ApplyGramRowUpdate(gram, old_row.data(), new_row.data(), kr);
+      ApplyGramRowUpdate(gram, old_row.data(), new_row.data());
     }
     flip = !flip;
     benchmark::DoNotOptimize(gram.Row(0));
@@ -755,19 +509,19 @@ BENCHMARK(BM_KernelGramRankOneUpdate)->SNS_KERNEL_BENCH_ARGS;
 void BM_KernelCholeskySolve(benchmark::State& state) {
   KernelTier tier;
   if (!ResolveBenchTier(state, &tier)) return;
+  const ScopedProcessTier pin(tier);
   const int64_t rank = state.range(0);
   Rng rng(43);
   Matrix a = Matrix::RandomNormal(4 * rank, rank, rng);
   Matrix h = MultiplyTransposeA(a, a);
   for (int64_t i = 0; i < rank; ++i) h(i, i) += 1.0;
-  const RankKernelTable& rt = GetRankKernelTable(0, tier);
   Matrix upper(rank, rank);
-  SNS_CHECK(CholeskyFactorizeUpperInto(h, upper, rt));
+  SNS_CHECK(CholeskyFactorizeUpperInto(h, upper));
   AlignedVector b(rank), x(rank);
   for (int64_t r = 0; r < rank; ++r) b[r] = rng.Normal();
   for (auto _ : state) {
     std::copy(b.data(), b.data() + rank, x.data());
-    CholeskySolveUpperInPlace(upper, x.data(), rt);
+    CholeskySolveUpperInPlace(upper, x.data());
     benchmark::DoNotOptimize(x.data());
   }
   state.SetItemsProcessed(state.iterations());

@@ -28,6 +28,30 @@ std::vector<TopEntry> RankTop(int64_t rows, int k, ScoreFn&& score) {
   return ranking;
 }
 
+/// The model section of a checkpoint stores every factor entry, rank ×
+/// (Σ dims + W) doubles, so a rank or shape that `bytes_left` cannot hold
+/// is corrupt. Refusing it here keeps StreamHandle::Create from trying to
+/// allocate it. Non-positive sizes pass through to Create's validation.
+Status CheckFactorsFit(const std::vector<int64_t>& mode_dims,
+                       const ContinuousCpdOptions& opt, size_t bytes_left) {
+  if (opt.rank <= 0 || opt.window_size <= 0) return Status::OK();
+  // Factor rows the payload can hold at this rank. The row count saturates
+  // at budget + 1, so the sum cannot overflow.
+  const uint64_t budget =
+      bytes_left / sizeof(double) / static_cast<uint64_t>(opt.rank);
+  uint64_t rows = static_cast<uint64_t>(opt.window_size);
+  for (const int64_t dim : mode_dims) {
+    if (dim <= 0) return Status::OK();
+    rows = std::min(rows + std::min(static_cast<uint64_t>(dim), budget + 1),
+                    budget + 1);
+  }
+  if (rows <= budget) return Status::OK();
+  return Status::DataLoss("checkpoint declares rank " +
+                          std::to_string(opt.rank) +
+                          " factors larger than its remaining " +
+                          std::to_string(bytes_left) + " payload bytes");
+}
+
 }  // namespace
 
 StatusOr<StreamHandle> StreamHandle::Create(
@@ -331,7 +355,7 @@ Status StreamHandle::SerializeState(serial::Writer& w) const {
   w.U8(0);  // Retired kernel-tier byte: always 0 (see DeserializeState).
   w.I32(opt.init.max_iterations);
   w.F64(opt.init.fitness_tolerance);
-  w.U8(opt.init.normalize_columns ? 1 : 0);
+  w.U8(1);  // ALS column-normalization byte: always 1 (see DeserializeState).
   w.U64(opt.seed);
   if (engine_->UsesExtendedState()) {
     // Version-2 extension: the loss/robust configuration must round-trip so
@@ -425,9 +449,20 @@ StatusOr<StreamHandle> StreamHandle::DeserializeState(serial::Reader& r,
     return Status::DataLoss("checkpoint has kernel-tier byte " +
                             std::to_string(retired_tier));
   }
+  // Earlier builds could initialize with unnormalized ALS sweeps (stored
+  // as 0); ALS now always normalizes, so such a stream cannot be rebuilt.
+  if (normalize == 0) {
+    return Status::FailedPrecondition(
+        "checkpoint initializes with unnormalized ALS, which was removed; "
+        "restore it with a build that still has the option");
+  }
+  if (normalize > 1) {
+    return Status::DataLoss("checkpoint has ALS normalization byte " +
+                            std::to_string(normalize));
+  }
+  SNS_RETURN_IF_ERROR(CheckFactorsFit(mode_dims, opt, r.remaining()));
   opt.variant = static_cast<SnsVariant>(variant);
   opt.nonnegative_factors = nonnegative != 0;
-  opt.init.normalize_columns = normalize != 0;
   auto handle = StreamHandle::Create(std::move(name), std::move(mode_dims),
                                      opt);
   if (!handle.ok()) return handle.status();

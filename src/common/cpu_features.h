@@ -66,8 +66,9 @@ namespace internal {
 /// Replaces the cached process tier: with `tier`, pins it (which must be
 /// supported); without, re-reads SNS_FORCE_GENERIC_KERNELS and recomputes
 /// it. Test hook only — production code resolves the tier once per process.
-/// Kernel tables already resolved keep their tier; workspaces prepared
-/// after the call pick up the new one.
+/// Library kernels pick up the new tier at their next call; a table a
+/// workspace already cached keeps its tier until the workspace is sized
+/// again.
 void RefreshKernelTierForTest(std::optional<KernelTier> tier = std::nullopt);
 }  // namespace internal
 

@@ -48,6 +48,11 @@ class ByteSource {
   /// Reads exactly `size` bytes or fails: kDataLoss on a premature end of
   /// stream, the underlying error otherwise.
   Status ReadExact(void* data, size_t size);
+
+  /// Bytes left before the end of the stream when the source knows them,
+  /// SIZE_MAX otherwise. Decoders bound counts read from the stream by it
+  /// before they allocate.
+  virtual size_t remaining() const { return SIZE_MAX; }
 };
 
 /// Sink accumulating into an owned std::string.
@@ -69,7 +74,7 @@ class StringSource final : public ByteSource {
  public:
   explicit StringSource(std::string_view data) : data_(data) {}
   StatusOr<size_t> ReadSome(void* data, size_t size) override;
-  size_t remaining() const { return data_.size() - pos_; }
+  size_t remaining() const override { return data_.size() - pos_; }
 
  private:
   std::string_view data_;
@@ -167,6 +172,9 @@ class Reader {
   /// Reads a Writer::Str string; fails with kDataLoss when the encoded
   /// length exceeds `max_size` (corruption guard for unchecksummed input).
   Status Str(std::string* s, size_t max_size = kDefaultMaxStr);
+
+  /// The source's ByteSource::remaining().
+  size_t remaining() const { return source_->remaining(); }
 
   const Status& status() const { return status_; }
 

@@ -24,8 +24,7 @@ void AlsWorkspace::Prepare(const CpdState& state) {
   }
 }
 
-void AlsSweep(const SparseTensor& x, CpdState& state, bool normalize_columns,
-              AlsWorkspace& ws) {
+void AlsSweep(const SparseTensor& x, CpdState& state, AlsWorkspace& ws) {
   const int modes = state.num_modes();
   const int64_t rank = state.rank();
   ws.Prepare(state);
@@ -33,7 +32,7 @@ void AlsSweep(const SparseTensor& x, CpdState& state, bool normalize_columns,
   const RankKernelTable& kr = GetRankKernelTable(PaddedRank(rank));
   for (int m = 0; m < modes; ++m) {
     Matrix& mttkrp = ws.mttkrp[static_cast<size_t>(m)];
-    MttkrpInto(x, state.model.factors(), m, mttkrp, ws.had.data(), kr);
+    MttkrpInto(x, state.model.factors(), m, mttkrp, ws.had.data());
     ws.grams.ProductExcept(m, ws.h);  // H of Alg. 2.
     ws.solver.Factorize(ws.h);
 
@@ -44,39 +43,35 @@ void AlsSweep(const SparseTensor& x, CpdState& state, bool normalize_columns,
       ws.solver.Solve(mttkrp.Row(i), factor.Row(i));
     }
 
-    if (normalize_columns) {
-      // λ_r = ‖column r‖₂; Ā gets unit columns (Alg. 2 lines 5-6). Zero
-      // columns keep λ_r = 0 and stay zero (scaling by 0 below). Both
-      // passes run row-major over the padded stride — per component the
-      // accumulation order over i is unchanged, so this is bitwise
-      // identical to the column-walk formulation.
-      const int64_t padded = factor.stride();
-      double* norm_sq = ws.col_norm_sq.data();
-      double* scale = ws.col_scale.data();
-      kr.fill(norm_sq, 0.0, padded);
-      for (int64_t i = 0; i < factor.rows(); ++i) {
-        const double* row = factor.Row(i);
-        kr.fma3(1.0, row, row, norm_sq, padded);
-      }
-      for (int64_t r = 0; r < rank; ++r) {
-        const double norm = std::sqrt(norm_sq[r]);
-        state.model.lambda()[static_cast<size_t>(r)] = norm;
-        scale[r] = norm > 0.0 ? 1.0 / norm : 0.0;
-      }
-      for (int64_t i = 0; i < factor.rows(); ++i) {
-        kr.mul_accum(factor.Row(i), scale, padded);
-      }
+    // λ_r = ‖column r‖₂; Ā gets unit columns (Alg. 2 lines 5-6). Zero
+    // columns keep λ_r = 0 and stay zero (scaling by 0 below). Both passes
+    // run row-major over the padded stride — per component the
+    // accumulation order over i is unchanged, so this is bitwise identical
+    // to the column-walk formulation.
+    const int64_t padded = factor.stride();
+    double* norm_sq = ws.col_norm_sq.data();
+    double* scale = ws.col_scale.data();
+    kr.fill(norm_sq, 0.0, padded);
+    for (int64_t i = 0; i < factor.rows(); ++i) {
+      const double* row = factor.Row(i);
+      kr.fma3(1.0, row, row, norm_sq, padded);
     }
-    MultiplyTransposeAInto(factor, factor, state.grams[static_cast<size_t>(m)],
-                           kr);
+    for (int64_t r = 0; r < rank; ++r) {
+      const double norm = std::sqrt(norm_sq[r]);
+      state.model.lambda()[static_cast<size_t>(r)] = norm;
+      scale[r] = norm > 0.0 ? 1.0 / norm : 0.0;
+    }
+    for (int64_t i = 0; i < factor.rows(); ++i) {
+      kr.mul_accum(factor.Row(i), scale, padded);
+    }
+    MultiplyTransposeAInto(factor, factor, state.grams[static_cast<size_t>(m)]);
     ws.grams.NotifyModeChanged(m);
   }
 }
 
-void AlsSweep(const SparseTensor& x, CpdState& state,
-              bool normalize_columns) {
+void AlsSweep(const SparseTensor& x, CpdState& state) {
   AlsWorkspace ws;
-  AlsSweep(x, state, normalize_columns, ws);
+  AlsSweep(x, state, ws);
 }
 
 KruskalModel AlsDecompose(const SparseTensor& x, int64_t rank,
@@ -85,7 +80,7 @@ KruskalModel AlsDecompose(const SparseTensor& x, int64_t rank,
   AlsWorkspace ws;
   double previous_fitness = state.model.Fitness(x);
   for (int iter = 0; iter < options.max_iterations; ++iter) {
-    AlsSweep(x, state, options.normalize_columns, ws);
+    AlsSweep(x, state, ws);
     const double fitness = state.model.Fitness(x);
     if (fitness - previous_fitness < options.fitness_tolerance &&
         iter > 0) {

@@ -40,14 +40,13 @@ struct AlsWorkspace {
 };
 
 /// One full alternating sweep over every mode of `x` (Alg. 2 lines 1-7):
-/// A(m) ← X_(m)(⊙_{n≠m} A(n)) H†, optionally followed by column
-/// normalization into λ. Grams are refreshed per mode. All scratch comes
-/// from `ws` — the hot-path form SNS-MAT calls once per event.
-void AlsSweep(const SparseTensor& x, CpdState& state, bool normalize_columns,
-              AlsWorkspace& ws);
+/// A(m) ← X_(m)(⊙_{n≠m} A(n)) H†, followed by column normalization into λ
+/// (Alg. 2 line 6). Grams are refreshed per mode. All scratch comes from
+/// `ws` — the hot-path form SNS-MAT calls once per event.
+void AlsSweep(const SparseTensor& x, CpdState& state, AlsWorkspace& ws);
 
 /// Convenience overload with a throwaway workspace.
-void AlsSweep(const SparseTensor& x, CpdState& state, bool normalize_columns);
+void AlsSweep(const SparseTensor& x, CpdState& state);
 
 /// Batch CP decomposition of `x` with random Uniform[0,1) initialization:
 /// sweeps until the fitness gain drops below options.fitness_tolerance or

@@ -18,10 +18,9 @@ void CpdState::RecomputeGrams() {
   if (static_cast<int>(grams.size()) != modes || grams[0].rows() != r) {
     grams.assign(static_cast<size_t>(modes), Matrix(r, r));
   }
-  const RankKernelTable& kr = GetRankKernelTable(PaddedRank(r));
   for (int m = 0; m < modes; ++m) {
     const Matrix& f = model.factor(m);
-    MultiplyTransposeAInto(f, f, grams[static_cast<size_t>(m)], kr);
+    MultiplyTransposeAInto(f, f, grams[static_cast<size_t>(m)]);
   }
 }
 
@@ -47,12 +46,7 @@ void CpdState::AbsorbLambda() {
 
 void ApplyGramRowUpdate(Matrix& gram, const double* old_row,
                         const double* new_row) {
-  ApplyGramRowUpdate(gram, old_row, new_row,
-                     GetRankKernelTable(gram.stride()));
-}
-
-void ApplyGramRowUpdate(Matrix& gram, const double* old_row,
-                        const double* new_row, const RankKernelTable& kr) {
+  const RankKernelTable& kr = GetRankKernelTable(gram.stride());
   const int64_t r = gram.rows();
   for (int64_t i = 0; i < r; ++i) {
     kr.gram_row_delta(new_row[i], new_row, old_row[i], old_row, gram.Row(i),
@@ -62,13 +56,7 @@ void ApplyGramRowUpdate(Matrix& gram, const double* old_row,
 
 void ApplyPrevGramRowUpdate(Matrix& prev_gram, const double* prev_row,
                             const double* new_row) {
-  ApplyPrevGramRowUpdate(prev_gram, prev_row, new_row,
-                         GetRankKernelTable(prev_gram.stride()));
-}
-
-void ApplyPrevGramRowUpdate(Matrix& prev_gram, const double* prev_row,
-                            const double* new_row,
-                            const RankKernelTable& kr) {
+  const RankKernelTable& kr = GetRankKernelTable(prev_gram.stride());
   const int64_t r = prev_gram.rows();
   for (int64_t i = 0; i < r; ++i) {
     const double prev_i = prev_row[i];

@@ -12,8 +12,6 @@
 
 namespace sns {
 
-struct RankKernelTable;  // linalg/rank_dispatch.h
-
 /// Factor matrices + Grams. The time mode is always the last mode.
 struct CpdState {
   KruskalModel model;
@@ -39,14 +37,9 @@ struct CpdState {
 /// Eq. 13 (and Eqs. 24–25 taken together): Q ← Q − p'p + a'a after the row
 /// of one factor changed from `old_row` to `new_row`. Padded-buffer
 /// contract: both rows must reference gram.stride() doubles with zero
-/// padding lanes (Matrix rows and AlignedVector buffers qualify). The
-/// table-taking overloads run through the caller's cached RankKernelTable
-/// (the hot-path form); the plain overloads resolve the process-wide auto
-/// tier per call.
+/// padding lanes (Matrix rows and AlignedVector buffers qualify).
 void ApplyGramRowUpdate(Matrix& gram, const double* old_row,
                         const double* new_row);
-void ApplyGramRowUpdate(Matrix& gram, const double* old_row,
-                        const double* new_row, const RankKernelTable& kr);
 
 /// Eq. 17 / Eq. 26: U ← U − p'p + p'a for U = A'_prev A when the row changed
 /// from `prev_row` (its value at event start) to `new_row`. Valid because
@@ -54,8 +47,6 @@ void ApplyGramRowUpdate(Matrix& gram, const double* old_row,
 /// ApplyGramRowUpdate.
 void ApplyPrevGramRowUpdate(Matrix& prev_gram, const double* prev_row,
                             const double* new_row);
-void ApplyPrevGramRowUpdate(Matrix& prev_gram, const double* prev_row,
-                            const double* new_row, const RankKernelTable& kr);
 
 }  // namespace sns
 

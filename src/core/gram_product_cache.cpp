@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "linalg/rank_dispatch.h"
-
 namespace sns {
 
 void GramProductCache::BeginEvent(const std::vector<Matrix>& grams) {
@@ -17,7 +15,6 @@ void GramProductCache::BeginEvent(const std::vector<Matrix>& grams) {
     suffix_.assign(static_cast<size_t>(n) + 1, Matrix(rank, rank));
     prefix_[0].Fill(1.0);
     suffix_[static_cast<size_t>(n)].Fill(1.0);
-    kr_ = &GetRankKernelTable(grams[0].stride());
   }
   prefix_valid_ = 0;
   suffix_valid_ = n;
@@ -36,17 +33,16 @@ void GramProductCache::ProductExcept(int mode, Matrix& out) {
   const std::vector<Matrix>& grams = *grams_;
   const int n = static_cast<int>(grams.size());
   SNS_DCHECK(mode >= 0 && mode <= n);
-  const RankKernelTable& kr = *kr_;
   for (int i = prefix_valid_ + 1; i <= mode; ++i) {
-    HadamardInto(prefix_[i - 1], grams[i - 1], prefix_[i], kr);
+    HadamardInto(prefix_[i - 1], grams[i - 1], prefix_[i]);
   }
   prefix_valid_ = std::max(prefix_valid_, mode);
   for (int i = suffix_valid_ - 1; i >= mode + 1; --i) {
-    HadamardInto(grams[i], suffix_[i + 1], suffix_[i], kr);
+    HadamardInto(grams[i], suffix_[i + 1], suffix_[i]);
   }
   suffix_valid_ = std::min(suffix_valid_, mode + 1);
   if (mode < n) {
-    HadamardInto(prefix_[mode], suffix_[mode + 1], out, kr);
+    HadamardInto(prefix_[mode], suffix_[mode + 1], out);
   } else {
     out.CopyFrom(prefix_[n]);
   }

@@ -23,8 +23,6 @@
 
 namespace sns {
 
-struct RankKernelTable;  // linalg/rank_dispatch.h
-
 /// Contract: BeginEvent binds the cache to one Gram vector and invalidates
 /// everything (the grams may have changed arbitrarily since the last event);
 /// between BeginEvent and the next BeginEvent the bound grams may only
@@ -46,9 +44,6 @@ class GramProductCache {
 
  private:
   const std::vector<Matrix>* grams_ = nullptr;
-  // Table of the chain Hadamards (the Grams' padded stride), resolved at the
-  // process tier whenever the chain is sized.
-  const RankKernelTable* kr_ = nullptr;
   std::vector<Matrix> prefix_;  // prefix_[i] = ∗_{n<i} Q(n); prefix_[0] = 1.
   std::vector<Matrix> suffix_;  // suffix_[i] = ∗_{n≥i} Q(n); suffix_[N] = 1.
   int prefix_valid_ = 0;        // prefix_[0..prefix_valid_] are valid.

@@ -5,7 +5,6 @@
 
 #include "linalg/cholesky.h"
 #include "linalg/pseudo_inverse.h"
-#include "linalg/rank_dispatch.h"
 
 namespace sns {
 namespace {
@@ -28,13 +27,10 @@ bool FactorIsWellConditioned(const Matrix& factor) {
 
 void GramSolver::Factorize(const Matrix& h) {
   const int64_t n = h.rows();
-  if (rt_ == nullptr || upper_.rows() != n) {
-    upper_ = Matrix(n, n);
-    rt_ = &GetRankKernelTable(0);
-  }
+  if (upper_.rows() != n) upper_ = Matrix(n, n);
   // Row-suffix (U'U) factorization: every inner loop contiguous — see
   // CholeskyFactorizeUpperInto.
-  use_pinv_ = !(CholeskyFactorizeUpperInto(h, upper_, *rt_) &&
+  use_pinv_ = !(CholeskyFactorizeUpperInto(h, upper_) &&
                 FactorIsWellConditioned(upper_));
   if (use_pinv_) pinv_ = PseudoInverseSymmetric(h);
 }
@@ -47,7 +43,7 @@ void GramSolver::Solve(const double* b, double* x) const {
   // H symmetric: b H† == (H⁻¹ b')' for nonsingular H.
   const int64_t n = upper_.rows();
   std::copy(b, b + n, x);
-  CholeskySolveUpperInPlace(upper_, x, *rt_);
+  CholeskySolveUpperInPlace(upper_, x);
 }
 
 void SolveRowAgainstGram(const Matrix& h, const double* b, double* x) {

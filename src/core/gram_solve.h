@@ -12,8 +12,6 @@
 
 namespace sns {
 
-struct RankKernelTable;  // linalg/rank_dispatch.h
-
 /// Reusable Gram solver: factorize H once, then solve any number of rows
 /// against it. The Cholesky fast path performs zero heap allocations once
 /// the internal buffer matches H's order, which makes this the solver of
@@ -34,9 +32,6 @@ class GramSolver {
   Matrix upper_;  // A = U'U factor (row-suffix kernels; linalg/cholesky.h).
   Matrix pinv_;
   bool use_pinv_ = false;
-  // RUNTIME-LENGTH table (padded_rank == 0) of the Cholesky row-suffix
-  // loops, resolved at the process tier whenever upper_ is sized.
-  const RankKernelTable* rt_ = nullptr;
 };
 
 /// Computes x = b H† for symmetric PSD H (order n). `b` and `x` hold n

@@ -54,8 +54,6 @@ struct AlsOptions {
   int max_iterations = 50;
   /// Stop when the fitness improvement of a sweep drops below this.
   double fitness_tolerance = 1e-5;
-  /// Column-normalize factors after each mode update (Alg. 2 line 6).
-  bool normalize_columns = true;
 };
 
 /// Full configuration of a continuous CPD engine. The SIMD kernel tier is

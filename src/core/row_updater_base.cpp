@@ -129,8 +129,7 @@ const double* RowUpdaterBase::PrevRow(int mode, int64_t row,
 void RowUpdaterBase::CommitRow(int mode, int64_t row, const double* old_row,
                                CpdState& state) {
   const double* new_row = state.model.factor(mode).Row(row);
-  ApplyGramRowUpdate(state.grams[static_cast<size_t>(mode)], old_row, new_row,
-                     *ws_.kernels);
+  ApplyGramRowUpdate(state.grams[static_cast<size_t>(mode)], old_row, new_row);
   if (NeedsPrevGrams()) {
     // Record the rank-1 correction U(mode) = Q(mode) + (p−a)'a. old_row is
     // also the event-start (prev) row p: rows update once per event. Both
@@ -181,8 +180,7 @@ void RowUpdaterBase::SampledRowRhs(int mode, int64_t row,
   // ΔX term.
   for (const DeltaCell& cell : delta.cells) {
     if (cell.index[mode] != row) continue;
-    HadamardRowProduct(state.model.factors(), cell.index, mode, ws.had.data(),
-                       kr);
+    HadamardRowProduct(state.model.factors(), cell.index, mode, ws.had.data());
     kr.axpy(cell.delta, ws.had.data(), rhs, padded);
   }
 }

@@ -17,7 +17,7 @@ void SnsMatUpdater::OnEvent(const SparseTensor& window,
   }
   // The maintained factors are a strong warm start, so a single ALS sweep
   // with column normalization (Alg. 2) suffices per event.
-  AlsSweep(window, state, /*normalize_columns=*/true, ws_);
+  AlsSweep(window, state, ws_);
 }
 
 }  // namespace sns

@@ -26,7 +26,7 @@ void SnsRndUpdater::UpdateRow(int mode, int64_t row,
     // Exact path (Alg. 4 lines 9-10): Eq. 12, identical to SNS-VEC's
     // non-time rule, applied to every mode including time.
     MttkrpRow(window, state.model.factors(), mode, row, ws.rhs.data(),
-              ws.had.data(), kr);
+              ws.had.data());
   } else {
     // Sampled path (Alg. 4 lines 11-14): Eq. 16 — the e-term through
     // H_prev = ∗_{n≠m} U(n), the θ-sample residuals under the pre-event

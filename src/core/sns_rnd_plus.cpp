@@ -25,7 +25,7 @@ void SnsRndPlusUpdater::UpdateRow(int mode, int64_t row,
   if (degree <= sample_threshold_) {
     // Exact coordinate rule (Alg. 5 line 13 → Eq. 21) for every mode.
     MttkrpRow(window, state.model.factors(), mode, row, ws.rhs.data(),
-              ws.had.data(), kr);
+              ws.had.data());
   } else {
     // Sampled coordinate rule (Alg. 5 lines 9-11, 14 → Eq. 23):
     // e_k + Σ (x̄_J + Δx_J)·Π_{n≠m} a(n)_{j_n k} with
@@ -36,7 +36,7 @@ void SnsRndPlusUpdater::UpdateRow(int mode, int64_t row,
   }
 
   CoordinateDescentRow(factor.Row(row), rank, ws.h, ws.rhs.data(), clip_min_,
-                       clip_max_, kr);
+                       clip_max_);
   CommitRow(mode, row, ws.old_row.data(), state);  // Eqs. 24-26.
 }
 

@@ -31,7 +31,7 @@ void SnsVecUpdater::UpdateRow(int mode, int64_t row,
     for (const DeltaCell& cell : delta.cells) {
       if (cell.index[time_mode] != row) continue;
       HadamardRowProduct(state.model.factors(), cell.index, time_mode,
-                         ws.had.data(), kr);
+                         ws.had.data());
       kr.axpy(cell.delta, ws.had.data(), ws.rhs.data(), padded);
     }
     ws.solver.Solve(ws.rhs.data(), ws.solution.data());
@@ -40,7 +40,7 @@ void SnsVecUpdater::UpdateRow(int mode, int64_t row,
     // Eq. 12: A(m)(row,:) ← (X + ΔX)_(m)(row,:) K(m) H(m)†. The window
     // already contains the delta, so the row MTTKRP is the full right side.
     MttkrpRow(window, state.model.factors(), mode, row, ws.rhs.data(),
-              ws.had.data(), kr);
+              ws.had.data());
     ws.solver.Solve(ws.rhs.data(), ws.solution.data());
     kr.copy(ws.solution.data(), factor.Row(row), padded);
   }

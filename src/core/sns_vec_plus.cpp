@@ -10,13 +10,7 @@ namespace sns {
 void CoordinateDescentRow(double* row, int64_t rank, const Matrix& hq,
                           const double* numerator, double clip_min,
                           double clip_max) {
-  CoordinateDescentRow(row, rank, hq, numerator, clip_min, clip_max,
-                       GetRankKernelTable(hq.stride()));
-}
-
-void CoordinateDescentRow(double* row, int64_t rank, const Matrix& hq,
-                          const double* numerator, double clip_min,
-                          double clip_max, const RankKernelTable& kr) {
+  const RankKernelTable& kr = GetRankKernelTable(hq.stride());
   for (int64_t k = 0; k < rank; ++k) {
     const double c_k = hq(k, k);
     if (!(c_k > 1e-300)) continue;  // Dead component: leave the entry.
@@ -58,11 +52,11 @@ void SnsVecPlusUpdater::UpdateRow(int mode, int64_t row,
     // Eq. 22: e_k + Σ_J Δx_J Π_{n≠M} a(n)_{j_n k}. Time rows are updated
     // first within an event, so U(n) = Q(n) for all n ≠ M and
     // e_k = Σ_r b_{i r} (∗_{n≠M} Q(n))(r, k) = (B row) · HQ(:,k).
-    RowTimesMatrixPadded(ws.old_row.data(), ws.h, ws.rhs.data(), kr);
+    RowTimesMatrixPadded(ws.old_row.data(), ws.h, ws.rhs.data());
     for (const DeltaCell& cell : delta.cells) {
       if (cell.index[time_mode] != row) continue;
       HadamardRowProduct(state.model.factors(), cell.index, time_mode,
-                         ws.had.data(), kr);
+                         ws.had.data());
       kr.axpy(cell.delta, ws.had.data(), ws.rhs.data(), padded);
     }
   } else {
@@ -70,11 +64,11 @@ void SnsVecPlusUpdater::UpdateRow(int mode, int64_t row,
     // over the live window. It only involves other modes' rows, so it stays
     // constant across the coordinate loop.
     MttkrpRow(window, state.model.factors(), mode, row, ws.rhs.data(),
-              ws.had.data(), kr);
+              ws.had.data());
   }
 
   CoordinateDescentRow(factor.Row(row), rank, ws.h, ws.rhs.data(), clip_min_,
-                       clip_max_, kr);
+                       clip_max_);
   CommitRow(mode, row, ws.old_row.data(), state);  // Eqs. 24-25.
 }
 

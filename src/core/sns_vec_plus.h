@@ -49,16 +49,9 @@ class SnsVecPlusUpdater : public RowUpdaterBase {
 /// Padded-buffer contract: `row` must reference hq.stride() doubles with
 /// zero padding lanes (factor rows qualify) — the d_k dot runs tail-free to
 /// the padded bound. `numerator` only needs `rank` values.
-///
-/// The table-taking overload runs the d_k dots through the caller's cached
-/// RankKernelTable (which must match hq.stride()); the plain overload
-/// resolves the process-wide auto tier per call.
 void CoordinateDescentRow(double* row, int64_t rank, const Matrix& hq,
                           const double* numerator, double clip_min,
                           double clip_max);
-void CoordinateDescentRow(double* row, int64_t rank, const Matrix& hq,
-                          const double* numerator, double clip_min,
-                          double clip_max, const RankKernelTable& kr);
 
 }  // namespace sns
 

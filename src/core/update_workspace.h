@@ -10,9 +10,11 @@
 //
 // All rank-length scratch is 64-byte-aligned and padded to PaddedRank(R)
 // with zero padding lanes (linalg/simd.h), so the padded rank-dispatch
-// kernels may read and write the full stride. Prepare also resolves the
-// RankKernelTable for the model's padded rank exactly once — the
-// compile-time-specialized kernel set every updater calls per row.
+// kernels may read and write the full stride. Library kernels (MttkrpRow,
+// HadamardRowProduct, CoordinateDescentRow, ...) resolve their own table
+// from the stride; Prepare caches the RankKernelTable for the model's
+// padded rank only for the primitives the updaters call directly
+// (kr.copy, kr.axpy, ...).
 
 #ifndef SLICENSTITCH_CORE_UPDATE_WORKSPACE_H_
 #define SLICENSTITCH_CORE_UPDATE_WORKSPACE_H_
@@ -35,8 +37,9 @@ struct UpdateWorkspace {
   /// variants that never sample).
   void Prepare(int num_modes, int64_t rank, int64_t sample_capacity);
 
-  /// Compile-time-rank kernel set for padded_rank, resolved once by Prepare
-  /// (i.e. at the first event). Null before the first Prepare.
+  /// Compile-time-rank primitive set for padded_rank, resolved by Prepare
+  /// for the updaters' direct primitive calls. Null before the first
+  /// Prepare.
   const RankKernelTable* kernels = nullptr;
   /// PaddedRank(rank): the trip count of every padded kernel call.
   int64_t padded_rank = 0;

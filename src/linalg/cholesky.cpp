@@ -48,14 +48,10 @@ void CholeskySolveInPlace(const Matrix& lower, double* SNS_RESTRICT x) {
 }
 
 bool CholeskyFactorizeUpperInto(const Matrix& a, Matrix& upper) {
-  return CholeskyFactorizeUpperInto(a, upper, GetRankKernelTable(0));
-}
-
-bool CholeskyFactorizeUpperInto(const Matrix& a, Matrix& upper,
-                                const RankKernelTable& kr) {
   SNS_CHECK(a.rows() == a.cols());
   SNS_CHECK(upper.rows() == a.rows() && upper.cols() == a.rows());
-  SNS_DCHECK(kr.padded_rank == 0);  // Suffix lengths are runtime values.
+  // Runtime-length table: the suffix lengths are runtime values.
+  const RankKernelTable& kr = GetRankKernelTable(0);
   const int64_t n = a.rows();
   // Stage the upper triangle of (symmetric) a row by row.
   for (int64_t i = 0; i < n; ++i) {
@@ -84,12 +80,7 @@ bool CholeskyFactorizeUpperInto(const Matrix& a, Matrix& upper,
 }
 
 void CholeskySolveUpperInPlace(const Matrix& upper, double* x) {
-  CholeskySolveUpperInPlace(upper, x, GetRankKernelTable(0));
-}
-
-void CholeskySolveUpperInPlace(const Matrix& upper, double* x,
-                               const RankKernelTable& kr) {
-  SNS_DCHECK(kr.padded_rank == 0);
+  const RankKernelTable& kr = GetRankKernelTable(0);
   const int64_t n = upper.rows();
   // Forward elimination U' y = b, walking rows of U: once y[k] is final,
   // subtract its contribution U(k, k+1..n)·y[k] from the pending suffix.

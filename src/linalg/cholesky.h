@@ -10,8 +10,6 @@
 
 namespace sns {
 
-struct RankKernelTable;  // linalg/rank_dispatch.h
-
 /// Allocation-free factorization into a caller-owned n×n `lower` (only the
 /// lower triangle including the diagonal is written and later read; entries
 /// above the diagonal are left untouched, so a reused buffer may carry stale
@@ -37,21 +35,15 @@ void CholeskySolveInPlace(const Matrix& lower, double* x);
 /// (incremental vs deferred subtraction), so the two factorization paths
 /// agree to solver tolerance, not bitwise.
 ///
-/// The table-taking overloads run the suffix axpys/dots through a
-/// RUNTIME-LENGTH RankKernelTable (padded_rank == 0 — the row suffixes are
-/// unaligned and of arbitrary length), so GramSolver resolves its table
-/// once and benches can time one tier; the plain overloads resolve the
-/// process-wide auto tier per call.
+/// Both functions run the suffix axpys/dots through the process tier's
+/// RUNTIME-LENGTH table, GetRankKernelTable(0): the row suffixes are
+/// unaligned and of arbitrary length.
 bool CholeskyFactorizeUpperInto(const Matrix& a, Matrix& upper);
-bool CholeskyFactorizeUpperInto(const Matrix& a, Matrix& upper,
-                                const RankKernelTable& kr);
 
 /// In-place solve A x = b against CholeskyFactorizeUpperInto's factor:
 /// U' y = b by forward elimination over row suffixes of U, then U x = y by
 /// back substitution with contiguous row-suffix dots.
 void CholeskySolveUpperInPlace(const Matrix& upper, double* x);
-void CholeskySolveUpperInPlace(const Matrix& upper, double* x,
-                               const RankKernelTable& kr);
 
 }  // namespace sns
 

@@ -106,14 +106,10 @@ Matrix MultiplyTransposeA(const Matrix& a, const Matrix& b) {
 }
 
 void MultiplyTransposeAInto(const Matrix& a, const Matrix& b, Matrix& out) {
-  MultiplyTransposeAInto(a, b, out, GetRankKernelTable(b.stride()));
-}
-
-void MultiplyTransposeAInto(const Matrix& a, const Matrix& b, Matrix& out,
-                            const RankKernelTable& kr) {
   SNS_CHECK(a.rows() == b.rows());
   SNS_CHECK(out.rows() == a.cols() && out.cols() == b.cols());
   out.SetZero();
+  const RankKernelTable& kr = GetRankKernelTable(b.stride());
   const int64_t n = a.rows(), p = a.cols();
   for (int64_t k = 0; k < n; ++k) {
     const double* a_row = a.Row(k);
@@ -133,38 +129,26 @@ Matrix Hadamard(const Matrix& a, const Matrix& b) {
 }
 
 void HadamardInto(const Matrix& a, const Matrix& b, Matrix& out) {
-  HadamardInto(a, b, out, GetRankKernelTable(a.stride()));
-}
-
-void HadamardInto(const Matrix& a, const Matrix& b, Matrix& out,
-                  const RankKernelTable& kr) {
   SNS_CHECK(a.rows() == b.rows() && a.cols() == b.cols());
   SNS_CHECK(out.rows() == a.rows() && out.cols() == a.cols());
+  const RankKernelTable& kr = GetRankKernelTable(a.stride());
   for (int64_t i = 0; i < a.rows(); ++i) {
     kr.mul(a.Row(i), b.Row(i), out.Row(i), a.stride());
   }
 }
 
 void HadamardAccumulate(Matrix& dst, const Matrix& src) {
-  HadamardAccumulate(dst, src, GetRankKernelTable(dst.stride()));
-}
-
-void HadamardAccumulate(Matrix& dst, const Matrix& src,
-                        const RankKernelTable& kr) {
   SNS_CHECK(dst.rows() == src.rows() && dst.cols() == src.cols());
+  const RankKernelTable& kr = GetRankKernelTable(dst.stride());
   for (int64_t i = 0; i < dst.rows(); ++i) {
     kr.mul_accum(dst.Row(i), src.Row(i), dst.stride());
   }
 }
 
 void AddOuterProduct(Matrix& dst, const double* u, const double* v) {
-  AddOuterProduct(dst, u, v, GetRankKernelTable(dst.stride()));
-}
-
-void AddOuterProduct(Matrix& dst, const double* u, const double* v,
-                     const RankKernelTable& kr) {
   const int64_t n = dst.rows();
   SNS_DCHECK(dst.cols() == n);
+  const RankKernelTable& kr = GetRankKernelTable(dst.stride());
   for (int64_t i = 0; i < n; ++i) {
     const double u_i = u[i];
     if (u_i == 0.0) continue;
@@ -233,12 +217,8 @@ void RowTimesMatrix(const double* SNS_RESTRICT row, const Matrix& m,
 }
 
 void RowTimesMatrixPadded(const double* row, const Matrix& m, double* out) {
-  RowTimesMatrixPadded(row, m, out, GetRankKernelTable(m.stride()));
-}
-
-void RowTimesMatrixPadded(const double* row, const Matrix& m, double* out,
-                          const RankKernelTable& kr) {
   const int64_t rows = m.rows();
+  const RankKernelTable& kr = GetRankKernelTable(m.stride());
   kr.fill(out, 0.0, m.stride());
   for (int64_t i = 0; i < rows; ++i) {
     const double r_i = row[i];

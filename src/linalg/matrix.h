@@ -23,7 +23,6 @@
 namespace sns {
 
 class Rng;
-struct RankKernelTable;  // linalg/rank_dispatch.h
 
 /// Dense row-major matrix of doubles with an aligned, padded-stride layout.
 ///
@@ -143,18 +142,11 @@ Matrix Hadamard(const Matrix& a, const Matrix& b);
 
 /// out = a ∗ b elementwise into a preallocated `out`; all shapes must match.
 /// `out` may alias `a` or `b`. The allocation-free form of Hadamard.
-/// The table-taking overload lets hot-path call sites reuse their cached
-/// RankKernelTable; the plain overload resolves the process-wide auto tier
-/// per call.
 void HadamardInto(const Matrix& a, const Matrix& b, Matrix& out);
-void HadamardInto(const Matrix& a, const Matrix& b, Matrix& out,
-                  const RankKernelTable& kr);
 
 /// dst ∗= src elementwise in place; shapes must match. Used to fold one more
 /// Gram matrix into a running Hadamard-of-Grams product.
 void HadamardAccumulate(Matrix& dst, const Matrix& src);
-void HadamardAccumulate(Matrix& dst, const Matrix& src,
-                        const RankKernelTable& kr);
 
 /// dst += u' v for two padded length-n row vectors (n = dst order):
 /// dst(i, j) += u[i]·v[j]. The rank-1 building block of the per-event Gram
@@ -162,14 +154,10 @@ void HadamardAccumulate(Matrix& dst, const Matrix& src,
 /// `u` and `v` must reference dst.stride() doubles with zero padding lanes
 /// (Matrix rows and AlignedVector buffers qualify).
 void AddOuterProduct(Matrix& dst, const double* u, const double* v);
-void AddOuterProduct(Matrix& dst, const double* u, const double* v,
-                     const RankKernelTable& kr);
 
 /// out = a' * b without allocating; `out` must be a.cols() × b.cols().
 /// The allocation-free form of MultiplyTransposeA (Gram recomputation).
 void MultiplyTransposeAInto(const Matrix& a, const Matrix& b, Matrix& out);
-void MultiplyTransposeAInto(const Matrix& a, const Matrix& b, Matrix& out,
-                            const RankKernelTable& kr);
 
 /// Column-wise Khatri-Rao product: (IK)×R from I×R and K×R, with row
 /// (i*K + k) = A(i,:) ∗ B(k,:). Matches the ⊙ operator of the paper. Used by
@@ -190,8 +178,6 @@ void RowTimesMatrix(const double* row, const Matrix& m, double* out);
 /// padding), letting the accumulation run tail-free at the dispatched
 /// rank. `row` still holds m.rows() logical values.
 void RowTimesMatrixPadded(const double* row, const Matrix& m, double* out);
-void RowTimesMatrixPadded(const double* row, const Matrix& m, double* out,
-                          const RankKernelTable& kr);
 
 /// Dot product of two length-n arrays.
 double Dot(const double* a, const double* b, int64_t n);

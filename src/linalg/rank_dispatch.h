@@ -13,9 +13,13 @@
 //   - the templated __restrict vector primitives every dense kernel is
 //     built from (fill/copy/axpy/Hadamard/dot/rank-1 Gram deltas, and the
 //     weighted upper-triangle SYRK of the GCP Newton step), and
-//   - RankKernelTable: a function-pointer table over those primitives,
-//     resolved ONCE per workspace (UpdateWorkspace::Prepare) so the row
-//     updaters pay no per-call dispatch.
+//   - RankKernelTable: a function-pointer table over those primitives, one
+//     per tier and padded rank. Every library kernel (linalg/matrix.h,
+//     linalg/cholesky.h, tensor/mttkrp.h, the Gram updates of
+//     core/cpd_state.h) resolves its table from the padded stride it runs
+//     at, GetRankKernelTable(stride), and takes no table argument.
+//     Workspaces cache a table only for their direct primitive calls
+//     (kr.axpy, kr.copy, ...).
 //
 // Contract shared by all padded primitives: pointer arguments reference
 // buffers of at least the padded length, with the padding lanes holding
@@ -199,13 +203,13 @@ inline void VecWeightedSyrkUpper(const double* SNS_RESTRICT panel,
 }
 
 // ---------------------------------------------------------------------------
-// Function-pointer table over the primitives, resolved once per engine.
+// Function-pointer table over the primitives.
 
-/// The row-level kernel set the per-event updaters call directly. Resolved
-/// by GetRankKernelTable once per workspace (UpdateWorkspace::Prepare) and
-/// cached, so steady-state events perform no dispatch at all. Every
-/// function takes the padded length as its trailing argument; specialized
-/// tables (padded_rank > 0) ignore it.
+/// The row-level primitive set. Library kernels resolve it per call from
+/// the padded stride; UpdateWorkspace and GcpRowWorkspace cache it once per
+/// Prepare for the primitives their updaters call directly. Every function
+/// takes the padded length as its trailing argument; specialized tables
+/// (padded_rank > 0) ignore it.
 ///
 /// Three tiers of the same contract exist (common/cpu_features.h): the
 /// generic tier points at the templated primitives above; the AVX2 and

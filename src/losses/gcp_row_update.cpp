@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "tensor/mttkrp.h"
 
 namespace sns {
 namespace {
@@ -17,6 +16,20 @@ constexpr double kRidgeScale = 1e-9;
 
 // Backtracking schedule of the damped step.
 constexpr double kAlphas[] = {1.0, 0.5, 0.25, 0.125};
+
+// HadamardRowProduct through the workspace's table: pass 1 forms one row per
+// cell, so it skips the per-call table lookup.
+void HadamardRow(const std::vector<Matrix>& factors, const ModeIndex& index,
+                 int skip_mode, double* out, const RankKernelTable& kr) {
+  const int64_t rank = factors[0].cols();
+  const int64_t padded = factors[0].stride();
+  std::fill(out, out + rank, 1.0);
+  std::fill(out + rank, out + padded, 0.0);
+  for (size_t m = 0; m < factors.size(); ++m) {
+    if (static_cast<int>(m) == skip_mode) continue;
+    kr.mul_accum(out, factors[m].Row(index[static_cast<int>(m)]), padded);
+  }
+}
 
 }  // namespace
 
@@ -63,7 +76,7 @@ bool GcpNewtonRowUpdate(CpdState& state, int mode, int64_t row,
   double obj0 = 0.0;
   for (size_t c = 0; c < n; ++c) {
     double* had = ws.PanelRow(c);
-    HadamardRowProduct(state.model.factors(), cells[c].index, mode, had, kr);
+    HadamardRow(state.model.factors(), cells[c].index, mode, had, kr);
     const double theta = kr.dot(had, ws.old_row.data(), padded);
     const LossTerms terms = loss.Evaluate(cells[c].value, theta);
     ws.theta0[c] = theta;

@@ -17,19 +17,11 @@ inline void OtherTwoModes(int mode, int* a, int* b) {
   *b = mode == 2 ? 1 : 2;
 }
 
-}  // namespace
-
-void HadamardRowProduct(const std::vector<Matrix>& factors,
-                        const ModeIndex& index, int skip_mode, double* out) {
-  HadamardRowProduct(factors, index, skip_mode, out,
-                     GetRankKernelTable(factors[0].stride()));
-}
-
-// The padded lanes end at 0.0: they start at 0.0, and every accumulated
-// factor row has zero padding.
-void HadamardRowProduct(const std::vector<Matrix>& factors,
-                        const ModeIndex& index, int skip_mode, double* out,
-                        const RankKernelTable& kr) {
+// HadamardRowProduct against a resolved table, for the loops below that
+// form one product per nonzero. The padded lanes end at 0.0: they start at
+// 0.0, and every accumulated factor row has zero padding.
+void HadamardRow(const std::vector<Matrix>& factors, const ModeIndex& index,
+                 int skip_mode, double* out, const RankKernelTable& kr) {
   const int64_t rank = factors[0].cols();
   const int64_t padded = factors[0].stride();
   std::fill(out, out + rank, 1.0);
@@ -38,6 +30,14 @@ void HadamardRowProduct(const std::vector<Matrix>& factors,
     if (static_cast<int>(m) == skip_mode) continue;
     kr.mul_accum(out, factors[m].Row(index[static_cast<int>(m)]), padded);
   }
+}
+
+}  // namespace
+
+void HadamardRowProduct(const std::vector<Matrix>& factors,
+                        const ModeIndex& index, int skip_mode, double* out) {
+  HadamardRow(factors, index, skip_mode, out,
+              GetRankKernelTable(factors[0].stride()));
 }
 
 Matrix Mttkrp(const SparseTensor& x, const std::vector<Matrix>& factors,
@@ -51,15 +51,9 @@ Matrix Mttkrp(const SparseTensor& x, const std::vector<Matrix>& factors,
 
 void MttkrpInto(const SparseTensor& x, const std::vector<Matrix>& factors,
                 int mode, Matrix& out, double* had) {
-  MttkrpInto(x, factors, mode, out, had,
-             GetRankKernelTable(factors[0].stride()));
-}
-
-void MttkrpInto(const SparseTensor& x, const std::vector<Matrix>& factors,
-                int mode, Matrix& out, double* had,
-                const RankKernelTable& kr) {
   const int64_t rank = factors[0].cols();
   const int64_t padded = factors[0].stride();
+  const RankKernelTable& kr = GetRankKernelTable(padded);
   SNS_CHECK(out.rows() == x.dim(mode) && out.cols() == rank);
   out.SetZero();
   if (factors.size() == 3) {
@@ -74,7 +68,7 @@ void MttkrpInto(const SparseTensor& x, const std::vector<Matrix>& factors,
     return;
   }
   x.ForEachNonzero([&](const ModeIndex& index, double value) {
-    HadamardRowProduct(factors, index, mode, had, kr);
+    HadamardRow(factors, index, mode, had, kr);
     kr.axpy(value, had, out.Row(index[mode]), padded);
   });
 }
@@ -87,14 +81,8 @@ void MttkrpRow(const SparseTensor& x, const std::vector<Matrix>& factors,
 
 void MttkrpRow(const SparseTensor& x, const std::vector<Matrix>& factors,
                int mode, int64_t row, double* out, double* had) {
-  MttkrpRow(x, factors, mode, row, out, had,
-            GetRankKernelTable(factors[0].stride()));
-}
-
-void MttkrpRow(const SparseTensor& x, const std::vector<Matrix>& factors,
-               int mode, int64_t row, double* out, double* had,
-               const RankKernelTable& kr) {
   const int64_t padded = factors[0].stride();
+  const RankKernelTable& kr = GetRankKernelTable(padded);
   kr.fill(out, 0.0, padded);
   if (factors.size() == 3) {
     int a, b;
@@ -108,7 +96,7 @@ void MttkrpRow(const SparseTensor& x, const std::vector<Matrix>& factors,
     return;
   }
   for (const SparseTensor::SliceEntry entry : x.Slice(mode, row)) {
-    HadamardRowProduct(factors, entry.coords, mode, had, kr);
+    HadamardRow(factors, entry.coords, mode, had, kr);
     kr.axpy(entry.value, had, out, padded);
   }
 }

@@ -8,6 +8,10 @@
 // tail-free to the padded bound through the compile-time rank dispatch of
 // linalg/rank_dispatch.h and leave the padding lanes at exactly 0.0.
 // AlignedVector (linalg/simd.h) and Matrix rows satisfy the contract.
+//
+// Each function resolves its kernel table from the padded stride,
+// GetRankKernelTable(factors[0].stride()), at the process tier; there is
+// no form that takes a caller's table.
 
 #ifndef SLICENSTITCH_TENSOR_MTTKRP_H_
 #define SLICENSTITCH_TENSOR_MTTKRP_H_
@@ -19,20 +23,11 @@
 
 namespace sns {
 
-struct RankKernelTable;  // linalg/rank_dispatch.h
-
 /// out[r] = Π_{m≠skip_mode} factors[m](index[m], r) for r in [0, R).
 /// With skip_mode = -1, multiplies over every mode. `out` must hold
 /// PaddedRank(R) values (padding is left zeroed).
-///
-/// Table-taking overloads (here and below) run through the caller's cached
-/// RankKernelTable — the hot-path form; the plain overloads resolve the
-/// process-wide auto tier per call.
 void HadamardRowProduct(const std::vector<Matrix>& factors,
                         const ModeIndex& index, int skip_mode, double* out);
-void HadamardRowProduct(const std::vector<Matrix>& factors,
-                        const ModeIndex& index, int skip_mode, double* out,
-                        const RankKernelTable& kr);
 
 /// Full sparse MTTKRP: returns the N_mode × R matrix
 /// X_(mode) (⊙_{m≠mode} A(m)), iterating once over the non-zeros of x.
@@ -53,18 +48,12 @@ void MttkrpRow(const SparseTensor& x, const std::vector<Matrix>& factors,
 /// allocation — the form called on the per-event update hot path.
 void MttkrpRow(const SparseTensor& x, const std::vector<Matrix>& factors,
                int mode, int64_t row, double* out, double* had);
-void MttkrpRow(const SparseTensor& x, const std::vector<Matrix>& factors,
-               int mode, int64_t row, double* out, double* had,
-               const RankKernelTable& kr);
 
 /// Allocation-free full MTTKRP into a preallocated dim(mode)×R `out`
 /// (zeroed here); `had` must hold PaddedRank(R) values. The hot-path form
 /// used by the SNS-MAT per-event ALS sweep.
 void MttkrpInto(const SparseTensor& x, const std::vector<Matrix>& factors,
                 int mode, Matrix& out, double* had);
-void MttkrpInto(const SparseTensor& x, const std::vector<Matrix>& factors,
-                int mode, Matrix& out, double* had,
-                const RankKernelTable& kr);
 
 /// Hadamard of all Gram matrices except `skip_mode` (skip_mode = -1 keeps
 /// all): H(m) = ∗_{n≠m} A(n)'A(n) of Eqs. 4/12. `grams[m]` must be R×R.

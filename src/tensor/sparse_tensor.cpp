@@ -163,7 +163,11 @@ Status SparseTensor::RestoreFrom(serial::Reader& r) {
   }
   uint64_t n = 0;
   SNS_RETURN_IF_ERROR(r.U64(&n));
-  if (n > EntryPool::kInvalidId) {
+  // Every stored entry takes `modes` i32 coordinates, an f64 value and
+  // `modes` u32 bucket positions, so a count the bytes left cannot hold is
+  // corrupt: refuse it before the reserve below sizes the pool by it.
+  const size_t entry_bytes = static_cast<size_t>(modes) * 8 + 8;
+  if (n > EntryPool::kInvalidId || n > r.remaining() / entry_bytes) {
     return Status::DataLoss("implausible tensor nnz " + std::to_string(n));
   }
   pool_.Reserve(static_cast<size_t>(n));

@@ -108,7 +108,8 @@ TEST(CpdStateTest, PrevGramRowUpdateMatchesDefinition) {
 
 TEST(AlsTest, SweepSolvesExactRowLeastSquares) {
   // After one sweep, each factor row satisfies the normal equations of
-  // Eq. 3 for the factors it was solved against.
+  // Eq. 3 for the factors it was solved against, once the column norms the
+  // sweep moved into λ are put back: A(2)·diag(λ)·H = MTTKRP.
   Rng rng(5);
   const std::vector<int64_t> dims = {5, 4, 3};
   SparseTensor x(dims);
@@ -119,11 +120,18 @@ TEST(AlsTest, SweepSolvesExactRowLeastSquares) {
           rng.UniformDouble(0.5, 2.0));
   }
   CpdState state(KruskalModel::Random(dims, 2, rng));
-  AlsSweep(x, state, /*normalize_columns=*/false);
-  // The last updated mode (mode 2) must satisfy A H = MTTKRP exactly.
+  AlsSweep(x, state);
+  // The last updated mode (mode 2) must satisfy the normal equations
+  // exactly.
   Matrix mttkrp = Mttkrp(x, state.model.factors(), 2);
   Matrix h = HadamardOfGramsExcept(state.grams, 2);
-  Matrix lhs = Multiply(state.model.factor(2), h);
+  Matrix scaled = state.model.factor(2);
+  for (int64_t i = 0; i < scaled.rows(); ++i) {
+    for (int64_t r = 0; r < scaled.cols(); ++r) {
+      scaled(i, r) *= state.model.lambda()[static_cast<size_t>(r)];
+    }
+  }
+  Matrix lhs = Multiply(scaled, h);
   EXPECT_LT(MaxAbsDiff(lhs, mttkrp), 1e-8);
 }
 
@@ -136,7 +144,7 @@ TEST(AlsTest, FitnessNonDecreasingAcrossSweeps) {
   CpdState state(KruskalModel::Random(dims, 3, rng));
   double previous = state.model.Fitness(x);
   for (int sweep = 0; sweep < 10; ++sweep) {
-    AlsSweep(x, state, /*normalize_columns=*/true);
+    AlsSweep(x, state);
     const double fitness = state.model.Fitness(x);
     EXPECT_GE(fitness, previous - 1e-9) << "sweep " << sweep;
     previous = fitness;
@@ -166,7 +174,7 @@ TEST(AlsTest, NormalizedSweepKeepsUnitColumns) {
           1.0);
   }
   CpdState state(KruskalModel::Random(dims, 2, rng));
-  AlsSweep(x, state, /*normalize_columns=*/true);
+  AlsSweep(x, state);
   for (int m = 0; m < 3; ++m) {
     for (int64_t r = 0; r < 2; ++r) {
       double norm_sq = 0.0;

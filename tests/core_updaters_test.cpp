@@ -98,7 +98,7 @@ TEST(SnsMatTest, EventEqualsOneNormalizedAlsSweep) {
   // Reference sees the same post-delta window.
   SnsMatUpdater updater;
   updater.OnEvent(window, delta, state_updater);
-  AlsSweep(window, state_reference, /*normalize_columns=*/true);
+  AlsSweep(window, state_reference);
 
   for (int m = 0; m < 3; ++m) {
     EXPECT_LT(MaxAbsDiff(state_updater.model.factor(m),

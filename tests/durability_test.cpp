@@ -343,6 +343,9 @@ constexpr size_t kOptionsPrecisionField = 54;
 // The retired kernel-tier byte right after it: earlier builds stored a
 // per-engine force-generic flag there.
 constexpr size_t kOptionsTierField = 55;
+// Past max_iterations i32 and fitness_tolerance f64: the ALS
+// column-normalization byte, always 1.
+constexpr size_t kOptionsNormalizeField = 68;
 
 /// Offset of the engine snapshot's precision byte: the last byte of the
 /// model section, just before the fitness section tag "FITN".
@@ -362,6 +365,18 @@ void ResealCrc(std::string& bytes) {
 Status RestoreWithByte(std::string bytes, size_t at, char value) {
   SNS_CHECK(bytes[at] == 0);
   bytes[at] = value;
+  ResealCrc(bytes);
+  return TryRestore(bytes);
+}
+
+/// Restores `bytes` with the 8-byte field at `at`, which must hold
+/// `expected`, set to `value`.
+Status RestoreWithU64(std::string bytes, size_t at, uint64_t expected,
+                      uint64_t value) {
+  uint64_t stored = 0;
+  std::memcpy(&stored, bytes.data() + at, sizeof(stored));
+  SNS_CHECK(stored == expected);  // The offset arithmetic is right.
+  std::memcpy(bytes.data() + at, &value, sizeof(value));
   ResealCrc(bytes);
   return TryRestore(bytes);
 }
@@ -436,6 +451,52 @@ TEST(CheckpointFieldPatchTest, RetiredTierByteTwoIsDataLoss) {
                             OptionsOffset("fi", 2) + kOptionsTierField, 2)
                 .code(),
             StatusCode::kDataLoss);
+}
+
+TEST(CheckpointFieldPatchTest, RankPastPayloadIsDataLoss) {
+  // Rank 2⁴⁰ declares factors of 2⁴⁰ × (6 + 5 + 3) doubles, far more than
+  // the payload holds: refused before StreamHandle::Create allocates them.
+  EXPECT_EQ(RestoreWithU64(MakeValidCheckpoint(), OptionsOffset("fi", 2),
+                           /*expected=*/4, uint64_t{1} << 40)
+                .code(),
+            StatusCode::kDataLoss);
+}
+
+TEST(CheckpointFieldPatchTest, ModeDimensionPastPayloadIsDataLoss) {
+  // The first mode dimension (6) becomes 2⁴⁰.
+  EXPECT_EQ(RestoreWithU64(MakeValidCheckpoint(), OptionsOffset("fi", 2) - 16,
+                           /*expected=*/6, uint64_t{1} << 40)
+                .code(),
+            StatusCode::kDataLoss);
+}
+
+TEST(CheckpointFieldPatchTest, WindowEntryCountPastPayloadIsDataLoss) {
+  // The window tensor's entry count follows the "WIND" tag, its mode count
+  // u32 and its three dims. 2³² − 1 entries passed the old count cap, and
+  // SparseTensor::RestoreFrom reserved for all of them.
+  const std::string bytes = MakeValidCheckpoint();
+  const size_t tag = bytes.find("WIND");
+  ASSERT_NE(tag, std::string::npos);
+  const size_t at = tag + 4 + 4 + 3 * 8;
+  uint64_t nnz = 0;
+  std::memcpy(&nnz, bytes.data() + at, sizeof(nnz));
+  ASSERT_GT(nnz, 0u);
+  EXPECT_EQ(RestoreWithU64(bytes, at, nnz, (uint64_t{1} << 32) - 1).code(),
+            StatusCode::kDataLoss);
+}
+
+TEST(CheckpointFieldPatchTest, NormalizationByteMustBeOne) {
+  // 0 named unnormalized ALS initialization, which was removed: refused as
+  // a known but unsupported configuration, distinct from corruption.
+  std::string bytes = MakeValidCheckpoint();
+  const size_t at = OptionsOffset("fi", 2) + kOptionsNormalizeField;
+  ASSERT_EQ(bytes[at], 1);
+  bytes[at] = 0;
+  ResealCrc(bytes);
+  EXPECT_EQ(TryRestore(bytes).code(), StatusCode::kFailedPrecondition);
+  bytes[at] = 2;
+  ResealCrc(bytes);
+  EXPECT_EQ(TryRestore(bytes).code(), StatusCode::kDataLoss);
 }
 
 TEST(CheckpointFieldPatchTest, EngineSnapshotPrecisionByteOneIsDataLoss) {

@@ -665,7 +665,7 @@ bool ReferenceGcpStep(CpdState& state, int mode, int64_t row,
   double obj0 = 0.0;
   for (size_t c = 0; c < cells.size(); ++c) {
     HadamardRowProduct(state.model.factors(), cells[c].index, mode,
-                       ws.had.data(), kr);
+                       ws.had.data());
     const double theta = kr.dot(ws.had.data(), ws.old_row.data(), padded);
     ws.theta0[c] = theta;
     obj0 += loss.Value(cells[c].value, theta);
@@ -674,7 +674,7 @@ bool ReferenceGcpStep(CpdState& state, int mode, int64_t row,
     kr.axpy(-d1, ws.had.data(), ws.grad.data(), padded);
     kr.fill(ws.had_scaled.data(), 0.0, padded);
     kr.axpy(d2, ws.had.data(), ws.had_scaled.data(), padded);
-    AddOuterProduct(ws.hessian, ws.had_scaled.data(), ws.had.data(), kr);
+    AddOuterProduct(ws.hessian, ws.had_scaled.data(), ws.had.data());
   }
   if (!std::isfinite(obj0)) return false;
 
@@ -695,7 +695,7 @@ bool ReferenceGcpStep(CpdState& state, int mode, int64_t row,
 
   for (size_t c = 0; c < cells.size(); ++c) {
     HadamardRowProduct(state.model.factors(), cells[c].index, mode,
-                       ws.had.data(), kr);
+                       ws.had.data());
     ws.dtheta[c] = kr.dot(ws.had.data(), ws.step.data(), padded);
   }
   for (double alpha : {1.0, 0.5, 0.25, 0.125}) {
@@ -965,24 +965,24 @@ class ReferenceSampledRuleUpdater : public RowUpdaterBase {
     record.row = row;
     if (window.Degree(mode, row) <= theta_) {
       MttkrpRow(window, state.model.factors(), mode, row, ws.rhs.data(),
-                ws.had.data(), kr);
+                ws.had.data());
     } else {
       ++coverage_.sampled_rows;
-      PrevGramHadamard(state, mode, kr);
-      RowTimesMatrixPadded(ws.old_row.data(), h_prev_, ws.rhs.data(), kr);
+      PrevGramHadamard(state, mode);
+      RowTimesMatrixPadded(ws.old_row.data(), h_prev_, ws.rhs.data());
       ReferenceSampleSliceCells(window, mode, row, theta_, delta, rng_,
                                 record.cells, coverage_);
       for (const SampledCell& cell : record.cells) {
         const double residual =
             cell.value - EvaluatePrevModel(cell.index, state);
         HadamardRowProduct(state.model.factors(), cell.index, mode,
-                           ws.had.data(), kr);
+                           ws.had.data());
         kr.axpy(residual, ws.had.data(), ws.rhs.data(), padded);
       }
       for (const DeltaCell& cell : delta.cells) {
         if (cell.index[mode] != row) continue;
         HadamardRowProduct(state.model.factors(), cell.index, mode,
-                           ws.had.data(), kr);
+                           ws.had.data());
         kr.axpy(cell.delta, ws.had.data(), ws.rhs.data(), padded);
       }
     }
@@ -992,7 +992,7 @@ class ReferenceSampledRuleUpdater : public RowUpdaterBase {
 
     if (plus_) {
       CoordinateDescentRow(factor.Row(row), rank, ws.h, ws.rhs.data(),
-                           -clip_bound_, clip_bound_, kr);
+                           -clip_bound_, clip_bound_);
     } else {
       ws.solver.Factorize(ws.h);
       ws.solver.Solve(ws.rhs.data(), ws.solution.data());
@@ -1030,8 +1030,7 @@ class ReferenceSampledRuleUpdater : public RowUpdaterBase {
   }
 
   // h_prev_ = ∗_{n≠skip} U(n), U(n) = Q(n) + Σ (p−a)'a as full matrices.
-  void PrevGramHadamard(const CpdState& state, int skip,
-                        const RankKernelTable& kr) {
+  void PrevGramHadamard(const CpdState& state, int skip) {
     const int64_t rank = state.rank();
     h_prev_ = Matrix(rank, rank);
     h_prev_.Fill(1.0);
@@ -1040,10 +1039,10 @@ class ReferenceSampledRuleUpdater : public RowUpdaterBase {
       Matrix u = state.grams[static_cast<size_t>(n)];
       for (const GramDelta& d : deltas_) {
         if (d.mode == n) {
-          AddOuterProduct(u, d.diff.data(), d.saved_new.data(), kr);
+          AddOuterProduct(u, d.diff.data(), d.saved_new.data());
         }
       }
-      HadamardAccumulate(h_prev_, u, kr);
+      HadamardAccumulate(h_prev_, u);
     }
   }
 

@@ -44,6 +44,19 @@ std::vector<KernelTier> AvailableTiers() {
   return tiers;
 }
 
+// Pins the process tier for one scope, so the library kernels (which
+// resolve their table per call) run at `tier`; restores auto dispatch on
+// exit.
+class ScopedProcessTier {
+ public:
+  explicit ScopedProcessTier(KernelTier tier) {
+    internal::RefreshKernelTierForTest(tier);
+  }
+  ~ScopedProcessTier() { internal::RefreshKernelTierForTest(); }
+  ScopedProcessTier(const ScopedProcessTier&) = delete;
+  ScopedProcessTier& operator=(const ScopedProcessTier&) = delete;
+};
+
 // FMA-bearing codelets drop one rounding per multiply-add: intrinsic tiers
 // agree with the scalar reference to ulps, not bitwise.
 void ExpectTierValue(KernelTier tier, double actual, double expected) {
@@ -165,9 +178,9 @@ TEST_P(KernelDispatchTest, AddOuterProductMatchesNaive) {
   }
   for (const KernelTier tier : AvailableTiers()) {
     SCOPED_TRACE(KernelTierName(tier));
+    const ScopedProcessTier pin(tier);
     Matrix dst = base;
-    AddOuterProduct(dst, u.data(), v.data(),
-                    GetRankKernelTable(dst.stride(), tier));
+    AddOuterProduct(dst, u.data(), v.data());
     for (int64_t i = 0; i < rank; ++i) {
       for (int64_t j = 0; j < rank; ++j) {
         ExpectTierValue(tier, dst(i, j), base(i, j) + u[i] * v[j]);
@@ -212,9 +225,9 @@ TEST_P(KernelDispatchTest, GramRowUpdatesMatchNaive) {
     SCOPED_TRACE(KernelTierName(tier));
     Matrix gram = base;
     Matrix prev_gram = base;
-    const RankKernelTable& kr = GetRankKernelTable(gram.stride(), tier);
-    ApplyGramRowUpdate(gram, old_row.data(), new_row.data(), kr);
-    ApplyPrevGramRowUpdate(prev_gram, old_row.data(), new_row.data(), kr);
+    const ScopedProcessTier pin(tier);
+    ApplyGramRowUpdate(gram, old_row.data(), new_row.data());
+    ApplyPrevGramRowUpdate(prev_gram, old_row.data(), new_row.data());
     for (int64_t i = 0; i < rank; ++i) {
       for (int64_t j = 0; j < rank; ++j) {
         // Group like the kernel: g += (a·b − p·p), not (g + a·b) − p·p.
@@ -322,6 +335,7 @@ TEST_P(KernelDispatchTest, TableKernelsMatchNaivePerTier) {
                            syrk.Row(0), padded);
     EXPECT_TRUE(syrk.PaddingIsZero());
     Matrix naive = base, magnitude(rank, rank), per_cell = base;
+    const ScopedProcessTier pin(tier);
     for (int64_t c = 0; c < cells; ++c) {
       const double* h = panel.Row(c);
       for (int64_t i = 0; i < rank; ++i) {
@@ -332,7 +346,7 @@ TEST_P(KernelDispatchTest, TableKernelsMatchNaivePerTier) {
           magnitude(i, j) += std::fabs(u * h[j]);
         }
       }
-      AddOuterProduct(per_cell, scratch.data(), h, kr);
+      AddOuterProduct(per_cell, scratch.data(), h);
     }
     for (int64_t i = 0; i < rank; ++i) {
       for (int64_t j = i; j < rank; ++j) {

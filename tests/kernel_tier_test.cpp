@@ -1,8 +1,10 @@
 // Runtime kernel-tier dispatch (common/cpu_features.h): probe sanity, the
 // SNS_FORCE_GENERIC_KERNELS env override, the test hook that pins the
-// process tier, and the cross-tier consistency contract — on hosts without
-// AVX2 an env-forced engine is bitwise identical to the auto-tier default.
+// process tier (and that the library kernels follow it), and the
+// cross-tier consistency contract — on hosts without AVX2 an env-forced
+// engine is bitwise identical to the auto-tier default.
 
+#include <cmath>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -12,8 +14,15 @@
 #include <gtest/gtest.h>
 
 #include "common/cpu_features.h"
+#include "common/random.h"
 #include "core/continuous_cpd.h"
+#include "core/cpd_state.h"
+#include "linalg/cholesky.h"
+#include "linalg/matrix.h"
 #include "linalg/rank_dispatch.h"
+#include "linalg/simd.h"
+#include "tensor/mttkrp.h"
+#include "tensor/sparse_tensor.h"
 
 namespace sns {
 namespace {
@@ -114,6 +123,118 @@ TEST(KernelTierTableTest, TierFieldMatchesRequest) {
         EXPECT_EQ(t.tier, KernelTier::kGeneric);
       }
     }
+  }
+}
+
+// The library kernels have one form, which resolves its table per call: at
+// every pinned tier they must reproduce, bit for bit, the same algorithm
+// run through that tier's own table primitives.
+TEST(KernelTierTableTest, LibraryKernelsFollowThePinnedTier) {
+  ScopedForceGenericEnv env(nullptr);  // Restores the env tier on exit.
+  constexpr int64_t kRank = 13;        // Padded 16: a specialized table.
+  const int64_t padded = PaddedRank(kRank);
+  Rng rng(91);
+  const std::vector<int64_t> dims = {6, 5, 4};
+  std::vector<Matrix> factors;
+  for (const int64_t dim : dims) {
+    factors.push_back(Matrix::RandomNormal(dim, kRank, rng));
+  }
+  SparseTensor x(dims);
+  for (int i = 0; i < 40; ++i) {
+    x.Set({static_cast<int32_t>(rng.UniformInt(0, 5)),
+           static_cast<int32_t>(rng.UniformInt(0, 4)),
+           static_cast<int32_t>(rng.UniformInt(0, 3))},
+          rng.UniformDouble(0.5, 2.0));
+  }
+  const Matrix a = Matrix::RandomNormal(3 * kRank, kRank, rng);
+  Matrix spd = MultiplyTransposeA(a, a);
+  for (int64_t i = 0; i < kRank; ++i) spd(i, i) += 1.0;
+  const Matrix base_gram = spd;
+  AlignedVector old_row(kRank), new_row(kRank), b(kRank);
+  for (int64_t r = 0; r < kRank; ++r) {
+    old_row[r] = rng.Normal();
+    new_row[r] = rng.Normal();
+    b[r] = rng.Normal();
+  }
+  const ModeIndex cell{2, 3, 1};
+
+  for (const KernelTier tier :
+       {KernelTier::kGeneric, KernelTier::kAvx2, KernelTier::kAvx512}) {
+    if (!KernelTierSupported(tier)) continue;
+    SCOPED_TRACE(KernelTierName(tier));
+    internal::RefreshKernelTierForTest(tier);
+    const RankKernelTable& kr = GetRankKernelTable(padded, tier);
+    const RankKernelTable& rt = GetRankKernelTable(0, tier);
+
+    // HadamardRowProduct: ones, then each other mode's row multiplied in.
+    AlignedVector had(kRank), expected(kRank);
+    HadamardRowProduct(factors, cell, /*skip_mode=*/1, had.data());
+    for (int64_t r = 0; r < kRank; ++r) expected[r] = 1.0;
+    kr.mul_accum(expected.data(), factors[0].Row(cell[0]), padded);
+    kr.mul_accum(expected.data(), factors[2].Row(cell[2]), padded);
+    for (int64_t r = 0; r < padded; ++r) {
+      ASSERT_EQ(had.data()[r], expected.data()[r]) << r;
+    }
+
+    // MttkrpRow (3 modes): one fused fma3 per slice entry, in slice order.
+    AlignedVector out(kRank), scratch(kRank);
+    for (int64_t row = 0; row < dims[0]; ++row) {
+      MttkrpRow(x, factors, /*mode=*/0, row, out.data(), scratch.data());
+      kr.fill(expected.data(), 0.0, padded);
+      for (const SparseTensor::SliceEntry entry : x.Slice(0, row)) {
+        kr.fma3(entry.value, factors[1].Row(entry.coords[1]),
+                factors[2].Row(entry.coords[2]), expected.data(), padded);
+      }
+      for (int64_t r = 0; r < padded; ++r) {
+        ASSERT_EQ(out.data()[r], expected.data()[r]) << row << ", " << r;
+      }
+    }
+
+    // ApplyGramRowUpdate: one gram_row_delta per Gram row.
+    Matrix gram = base_gram, expected_gram = base_gram;
+    ApplyGramRowUpdate(gram, old_row.data(), new_row.data());
+    for (int64_t i = 0; i < kRank; ++i) {
+      kr.gram_row_delta(new_row[i], new_row.data(), old_row[i],
+                        old_row.data(), expected_gram.Row(i), padded);
+    }
+    ASSERT_EQ(MaxAbsDiff(gram, expected_gram), 0.0);
+
+    // The Cholesky pair: row-suffix axpys and dots of the runtime-length
+    // table (linalg/cholesky.cpp).
+    Matrix upper(kRank, kRank), expected_upper(kRank, kRank);
+    ASSERT_TRUE(CholeskyFactorizeUpperInto(spd, upper));
+    for (int64_t i = 0; i < kRank; ++i) {
+      for (int64_t j = i; j < kRank; ++j) expected_upper(i, j) = spd(i, j);
+    }
+    for (int64_t k = 0; k < kRank; ++k) {
+      double* row_k = expected_upper.Row(k);
+      row_k[k] = std::sqrt(row_k[k]);
+      const double inv = 1.0 / row_k[k];
+      for (int64_t j = k + 1; j < kRank; ++j) row_k[j] *= inv;
+      for (int64_t i = k + 1; i < kRank; ++i) {
+        if (row_k[i] == 0.0) continue;
+        rt.axpy(-row_k[i], row_k + i, expected_upper.Row(i) + i, kRank - i);
+      }
+    }
+    for (int64_t i = 0; i < kRank; ++i) {
+      for (int64_t j = i; j < kRank; ++j) {
+        ASSERT_EQ(upper(i, j), expected_upper(i, j)) << i << ", " << j;
+      }
+    }
+    AlignedVector solved(kRank), expected_x(kRank);
+    for (int64_t r = 0; r < kRank; ++r) solved[r] = expected_x[r] = b[r];
+    CholeskySolveUpperInPlace(upper, solved.data());
+    double* y = expected_x.data();
+    for (int64_t k = 0; k < kRank; ++k) {
+      const double* row = expected_upper.Row(k);
+      y[k] /= row[k];
+      rt.axpy(-y[k], row + k + 1, y + k + 1, kRank - k - 1);
+    }
+    for (int64_t i = kRank - 1; i >= 0; --i) {
+      const double* row = expected_upper.Row(i);
+      y[i] = (y[i] - rt.dot(row + i + 1, y + i + 1, kRank - i - 1)) / row[i];
+    }
+    for (int64_t r = 0; r < kRank; ++r) ASSERT_EQ(solved[r], y[r]) << r;
   }
 }
 
