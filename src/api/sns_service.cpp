@@ -386,26 +386,32 @@ StatusOr<StreamHandle*> SnsService::CreateStream(
   }
   auto handle = StreamHandle::Create(name, std::move(mode_dims), options);
   if (!handle.ok()) return handle.status();
+  return Register(std::move(handle).value(), /*sequence=*/0);
+}
+
+StatusOr<StreamHandle*> SnsService::Register(StreamHandle handle,
+                                             uint64_t sequence) {
+  std::string name = handle.name();
   std::lock_guard<std::mutex> lock(registry_->mu);
   if (registry_->streams.find(name) != registry_->streams.end()) {
     return Status::FailedPrecondition("stream '" + name +
                                       "' already exists");
   }
   auto entry = std::make_unique<StreamEntry>();
-  entry->handle = std::make_unique<StreamHandle>(std::move(handle).value());
+  entry->handle = std::make_unique<StreamHandle>(std::move(handle));
   entry->name = entry->handle->name();
   entry->mode_dims = entry->handle->mode_dims();
   entry->shard = executor_->AssignShard();
-  AttachMetrics(*entry);
+  if (metrics_ != nullptr) {
+    entry->shard_metrics = &metrics_->shard(entry->shard);
+    entry->stream_metrics =
+        metrics_->RegisterStream(entry->name, entry->shard);
+  }
+  entry->issued_seq = sequence;
+  entry->applied_seq.store(sequence, std::memory_order_release);
   StreamHandle* raw = entry->handle.get();
   registry_->streams.emplace(std::move(name), std::move(entry));
   return raw;
-}
-
-void SnsService::AttachMetrics(StreamEntry& entry) {
-  if (metrics_ == nullptr) return;
-  entry.shard_metrics = &metrics_->shard(entry.shard);
-  entry.stream_metrics = metrics_->RegisterStream(entry.name, entry.shard);
 }
 
 SnsService::StreamEntry* SnsService::ResolveEntry(
@@ -478,58 +484,39 @@ Ticket SnsService::IngestAsync(std::string_view stream,
   if (entry == nullptr) return Ticket::Completed(NoSuchStream(stream));
   Status admit = ValidateAdmission(*entry, tuples);
   if (!admit.ok()) return Ticket::Completed(std::move(admit));
-  return SubmitOp(
-      *entry,
-      [batch = std::move(tuples)](StreamEntry& e, uint64_t seq) {
-        return ExecuteMutation(e, seq, durability::JournalOpType::kIngest, 0,
-                               batch);
-      },
-      /*force_block=*/false, deadline);
+  return SubmitMutation(*entry, durability::JournalOpType::kIngest, 0,
+                        std::move(tuples), /*force_block=*/false, deadline);
 }
 
 Ticket SnsService::AdvanceToAsync(std::string_view stream, int64_t time,
                                   std::optional<std::chrono::milliseconds> deadline) {
   StreamEntry* entry = ResolveEntry(stream);
   if (entry == nullptr) return Ticket::Completed(NoSuchStream(stream));
-  return SubmitOp(
-      *entry,
-      [time](StreamEntry& e, uint64_t seq) {
-        return ExecuteMutation(e, seq, durability::JournalOpType::kAdvanceTo,
-                               time, {});
-      },
-      /*force_block=*/false, deadline);
+  return SubmitMutation(*entry, durability::JournalOpType::kAdvanceTo, time,
+                        std::span<const Tuple>(), /*force_block=*/false,
+                        deadline);
 }
 
 // --- Synchronous routed ingestion -----------------------------------------
 // Ticketed ops the caller immediately waits on: the span stays alive for
-// the whole call, so closures capture it by value (a span copy, not the
-// tuples) instead of copying the batch like the async forms must.
+// the whole call, so the queued task holds the span (not a copy of the
+// tuples) instead of owning the batch like the async forms must.
 
 Status SnsService::Warmup(std::string_view stream,
                           std::span<const Tuple> tuples) {
   StreamEntry* entry = ResolveEntry(stream);
   if (entry == nullptr) return NoSuchStream(stream);
   SNS_RETURN_IF_ERROR(ValidateAdmission(*entry, tuples));
-  return SubmitOp(
-             *entry,
-             [tuples](StreamEntry& e, uint64_t seq) {
-               return ExecuteMutation(
-                   e, seq, durability::JournalOpType::kWarmup, 0, tuples);
-             },
-             /*force_block=*/true)
+  return SubmitMutation(*entry, durability::JournalOpType::kWarmup, 0, tuples,
+                        /*force_block=*/true)
       .Wait();
 }
 
 Status SnsService::Initialize(std::string_view stream) {
   StreamEntry* entry = ResolveEntry(stream);
   if (entry == nullptr) return NoSuchStream(stream);
-  return SubmitOp(
-             *entry,
-             [](StreamEntry& e, uint64_t seq) {
-               return ExecuteMutation(
-                   e, seq, durability::JournalOpType::kInitialize, 0, {});
-             },
-             /*force_block=*/true)
+  return SubmitMutation(*entry, durability::JournalOpType::kInitialize, 0,
+                        std::span<const Tuple>(), /*force_block=*/true)
       .Wait();
 }
 
@@ -538,13 +525,8 @@ Status SnsService::Ingest(std::string_view stream,
   StreamEntry* entry = ResolveEntry(stream);
   if (entry == nullptr) return NoSuchStream(stream);
   SNS_RETURN_IF_ERROR(ValidateAdmission(*entry, tuples));
-  return SubmitOp(
-             *entry,
-             [tuples](StreamEntry& e, uint64_t seq) {
-               return ExecuteMutation(
-                   e, seq, durability::JournalOpType::kIngest, 0, tuples);
-             },
-             /*force_block=*/true)
+  return SubmitMutation(*entry, durability::JournalOpType::kIngest, 0, tuples,
+                        /*force_block=*/true)
       .Wait();
 }
 
@@ -555,13 +537,8 @@ Status SnsService::Ingest(std::string_view stream, const Tuple& tuple) {
 Status SnsService::AdvanceTo(std::string_view stream, int64_t time) {
   StreamEntry* entry = ResolveEntry(stream);
   if (entry == nullptr) return NoSuchStream(stream);
-  return SubmitOp(
-             *entry,
-             [time](StreamEntry& e, uint64_t seq) {
-               return ExecuteMutation(
-                   e, seq, durability::JournalOpType::kAdvanceTo, time, {});
-             },
-             /*force_block=*/true)
+  return SubmitMutation(*entry, durability::JournalOpType::kAdvanceTo, time,
+                        std::span<const Tuple>(), /*force_block=*/true)
       .Wait();
 }
 
@@ -587,13 +564,8 @@ Status SnsService::AdvanceAllTo(int64_t time) {
         *entry, [](StreamHandle& handle) { return handle.Stats(); });
     if (!stats.has_ingested || stats.last_time > time) continue;
     const Status status =
-        SubmitOp(
-            *entry,
-            [time](StreamEntry& e, uint64_t seq) {
-              return ExecuteMutation(
-                  e, seq, durability::JournalOpType::kAdvanceTo, time, {});
-            },
-            /*force_block=*/true)
+        SubmitMutation(*entry, durability::JournalOpType::kAdvanceTo, time,
+                       std::span<const Tuple>(), /*force_block=*/true)
             .Wait();
     // The horizon guard above rules out engine-side failures, but the
     // write-ahead journal append can still fail (disk full, quarantined or
@@ -913,24 +885,7 @@ StatusOr<StreamHandle*> SnsService::Restore(serial::ByteSource& source) {
   auto restored = durability::ReadStreamCheckpoint(source);
   if (!restored.ok()) return restored.status();
   const uint64_t sequence = restored.value().sequence;
-  std::string name = restored.value().handle.name();
-  std::lock_guard<std::mutex> lock(registry_->mu);
-  if (registry_->streams.find(name) != registry_->streams.end()) {
-    return Status::FailedPrecondition("stream '" + name +
-                                      "' already exists");
-  }
-  auto entry = std::make_unique<StreamEntry>();
-  entry->handle = std::make_unique<StreamHandle>(
-      std::move(restored).value().handle);
-  entry->name = entry->handle->name();
-  entry->mode_dims = entry->handle->mode_dims();
-  entry->shard = executor_->AssignShard();
-  AttachMetrics(*entry);
-  entry->issued_seq = sequence;
-  entry->applied_seq.store(sequence, std::memory_order_release);
-  StreamHandle* raw = entry->handle.get();
-  registry_->streams.emplace(std::move(name), std::move(entry));
-  return raw;
+  return Register(std::move(restored).value().handle, sequence);
 }
 
 Status SnsService::EnableJournal(std::string_view stream,

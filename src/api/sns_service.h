@@ -434,10 +434,11 @@ class SnsService {
 
   StreamEntry* ResolveEntry(std::string_view name) const;
 
-  /// Points a freshly registered entry at its telemetry domains (no-op when
-  /// metrics are disabled). Called under the registry lock by
-  /// CreateStream/Restore, after the entry's shard is pinned.
-  void AttachMetrics(StreamEntry& entry);
+  /// Registers a built (CreateStream) or restored (Restore) handle under
+  /// its name: refuses a duplicate, pins a shard, points the entry at its
+  /// telemetry domains (when metrics are enabled) and starts its sequence
+  /// tokens at `sequence`. Takes the registry lock.
+  StatusOr<StreamHandle*> Register(StreamHandle handle, uint64_t sequence);
   static Status NoSuchStream(std::string_view name) {
     return Status::NotFound("no stream named '" + std::string(name) + "'");
   }
@@ -455,18 +456,22 @@ class SnsService {
   static Status ValidateAdmission(const StreamEntry& entry,
                                   std::span<const Tuple> tuples);
 
-  /// Issues a ticket for `op(StreamEntry&, uint64_t seq) -> Status` and
-  /// submits it to the owning shard; the caller-runs executor has run it
-  /// by the time this returns. The only entry point that consumes sequence
-  /// tokens; ops receive their token so they can journal write-ahead before
-  /// applying. Honors BackpressurePolicy unless `force_block` — the
-  /// synchronous mutation forms, whose callers self-throttle by waiting on
-  /// the ticket anyway. A rejected submission
-  /// (health gate / backpressure / deadline / shutdown) consumes no token
-  /// and journals nothing, so tokens and journal records stay 1:1.
-  template <typename Op>
-  Ticket SubmitOp(
-      StreamEntry& entry, Op op, bool force_block = false,
+  /// Issues a ticket for one mutation — ExecuteMutation(op, time, tuples)
+  /// under the ticket's sequence token — and submits it to the owning
+  /// shard; the caller-runs executor has run it by the time this returns.
+  /// The only entry point that consumes sequence tokens; the mutation gets
+  /// its token so it can journal write-ahead before applying. `Tuples` is a
+  /// span the caller keeps alive until the ticket completes (the
+  /// synchronous forms) or a vector the queued task owns (the async forms).
+  /// Honors BackpressurePolicy unless `force_block` — the synchronous
+  /// mutation forms, whose callers self-throttle by waiting on the ticket
+  /// anyway. A rejected submission (health gate / backpressure / deadline /
+  /// shutdown) consumes no token and journals nothing, so tokens and
+  /// journal records stay 1:1.
+  template <typename Tuples>
+  Ticket SubmitMutation(
+      StreamEntry& entry, durability::JournalOpType op, int64_t time,
+      Tuples tuples, bool force_block,
       std::optional<std::chrono::milliseconds> deadline = std::nullopt);
 
   /// The body every ticketed mutation runs on the owning shard: health
@@ -532,9 +537,11 @@ class SnsService {
 
 // --- Template implementations -------------------------------------------
 
-template <typename Op>
-Ticket SnsService::SubmitOp(StreamEntry& entry, Op op, bool force_block,
-                            std::optional<std::chrono::milliseconds> deadline) {
+template <typename Tuples>
+Ticket SnsService::SubmitMutation(
+    StreamEntry& entry, durability::JournalOpType op, int64_t time,
+    Tuples tuples, bool force_block,
+    std::optional<std::chrono::milliseconds> deadline) {
   {
     Status gate = HealthGate(entry);
     if (!gate.ok()) return Ticket::Completed(std::move(gate));
@@ -557,8 +564,10 @@ Ticket SnsService::SubmitOp(StreamEntry& entry, Op op, bool force_block,
   const int64_t issued_ns = latency != nullptr ? MonotonicNanos() : 0;
   const Mailbox::PushResult result = executor_->Submit(
       entry.shard,
-      Task([e, record, latency, issued_ns, op = std::move(op)]() mutable {
-        Status status = op(*e, record->sequence());
+      Task([e, record, latency, issued_ns, op, time,
+            batch = std::move(tuples)] {
+        Status status = ExecuteMutation(*e, record->sequence(), op, time,
+                                        batch);
         e->applied_seq.store(record->sequence(), std::memory_order_release);
         if (latency != nullptr) {
           latency->Record(MonotonicNanos() - issued_ns);

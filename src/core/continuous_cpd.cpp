@@ -7,31 +7,22 @@
 #include "common/serial.h"
 #include "core/als.h"
 #include "losses/loss_function.h"
+#include "core/row_updater.h"
 #include "core/sns_mat.h"
-#include "core/sns_rnd.h"
-#include "core/sns_rnd_plus.h"
-#include "core/sns_vec.h"
-#include "core/sns_vec_plus.h"
 
 namespace sns {
 namespace {
 
-std::unique_ptr<EventUpdater> MakeUpdater(const ContinuousCpdOptions& options) {
+std::unique_ptr<EventUpdater> MakeUpdater(const ContinuousCpdOptions& options,
+                                          const LossFunction* loss) {
   switch (options.variant) {
     case SnsVariant::kMat:
-      return std::make_unique<SnsMatUpdater>();
+      return std::make_unique<SnsMatUpdater>(loss);
     case SnsVariant::kVec:
-      return std::make_unique<SnsVecUpdater>();
     case SnsVariant::kRnd:
-      return std::make_unique<SnsRndUpdater>(options.sample_threshold,
-                                             options.seed + 1);
     case SnsVariant::kVecPlus:
-      return std::make_unique<SnsVecPlusUpdater>(options.clip_bound,
-                                                 options.nonnegative_factors);
     case SnsVariant::kRndPlus:
-      return std::make_unique<SnsRndPlusUpdater>(
-          options.sample_threshold, options.clip_bound, options.seed + 1,
-          options.nonnegative_factors);
+      return std::make_unique<RowUpdater>(options, loss);
   }
   // Unhandled SnsVariant (e.g. an enum value cast from a bad integer): fail
   // loudly here instead of returning nullptr and crashing at first use.
@@ -127,13 +118,13 @@ ContinuousCpd::ContinuousCpd(std::vector<int64_t> mode_dims,
   state_ = CpdState(KruskalModel::Random(
       WithTimeMode(std::move(mode_dims), options.window_size), options.rank,
       rng_));
-  updater_ = MakeUpdater(options_);
-  SNS_CHECK(updater_ != nullptr);
   loss_ = &GetLossFunction(options_.loss);
+  updater_ = MakeUpdater(options_, loss_);
+  SNS_CHECK(updater_ != nullptr);
   if (options_.loss != LossKind::kGaussian) {
-    // The Gaussian default deliberately leaves the updater and tracker
-    // untouched (null loss) so their hot paths stay bitwise-identical.
-    updater_->set_loss(loss_);
+    // The Gaussian default deliberately leaves the tracker untouched (null
+    // loss) so its hot path stays bitwise-identical; the updaters run their
+    // least-squares rules whenever the loss is Gaussian.
     fitness_tracker_.SetLoss(loss_);
   }
   if (options_.robust.enabled) {

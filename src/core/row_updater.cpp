@@ -1,13 +1,36 @@
-#include "core/row_updater_base.h"
+#include "core/row_updater.h"
 
 #include <algorithm>
+#include <limits>
 
+#include "linalg/rank_dispatch.h"
 #include "tensor/mttkrp.h"
 
 namespace sns {
 
-void RowUpdaterBase::OnEvent(const SparseTensor& window,
-                             const WindowDelta& delta, CpdState& state) {
+RowUpdater::RowUpdater(const ContinuousCpdOptions& options,
+                       const LossFunction* loss)
+    : name_(VariantName(options.variant)),
+      sampled_(options.variant == SnsVariant::kRnd ||
+               options.variant == SnsVariant::kRndPlus),
+      clipped_(options.variant == SnsVariant::kVecPlus ||
+               options.variant == SnsVariant::kRndPlus),
+      sample_threshold_(sampled_ ? options.sample_threshold : 0),
+      clip_min_(-std::numeric_limits<double>::infinity()),
+      clip_max_(std::numeric_limits<double>::infinity()),
+      rng_(options.seed + 1),
+      loss_(loss) {
+  SNS_CHECK(options.variant != SnsVariant::kMat);
+  if (sampled_) SNS_CHECK(sample_threshold_ >= 1);
+  if (clipped_) {
+    SNS_CHECK(options.clip_bound > 0.0);
+    clip_min_ = options.nonnegative_factors ? 0.0 : -options.clip_bound;
+    clip_max_ = options.clip_bound;
+  }
+}
+
+void RowUpdater::OnEvent(const SparseTensor& window, const WindowDelta& delta,
+                         CpdState& state) {
   if (delta.cells.empty()) return;  // Zero-valued tuple.
   BeginEvent(delta, state);
 
@@ -33,20 +56,105 @@ void RowUpdaterBase::OnEvent(const SparseTensor& window,
   }
 }
 
-void RowUpdaterBase::BeginEvent(const WindowDelta& delta,
-                                const CpdState& state) {
+void RowUpdater::UpdateRow(int mode, int64_t row, const SparseTensor& window,
+                           const WindowDelta& delta, CpdState& state,
+                           UpdateWorkspace& ws) {
+  if (GcpUpdateRow(mode, row, window, delta, state)) {
+    return;  // Non-Gaussian loss: the GCP Newton step replaces the rules.
+  }
+  Matrix& factor = state.model.factor(mode);
+  const RankKernelTable& kr = *ws.kernels;
+  const int64_t padded = ws.padded_rank;
+  kr.copy(factor.Row(row), ws.old_row.data(), padded);
+
+  // Right-hand side (the numerator of the + variants); ws.h holds
+  // H(m) = HQ(m) = ∗_{n≠m} Q(n), preloaded by OnEvent.
+  const int time_mode = state.num_modes() - 1;
+  const bool model_approximation = !sampled_ && mode == time_mode;
+  if (model_approximation) {
+    // Eq. 9: ΔX_(M)(row,:) K(M) — the matricized delta row has at most one
+    // non-zero, the delta cell living in this slice, and its K(M) row is the
+    // Hadamard of the non-time factor rows. Eq. 22 adds the e-term
+    // e_k = Σ_r b_{i r} (∗_{n≠M} Q(n))(r, k) = (B row) · HQ(:,k): time rows
+    // are updated first within an event, so U(n) = Q(n) for all n ≠ M.
+    if (clipped_) {
+      RowTimesMatrixPadded(ws.old_row.data(), ws.h, ws.rhs.data());
+    } else {
+      kr.fill(ws.rhs.data(), 0.0, padded);
+    }
+    for (const DeltaCell& cell : delta.cells) {
+      if (cell.index[time_mode] != row) continue;
+      HadamardRowProduct(state.model.factors(), cell.index, time_mode,
+                         ws.had.data());
+      kr.axpy(cell.delta, ws.had.data(), ws.rhs.data(), padded);
+    }
+  } else if (sampled_ && window.Degree(mode, row) > sample_threshold_) {
+    // Sampled rule (Alg. 4 lines 11-14 → Eq. 16; Alg. 5 lines 9-11, 14 →
+    // Eq. 23).
+    SampledRowRhs(mode, row, window, delta, state, ws);
+  } else {
+    // Exact rule (Eq. 12 / Eq. 21): the window already contains the delta,
+    // so the row MTTKRP (X + ΔX)_(m)(row,:) K(m) is the full data term.
+    MttkrpRow(window, state.model.factors(), mode, row, ws.rhs.data(),
+              ws.had.data());
+  }
+
+  if (clipped_) {
+    CoordinateDescentRow(factor.Row(row), state.rank(), ws.h, ws.rhs.data(),
+                         clip_min_, clip_max_);
+  } else {
+    ws.solver.Factorize(ws.h);
+    ws.solver.Solve(ws.rhs.data(), ws.solution.data());
+    if (model_approximation) {
+      // Eq. 9: A(M)(row,:) += ΔX_(M)(row,:) K(M) H(M)†.
+      kr.axpy(1.0, ws.solution.data(), factor.Row(row), padded);
+    } else {
+      kr.copy(ws.solution.data(), factor.Row(row), padded);
+    }
+  }
+  CommitRow(mode, row, ws.old_row.data(), state);  // Eqs. 13, 17, 24-26.
+}
+
+void CoordinateDescentRow(double* row, int64_t rank, const Matrix& hq,
+                          const double* numerator, double clip_min,
+                          double clip_max) {
+  const RankKernelTable& kr = GetRankKernelTable(hq.stride());
+  for (int64_t k = 0; k < rank; ++k) {
+    const double c_k = hq(k, k);
+    if (!(c_k > 1e-300)) continue;  // Dead component: leave the entry.
+    // d_k = Σ_{r≠k} row[r]·HQ(r,k) against the live (partially updated)
+    // row. HQ is a Hadamard product of symmetric Grams, so HQ(r,k) =
+    // HQ(k,r) bitwise — read row k instead of column k for contiguous
+    // access. The dot runs to the padded bound (zero lanes on both sides).
+    double d_k = kr.dot(row, hq.Row(k), hq.stride());
+    d_k -= row[k] * c_k;
+    double value = (numerator[k] - d_k) / c_k;
+    // Clipping (Alg. 5 line 5): projection onto [clip_min, clip_max] never
+    // increases the convex per-entry objective.
+    if (value > clip_max) {
+      value = clip_max;
+    } else if (value < clip_min) {
+      value = clip_min;
+    }
+    row[k] = value;
+  }
+}
+
+void RowUpdater::BeginEvent(const WindowDelta& delta, const CpdState& state) {
   time_mode_ = state.num_modes() - 1;
   snap_rank_ = state.rank();
   snap_stride_ = PaddedRank(snap_rank_);
-  ws_.Prepare(state.num_modes(), snap_rank_, sample_capacity_);
+  // The sample buffer holds θ plus the ≤2 delta cells a tiny-slice
+  // enumeration may add, keeping the sampled path allocation-free.
+  ws_.Prepare(state.num_modes(), snap_rank_,
+              sampled_ ? sample_threshold_ + 4 : 0);
   gram_cache_.BeginEvent(state.grams);
   // No-ops (and allocation-free) once sized for this shape.
   snapshot_values_.Resize((kMaxTensorModes + 2) * snap_stride_);
-  if (NeedsPrevGrams()) {
+  if (sampled_) {
     delta_values_.Resize(2 * (kMaxTensorModes + 2) * snap_stride_);
   }
   num_gram_deltas_ = 0;
-
   auto copy_row = [&](int mode, int64_t row, int segment) {
     // Full padded stride: the factor row's zero padding lanes come along,
     // keeping each snapshot segment a valid padded row.
@@ -80,30 +188,26 @@ void RowUpdaterBase::BeginEvent(const WindowDelta& delta,
   }
 }
 
-bool RowUpdaterBase::GcpUpdateRow(int mode, int64_t row,
-                                  const SparseTensor& window,
-                                  const WindowDelta& delta, CpdState& state,
-                                  double clip_min, double clip_max,
-                                  int64_t sample_threshold, Rng* rng) {
+bool RowUpdater::GcpUpdateRow(int mode, int64_t row,
+                              const SparseTensor& window,
+                              const WindowDelta& delta, CpdState& state) {
   if (loss_ == nullptr || loss_->kind() == LossKind::kGaussian) return false;
-  const bool sampled =
-      sample_threshold > 0 && window.Degree(mode, row) > sample_threshold;
-  if (sampled) {
+  if (sampled_ && window.Degree(mode, row) > sample_threshold_) {
     // θ-sampled restriction: uniformly drawn slice cells (zero cells
     // included — their ℓ(0, θ) terms pull spurious model mass down; delta
     // cells excluded by the sampler) plus the event's delta cells at their
     // live window values.
-    SampleSliceCellsInto(window, mode, row, sample_threshold, delta, *rng,
+    SampleSliceCellsInto(window, mode, row, sample_threshold_, delta, rng_,
                          gcp_ws_.cells);
     for (const DeltaCell& cell : delta.cells) {
       if (cell.index[mode] != row) continue;
       gcp_ws_.cells.push_back({cell.index, window.Get(cell.index)});
     }
-    GcpNewtonRowUpdate(state, mode, row, *loss_, gcp_ws_.cells, clip_min,
-                       clip_max, gcp_ws_);
+    GcpNewtonRowUpdate(state, mode, row, *loss_, gcp_ws_.cells, clip_min_,
+                       clip_max_, gcp_ws_);
   } else {
-    GcpNewtonRowUpdateOnSlice(window, state, mode, row, *loss_, clip_min,
-                              clip_max, gcp_ws_);
+    GcpNewtonRowUpdateOnSlice(window, state, mode, row, *loss_, clip_min_,
+                              clip_max_, gcp_ws_);
   }
   // Commit unconditionally: gcp_ws_.old_row holds the pre-update row either
   // way (GcpNewtonRowUpdate snapshots before deciding), and the Gram /
@@ -112,8 +216,8 @@ bool RowUpdaterBase::GcpUpdateRow(int mode, int64_t row,
   return true;
 }
 
-const double* RowUpdaterBase::PrevRow(int mode, int64_t row,
-                                      const CpdState& state) const {
+const double* RowUpdater::PrevRow(int mode, int64_t row,
+                                  const CpdState& state) const {
   if (mode == time_mode_) {
     for (int t = 0; t < num_time_snaps_; ++t) {
       if (time_snap_row_[static_cast<size_t>(t)] == row) {
@@ -126,11 +230,11 @@ const double* RowUpdaterBase::PrevRow(int mode, int64_t row,
   return state.model.factor(mode).Row(row);
 }
 
-void RowUpdaterBase::CommitRow(int mode, int64_t row, const double* old_row,
-                               CpdState& state) {
+void RowUpdater::CommitRow(int mode, int64_t row, const double* old_row,
+                           CpdState& state) {
   const double* new_row = state.model.factor(mode).Row(row);
   ApplyGramRowUpdate(state.grams[static_cast<size_t>(mode)], old_row, new_row);
-  if (NeedsPrevGrams()) {
+  if (sampled_) {
     // Record the rank-1 correction U(mode) = Q(mode) + (p−a)'a. old_row is
     // also the event-start (prev) row p: rows update once per event. Both
     // segments span the full padded stride (padding: 0 − 0 = 0).
@@ -146,12 +250,10 @@ void RowUpdaterBase::CommitRow(int mode, int64_t row, const double* old_row,
   }
 }
 
-void RowUpdaterBase::SampledRowRhs(int mode, int64_t row,
-                                   const SparseTensor& window,
-                                   const WindowDelta& delta,
-                                   const CpdState& state,
-                                   int64_t sample_threshold, Rng& rng,
-                                   UpdateWorkspace& ws) const {
+void RowUpdater::SampledRowRhs(int mode, int64_t row,
+                               const SparseTensor& window,
+                               const WindowDelta& delta, const CpdState& state,
+                               UpdateWorkspace& ws) {
   const RankKernelTable& kr = *ws.kernels;
   const int64_t padded = ws.padded_rank;
   double* rhs = ws.rhs.data();
@@ -163,7 +265,7 @@ void RowUpdaterBase::SampledRowRhs(int mode, int64_t row,
   // the slice grid (zero cells included — they pull spurious model mass
   // down; delta cells excluded per footnote 2), staged a panel at a time
   // and accumulated in cell order.
-  SampleSliceCellsInto(window, mode, row, sample_threshold, delta, rng,
+  SampleSliceCellsInto(window, mode, row, sample_threshold_, delta, rng_,
                        ws.samples);
   const size_t capacity = static_cast<size_t>(ws.sample_residual.size());
   SNS_DCHECK(capacity > 0);
@@ -185,9 +287,8 @@ void RowUpdaterBase::SampledRowRhs(int mode, int64_t row,
   }
 }
 
-void RowUpdaterBase::PrevGramETerm(const CpdState& state, int skip_mode,
-                                   const double* b,
-                                   UpdateWorkspace& ws) const {
+void RowUpdater::PrevGramETerm(const CpdState& state, int skip_mode,
+                               const double* b, UpdateWorkspace& ws) const {
   const RankKernelTable& kr = *ws.kernels;
   const int64_t padded = ws.padded_rank;
   double* rhs = ws.rhs.data();
@@ -277,9 +378,9 @@ void PrevModelValues(const double* (*rows)[kMaxTensorModes], int modes,
 
 }  // namespace
 
-void RowUpdaterBase::StageSamples(const CpdState& state, int mode,
-                                  int64_t row, size_t begin, size_t end,
-                                  UpdateWorkspace& ws) const {
+void RowUpdater::StageSamples(const CpdState& state, int mode, int64_t row,
+                              size_t begin, size_t end,
+                              UpdateWorkspace& ws) const {
   constexpr int kLanes = 4;
   const std::vector<Matrix>& factors = state.model.factors();
   const RankKernelTable& kr = *ws.kernels;

@@ -8,7 +8,7 @@
 // by the current event are excluded per footnote 2.
 //
 // Sampled cells carry their window value, fetched exactly once here, so the
-// consumers (the RND rows of RowUpdaterBase, the θ-sampled GCP step) never
+// consumers (RowUpdater's sampled rule and its θ-sampled GCP step) never
 // re-hash the window per cell.
 //
 // Cost per call: θ·(M−1) bounded-integer draws, one window lookup per

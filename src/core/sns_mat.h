@@ -13,21 +13,21 @@ namespace sns {
 
 class SnsMatUpdater : public EventUpdater {
  public:
+  /// Non-Gaussian losses swap the per-event ALS sweep for a GCP Newton
+  /// sweep (losses/gcp_row_update.h). Null or Gaussian is untouched.
+  explicit SnsMatUpdater(const LossFunction* loss = nullptr) : loss_(loss) {}
+
   std::string_view name() const override { return "SNS-MAT"; }
 
   void OnEvent(const SparseTensor& window, const WindowDelta& delta,
                CpdState& state) override;
-
-  /// Non-Gaussian losses swap the per-event ALS sweep for a GCP Newton
-  /// sweep (losses/gcp_row_update.h). Gaussian (default) is untouched.
-  void set_loss(const LossFunction* loss) override { loss_ = loss; }
 
  private:
   // Reused sweep scratch: per-event sweeps allocate nothing once warm.
   AlsWorkspace ws_;
   // GCP sweep scratch; zero footprint under the Gaussian default.
   GcpRowWorkspace gcp_ws_;
-  const LossFunction* loss_ = nullptr;
+  const LossFunction* loss_;
 };
 
 }  // namespace sns

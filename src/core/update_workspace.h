@@ -4,9 +4,8 @@
 // once (or when the model shape changes) by Prepare and reused event after
 // event, so steady-state event processing performs zero heap allocations
 // (guarded by the counting-allocator test in tests/hot_path_test.cpp).
-// Owned by RowUpdaterBase and threaded through every UpdateRow
-// implementation; SNS-MAT's ALS sweep uses the sibling AlsWorkspace
-// (core/als.h).
+// Owned by RowUpdater and threaded through its UpdateRow; SNS-MAT's ALS
+// sweep uses the sibling AlsWorkspace (core/als.h).
 //
 // All rank-length scratch is 64-byte-aligned and padded to PaddedRank(R)
 // with zero padding lanes (linalg/simd.h), so the padded rank-dispatch
@@ -45,7 +44,7 @@ struct UpdateWorkspace {
   int64_t padded_rank = 0;
 
   /// ∗_{n≠m} Q(n) for the row currently being updated — preloaded by
-  /// RowUpdaterBase::OnEvent (via GramProductCache) before each UpdateRow.
+  /// RowUpdater::OnEvent (via GramProductCache) before each UpdateRow.
   Matrix h;
   /// Cholesky-backed row solver (allocation-free fast path).
   GramSolver solver;
@@ -55,7 +54,7 @@ struct UpdateWorkspace {
   AlignedVector solution;  // Solve output before the factor write.
   AlignedVector had;       // Per-entry Hadamard row product.
 
-  // Sampled rule of the RND variants (RowUpdaterBase::SampledRowRhs).
+  // Sampled rule of the RND variants (RowUpdater::SampledRowRhs).
   std::vector<SampledCell> samples;  // θ-sample output.
   /// Row i of ∗_{n≠m} U(n), built one row at a time for the e-term.
   AlignedVector h_prev_row;

@@ -12,8 +12,7 @@
 
 namespace sns {
 
-class Rng;           // common/random.h
-class LossFunction;  // losses/loss_function.h
+class Rng;  // common/random.h
 
 /// Processes window events. `window` is the live window with the delta
 /// already applied, so it equals the X + ΔX of the update rules; `delta`
@@ -28,14 +27,6 @@ class EventUpdater {
   /// Updates `state` in response to one event.
   virtual void OnEvent(const SparseTensor& window, const WindowDelta& delta,
                        CpdState& state) = 0;
-
-  /// Pointwise loss the updater descends — set by the engine from its
-  /// options before any event (never null afterwards; the engine always
-  /// passes a process-lifetime singleton). Updaters branch on kind():
-  /// Gaussian runs the verbatim least-squares paths, anything else routes
-  /// through the GCP Newton row step (losses/gcp_row_update.h). Default:
-  /// ignored, i.e. Gaussian-only behavior.
-  virtual void set_loss(const LossFunction* /*loss*/) {}
 
   /// The updater's private sampling Rng, or nullptr for deterministic
   /// updaters. Durability checkpoints save and restore it so a restored

@@ -103,7 +103,7 @@ struct GcpRowWorkspace {
 /// over `cells` (window coordinates + values; every cell must have
 /// index[mode] == row). The updated row is written back into the factor,
 /// but the Grams are NOT touched — callers commit the row through their own
-/// Gram maintenance (RowUpdaterBase::CommitRow) or recompute afterwards
+/// Gram maintenance (RowUpdater::CommitRow) or recompute afterwards
 /// (GcpSweep).
 /// Returns true when the row changed; ws.old_row then holds its previous
 /// value. Pass clip_min = -inf / clip_max = +inf for unclipped variants.

@@ -1,5 +1,6 @@
 #include "tensor/sparse_tensor.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/serial.h"
@@ -19,7 +20,14 @@ SparseTensor::SparseTensor(std::vector<int64_t> dims, int64_t expected_nnz)
 }
 
 void SparseTensor::Reserve(int64_t expected_nnz) {
-  if (expected_nnz > 0) pool_.Reserve(static_cast<size_t>(expected_nnz));
+  // Π dims, saturating at expected_nnz (every dim is >= 1).
+  int64_t cells = 1;
+  for (const int64_t dim : dims_) {
+    if (cells >= expected_nnz) break;
+    cells = cells > expected_nnz / dim ? expected_nnz : cells * dim;
+  }
+  const int64_t reserve = std::min(expected_nnz, cells);
+  if (reserve > 0) pool_.Reserve(static_cast<size_t>(reserve));
 }
 
 double SparseTensor::Get(const ModeIndex& index) const {

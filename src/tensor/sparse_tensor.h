@@ -50,7 +50,9 @@ class SparseTensor {
   /// ingestion avoids rehash/realloc storms.
   explicit SparseTensor(std::vector<int64_t> dims, int64_t expected_nnz = 0);
 
-  /// Pre-sizes storage for `expected_nnz` entries (never shrinks).
+  /// Pre-sizes storage for `expected_nnz` entries (never shrinks), capped
+  /// at the tensor's cell count: a hint past it cannot be met, and
+  /// honouring it would only exhaust memory.
   void Reserve(int64_t expected_nnz);
 
   int num_modes() const { return static_cast<int>(dims_.size()); }

@@ -1,20 +1,22 @@
 // Correctness tests for the five SliceNStitch updaters (Algorithms 2-5).
 
 #include <cmath>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "api/stream_handle.h"
+#include "common/cpu_features.h"
 #include "common/random.h"
+#include "common/serial.h"
 #include "core/als.h"
 #include "core/cpd_state.h"
 #include "core/continuous_cpd.h"
 #include "core/gram_solve.h"
+#include "core/row_updater.h"
 #include "core/sns_mat.h"
-#include "core/sns_rnd.h"
-#include "core/sns_rnd_plus.h"
-#include "core/sns_vec.h"
-#include "core/sns_vec_plus.h"
 #include "tensor/mttkrp.h"
 
 namespace sns {
@@ -72,6 +74,19 @@ WindowDelta MakeSlide(SparseTensor& window, int32_t i0, int32_t i1, double v,
   delta.cells.push_back({from, -v});
   delta.cells.push_back({to, v});
   return delta;
+}
+
+// Options that build the row updater of `variant` with threshold θ, clip
+// bound η and a θ-sampling Rng seeded `rng_seed` (RowUpdater seeds its Rng
+// with options.seed + 1).
+ContinuousCpdOptions RowOptions(SnsVariant variant, int64_t theta = 20,
+                                double eta = 1000.0, uint64_t rng_seed = 1) {
+  ContinuousCpdOptions options;
+  options.variant = variant;
+  options.sample_threshold = theta;
+  options.clip_bound = eta;
+  options.seed = rng_seed - 1;
+  return options;
 }
 
 double GramDrift(const CpdState& state) {
@@ -144,7 +159,7 @@ TEST(SnsVecTest, TimeModeShortcutMatchesExactSolveUnderPerfectModel) {
   Matrix h = HadamardOfGramsExcept(state.grams, 2);
   SolveRowAgainstGram(h, b.data(), expected.data());
 
-  SnsVecUpdater updater;
+  RowUpdater updater(RowOptions(SnsVariant::kVec));
   updater.OnEvent(window, delta, state);
 
   const double* actual = state.model.factor(2).Row(w_size - 1);
@@ -164,7 +179,7 @@ TEST(SnsVecTest, LastNonTimeRowSatisfiesNormalEquations) {
   CpdState state(model);
 
   WindowDelta delta = MakeSlide(window, 3, 2, 2.0, 1, w_size);
-  SnsVecUpdater updater;
+  RowUpdater updater(RowOptions(SnsVariant::kVec));
   updater.OnEvent(window, delta, state);
 
   std::vector<double> rhs(PaddedRank(2));
@@ -187,7 +202,7 @@ TEST(SnsVecTest, OnlyAffectedRowsChange) {
   KruskalModel before = state.model;
 
   WindowDelta delta = MakeArrival(window, 2, 4, 1.5, w_size);
-  SnsVecUpdater updater;
+  RowUpdater updater(RowOptions(SnsVariant::kVec));
   updater.OnEvent(window, delta, state);
 
   for (int64_t i = 0; i < 5; ++i) {
@@ -216,7 +231,7 @@ TEST(SnsVecTest, GramsStayConsistentAcrossEvents) {
   KruskalModel model = KruskalModel::Random(dims, 2, rng);
   SparseTensor window = DenseWindowFromModel(model);
   CpdState state(model);
-  SnsVecUpdater updater;
+  RowUpdater updater(RowOptions(SnsVariant::kVec));
 
   for (int step = 0; step < 50; ++step) {
     WindowDelta delta =
@@ -240,8 +255,8 @@ TEST(SnsRndTest, ExactPathWhenDegreeBelowThreshold) {
   CpdState state_rnd(model);
   CpdState state_vec(model);
 
-  SnsRndUpdater rnd(/*sample_threshold=*/10000, /*seed=*/1);
-  SnsVecUpdater vec;
+  RowUpdater rnd(RowOptions(SnsVariant::kRnd, /*theta=*/10000));
+  RowUpdater vec(RowOptions(SnsVariant::kVec));
   WindowDelta delta_rnd = MakeArrival(window_rnd, 1, 3, 2.0, w_size);
   WindowDelta delta_vec = MakeArrival(window_vec, 1, 3, 2.0, w_size);
   rnd.OnEvent(window_rnd, delta_rnd, state_rnd);
@@ -264,7 +279,9 @@ TEST(SnsRndTest, SampledPathKeepsGramsAndPrevGramsConsistent) {
   KruskalModel model = KruskalModel::Random(dims, 2, rng);
   SparseTensor window = DenseWindowFromModel(model);
   CpdState state(model);
-  SnsRndUpdater updater(/*sample_threshold=*/3, /*seed=*/2);  // Forces sampling.
+  // θ = 3 forces sampling.
+  RowUpdater updater(RowOptions(SnsVariant::kRnd, /*theta=*/3, /*eta=*/1000.0,
+                                /*rng_seed=*/2));
 
   for (int step = 0; step < 40; ++step) {
     WindowDelta delta =
@@ -348,7 +365,7 @@ TEST(SnsVecPlusTest, EntriesBoundedByEta) {
   SparseTensor window = DenseWindowFromModel(model);
   CpdState state(model);
   const double eta = 0.6;
-  SnsVecPlusUpdater updater(eta);
+  RowUpdater updater(RowOptions(SnsVariant::kVecPlus, /*theta=*/20, eta));
 
   for (int step = 0; step < 60; ++step) {
     WindowDelta delta =
@@ -372,8 +389,8 @@ TEST(SnsRndPlusTest, GramsAndBoundsHoldUnderSampling) {
   KruskalModel model = KruskalModel::Random(dims, 3, rng);
   SparseTensor window = DenseWindowFromModel(model);
   CpdState state(model);
-  SnsRndPlusUpdater updater(/*sample_threshold=*/4, /*clip_bound=*/50.0,
-                            /*seed=*/3);
+  RowUpdater updater(RowOptions(SnsVariant::kRndPlus, /*theta=*/4,
+                                /*eta=*/50.0, /*rng_seed=*/3));
 
   for (int step = 0; step < 60; ++step) {
     WindowDelta delta =
@@ -390,6 +407,87 @@ TEST(SnsRndPlusTest, GramsAndBoundsHoldUnderSampling) {
       ASSERT_LE(state.model.factor(m).MaxAbs(), 50.0 + 1e-9);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Golden trajectories: each row variant, plus robust and nonnegative runs of
+// the clipped ones, processes one fixed Gaussian stream at the generic tier,
+// and the serialized stream state must hash to the value recorded when the
+// four variants were separate classes.
+
+// A fixed stream on a 6 × 5 grid, four tuples per time unit, built from a
+// 64-bit LCG with integer arithmetic only (values 1..4 are exact doubles).
+std::vector<Tuple> GoldenStream() {
+  std::vector<Tuple> tuples;
+  uint64_t x = 0x5eed5eedull;
+  for (int k = 0; k < 400; ++k) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    const auto i0 = static_cast<int32_t>((x >> 33) % 6);
+    const auto i1 = static_cast<int32_t>((x >> 45) % 5);
+    const double v = static_cast<double>(1 + (x >> 60) % 4);
+    tuples.push_back(Tuple{{i0, i1}, v, 1 + k / 4});
+  }
+  return tuples;
+}
+
+// FNV-1a over the serialized stream state after warm-up (t ≤ W·T),
+// initialization and the live suffix.
+uint64_t GoldenStateHash(SnsVariant variant, bool robust, bool nonnegative) {
+  ContinuousCpdOptions options;
+  options.rank = 4;
+  options.window_size = 3;
+  options.period = 10;
+  options.variant = variant;
+  options.sample_threshold = 3;
+  options.clip_bound = 2.0;
+  options.nonnegative_factors = nonnegative;
+  options.robust.enabled = robust;
+  options.robust.threshold = 1.5;
+  options.seed = 19;
+  const std::vector<Tuple> tuples = GoldenStream();
+  const std::span<const Tuple> all(tuples);
+  size_t split = 0;
+  while (split < all.size() && all[split].time <= 30) ++split;
+  auto handle = StreamHandle::Create("golden", {6, 5}, options);
+  SNS_CHECK(handle.ok());
+  SNS_CHECK(handle.value().Warmup(all.subspan(0, split)).ok());
+  SNS_CHECK(handle.value().Initialize().ok());
+  SNS_CHECK(handle.value().Ingest(all.subspan(split)).ok());
+  serial::StringSink sink;
+  serial::Writer writer(sink);
+  SNS_CHECK(handle.value().SerializeState(writer).ok());
+  uint64_t hash = 0xcbf29ce484222325ull;
+  for (const char c : sink.data()) {
+    hash = (hash ^ static_cast<uint8_t>(c)) * 0x100000001b3ull;
+  }
+  return hash;
+}
+
+TEST(RowUpdaterGoldenTest, SerializedStateMatchesRecordedTrajectories) {
+  internal::RefreshKernelTierForTest(KernelTier::kGeneric);
+  struct Golden {
+    SnsVariant variant;
+    bool robust;
+    bool nonnegative;
+    uint64_t hash;
+  };
+  const Golden runs[] = {
+      {SnsVariant::kVec, false, false, 0xdd1acfd2a2dc95c3ull},
+      {SnsVariant::kRnd, false, false, 0x0b0bc6b94e2b248dull},
+      {SnsVariant::kVecPlus, false, false, 0xe66c7b2d091a408cull},
+      {SnsVariant::kRndPlus, false, false, 0x5aded3ccb2325ab5ull},
+      {SnsVariant::kVecPlus, true, false, 0x796d7ecc5a41e112ull},
+      {SnsVariant::kRndPlus, true, false, 0x23e4ea02d6abb737ull},
+      {SnsVariant::kVecPlus, false, true, 0xadb526ca7b0e60f5ull},
+      {SnsVariant::kRndPlus, false, true, 0xecae81d2ed152455ull},
+  };
+  for (const Golden& run : runs) {
+    EXPECT_EQ(GoldenStateHash(run.variant, run.robust, run.nonnegative),
+              run.hash)
+        << VariantName(run.variant) << " robust=" << run.robust
+        << " nonnegative=" << run.nonnegative;
+  }
+  internal::RefreshKernelTierForTest();
 }
 
 }  // namespace

@@ -338,7 +338,9 @@ size_t OptionsOffset(const std::string& name, size_t num_dims) {
 }
 // Past rank i64, window_size i32, period i64, variant u8, theta i64.
 constexpr size_t kClipBoundField = 29;
-// Past clip_bound f64, nonnegative u8, expected_nnz i64, resync i64.
+// Past clip_bound f64 and nonnegative u8.
+constexpr size_t kExpectedNnzField = 38;
+// Past expected_nnz i64 and resync i64.
 constexpr size_t kOptionsPrecisionField = 54;
 // The retired kernel-tier byte right after it: earlier builds stored a
 // per-engine force-generic flag there.
@@ -483,6 +485,29 @@ TEST(CheckpointFieldPatchTest, WindowEntryCountPastPayloadIsDataLoss) {
   ASSERT_GT(nnz, 0u);
   EXPECT_EQ(RestoreWithU64(bytes, at, nnz, (uint64_t{1} << 32) - 1).code(),
             StatusCode::kDataLoss);
+}
+
+TEST(CheckpointFieldPatchTest, ExpectedNnzPastWindowRestores) {
+  // expected_nnz is a sizing hint, not payload: a legitimate stream may
+  // checkpoint a 2⁴⁰ hint with an empty window. The restore reserves at
+  // most the window's 6 × 5 × 3 cells, keeps the stored hint, and
+  // re-serializes the patched bytes bitwise.
+  std::string bytes = MakeValidCheckpoint();
+  const size_t at = OptionsOffset("fi", 2) + kExpectedNnzField;
+  uint64_t stored = 0;
+  std::memcpy(&stored, bytes.data() + at, sizeof(stored));
+  ASSERT_EQ(stored, 0u);  // The offset arithmetic is right.
+  const uint64_t huge = uint64_t{1} << 40;
+  std::memcpy(bytes.data() + at, &huge, sizeof(huge));
+  ResealCrc(bytes);
+
+  serial::StringSource source(bytes);
+  auto restored = StreamHandle::Restore(source);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(restored.value().options().expected_nnz, int64_t{1} << 40);
+  serial::StringSink sink;
+  ASSERT_TRUE(restored.value().Checkpoint(sink).ok());
+  EXPECT_EQ(sink.data(), bytes);
 }
 
 TEST(CheckpointFieldPatchTest, NormalizationByteMustBeOne) {

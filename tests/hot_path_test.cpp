@@ -28,7 +28,6 @@
 #include <limits>
 #include <new>
 #include <span>
-#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -41,13 +40,9 @@
 #include "core/cpd_state.h"
 #include "core/gram_product_cache.h"
 #include "core/gram_solve.h"
-#include "core/row_updater_base.h"
+#include "core/row_updater.h"
 #include "core/slice_sampler.h"
 #include "core/sns_mat.h"
-#include "core/sns_rnd.h"
-#include "core/sns_rnd_plus.h"
-#include "core/sns_vec.h"
-#include "core/sns_vec_plus.h"
 #include "linalg/rank_dispatch.h"
 #include "losses/gcp_row_update.h"
 #include "losses/loss_function.h"
@@ -142,6 +137,19 @@ std::vector<KernelTier> SupportedTiers() {
 
 // ---------------------------------------------------------------------------
 // Shared event helpers (mirroring core_updaters_test).
+
+// Options that build the row updater of `variant` with threshold θ, clip
+// bound η and a θ-sampling Rng seeded `rng_seed` (RowUpdater seeds its Rng
+// with options.seed + 1).
+ContinuousCpdOptions RowOptions(SnsVariant variant, int64_t theta = 20,
+                                double eta = 1000.0, uint64_t rng_seed = 1) {
+  ContinuousCpdOptions options;
+  options.variant = variant;
+  options.sample_threshold = theta;
+  options.clip_bound = eta;
+  options.seed = rng_seed - 1;
+  return options;
+}
 
 SparseTensor DenseWindowFromModel(const KruskalModel& model) {
   std::vector<int64_t> dims;
@@ -245,12 +253,12 @@ TEST(ZeroAllocationTest, CountingAllocatorIntercepts) {
 }
 
 TEST(ZeroAllocationTest, SnsVecSteadyStateEventsAllocateNothing) {
-  SnsVecUpdater updater;
+  RowUpdater updater(RowOptions(SnsVariant::kVec));
   EXPECT_EQ(SteadyStateAllocations(updater, 20, 80, 0xa110c1), 0u);
 }
 
 TEST(ZeroAllocationTest, SnsVecPlusSteadyStateEventsAllocateNothing) {
-  SnsVecPlusUpdater updater(/*clip_bound=*/50.0);
+  RowUpdater updater(RowOptions(SnsVariant::kVecPlus, 20, /*eta=*/50.0));
   EXPECT_EQ(SteadyStateAllocations(updater, 20, 80, 0xa110c2), 0u);
 }
 
@@ -258,40 +266,43 @@ TEST(ZeroAllocationTest, SnsRndSteadyStateEventsAllocateNothing) {
   // θ = 2 forces the sampled path (slice degrees exceed 2 on the dense
   // window), which exercises the prev-Gram reconstruction and the θ-sample
   // buffer.
-  SnsRndUpdater updater(/*sample_threshold=*/2, /*seed=*/7);
+  RowUpdater updater(
+      RowOptions(SnsVariant::kRnd, /*theta=*/2, 1000.0, /*rng_seed=*/7));
   EXPECT_EQ(SteadyStateAllocations(updater, 20, 80, 0xa110c3), 0u);
 }
 
 TEST(ZeroAllocationTest, SnsRndPlusSteadyStateEventsAllocateNothing) {
-  SnsRndPlusUpdater updater(/*sample_threshold=*/2, /*clip_bound=*/50.0,
-                            /*seed=*/7);
+  RowUpdater updater(RowOptions(SnsVariant::kRndPlus, /*theta=*/2,
+                                /*eta=*/50.0, /*rng_seed=*/7));
   EXPECT_EQ(SteadyStateAllocations(updater, 20, 80, 0xa110c4), 0u);
 }
 
 // The GCP loss path: the staged Hadamard panel and the per-cell caches
 // grow to the largest slice seen during warmup, then are reused.
 TEST(ZeroAllocationTest, PoissonSnsVecPlusSteadyStateEventsAllocateNothing) {
-  SnsVecPlusUpdater updater(/*clip_bound=*/50.0);
-  updater.set_loss(&GetLossFunction(LossKind::kPoisson));
+  RowUpdater updater(RowOptions(SnsVariant::kVecPlus, 20, /*eta=*/50.0),
+                     &GetLossFunction(LossKind::kPoisson));
   EXPECT_EQ(SteadyStateAllocations(updater, 20, 80, 0xa110c7), 0u);
 }
 
 TEST(ZeroAllocationTest, BernoulliSnsVecPlusSteadyStateEventsAllocateNothing) {
-  SnsVecPlusUpdater updater(/*clip_bound=*/50.0);
-  updater.set_loss(&GetLossFunction(LossKind::kBernoulliLogit));
+  RowUpdater updater(RowOptions(SnsVariant::kVecPlus, 20, /*eta=*/50.0),
+                     &GetLossFunction(LossKind::kBernoulliLogit));
   EXPECT_EQ(SteadyStateAllocations(updater, 20, 80, 0xa110c8), 0u);
 }
 
 TEST(ZeroAllocationTest, PoissonSnsRndSteadyStateEventsAllocateNothing) {
   // θ = 2 forces the θ-sampled GCP cell set (sampled + delta cells).
-  SnsRndUpdater updater(/*sample_threshold=*/2, /*seed=*/7);
-  updater.set_loss(&GetLossFunction(LossKind::kPoisson));
+  RowUpdater updater(
+      RowOptions(SnsVariant::kRnd, /*theta=*/2, 1000.0, /*rng_seed=*/7),
+      &GetLossFunction(LossKind::kPoisson));
   EXPECT_EQ(SteadyStateAllocations(updater, 20, 80, 0xa110c9), 0u);
 }
 
 TEST(ZeroAllocationTest, BernoulliSnsRndSteadyStateEventsAllocateNothing) {
-  SnsRndUpdater updater(/*sample_threshold=*/2, /*seed=*/7);
-  updater.set_loss(&GetLossFunction(LossKind::kBernoulliLogit));
+  RowUpdater updater(
+      RowOptions(SnsVariant::kRnd, /*theta=*/2, 1000.0, /*rng_seed=*/7),
+      &GetLossFunction(LossKind::kBernoulliLogit));
   EXPECT_EQ(SteadyStateAllocations(updater, 20, 80, 0xa110ca), 0u);
 }
 
@@ -306,7 +317,7 @@ TEST(ZeroAllocationTest, SnsMatSteadyStateEventsAllocateNothing) {
 // allocation — histogram storage is preallocated inline in the domain.
 TEST(ZeroAllocationTest, MetricsRecordingSteadyStateAllocatesNothing) {
   const auto metrics = std::make_unique<telemetry::ShardMetrics>();
-  SnsVecPlusUpdater updater(/*clip_bound=*/50.0);
+  RowUpdater updater(RowOptions(SnsVariant::kVecPlus, 20, /*eta=*/50.0));
   Rng rng(0xa110c6);
   const int w_size = 4;
   const std::vector<int64_t> dims = {6, 5, w_size};
@@ -548,13 +559,13 @@ void RunDifferential(Updater& updater, NaiveReference& reference,
 // with the sequential Hadamard order, so the deterministic variants must be
 // BITWISE identical to the naive reference.
 TEST(DifferentialTest, SnsVecBitwiseIdenticalToNaiveReference) {
-  SnsVecUpdater updater;
+  RowUpdater updater(RowOptions(SnsVariant::kVec));
   NaiveReference reference(RefKind::kVec, 0, 1.0, 0);
   RunDifferential(updater, reference, /*expect_bitwise=*/true, 0.0, 0xd1f1);
 }
 
 TEST(DifferentialTest, SnsVecPlusBitwiseIdenticalToNaiveReference) {
-  SnsVecPlusUpdater updater(/*clip_bound=*/50.0);
+  RowUpdater updater(RowOptions(SnsVariant::kVecPlus, 20, /*eta=*/50.0));
   NaiveReference reference(RefKind::kVecPlus, 0, 50.0, 0);
   RunDifferential(updater, reference, /*expect_bitwise=*/true, 0.0, 0xd1f2);
 }
@@ -565,14 +576,15 @@ TEST(DifferentialTest, SnsVecPlusBitwiseIdenticalToNaiveReference) {
 // tolerance instead of bitwise. Identical seeds keep the θ-sampling in
 // lockstep.
 TEST(DifferentialTest, SnsRndMatchesNaiveReference) {
-  SnsRndUpdater updater(/*sample_threshold=*/3, /*seed=*/99);
+  RowUpdater updater(
+      RowOptions(SnsVariant::kRnd, /*theta=*/3, 1000.0, /*rng_seed=*/99));
   NaiveReference reference(RefKind::kRnd, 3, 1.0, 99);
   RunDifferential(updater, reference, /*expect_bitwise=*/false, 1e-7, 0xd1f3);
 }
 
 TEST(DifferentialTest, SnsRndPlusMatchesNaiveReference) {
-  SnsRndPlusUpdater updater(/*sample_threshold=*/3, /*clip_bound=*/50.0,
-                            /*seed=*/99);
+  RowUpdater updater(RowOptions(SnsVariant::kRndPlus, /*theta=*/3,
+                                /*eta=*/50.0, /*rng_seed=*/99));
   NaiveReference reference(RefKind::kRndPlus, 3, 50.0, 99);
   RunDifferential(updater, reference, /*expect_bitwise=*/false, 1e-7, 0xd1f4);
 }
@@ -808,7 +820,7 @@ TEST(GcpStepDifferentialTest, BitwiseIdenticalToPerCellStepOnEveryTier) {
 }
 
 // ---------------------------------------------------------------------------
-// Sampled rule of SNS-RND / SNS+RND: the staged RowUpdaterBase::SampledRowRhs
+// Sampled rule of SNS-RND / SNS+RND: the staged RowUpdater::SampledRowRhs
 // (offset-keyed sampler, one row gather per sample, direct Hadamard rows,
 // interleaved x̃ sums, row-wise e-term) against the per-cell loop it
 // replaced, kept here with that loop's sampler and EvaluatePrevModel as
@@ -901,12 +913,10 @@ struct SampledRowRecord {
 };
 
 // Production updater with a logging hook around its UpdateRow.
-template <typename Updater>
-class SampledRuleProbe : public Updater {
+class SampledRuleProbe : public RowUpdater {
  public:
-  template <typename... Args>
-  explicit SampledRuleProbe(int64_t theta, Args... args)
-      : Updater(theta, args...), theta_(theta) {}
+  explicit SampledRuleProbe(const ContinuousCpdOptions& options)
+      : RowUpdater(options), theta_(options.sample_threshold) {}
 
   std::vector<SampledRowRecord> log;
   KernelTier tier = KernelTier::kGeneric;  // Of the workspace's table.
@@ -915,14 +925,14 @@ class SampledRuleProbe : public Updater {
   void UpdateRow(int mode, int64_t row, const SparseTensor& window,
                  const WindowDelta& delta, CpdState& state,
                  UpdateWorkspace& ws) override {
-    Updater::UpdateRow(mode, row, window, delta, state, ws);
+    RowUpdater::UpdateRow(mode, row, window, delta, state, ws);
     tier = ws.kernels->tier;
     SampledRowRecord record;
     record.mode = mode;
     record.row = row;
     record.rhs.assign(ws.rhs.data(), ws.rhs.data() + state.rank());
     if (window.Degree(mode, row) > theta_) record.cells = ws.samples;
-    record.rng = this->MutableRng()->SaveState();
+    record.rng = MutableRng()->SaveState();
     log.push_back(std::move(record));
   }
 
@@ -933,14 +943,16 @@ class SampledRuleProbe : public Updater {
 // The per-cell sampled rule, as SNS-RND (plus = false) and SNS+RND ran it:
 // H_prev = ∗ U(n) as a full R×R matrix, then per sampled cell a scalar
 // pre-event evaluation, a 1.0-filled Hadamard row and an axpy. The prev-Gram
-// delta records are kept here (the base's are private), built exactly as
-// CommitRow builds its own.
-class ReferenceSampledRuleUpdater : public RowUpdaterBase {
+// delta records are kept here (the production ones are private), built
+// exactly as CommitRow builds its own; the base is an SNS-RND updater only
+// for its snapshots, Gram maintenance and θ-sized workspace.
+class ReferenceSampledRuleUpdater : public RowUpdater {
  public:
   ReferenceSampledRuleUpdater(bool plus, int64_t theta, double clip_bound,
                               uint64_t seed, SampledRulePinCoverage& coverage)
-      : RowUpdaterBase(theta + 4), plus_(plus), theta_(theta),
-        clip_bound_(clip_bound), rng_(seed), coverage_(coverage) {}
+      : RowUpdater(RowOptions(SnsVariant::kRnd, theta)), plus_(plus),
+        theta_(theta), clip_bound_(clip_bound), rng_(seed),
+        coverage_(coverage) {}
 
   std::string_view name() const override { return "reference-rnd"; }
 
@@ -950,8 +962,6 @@ class ReferenceSampledRuleUpdater : public RowUpdaterBase {
   std::vector<SampledRowRecord> log;
 
  protected:
-  bool NeedsPrevGrams() const override { return true; }
-
   void UpdateRow(int mode, int64_t row, const SparseTensor& window,
                  const WindowDelta& delta, CpdState& state,
                  UpdateWorkspace& ws) override {
@@ -1112,11 +1122,9 @@ void ExpectSameRecords(const std::vector<SampledRowRecord>& prod,
   }
 }
 
-template <typename Updater, typename... Args>
 void RunSampledRulePin(KernelTier tier, int64_t rank,
                        const std::vector<int64_t>& dims, int64_t theta,
-                       SampledRulePinCoverage& coverage, Args... args) {
-  constexpr bool plus = std::is_same_v<Updater, SnsRndPlusUpdater>;
+                       SampledRulePinCoverage& coverage, bool plus) {
   const ScopedProcessTier pin(tier);
   const uint64_t seed = 0x5a3d + static_cast<uint64_t>(rank + theta) +
                         dims.size();
@@ -1125,7 +1133,9 @@ void RunSampledRulePin(KernelTier tier, int64_t rank,
   SparseTensor window_prod = DenseWindowFromModel(model);
   SparseTensor window_ref = DenseWindowFromModel(model);
   CpdState prod(model), ref(model);
-  SampledRuleProbe<Updater> prod_updater(theta, args..., seed);
+  SampledRuleProbe prod_updater(
+      RowOptions(plus ? SnsVariant::kRndPlus : SnsVariant::kRnd, theta,
+                 /*eta=*/50.0, /*rng_seed=*/seed));
   ReferenceSampledRuleUpdater ref_updater(plus, theta, 50.0, seed, coverage);
 
   Rng events(seed + 1);
@@ -1168,12 +1178,11 @@ TEST(SampledRuleDifferentialTest, BitwiseIdenticalToPerCellLoopOnEveryTier) {
                      << KernelTierName(tier) << " rank=" << rank
                      << " modes=" << shape.dims.size()
                      << " theta=" << shape.theta);
-        RunSampledRulePin<SnsRndUpdater>(tier, rank, shape.dims, shape.theta,
-                                         coverage);
+        RunSampledRulePin(tier, rank, shape.dims, shape.theta, coverage,
+                          /*plus=*/false);
         if (HasFatalFailure()) return;
-        RunSampledRulePin<SnsRndPlusUpdater>(tier, rank, shape.dims,
-                                             shape.theta, coverage,
-                                             /*clip_bound=*/50.0);
+        RunSampledRulePin(tier, rank, shape.dims, shape.theta, coverage,
+                          /*plus=*/true);
         if (HasFatalFailure()) return;
       }
     }
@@ -1244,15 +1253,15 @@ TEST(GramProductCacheTest, MatchesScratchRecomputation5Mode) {
 // ---------------------------------------------------------------------------
 // Snapshot deduplication + O(1) PrevRow.
 
-class SnapshotProbeUpdater : public RowUpdaterBase {
+class SnapshotProbeUpdater : public RowUpdater {
  public:
+  SnapshotProbeUpdater() : RowUpdater(RowOptions(SnsVariant::kRnd)) {}
+
   std::string_view name() const override { return "probe"; }
 
   int snapshots_seen = -1;
 
  protected:
-  bool NeedsPrevGrams() const override { return true; }
-
   void UpdateRow(int mode, int64_t row, const SparseTensor&,
                  const WindowDelta&, CpdState& state,
                  UpdateWorkspace& ws) override {

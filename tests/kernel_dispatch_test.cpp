@@ -17,9 +17,7 @@
 #include "common/cpu_features.h"
 #include "common/random.h"
 #include "core/cpd_state.h"
-#include "core/sns_rnd.h"
-#include "core/sns_vec.h"
-#include "core/sns_vec_plus.h"
+#include "core/row_updater.h"
 #include "linalg/cholesky.h"
 #include "linalg/matrix.h"
 #include "linalg/rank_dispatch.h"
@@ -648,8 +646,20 @@ SparseTensor DenseWindowFromModel(const KruskalModel& model) {
   return x;
 }
 
-template <typename UpdaterT>
-void RunPaddingInvariantCheck(UpdaterT& updater, int64_t rank,
+// Options that build the row updater of `variant` with threshold θ, clip
+// bound η and a θ-sampling Rng seeded `rng_seed` (RowUpdater seeds its Rng
+// with options.seed + 1).
+ContinuousCpdOptions RowOptions(SnsVariant variant, int64_t theta = 20,
+                                double eta = 1000.0, uint64_t rng_seed = 1) {
+  ContinuousCpdOptions options;
+  options.variant = variant;
+  options.sample_threshold = theta;
+  options.clip_bound = eta;
+  options.seed = rng_seed - 1;
+  return options;
+}
+
+void RunPaddingInvariantCheck(RowUpdater& updater, int64_t rank,
                               uint64_t seed) {
   Rng rng(seed);
   const int w_size = 4;
@@ -681,19 +691,20 @@ void RunPaddingInvariantCheck(UpdaterT& updater, int64_t rank,
 TEST_P(KernelDispatchTest, PaddingStaysZeroThroughSnsVecEvents) {
   // Cap the rank: the dense differential window is O(Π dims) work per event.
   const int64_t rank = std::min<int64_t>(GetParam(), 20);
-  SnsVecUpdater updater;
+  RowUpdater updater(RowOptions(SnsVariant::kVec));
   RunPaddingInvariantCheck(updater, rank, 0x9add1);
 }
 
 TEST_P(KernelDispatchTest, PaddingStaysZeroThroughSnsVecPlusEvents) {
   const int64_t rank = std::min<int64_t>(GetParam(), 20);
-  SnsVecPlusUpdater updater(/*clip_bound=*/50.0);
+  RowUpdater updater(RowOptions(SnsVariant::kVecPlus, 20, /*eta=*/50.0));
   RunPaddingInvariantCheck(updater, rank, 0x9add2);
 }
 
 TEST_P(KernelDispatchTest, PaddingStaysZeroThroughSnsRndEvents) {
   const int64_t rank = std::min<int64_t>(GetParam(), 20);
-  SnsRndUpdater updater(/*sample_threshold=*/2, /*seed=*/5);
+  RowUpdater updater(
+      RowOptions(SnsVariant::kRnd, /*theta=*/2, 1000.0, /*rng_seed=*/5));
   RunPaddingInvariantCheck(updater, rank, 0x9add3);
 }
 

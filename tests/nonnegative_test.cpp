@@ -8,7 +8,7 @@
 
 #include "common/random.h"
 #include "core/continuous_cpd.h"
-#include "core/sns_vec_plus.h"
+#include "core/row_updater.h"
 #include "data/synthetic.h"
 
 namespace sns {

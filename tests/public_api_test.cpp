@@ -390,6 +390,18 @@ TEST(StreamHandleTest, CreateRejectsNanClipBoundWithoutAborting) {
   EXPECT_EQ(handle.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(StreamHandleTest, HugeExpectedNnzDoesNotAbort) {
+  // A 5 × 4 stream with W = 3 has 60 window cells: a 2⁴⁰ hint reserves at
+  // most those, and the stored option keeps the caller's value.
+  ContinuousCpdOptions options = SmallOptions();
+  options.expected_nnz = int64_t{1} << 40;
+  auto handle = StreamHandle::Create("huge-hint", {5, 4}, options);
+  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+  EXPECT_EQ(handle.value().options().expected_nnz, int64_t{1} << 40);
+  const Tuple tuple{{4, 3}, 2.0, 1};
+  EXPECT_TRUE(handle.value().Warmup(std::span<const Tuple>(&tuple, 1)).ok());
+}
+
 // --- Umbrella-header reachability (the original README-flow check) --------
 
 TEST(PublicApiTest, UmbrellaHeaderReachesToolkitAndPresets) {
