@@ -16,7 +16,6 @@ void AlsWorkspace::Prepare(const CpdState& state) {
     Matrix& out = mttkrp[static_cast<size_t>(m)];
     if (out.rows() != rows || out.cols() != rank) out = Matrix(rows, rank);
   }
-  if (h.rows() != rank) h = Matrix(rank, rank);
   if (had.size() != rank) {
     had.Assign(rank, 0.0);
     col_norm_sq.Assign(rank, 0.0);
@@ -33,8 +32,7 @@ void AlsSweep(const SparseTensor& x, CpdState& state, AlsWorkspace& ws) {
   for (int m = 0; m < modes; ++m) {
     Matrix& mttkrp = ws.mttkrp[static_cast<size_t>(m)];
     MttkrpInto(x, state.model.factors(), m, mttkrp, ws.had.data());
-    ws.grams.ProductExcept(m, ws.h);  // H of Alg. 2.
-    ws.solver.Factorize(ws.h);
+    ws.solver.Factorize(ws.grams.ProductExcept(m));  // H of Alg. 2.
 
     // A(m) ← U H† row by row, written in place: the MTTKRP of mode m never
     // reads A(m), and later modes want the updated factor.

@@ -31,7 +31,6 @@ struct AlsWorkspace {
   void Prepare(const CpdState& state);
 
   std::vector<Matrix> mttkrp;  // Per-mode MTTKRP output (factor-shaped).
-  Matrix h;                    // Hadamard-of-Grams of the current mode.
   AlignedVector had;           // Per-entry Hadamard row scratch.
   AlignedVector col_norm_sq;   // Per-component ‖column‖² accumulator.
   AlignedVector col_scale;     // Per-component 1/‖column‖ (0 for dead cols).

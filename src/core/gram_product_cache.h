@@ -9,6 +9,14 @@
 // chain entries that depend on it, and ProductExcept recomputes exactly the
 // missing links.
 //
+// The all-ones ends of the chain are never formed: P(0) and S(N) are
+// absent, P(1) is Q(0) itself and S(N−1) is Q(N−1) itself, and a product
+// with one absent side is the other side, handed back by reference. As
+// 1.0·x = x, every entry is bitwise the one the chain started from ones
+// yields. A row-update event of a 3-mode tensor (time rows, then the two
+// non-time rows) therefore forms three R×R Hadamards: S(1) = Q(1)∗Q(2),
+// Q(0)∗Q(2) and P(2) = Q(0)∗Q(1).
+//
 // All chain matrices are preallocated in BeginEvent (reallocation only when
 // the mode count or rank changes), so the steady state performs zero heap
 // allocations — part of the per-event zero-allocation guarantee tested in
@@ -37,17 +45,25 @@ class GramProductCache {
   /// and suffix chain entries (O(1), no recomputation until the next read).
   void NotifyModeChanged(int mode);
 
-  /// out = ∗_{n≠mode} grams[n] into a preallocated R×R `out`. Recomputes
-  /// only the invalidated chain links. mode = N behaves like "skip nothing
-  /// past the end": the product over all modes.
-  void ProductExcept(int mode, Matrix& out);
+  /// ∗_{n≠mode} grams[n]. Recomputes only the invalidated chain links. The
+  /// result is one of the bound grams, a chain entry or the cache's own
+  /// output matrix; it stays valid while grams[mode] alone changes (a row
+  /// commit of `mode`) and until the next ProductExcept or BeginEvent.
+  /// mode = N behaves like "skip nothing past the end": the product over
+  /// all modes.
+  const Matrix& ProductExcept(int mode);
 
  private:
+  // Chain entries; nullptr stands for the all-ones end.
+  const Matrix* Prefix(int i) const;
+  const Matrix* Suffix(int i) const;
+
   const std::vector<Matrix>* grams_ = nullptr;
-  std::vector<Matrix> prefix_;  // prefix_[i] = ∗_{n<i} Q(n); prefix_[0] = 1.
-  std::vector<Matrix> suffix_;  // suffix_[i] = ∗_{n≥i} Q(n); suffix_[N] = 1.
-  int prefix_valid_ = 0;        // prefix_[0..prefix_valid_] are valid.
-  int suffix_valid_ = 0;        // suffix_[suffix_valid_..N] are valid.
+  std::vector<Matrix> prefix_;  // prefix_[i] = P(i) for 2 ≤ i ≤ N.
+  std::vector<Matrix> suffix_;  // suffix_[i] = S(i) for i ≤ N − 2.
+  Matrix out_;                  // P(mode) ∗ S(mode + 1) when both exist.
+  int prefix_valid_ = 0;        // P(0..prefix_valid_) are valid.
+  int suffix_valid_ = 0;        // S(suffix_valid_..N) are valid.
 };
 
 }  // namespace sns

@@ -4,9 +4,63 @@
 #include <limits>
 
 #include "linalg/rank_dispatch.h"
+#include "tensor/hadamard_row.h"
 #include "tensor/mttkrp.h"
 
 namespace sns {
+
+namespace {
+
+// out += v·(∗ of `count` padded rows): the product of all but the last row
+// staged in `scratch`, the last row fused through fma3. fma3 rounds its a·b
+// before scaling, so this is bitwise the axpy of the fully staged product.
+void AccumulateHadamard(double v, const double* const* rows, int count,
+                        double* out, double* scratch, int64_t padded,
+                        const RankKernelTable& kr) {
+  if (count == 1) {
+    kr.axpy(v, rows[0], out, padded);
+    return;
+  }
+  const double* staged = rows[0];
+  if (count > 2) {
+    HadamardOfRows(rows, count - 1, scratch, padded, kr);
+    staged = scratch;
+  }
+  kr.fma3(v, staged, rows[count - 1], out, padded);
+}
+
+// Cells one PrevModelValues<kModelValueCells> call evaluates side by side.
+constexpr int kModelValueCells = 8;
+
+// Pre-event model values x̃ of kLanes cells, cell l's event-start rows at
+// rows[l·modes .. l·modes + modes): the product in mode order, the sum in r
+// order — the per-cell loop's values, with kLanes independent chains
+// interleaved so they overlap instead of serializing on one add latency.
+template <int kLanes, int kModes>
+void PrevModelValues(const double* const* rows, int modes, int64_t rank,
+                     double* out) {
+  const int m = kModes > 0 ? kModes : modes;
+  double sum[kLanes] = {};
+  for (int64_t r = 0; r < rank; ++r) {
+    for (int l = 0; l < kLanes; ++l) {
+      const double* const* cell = rows + l * m;
+      double prod = cell[0][r];
+      for (int n = 1; n < m; ++n) prod *= cell[n][r];
+      sum[l] += prod;
+    }
+  }
+  for (int l = 0; l < kLanes; ++l) out[l] = sum[l];
+}
+
+template <int kLanes>
+void PrevModelValues(const double* const* rows, int modes, int64_t rank,
+                     double* out) {
+  // Three modes, the common case, gets a compile-time product length.
+  if (modes == 3) return PrevModelValues<kLanes, 3>(rows, modes, rank, out);
+  PrevModelValues<kLanes, 0>(rows, modes, rank, out);
+}
+
+}  // namespace
 
 RowUpdater::RowUpdater(const ContinuousCpdOptions& options,
                        const LossFunction* loss)
@@ -15,6 +69,7 @@ RowUpdater::RowUpdater(const ContinuousCpdOptions& options,
                options.variant == SnsVariant::kRndPlus),
       clipped_(options.variant == SnsVariant::kVecPlus ||
                options.variant == SnsVariant::kRndPlus),
+      gaussian_(loss == nullptr || loss->kind() == LossKind::kGaussian),
       sample_threshold_(sampled_ ? options.sample_threshold : 0),
       clip_min_(-std::numeric_limits<double>::infinity()),
       clip_max_(std::numeric_limits<double>::infinity()),
@@ -38,8 +93,9 @@ void RowUpdater::OnEvent(const SparseTensor& window, const WindowDelta& delta,
   const int w_size = static_cast<int>(state.model.factor(time_mode).rows());
   const int w = delta.w;
 
+  // The GCP Newton step solves against its own curvature, never H(m).
   auto update_row = [&](int mode, int64_t row) {
-    gram_cache_.ProductExcept(mode, ws_.h);
+    if (gaussian_) ws_.h = &gram_cache_.ProductExcept(mode);
     UpdateRow(mode, row, window, delta, state, ws_);
     gram_cache_.NotifyModeChanged(mode);
   };
@@ -67,8 +123,9 @@ void RowUpdater::UpdateRow(int mode, int64_t row, const SparseTensor& window,
   const int64_t padded = ws.padded_rank;
   kr.copy(factor.Row(row), ws.old_row.data(), padded);
 
-  // Right-hand side (the numerator of the + variants); ws.h holds
-  // H(m) = HQ(m) = ∗_{n≠m} Q(n), preloaded by OnEvent.
+  // Right-hand side (the numerator of the + variants); *ws.h is
+  // H(m) = HQ(m) = ∗_{n≠m} Q(n), set by OnEvent.
+  const Matrix& h = *ws.h;
   const int time_mode = state.num_modes() - 1;
   const bool model_approximation = !sampled_ && mode == time_mode;
   if (model_approximation) {
@@ -78,7 +135,7 @@ void RowUpdater::UpdateRow(int mode, int64_t row, const SparseTensor& window,
     // e_k = Σ_r b_{i r} (∗_{n≠M} Q(n))(r, k) = (B row) · HQ(:,k): time rows
     // are updated first within an event, so U(n) = Q(n) for all n ≠ M.
     if (clipped_) {
-      RowTimesMatrixPadded(ws.old_row.data(), ws.h, ws.rhs.data());
+      RowTimesMatrixPadded(ws.old_row.data(), h, ws.rhs.data());
     } else {
       kr.fill(ws.rhs.data(), 0.0, padded);
     }
@@ -100,10 +157,10 @@ void RowUpdater::UpdateRow(int mode, int64_t row, const SparseTensor& window,
   }
 
   if (clipped_) {
-    CoordinateDescentRow(factor.Row(row), state.rank(), ws.h, ws.rhs.data(),
+    CoordinateDescentRow(factor.Row(row), state.rank(), h, ws.rhs.data(),
                          clip_min_, clip_max_);
   } else {
-    ws.solver.Factorize(ws.h);
+    ws.solver.Factorize(h);
     ws.solver.Solve(ws.rhs.data(), ws.solution.data());
     if (model_approximation) {
       // Eq. 9: A(M)(row,:) += ΔX_(M)(row,:) K(M) H(M)†.
@@ -118,26 +175,9 @@ void RowUpdater::UpdateRow(int mode, int64_t row, const SparseTensor& window,
 void CoordinateDescentRow(double* row, int64_t rank, const Matrix& hq,
                           const double* numerator, double clip_min,
                           double clip_max) {
-  const RankKernelTable& kr = GetRankKernelTable(hq.stride());
-  for (int64_t k = 0; k < rank; ++k) {
-    const double c_k = hq(k, k);
-    if (!(c_k > 1e-300)) continue;  // Dead component: leave the entry.
-    // d_k = Σ_{r≠k} row[r]·HQ(r,k) against the live (partially updated)
-    // row. HQ is a Hadamard product of symmetric Grams, so HQ(r,k) =
-    // HQ(k,r) bitwise — read row k instead of column k for contiguous
-    // access. The dot runs to the padded bound (zero lanes on both sides).
-    double d_k = kr.dot(row, hq.Row(k), hq.stride());
-    d_k -= row[k] * c_k;
-    double value = (numerator[k] - d_k) / c_k;
-    // Clipping (Alg. 5 line 5): projection onto [clip_min, clip_max] never
-    // increases the convex per-entry objective.
-    if (value > clip_max) {
-      value = clip_max;
-    } else if (value < clip_min) {
-      value = clip_min;
-    }
-    row[k] = value;
-  }
+  GetRankKernelTable(hq.stride())
+      .coordinate_descent(row, rank, hq.Row(0), numerator, clip_min, clip_max,
+                          hq.stride());
 }
 
 void RowUpdater::BeginEvent(const WindowDelta& delta, const CpdState& state) {
@@ -191,7 +231,7 @@ void RowUpdater::BeginEvent(const WindowDelta& delta, const CpdState& state) {
 bool RowUpdater::GcpUpdateRow(int mode, int64_t row,
                               const SparseTensor& window,
                               const WindowDelta& delta, CpdState& state) {
-  if (loss_ == nullptr || loss_->kind() == LossKind::kGaussian) return false;
+  if (gaussian_) return false;
   if (sampled_ && window.Degree(mode, row) > sample_threshold_) {
     // θ-sampled restriction: uniformly drawn slice cells (zero cells
     // included — their ℓ(0, θ) terms pull spurious model mass down; delta
@@ -254,36 +294,28 @@ void RowUpdater::SampledRowRhs(int mode, int64_t row,
                                const SparseTensor& window,
                                const WindowDelta& delta, const CpdState& state,
                                UpdateWorkspace& ws) {
-  const RankKernelTable& kr = *ws.kernels;
-  const int64_t padded = ws.padded_rank;
-  double* rhs = ws.rhs.data();
-
   // First term: A(m)(row,:)·H_prev, H_prev = ∗_{n≠m} U(n).
   PrevGramETerm(state, mode, ws.old_row.data(), ws);
 
   // Residual corrections x̄_J = x_J − x̃_J at θ cells sampled uniformly from
   // the slice grid (zero cells included — they pull spurious model mass
-  // down; delta cells excluded per footnote 2), staged a panel at a time
-  // and accumulated in cell order.
+  // down; delta cells excluded per footnote 2), accumulated in cell order.
   SampleSliceCellsInto(window, mode, row, sample_threshold_, delta, rng_,
                        ws.samples);
-  const size_t capacity = static_cast<size_t>(ws.sample_residual.size());
-  SNS_DCHECK(capacity > 0);
-  for (size_t begin = 0; begin < ws.samples.size(); begin += capacity) {
-    const size_t end = std::min(ws.samples.size(), begin + capacity);
-    StageSamples(state, mode, row, begin, end, ws);
-    for (size_t c = 0; c < end - begin; ++c) {
-      kr.axpy(ws.sample_residual.data()[c],
-              ws.sample_panel.data() + static_cast<int64_t>(c) * padded, rhs,
-              padded);
-    }
-  }
+  SampleCorrections(state, mode, row, ws);
 
   // ΔX term.
+  const std::vector<Matrix>& factors = state.model.factors();
   for (const DeltaCell& cell : delta.cells) {
     if (cell.index[mode] != row) continue;
-    HadamardRowProduct(state.model.factors(), cell.index, mode, ws.had.data());
-    kr.axpy(cell.delta, ws.had.data(), rhs, padded);
+    const double* rows[kMaxTensorModes] = {};
+    int count = 0;
+    for (int n = 0; n < state.num_modes(); ++n) {
+      if (n == mode) continue;
+      rows[count++] = factors[static_cast<size_t>(n)].Row(cell.index[n]);
+    }
+    AccumulateHadamard(cell.delta, rows, count, ws.rhs.data(), ws.had.data(),
+                       ws.padded_rank, *ws.kernels);
   }
 }
 
@@ -334,99 +366,74 @@ void RowUpdater::PrevGramETerm(const CpdState& state, int skip_mode,
   }
 }
 
-namespace {
-
-// out = ∗ of `count` padded rows, in order: the first copied, the others
-// multiplied in — the values a Hadamard accumulation started from 1.0
-// yields, as 1.0·a = a.
-void DirectHadamard(const double* const* rows, int count, double* out,
-                    int64_t padded, const RankKernelTable& kr) {
-  if (count == 1) {
-    kr.copy(rows[0], out, padded);
-    return;
-  }
-  kr.mul(rows[0], rows[1], out, padded);
-  for (int k = 2; k < count; ++k) kr.mul_accum(out, rows[k], padded);
-}
-
-// Pre-event values x̃ of kLanes staged cells; rows[l][n] is cell l's
-// event-start row of mode n. Each cell's sum runs over r in order with the
-// product formed in mode order — the scalar Σ_r Π_n rows[n][r] — while the
-// independent per-cell chains interleave. kModes = 0 reads `modes`.
-template <int kLanes, int kModes>
-void PrevModelValues(const double* (*rows)[kMaxTensorModes], int modes,
-                     int64_t rank, double* out) {
-  const int m = kModes > 0 ? kModes : modes;
-  double sum[kLanes] = {};
-  for (int64_t r = 0; r < rank; ++r) {
-    for (int l = 0; l < kLanes; ++l) {
-      double prod = rows[l][0][r];
-      for (int n = 1; n < m; ++n) prod *= rows[l][n][r];
-      sum[l] += prod;
-    }
-  }
-  for (int l = 0; l < kLanes; ++l) out[l] = sum[l];
-}
-
-// Three modes, the common case, gets a compile-time product length.
-template <int kLanes>
-void PrevModelValues(const double* (*rows)[kMaxTensorModes], int modes,
-                     int64_t rank, double* out) {
-  if (modes == 3) return PrevModelValues<kLanes, 3>(rows, modes, rank, out);
-  PrevModelValues<kLanes, 0>(rows, modes, rank, out);
-}
-
-}  // namespace
-
-void RowUpdater::StageSamples(const CpdState& state, int mode, int64_t row,
-                              size_t begin, size_t end,
-                              UpdateWorkspace& ws) const {
-  constexpr int kLanes = 4;
-  const std::vector<Matrix>& factors = state.model.factors();
+void RowUpdater::SampleCorrections(const CpdState& state, int mode,
+                                   int64_t row, UpdateWorkspace& ws) const {
   const RankKernelTable& kr = *ws.kernels;
-  const int64_t padded = ws.padded_rank;
-  const int64_t rank = state.rank();
   const int modes = state.num_modes();
-  const double* own_prev = PrevRow(mode, row, state);  // Shared by all cells.
   const SampledCell* cells = ws.samples.data();
+  const size_t count = ws.samples.size();
 
-  const double* prev[kLanes][kMaxTensorModes];
-  const double* current[kMaxTensorModes];
-  double x_tilde[kLanes];
-  // One gather per cell: its event-start rows (for x̃) and its current
-  // rows of the other modes (for the panel row), in mode order.
-  auto gather = [&](size_t c, int lane) {
-    const ModeIndex& index = cells[c].index;
-    int k = 0;
-    for (int n = 0; n < modes; ++n) {
-      if (n == mode) {
-        prev[lane][n] = own_prev;
-        continue;
+  // PrevRow, resolved per mode once: a cell's event-start row is its live
+  // factor row unless that row is one of the (at most two) snapshots of
+  // its mode. Own-mode rows all share the row being updated. Factor rows
+  // and snapshots share the stride snap_stride_.
+  const double* base[kMaxTensorModes];
+  int64_t snap_row[kMaxTensorModes][2];
+  const double* snap_ptr[kMaxTensorModes][2];
+  for (int n = 0; n < modes; ++n) {
+    base[n] = state.model.factor(n).Row(0);
+    const bool time = n == time_mode_;
+    for (int t = 0; t < 2; ++t) {
+      int64_t r = -1;  // No snapshot.
+      if (time && t < num_time_snaps_) {
+        r = time_snap_row_[static_cast<size_t>(t)];
+      } else if (!time && t == 0) {
+        r = mode_snap_row_[static_cast<size_t>(n)];
       }
-      prev[lane][n] = PrevRow(n, index[n], state);
-      current[k++] = factors[static_cast<size_t>(n)].Row(index[n]);
+      snap_row[n][t] = r;
+      snap_ptr[n][t] = r < 0 ? nullptr : PrevRow(n, r, state);
     }
-    DirectHadamard(current, k, ws.sample_panel.data() +
-                                   static_cast<int64_t>(c - begin) * padded,
-                   padded, kr);
-  };
-  auto residuals = [&](size_t c, int lanes) {
-    for (int l = 0; l < lanes; ++l) {
-      ws.sample_residual.data()[c - begin + static_cast<size_t>(l)] =
-          cells[c + static_cast<size_t>(l)].value - x_tilde[l];
-    }
-  };
-
-  size_t c = begin;
-  for (; c + kLanes <= end; c += kLanes) {
-    for (int l = 0; l < kLanes; ++l) gather(c + static_cast<size_t>(l), l);
-    PrevModelValues<kLanes>(prev, modes, rank, x_tilde);
-    residuals(c, kLanes);
   }
-  for (; c < end; ++c) {
-    gather(c, 0);
-    PrevModelValues<1>(prev, modes, rank, x_tilde);
-    residuals(c, 1);
+  const double* own_prev = PrevRow(mode, row, state);
+
+  // A batch at a time: gather each cell's event-start rows (for x̃) and
+  // live rows of the other modes (for h_J), evaluate x̃, then accumulate.
+  const double* prev[kModelValueCells * kMaxTensorModes];
+  const double* live[kModelValueCells][kMaxTensorModes] = {};
+  double x_tilde[kModelValueCells];
+  for (size_t begin = 0; begin < count; begin += kModelValueCells) {
+    const int used =
+        static_cast<int>(std::min(count - begin, size_t{kModelValueCells}));
+    for (int l = 0; l < used; ++l) {
+      const ModeIndex& index = cells[begin + static_cast<size_t>(l)].index;
+      const double** cell_prev = prev + l * modes;
+      int k = 0;
+      for (int n = 0; n < modes; ++n) {
+        if (n == mode) {
+          cell_prev[n] = own_prev;
+          continue;
+        }
+        const int64_t i = index[n];
+        const double* p = base[n] + i * snap_stride_;
+        live[l][k++] = p;
+        if (i == snap_row[n][0]) p = snap_ptr[n][0];
+        if (i == snap_row[n][1]) p = snap_ptr[n][1];
+        cell_prev[n] = p;
+      }
+    }
+    if (used == kModelValueCells) {
+      PrevModelValues<kModelValueCells>(prev, modes, state.rank(), x_tilde);
+    } else {
+      for (int l = 0; l < used; ++l) {
+        PrevModelValues<1>(prev + l * modes, modes, state.rank(), x_tilde + l);
+      }
+    }
+    for (int l = 0; l < used; ++l) {
+      const double residual =
+          cells[begin + static_cast<size_t>(l)].value - x_tilde[l];
+      AccumulateHadamard(residual, live[l], modes - 1, ws.rhs.data(),
+                         ws.had.data(), ws.padded_rank, kr);
+    }
   }
 }
 

@@ -74,9 +74,10 @@ class RowUpdater : public EventUpdater {
 
  protected:
   /// Updates A(mode)(row, :) in `state` (factor write + CommitRow call).
-  /// On entry ws.h holds ∗_{n≠mode} Q(n) for the current Gram state; the
-  /// other ws buffers are free scratch. Virtual only so tests can wrap or
-  /// replace the production rule.
+  /// On entry *ws.h is ∗_{n≠mode} Q(n) for the current Gram state (under
+  /// the Gaussian loss; the GCP Newton step never reads it, so non-Gaussian
+  /// rows get no product); the other ws buffers are free scratch. Virtual
+  /// only so tests can wrap or replace the production rule.
   virtual void UpdateRow(int mode, int64_t row, const SparseTensor& window,
                          const WindowDelta& delta, CpdState& state,
                          UpdateWorkspace& ws);
@@ -120,13 +121,12 @@ class RowUpdater : public EventUpdater {
   /// pre-event model, and h_J = ∗_{n≠m} a(n)_{j_n} under the current
   /// factors.
   ///
-  /// Staged for cost O(MR² + θ(M + MR)) per row: the e-term builds row i of
-  /// ∗ U(n) — each U(n) = Q(n) + Σ (p−a)'a reconstructed one row at a time
-  /// — only where b_i ≠ 0 and folds it straight into rhs; every sample's
-  /// rows are gathered once, feeding both its Hadamard row (a direct
-  /// product into ws.sample_panel) and its x̃ (per-cell sums interleaved
-  /// across cells); the residual axpys then run in cell order. Every value
-  /// is bitwise the one the plain per-cell formulation produces.
+  /// Cost O(MR² + θMR) per row: the e-term builds row i of ∗ U(n) — each
+  /// U(n) = Q(n) + Σ (p−a)'a reconstructed one row at a time — only where
+  /// b_i ≠ 0 and folds it straight into rhs; SampleCorrections then gathers
+  /// each sampled cell's rows once, for its x̃ and for its h_J, which goes
+  /// into rhs with its last factor row fused into the accumulation. Every
+  /// value is bitwise the one the plain per-cell formulation produces.
   void SampledRowRhs(int mode, int64_t row, const SparseTensor& window,
                      const WindowDelta& delta, const CpdState& state,
                      UpdateWorkspace& ws);
@@ -134,8 +134,10 @@ class RowUpdater : public EventUpdater {
   // Stages of SampledRowRhs.
   void PrevGramETerm(const CpdState& state, int skip_mode, const double* b,
                      UpdateWorkspace& ws) const;
-  void StageSamples(const CpdState& state, int mode, int64_t row,
-                    size_t begin, size_t end, UpdateWorkspace& ws) const;
+  /// rhs += Σ_{J∈ws.samples} (x_J − x̃_J)·h_J in cell order, the pre-event
+  /// values x̃ evaluated eight cells at a time.
+  void SampleCorrections(const CpdState& state, int mode, int64_t row,
+                         UpdateWorkspace& ws) const;
 
   std::string name_;
   // RND: heavy rows take the sampled rule, and U(m) is maintained. VEC:
@@ -144,6 +146,9 @@ class RowUpdater : public EventUpdater {
   // +: coordinate descent into [clip_min_, clip_max_]; otherwise a
   // Cholesky solve, and the box (±∞) only bounds the GCP step.
   bool clipped_;
+  // Null or Gaussian loss: the least-squares rules, which read H(m).
+  // Otherwise every row takes the GCP Newton step (GcpUpdateRow).
+  bool gaussian_;
   int64_t sample_threshold_;  // θ; 0 for the VEC variants.
   double clip_min_;
   double clip_max_;

@@ -12,10 +12,15 @@
 // re-hash the window per cell.
 //
 // Cost per call: θ·(M−1) bounded-integer draws, one window lookup per
-// accepted cell, and O(θ²) integer compares — each candidate is keyed by
-// its mixed-radix offset in the slice grid, so de-duplication compares one
-// uint64 per accepted cell, not M coordinates. Delta-cell exclusion compares
-// coordinates against the (at most two) delta cells.
+// accepted cell, and O(θ²) integer compares at worst — each candidate is
+// keyed by its mixed-radix offset in the slice grid, so de-duplication
+// compares one uint64 per accepted cell, not M coordinates, and only for
+// candidates whose key passes a 64-bit filter of the accepted keys.
+// Delta-cell exclusion compares keys as well, against the (at most two)
+// delta cells in the slice. Coordinates are compared only on grids of 2^64
+// cells or more, where keys wrap. The window is sparse, so most lookups
+// miss, and a window that tracks occupancy (tensor/sparse_tensor.h)
+// answers a miss with one bit test instead of a hash probe.
 
 #ifndef SLICENSTITCH_CORE_SLICE_SAMPLER_H_
 #define SLICENSTITCH_CORE_SLICE_SAMPLER_H_

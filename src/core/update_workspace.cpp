@@ -15,7 +15,6 @@ void UpdateWorkspace::Prepare(int num_modes, int64_t rank,
   padded_rank = PaddedRank(rank);
   kernels = &GetRankKernelTable(padded_rank);
 
-  h = Matrix(rank, rank);
   old_row.Assign(rank, 0.0);
   rhs.Assign(rank, 0.0);
   solution.Assign(rank, 0.0);
@@ -25,8 +24,6 @@ void UpdateWorkspace::Prepare(int num_modes, int64_t rank,
   const int64_t staged = sample_capacity > 0 ? rank : 0;
   h_prev_row.Assign(staged, 0.0);
   u_row.Assign(staged, 0.0);
-  sample_panel.Assign(sample_capacity * padded_rank, 0.0);
-  sample_residual.Assign(sample_capacity, 0.0);
 }
 
 }  // namespace sns

@@ -43,9 +43,10 @@ struct UpdateWorkspace {
   /// PaddedRank(rank): the trip count of every padded kernel call.
   int64_t padded_rank = 0;
 
-  /// ∗_{n≠m} Q(n) for the row currently being updated — preloaded by
-  /// RowUpdater::OnEvent (via GramProductCache) before each UpdateRow.
-  Matrix h;
+  /// ∗_{n≠m} Q(n) for the row currently being updated — pointed at the
+  /// GramProductCache's product by RowUpdater::OnEvent before each
+  /// Gaussian UpdateRow (the GCP Newton step never reads it).
+  const Matrix* h = nullptr;
   /// Cholesky-backed row solver (allocation-free fast path).
   GramSolver solver;
 
@@ -60,11 +61,6 @@ struct UpdateWorkspace {
   AlignedVector h_prev_row;
   /// Row i of one reconstructed prev-Gram U(n) = Q(n) + Σ (p−a)'a.
   AlignedVector u_row;
-  /// sample_capacity × padded_rank: row c holds sample c's current-factor
-  /// Hadamard row ∗_{n≠m} a(n)_{j_n}.
-  AlignedVector sample_panel;
-  /// sample_capacity residuals x_J − x̃_J, one per staged sample.
-  AlignedVector sample_residual;
 
  private:
   int num_modes_ = 0;

@@ -229,6 +229,73 @@ void WeightedSyrkUpper(const double* panel, const double* weights,
   }
 }
 
+// One coordinate-descent entry from its dot: ((numerator − (dot − row·c))
+// / c) clipped, each operation rounded on its own as in the portable
+// sources. The scalar SSE2 intrinsics keep this TU's default FMA
+// contraction from fusing row·c into the subtraction.
+inline double CoordinateValue(double dot, double row_k, double c_k,
+                              double numerator_k, double clip_min,
+                              double clip_max) {
+  const __m128d c = _mm_set_sd(c_k);
+  const __m128d d =
+      _mm_sub_sd(_mm_set_sd(dot), _mm_mul_sd(_mm_set_sd(row_k), c));
+  double value =
+      _mm_cvtsd_f64(_mm_div_sd(_mm_sub_sd(_mm_set_sd(numerator_k), d), c));
+  if (value > clip_max) {
+    value = clip_max;
+  } else if (value < clip_min) {
+    value = clip_min;
+  }
+  return value;
+}
+
+// Clipped coordinate descent (see VecCoordinateDescent). For P ≤ 32 the row
+// lives in P/4 ymm registers and lane k is blended in place, so no dot
+// reloads a lane the step before it just stored; each dot is the fmadd
+// chain and (s0+s2)+(s1+s3) reduction of Dot<P>. P = 0 loops over Dot<0>.
+template <int64_t P>
+void CoordinateDescent(double* row, int64_t rank, const double* hq,
+                       const double* numerator, double clip_min,
+                       double clip_max, int64_t n) {
+  if constexpr (P == 0) {
+    for (int64_t k = 0; k < rank; ++k) {
+      const double* hq_k = hq + k * n;
+      const double c_k = hq_k[k];
+      if (!(c_k > 1e-300)) continue;
+      row[k] = CoordinateValue(Dot<0>(row, hq_k, n), row[k], c_k,
+                               numerator[k], clip_min, clip_max);
+    }
+  } else {
+    constexpr int kRegs = static_cast<int>(P / 4);
+    __m256d r[kRegs];
+    for (int v = 0; v < kRegs; ++v) r[v] = _mm256_loadu_pd(row + 4 * v);
+    for (int64_t k = 0; k < rank; ++k) {
+      const double* hq_k = hq + k * P;
+      const double c_k = hq_k[k];
+      if (!(c_k > 1e-300)) continue;
+      __m256d acc = _mm256_setzero_pd();
+      for (int v = 0; v < kRegs; ++v) {
+        acc = _mm256_fmadd_pd(r[v], _mm256_loadu_pd(hq_k + 4 * v), acc);
+      }
+      const __m128d pair = _mm_add_pd(_mm256_castpd256_pd128(acc),
+                                      _mm256_extractf128_pd(acc, 1));
+      const double dot =
+          _mm_cvtsd_f64(_mm_add_sd(pair, _mm_unpackhi_pd(pair, pair)));
+      // Lane k has not been written yet, so memory still holds row[k].
+      const __m256d value = _mm256_set1_pd(CoordinateValue(
+          dot, row[k], c_k, numerator[k], clip_min, clip_max));
+      const __m256i lane = _mm256_set1_epi64x(k);
+      for (int v = 0; v < kRegs; ++v) {
+        const __m256i ids = _mm256_setr_epi64x(4 * v, 4 * v + 1, 4 * v + 2,
+                                               4 * v + 3);
+        r[v] = _mm256_blendv_pd(
+            r[v], value, _mm256_castsi256_pd(_mm256_cmpeq_epi64(ids, lane)));
+      }
+    }
+    for (int v = 0; v < kRegs; ++v) _mm256_storeu_pd(row + 4 * v, r[v]);
+  }
+}
+
 template <int64_t P>
 constexpr RankKernelTable kTable = {KernelTier::kAvx2,
                                     P,
@@ -241,7 +308,8 @@ constexpr RankKernelTable kTable = {KernelTier::kAvx2,
                                     &Dot<P>,
                                     &GramRowDelta<P>,
                                     &ScaledDiffAccum<P>,
-                                    &WeightedSyrkUpper<P>};
+                                    &WeightedSyrkUpper<P>,
+                                    &CoordinateDescent<P>};
 
 }  // namespace
 

@@ -284,6 +284,84 @@ void WeightedSyrkUpper(const double* panel, const double* weights,
   }
 }
 
+// One coordinate-descent entry from its dot (as in codelets_avx2.cpp):
+// each operation rounded on its own, the scalar SSE2 intrinsics keeping
+// this TU's default FMA contraction out.
+inline double CoordinateValue(double dot, double row_k, double c_k,
+                              double numerator_k, double clip_min,
+                              double clip_max) {
+  const __m128d c = _mm_set_sd(c_k);
+  const __m128d d =
+      _mm_sub_sd(_mm_set_sd(dot), _mm_mul_sd(_mm_set_sd(row_k), c));
+  double value =
+      _mm_cvtsd_f64(_mm_div_sd(_mm_sub_sd(_mm_set_sd(numerator_k), d), c));
+  if (value > clip_max) {
+    value = clip_max;
+  } else if (value < clip_min) {
+    value = clip_min;
+  }
+  return value;
+}
+
+// Clipped coordinate descent (see VecCoordinateDescent). For P ≤ 32 the row
+// lives in at most four zmm registers (the last holding a 4-wide tail in
+// its low half when P ≡ 4 mod 8) and lane k is written by a masked move, so
+// no dot reloads a lane the step before it just stored; each dot is the
+// fmadd chain, reduction and 4-wide tail of Dot<P>. P = 0 loops over
+// Dot<0>.
+template <int64_t P>
+void CoordinateDescent(double* row, int64_t rank, const double* hq,
+                       const double* numerator, double clip_min,
+                       double clip_max, int64_t n) {
+  if constexpr (P == 0) {
+    for (int64_t k = 0; k < rank; ++k) {
+      const double* hq_k = hq + k * n;
+      const double c_k = hq_k[k];
+      if (!(c_k > 1e-300)) continue;
+      row[k] = CoordinateValue(Dot<0>(row, hq_k, n), row[k], c_k,
+                               numerator[k], clip_min, clip_max);
+    }
+  } else {
+    constexpr int kZ = static_cast<int>(P / 8);  // Full 8-wide blocks.
+    constexpr bool kTail = P % 8 != 0;           // Then one 4-wide block.
+    constexpr int kRegs = kZ + (kTail ? 1 : 0);
+    __m512d r[kRegs];
+    for (int v = 0; v < kZ; ++v) r[v] = _mm512_loadu_pd(row + 8 * v);
+    if constexpr (kTail) {
+      r[kZ] = _mm512_zextpd256_pd512(_mm256_loadu_pd(row + 8 * kZ));
+    }
+    for (int64_t k = 0; k < rank; ++k) {
+      const double* hq_k = hq + k * P;
+      const double c_k = hq_k[k];
+      if (!(c_k > 1e-300)) continue;
+      __m512d acc = _mm512_setzero_pd();
+      for (int v = 0; v < kZ; ++v) {
+        acc = _mm512_fmadd_pd(r[v], _mm512_loadu_pd(hq_k + 8 * v), acc);
+      }
+      double dot = _mm512_reduce_add_pd(acc);
+      if constexpr (kTail) {
+        const __m256d p = _mm256_mul_pd(_mm512_castpd512_pd256(r[kZ]),
+                                        _mm256_loadu_pd(hq_k + 8 * kZ));
+        const __m128d pair = _mm_add_pd(_mm256_castpd256_pd128(p),
+                                        _mm256_extractf128_pd(p, 1));
+        dot += _mm_cvtsd_f64(_mm_add_sd(pair, _mm_unpackhi_pd(pair, pair)));
+      }
+      // Lane k has not been written yet, so memory still holds row[k].
+      const __m512d value = _mm512_set1_pd(CoordinateValue(
+          dot, row[k], c_k, numerator[k], clip_min, clip_max));
+      const uint32_t bit = 1u << k;
+      for (int v = 0; v < kRegs; ++v) {
+        r[v] = _mm512_mask_mov_pd(r[v], static_cast<__mmask8>(bit >> (8 * v)),
+                                  value);
+      }
+    }
+    for (int v = 0; v < kZ; ++v) _mm512_storeu_pd(row + 8 * v, r[v]);
+    if constexpr (kTail) {
+      _mm256_storeu_pd(row + 8 * kZ, _mm512_castpd512_pd256(r[kZ]));
+    }
+  }
+}
+
 template <int64_t P>
 constexpr RankKernelTable kTable = {KernelTier::kAvx512,
                                     P,
@@ -296,7 +374,8 @@ constexpr RankKernelTable kTable = {KernelTier::kAvx512,
                                     &Dot<P>,
                                     &GramRowDelta<P>,
                                     &ScaledDiffAccum<P>,
-                                    &WeightedSyrkUpper<P>};
+                                    &WeightedSyrkUpper<P>,
+                                    &CoordinateDescent<P>};
 
 }  // namespace
 

@@ -131,10 +131,11 @@ Matrix Hadamard(const Matrix& a, const Matrix& b) {
 void HadamardInto(const Matrix& a, const Matrix& b, Matrix& out) {
   SNS_CHECK(a.rows() == b.rows() && a.cols() == b.cols());
   SNS_CHECK(out.rows() == a.rows() && out.cols() == a.cols());
-  const RankKernelTable& kr = GetRankKernelTable(a.stride());
-  for (int64_t i = 0; i < a.rows(); ++i) {
-    kr.mul(a.Row(i), b.Row(i), out.Row(i), a.stride());
-  }
+  if (a.rows() == 0) return;
+  // One runtime-length call over the contiguous padded storage instead of
+  // one per row: elementwise, so the same values (padding: 0·0 = 0).
+  GetRankKernelTable(0).mul(a.Row(0), b.Row(0), out.Row(0),
+                            a.rows() * a.stride());
 }
 
 void HadamardAccumulate(Matrix& dst, const Matrix& src) {

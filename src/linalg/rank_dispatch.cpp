@@ -19,7 +19,8 @@ constexpr RankKernelTable kGenericTable = {KernelTier::kGeneric,
                                            &VecDot<P>,
                                            &VecGramRowDelta<P>,
                                            &VecScaledDiffAccum<P>,
-                                           &VecWeightedSyrkUpper<P>};
+                                           &VecWeightedSyrkUpper<P>,
+                                           &VecCoordinateDescent<P>};
 
 const RankKernelTable& GenericTable(int64_t padded_rank) {
   // Reuses DispatchPaddedRank so the specialization set lives in exactly

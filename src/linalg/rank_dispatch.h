@@ -11,8 +11,9 @@
 //     template instantiation, with RankTag<0> as the runtime-bound generic
 //     fallback for larger ranks,
 //   - the templated __restrict vector primitives every dense kernel is
-//     built from (fill/copy/axpy/Hadamard/dot/rank-1 Gram deltas, and the
-//     weighted upper-triangle SYRK of the GCP Newton step), and
+//     built from (fill/copy/axpy/Hadamard/dot/rank-1 Gram deltas, the
+//     weighted upper-triangle SYRK of the GCP Newton step and the clipped
+//     coordinate descent of the + variants), and
 //   - RankKernelTable: a function-pointer table over those primitives, one
 //     per tier and padded rank. Every library kernel (linalg/matrix.h,
 //     linalg/cholesky.h, tensor/mttkrp.h, the Gram updates of
@@ -202,6 +203,36 @@ inline void VecWeightedSyrkUpper(const double* SNS_RESTRICT panel,
   }
 }
 
+/// Clipped coordinate descent over one row (Alg. 5 lines 3-6; see
+/// CoordinateDescentRow in core/row_updater.h). For k = 0..rank−1, in
+/// order, with c_k = hq[k·n + k]: entries with !(c_k > 1e-300) (dead
+/// components) are left as they are; otherwise
+///   d_k = dot(row, hq row k) − row[k]·c_k,
+///   row[k] ← (numerator[k] − d_k) / c_k, clipped to [clip_min, clip_max],
+/// where dot is this tier's `dot` against the live (partially updated) row
+/// and every other operation rounds on its own. `hq` is rank × n row-major
+/// (symmetric, so row k is column k) and `row` holds n doubles, both with
+/// zero padding lanes; `numerator` needs `rank` values.
+template <int64_t P>
+inline void VecCoordinateDescent(double* row, int64_t rank, const double* hq,
+                                 const double* numerator, double clip_min,
+                                 double clip_max, int64_t n) {
+  for (int64_t k = 0; k < rank; ++k) {
+    const double* hq_k = hq + k * TripCount<P>(n);
+    const double c_k = hq_k[k];
+    if (!(c_k > 1e-300)) continue;
+    double d_k = VecDot<P>(row, hq_k, n);
+    d_k -= row[k] * c_k;
+    double value = (numerator[k] - d_k) / c_k;
+    if (value > clip_max) {
+      value = clip_max;
+    } else if (value < clip_min) {
+      value = clip_min;
+    }
+    row[k] = value;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Function-pointer table over the primitives.
 
@@ -220,7 +251,11 @@ inline void VecWeightedSyrkUpper(const double* SNS_RESTRICT panel,
 /// match the generic tier to a few ulps, not bitwise; elementwise kernels
 /// (fill/copy/mul/mul_accum) are bitwise across tiers. Within one tier,
 /// weighted_syrk_upper is bitwise equal to the per-cell axpy accumulation
-/// it replaces (see VecWeightedSyrkUpper).
+/// it replaces (see VecWeightedSyrkUpper), coordinate_descent computes
+/// every entry exactly as the scalar loop over the same tier's `dot` does
+/// (the intrinsic tiers hold a P ≤ 32 row in registers and write lane k in
+/// place instead of storing it for the next dot to reload; P = 0 runs the
+/// loop), and fma3(v, a, b) equals axpy(v, a∗b) with a∗b formed by `mul`.
 struct RankKernelTable {
   KernelTier tier;      // Which implementation tier this table points at.
   int64_t padded_rank;  // 0 for the runtime-bound table of this tier.
@@ -240,6 +275,10 @@ struct RankKernelTable {
   void (*weighted_syrk_upper)(const double* panel, const double* weights,
                               int64_t cells, int64_t rows, double* out,
                               int64_t n);
+  // Clipped coordinate descent of the + variants (see VecCoordinateDescent).
+  void (*coordinate_descent)(double* row, int64_t rank, const double* hq,
+                             const double* numerator, double clip_min,
+                             double clip_max, int64_t n);
 };
 
 /// The auto-tier table for a given padded rank: a specialization for every

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "tensor/hadamard_row.h"
 
 namespace sns {
 namespace {
@@ -16,20 +17,6 @@ constexpr double kRidgeScale = 1e-9;
 
 // Backtracking schedule of the damped step.
 constexpr double kAlphas[] = {1.0, 0.5, 0.25, 0.125};
-
-// HadamardRowProduct through the workspace's table: pass 1 forms one row per
-// cell, so it skips the per-call table lookup.
-void HadamardRow(const std::vector<Matrix>& factors, const ModeIndex& index,
-                 int skip_mode, double* out, const RankKernelTable& kr) {
-  const int64_t rank = factors[0].cols();
-  const int64_t padded = factors[0].stride();
-  std::fill(out, out + rank, 1.0);
-  std::fill(out + rank, out + padded, 0.0);
-  for (size_t m = 0; m < factors.size(); ++m) {
-    if (static_cast<int>(m) == skip_mode) continue;
-    kr.mul_accum(out, factors[m].Row(index[static_cast<int>(m)]), padded);
-  }
-}
 
 }  // namespace
 

@@ -24,6 +24,8 @@ ContinuousTensorWindow::ContinuousTensorWindow(std::vector<int64_t> mode_dims,
       period_(period) {
   SNS_CHECK(window_size_ >= 1);
   SNS_CHECK(period_ >= 1);
+  // The θ-sampler probes this tensor, mostly at empty cells.
+  window_.TrackOccupancy();
 }
 
 WindowDelta ContinuousTensorWindow::Ingest(const Tuple& tuple) {

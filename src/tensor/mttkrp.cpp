@@ -1,9 +1,8 @@
 #include "tensor/mttkrp.h"
 
-#include <algorithm>
-
 #include "linalg/rank_dispatch.h"
 #include "linalg/simd.h"
+#include "tensor/hadamard_row.h"
 
 namespace sns {
 namespace {
@@ -15,21 +14,6 @@ namespace {
 inline void OtherTwoModes(int mode, int* a, int* b) {
   *a = mode == 0 ? 1 : 0;
   *b = mode == 2 ? 1 : 2;
-}
-
-// HadamardRowProduct against a resolved table, for the loops below that
-// form one product per nonzero. The padded lanes end at 0.0: they start at
-// 0.0, and every accumulated factor row has zero padding.
-void HadamardRow(const std::vector<Matrix>& factors, const ModeIndex& index,
-                 int skip_mode, double* out, const RankKernelTable& kr) {
-  const int64_t rank = factors[0].cols();
-  const int64_t padded = factors[0].stride();
-  std::fill(out, out + rank, 1.0);
-  std::fill(out + rank, out + padded, 0.0);
-  for (size_t m = 0; m < factors.size(); ++m) {
-    if (static_cast<int>(m) == skip_mode) continue;
-    kr.mul_accum(out, factors[m].Row(index[static_cast<int>(m)]), padded);
-  }
 }
 
 }  // namespace

@@ -19,6 +19,32 @@ SparseTensor::SparseTensor(std::vector<int64_t> dims, int64_t expected_nnz)
   Reserve(expected_nnz);
 }
 
+void SparseTensor::TrackOccupancy() {
+  if (!occupancy_.empty()) return;
+  // Row-major strides while the grid stays within the cap.
+  int64_t cells = 1;
+  for (size_t m = dims_.size(); m-- > 0;) {
+    if (cells > kOccupancyCap / dims_[m]) return;
+    cell_stride_[m] = static_cast<uint64_t>(cells);
+    cells *= dims_[m];
+  }
+  occupancy_.assign(static_cast<size_t>((cells + 63) / 64), 0);
+  ForEachNonzero([&](const ModeIndex& index, double) {
+    MarkOccupied(index, true);
+  });
+}
+
+void SparseTensor::MarkOccupied(const ModeIndex& index, bool occupied) {
+  if (occupancy_.empty()) return;
+  const uint64_t offset = CellOffset(index);
+  const uint64_t bit = uint64_t{1} << (offset & 63);
+  if (occupied) {
+    occupancy_[offset >> 6] |= bit;
+  } else {
+    occupancy_[offset >> 6] &= ~bit;
+  }
+}
+
 void SparseTensor::Reserve(int64_t expected_nnz) {
   // Π dims, saturating at expected_nnz (every dim is >= 1).
   int64_t cells = 1;
@@ -28,12 +54,6 @@ void SparseTensor::Reserve(int64_t expected_nnz) {
   }
   const int64_t reserve = std::min(expected_nnz, cells);
   if (reserve > 0) pool_.Reserve(static_cast<size_t>(reserve));
-}
-
-double SparseTensor::Get(const ModeIndex& index) const {
-  SNS_DCHECK(IndexInBounds(index));
-  const uint32_t id = pool_.Find(index);
-  return id == EntryPool::kInvalidId ? 0.0 : pool_.value(id);
 }
 
 double SparseTensor::Add(const ModeIndex& index, double delta) {
@@ -74,6 +94,7 @@ void SparseTensor::Set(const ModeIndex& index, double value) {
 
 void SparseTensor::Clear() {
   pool_.Clear();
+  std::fill(occupancy_.begin(), occupancy_.end(), 0);
   for (auto& mode_buckets : buckets_) {
     for (auto& bucket : mode_buckets) bucket.clear();
   }
@@ -114,6 +135,7 @@ void SparseTensor::InsertIntoBuckets(uint32_t id) {
     pos[m] = static_cast<uint32_t>(bucket.size());
     bucket.push_back(id);
   }
+  MarkOccupied(index, true);
 }
 
 void SparseTensor::RemoveFromBuckets(uint32_t id) {
@@ -202,6 +224,9 @@ Status SparseTensor::RestoreFrom(serial::Reader& r) {
     if (!inserted || id != static_cast<uint32_t>(i)) {
       return Status::DataLoss("duplicate tensor cell at " + coords.ToString());
     }
+    // Set as soon as the entry exists, so even a restore that fails below
+    // leaves no stored cell behind a clear bit.
+    MarkOccupied(coords, true);
     auto& pos = pool_.bucket_pos(id);
     for (int m = 0; m < modes; ++m) {
       SNS_RETURN_IF_ERROR(r.U32(&pos[static_cast<size_t>(m)]));
@@ -239,6 +264,7 @@ Status SparseTensor::RestoreFrom(serial::Reader& r) {
 }
 
 void SparseTensor::EraseEntry(uint32_t id) {
+  MarkOccupied(pool_.coords(id), false);
   RemoveFromBuckets(id);
   const uint32_t moved = pool_.EraseSwap(id);
   if (moved != EntryPool::kInvalidId) {

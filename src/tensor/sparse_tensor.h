@@ -6,8 +6,17 @@
 // lists the *pool ids* (not coordinate copies) of the non-zeros whose m-th
 // mode index is i. Each pool entry carries its position inside all of its M
 // buckets, so bucket removal is swap-erase O(1) and pool erasure is
-// swap-with-last O(M). That gives the SliceNStitch updaters exactly the
-// operations they need at the cost bounds of Theorems 1-4:
+// swap-with-last O(M). A tensor that TrackOccupancy() was called on, and
+// whose grid has at most kOccupancyCap cells, also keeps an occupancy
+// bitset: one bit per cell at its row-major offset (taxi's 265×265×10
+// window: 88 KB; the cap bounds it at 2 MiB), set while the cell is stored.
+// A Get whose bit is clear answers 0.0 without hashing. The continuous
+// window tracks occupancy because its θ-sampler's probes are mostly such
+// misses; other tensors (periodic windows, baseline units) do not pay for
+// the bitset. It is derived state — rebuilt by RestoreFrom, never
+// serialized — and larger grids keep the plain hash probe. That gives the
+// SliceNStitch updaters exactly the operations they need at the cost
+// bounds of Theorems 1-4:
 //   - deg(m, i)          — |X_(m)(i, :)|, Theorem 4's degree, O(1),
 //   - slice iteration    — the sum over Ω^(m)_i in Eqs. 12 & 21, hash-free
 //                          and value-carrying via Slice(),
@@ -23,6 +32,7 @@
 #ifndef SLICENSTITCH_TENSOR_SPARSE_TENSOR_H_
 #define SLICENSTITCH_TENSOR_SPARSE_TENSOR_H_
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -44,6 +54,9 @@ class Reader;
 class SparseTensor {
  public:
   static constexpr double kZeroEpsilon = 1e-12;
+  /// Largest grid that gets an occupancy bitset: 2^24 cells, so the bitset
+  /// never takes more than 2 MiB.
+  static constexpr int64_t kOccupancyCap = int64_t{1} << 24;
 
   /// An empty tensor of the given shape (one extent per mode).
   /// `expected_nnz` (optional) pre-sizes the pool and hash index so bulk
@@ -62,8 +75,20 @@ class SparseTensor {
   /// Number of non-zero cells.
   int64_t nnz() const { return static_cast<int64_t>(pool_.size()); }
 
-  /// Value at a cell (0.0 when absent).
-  double Get(const ModeIndex& index) const;
+  /// Keeps the occupancy bitset from now on, built from the stored cells.
+  /// A no-op when the grid has more than kOccupancyCap cells or the bitset
+  /// exists already.
+  void TrackOccupancy();
+
+  /// Value at a cell (0.0 when absent). With an occupancy bitset, a cell
+  /// whose bit is clear is answered without a hash lookup
+  /// (hash_lookup_count is unchanged).
+  double Get(const ModeIndex& index) const {
+    SNS_DCHECK(IndexInBounds(index));
+    if (!occupancy_.empty() && !Occupied(CellOffset(index))) return 0.0;
+    const uint32_t id = pool_.Find(index);
+    return id == EntryPool::kInvalidId ? 0.0 : pool_.value(id);
+  }
 
   /// Adds `delta` to a cell, creating or erasing the entry as needed.
   /// Returns the new value of the cell.
@@ -150,7 +175,8 @@ class SparseTensor {
   bool IndexInBounds(const ModeIndex& index) const;
 
   /// Probe sequences performed against the coordinate hash index so far.
-  /// Regression instrumentation: slice iteration must leave this unchanged.
+  /// Regression instrumentation: slice iteration must leave this unchanged,
+  /// and a Get the occupancy bitset answers does not count.
   uint64_t hash_lookup_count() const { return pool_.hash_lookup_count(); }
 
   /// Serializes the non-zeros INCLUDING their storage layout — entries in
@@ -173,7 +199,25 @@ class SparseTensor {
   void RemoveFromBuckets(uint32_t id);
   void EraseEntry(uint32_t id);
 
+  // Row-major offset of a cell (the last mode fastest).
+  uint64_t CellOffset(const ModeIndex& index) const {
+    uint64_t offset = 0;
+    for (int m = 0; m < index.size(); ++m) {
+      offset += static_cast<uint64_t>(index[m]) * cell_stride_[m];
+    }
+    return offset;
+  }
+  bool Occupied(uint64_t offset) const {
+    return (occupancy_[offset >> 6] >> (offset & 63)) & 1u;
+  }
+  // Set/clear a cell's bit; no-ops without a bitset.
+  void MarkOccupied(const ModeIndex& index, bool occupied);
+
   std::vector<int64_t> dims_;
+  // Bit c of occupancy_ is set while the cell at offset c is stored; empty
+  // until TrackOccupancy, and for grids past kOccupancyCap cells.
+  std::vector<uint64_t> occupancy_;
+  std::array<uint64_t, kMaxTensorModes> cell_stride_{};
   EntryPool pool_;
   // buckets_[m][i] lists pool ids of non-zeros with m-th index i.
   std::vector<std::vector<std::vector<uint32_t>>> buckets_;

@@ -490,5 +490,125 @@ TEST(RowUpdaterGoldenTest, SerializedStateMatchesRecordedTrajectories) {
   internal::RefreshKernelTierForTest();
 }
 
+// ---------------------------------------------------------------------------
+// Goldens of the sampled, clipped and GCP rules at ranks 4, 10 and 20 on
+// the generic tier. These hashes were recorded before the row updater's
+// register-held coordinate descent, fused sample staging, the Gram
+// product cache's by-reference products and the window's occupancy bitset
+// existed, and pin that those fast paths change no bit. The grids are large
+// enough that heavy rows take rejection sampling (not the tiny-slice
+// enumeration), and one run has four modes.
+//
+// The intrinsic tiers have no hash here: their runtime-length kernels (the
+// unaligned Cholesky row suffixes of the ALS initialization, the unclipped
+// solves and the GCP step) end in scalar loops whose multiply-add
+// contraction the compiler chooses, so their trajectories differ between
+// builds. Their fast paths are pinned per tier by build-independent
+// differentials instead: CoordinateDescentMatchesScalarDotLoop
+// (kernel_dispatch_test), and SampledRuleDifferentialTest and
+// GcpStepDifferentialTest (hot_path_test).
+
+struct RankGoldenRun {
+  const char* name;
+  SnsVariant variant;
+  LossKind loss;
+  std::vector<int64_t> dims;  // Non-time modes.
+  uint64_t hash[3];           // Ranks 4, 10, 20.
+};
+
+// 600 tuples, four per time unit, each coordinate and value from its own
+// step of a 64-bit LCG (integer arithmetic only; values 1..4 are exact).
+std::vector<Tuple> RankGoldenStream(const std::vector<int64_t>& dims) {
+  std::vector<Tuple> tuples;
+  uint64_t x = 0x7e1e7e1eull;
+  auto next = [&x] {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    return x >> 33;
+  };
+  for (int k = 0; k < 600; ++k) {
+    ModeIndex index;
+    for (const int64_t dim : dims) {
+      index.PushBack(static_cast<int32_t>(next() % static_cast<uint64_t>(dim)));
+    }
+    const double v = static_cast<double>(1 + next() % 4);
+    tuples.push_back(Tuple{index, v, 1 + k / 4});
+  }
+  return tuples;
+}
+
+uint64_t RankGoldenHash(const RankGoldenRun& run, int64_t rank) {
+  ContinuousCpdOptions options;
+  options.rank = rank;
+  options.window_size = 3;
+  options.period = 10;
+  options.variant = run.variant;
+  options.loss = run.loss;
+  options.sample_threshold = 3;
+  options.clip_bound = 2.0;
+  options.seed = 23;
+  const std::vector<Tuple> tuples = RankGoldenStream(run.dims);
+  const std::span<const Tuple> all(tuples);
+  size_t split = 0;
+  while (split < all.size() && all[split].time <= 30) ++split;
+  auto handle = StreamHandle::Create("tier-golden", run.dims, options);
+  SNS_CHECK(handle.ok());
+  SNS_CHECK(handle.value().Warmup(all.subspan(0, split)).ok());
+  SNS_CHECK(handle.value().Initialize().ok());
+  SNS_CHECK(handle.value().Ingest(all.subspan(split)).ok());
+  serial::StringSink sink;
+  serial::Writer writer(sink);
+  SNS_CHECK(handle.value().SerializeState(writer).ok());
+  uint64_t hash = 0xcbf29ce484222325ull;
+  for (const char c : sink.data()) {
+    hash = (hash ^ static_cast<uint8_t>(c)) * 0x100000001b3ull;
+  }
+  return hash;
+}
+
+const RankGoldenRun kGenericGoldens[] = {
+    {"SNS+RND",
+     SnsVariant::kRnd,
+     LossKind::kGaussian,
+     {12, 10},
+     {0x4f9eedd59c233c5dull, 0xb893f777e5ea27fdull,
+      0xa8d43db10624afedull}},
+    {"SNS+RND+",
+     SnsVariant::kRndPlus,
+     LossKind::kGaussian,
+     {12, 10},
+     {0x7c9031dc5577f993ull, 0x4c73ec9671d709ecull,
+      0xb781278ff431824eull}},
+    {"SNS+RND+ 4-mode",
+     SnsVariant::kRndPlus,
+     LossKind::kGaussian,
+     {6, 5, 4},
+     {0x5ba9afe9717228d4ull, 0x3a5caf6faa5c2c3full,
+      0xa79048b24b225bffull}},
+    {"SNS+VEC+",
+     SnsVariant::kVecPlus,
+     LossKind::kGaussian,
+     {12, 10},
+     {0x58156b1ae5819bedull, 0xa47d95a171852b3dull,
+      0x4d763b523f7c5eebull}},
+    {"Poisson SNS+VEC",
+     SnsVariant::kVec,
+     LossKind::kPoisson,
+     {12, 10},
+     {0x5311a67f5ec65784ull, 0xd32f01b8eb169cb3ull,
+      0x2b5691aee7896775ull}},
+};
+
+TEST(RowUpdaterGoldenTest, GenericTierMatchesRecordedTrajectoriesAtThreeRanks) {
+  internal::RefreshKernelTierForTest(KernelTier::kGeneric);
+  const int64_t ranks[] = {4, 10, 20};
+  for (const RankGoldenRun& run : kGenericGoldens) {
+    for (size_t r = 0; r < 3; ++r) {
+      EXPECT_EQ(RankGoldenHash(run, ranks[r]), run.hash[r])
+          << run.name << " rank " << ranks[r];
+    }
+  }
+  internal::RefreshKernelTierForTest();
+}
+
 }  // namespace
 }  // namespace sns

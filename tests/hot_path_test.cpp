@@ -1001,10 +1001,10 @@ class ReferenceSampledRuleUpdater : public RowUpdater {
     log.push_back(std::move(record));
 
     if (plus_) {
-      CoordinateDescentRow(factor.Row(row), rank, ws.h, ws.rhs.data(),
+      CoordinateDescentRow(factor.Row(row), rank, *ws.h, ws.rhs.data(),
                            -clip_bound_, clip_bound_);
     } else {
-      ws.solver.Factorize(ws.h);
+      ws.solver.Factorize(*ws.h);
       ws.solver.Solve(ws.rhs.data(), ws.solution.data());
       kr.copy(ws.solution.data(), factor.Row(row), padded);
     }
@@ -1130,7 +1130,10 @@ void RunSampledRulePin(KernelTier tier, int64_t rank,
                         dims.size();
   Rng rng(seed);
   KruskalModel model = KruskalModel::Random(dims, rank, rng);
+  // The production side probes through the occupancy bitset, as the
+  // continuous window does; the reference side through the hash alone.
   SparseTensor window_prod = DenseWindowFromModel(model);
+  window_prod.TrackOccupancy();
   SparseTensor window_ref = DenseWindowFromModel(model);
   CpdState prod(model), ref(model);
   SampledRuleProbe prod_updater(
@@ -1196,56 +1199,73 @@ TEST(SampledRuleDifferentialTest, BitwiseIdenticalToPerCellLoopOnEveryTier) {
 // ---------------------------------------------------------------------------
 // GramProductCache.
 
-TEST(GramProductCacheTest, MatchesScratchRecomputation3ModeBitwise) {
-  Rng rng(0xcac4e);
-  const int64_t rank = 4;
-  std::vector<Matrix> grams;
-  for (int m = 0; m < 3; ++m) {
-    grams.push_back(Matrix::RandomUniform(rank, rank, rng));
-  }
-  GramProductCache cache;
-  cache.BeginEvent(grams);
-  Matrix out(rank, rank);
-
-  const int sequence[] = {2, 2, 0, 1, 2, 0};
-  for (int mode : sequence) {
-    cache.ProductExcept(mode, out);
-    const Matrix expected = HadamardOfGramsExcept(grams, mode);
-    for (int64_t i = 0; i < rank; ++i) {
-      for (int64_t j = 0; j < rank; ++j) {
-        ASSERT_EQ(out(i, j), expected(i, j)) << "mode " << mode;
-      }
+// ProductExcept against the chain product formed from scratch — the prefix
+// ∗_{n<m} Q(n) left to right and the suffix ∗_{n>m} Q(n) right to left,
+// both started from 1.0, then prefix ∗ suffix — bitwise, for M = 2…5 under
+// random read / NotifyModeChanged interleavings. For M ≤ 3 that is also the
+// plain left-to-right product. A product handed back stays valid while the
+// Gram it skips changes, as a row commit of that mode does.
+TEST(GramProductCacheTest, MatchesFromScratchChainBitwiseUnderInterleavings) {
+  Rng rng(0xc4a1);
+  const int64_t rank = 5;
+  for (int modes = 2; modes <= 5; ++modes) {
+    SCOPED_TRACE(modes);
+    std::vector<Matrix> grams;
+    for (int m = 0; m < modes; ++m) {
+      grams.push_back(Matrix::RandomUniform(rank, rank, rng));
     }
-    // Mutate the mode just read and invalidate it, as a row commit would.
-    grams[static_cast<size_t>(mode)] =
-        Matrix::RandomUniform(rank, rank, rng);
-    cache.NotifyModeChanged(mode);
-  }
-}
-
-TEST(GramProductCacheTest, MatchesScratchRecomputation5Mode) {
-  Rng rng(0xcac5e);
-  const int64_t rank = 3;
-  std::vector<Matrix> grams;
-  for (int m = 0; m < 5; ++m) {
-    grams.push_back(Matrix::RandomUniform(rank, rank, rng));
-  }
-  GramProductCache cache;
-  cache.BeginEvent(grams);
-  Matrix out(rank, rank);
-
-  for (int step = 0; step < 40; ++step) {
-    const int mode = static_cast<int>(rng.NextUint64(5));
-    cache.ProductExcept(mode, out);
-    const Matrix expected = HadamardOfGramsExcept(grams, mode);
-    // 5-mode prefix/suffix grouping differs from the sequential product by
-    // rounding only.
-    ASSERT_LT(MaxAbsDiff(out, expected), 1e-12) << "step " << step;
-    if (rng.NextUint64(2) == 0) {
-      const int changed = static_cast<int>(rng.NextUint64(5));
-      grams[static_cast<size_t>(changed)] =
-          Matrix::RandomUniform(rank, rank, rng);
-      cache.NotifyModeChanged(changed);
+    auto chain = [&](int mode) {
+      Matrix expected(rank, rank);
+      for (int64_t i = 0; i < rank; ++i) {
+        for (int64_t j = 0; j < rank; ++j) {
+          double prefix = 1.0;
+          for (int n = 0; n < mode; ++n) {
+            prefix = prefix * grams[static_cast<size_t>(n)](i, j);
+          }
+          double suffix = 1.0;
+          for (int n = modes - 1; n > mode; --n) {
+            suffix = grams[static_cast<size_t>(n)](i, j) * suffix;
+          }
+          expected(i, j) = prefix * suffix;
+        }
+      }
+      return expected;
+    };
+    auto expect_bitwise = [&](const Matrix& actual, const Matrix& expected) {
+      for (int64_t i = 0; i < rank; ++i) {
+        for (int64_t j = 0; j < rank; ++j) {
+          ASSERT_EQ(actual(i, j), expected(i, j))
+              << "(" << i << ", " << j << ")";
+        }
+      }
+    };
+    GramProductCache cache;
+    for (int event = 0; event < 20; ++event) {
+      cache.BeginEvent(grams);
+      for (int step = 0; step < 12; ++step) {
+        if (rng.NextUint64(3) == 0) {
+          const int changed = static_cast<int>(rng.NextUint64(modes));
+          grams[static_cast<size_t>(changed)] =
+              Matrix::RandomUniform(rank, rank, rng);
+          cache.NotifyModeChanged(changed);
+          continue;
+        }
+        // mode = N reads the product over every mode.
+        const int mode = static_cast<int>(rng.NextUint64(modes + 1));
+        const Matrix expected = chain(mode);
+        const Matrix& actual = cache.ProductExcept(mode);
+        expect_bitwise(actual, expected);
+        if (modes <= 3 && mode < modes) {
+          expect_bitwise(actual, HadamardOfGramsExcept(grams, mode));
+        }
+        if (mode < modes) {
+          // A commit of `mode` leaves the handed-back product valid.
+          grams[static_cast<size_t>(mode)] =
+              Matrix::RandomUniform(rank, rank, rng);
+          cache.NotifyModeChanged(mode);
+          expect_bitwise(actual, expected);
+        }
+      }
     }
   }
 }

@@ -360,6 +360,42 @@ TEST_P(KernelDispatchTest, TableKernelsMatchNaivePerTier) {
   }
 }
 
+// coordinate_descent against the scalar loop over the same tier's `dot`,
+// bitwise: the register-held row of the intrinsic tiers must compute every
+// entry exactly as the loop that stores and reloads it.
+
+TEST_P(KernelDispatchTest, CoordinateDescentMatchesScalarDotLoop) {
+  const int64_t rank = GetParam();
+  const int64_t padded = PaddedRank(rank);
+  Rng rng(300 + rank);
+  Matrix k = Matrix::RandomNormal(2 * rank + 1, rank, rng);
+  Matrix hq = MultiplyTransposeA(k, k);
+  hq(rank / 2, rank / 2) = 0.0;  // A dead component keeps its entry.
+  AlignedVector start(rank), numerator(rank);
+  for (int64_t r = 0; r < rank; ++r) {
+    start[r] = rng.Normal();
+    numerator[r] = 3.0 * rng.Normal();  // Some entries clip.
+  }
+
+  for (const KernelTier tier : AvailableTiers()) {
+    SCOPED_TRACE(KernelTierName(tier));
+    const RankKernelTable& kr = GetRankKernelTable(padded, tier);
+    AlignedVector row = start, expected = start;
+    kr.coordinate_descent(row.data(), rank, hq.Row(0), numerator.data(),
+                          -2.0, 2.0, padded);
+    for (int64_t i = 0; i < rank; ++i) {
+      const double c_i = hq(i, i);
+      if (!(c_i > 1e-300)) continue;
+      double d_i = kr.dot(expected.data(), hq.Row(i), padded);
+      d_i -= expected[i] * c_i;
+      expected[i] = std::min(2.0, std::max(-2.0, (numerator[i] - d_i) / c_i));
+    }
+    for (int64_t r = 0; r < padded; ++r) {
+      ASSERT_EQ(row.data()[r], expected.data()[r]) << "r " << r;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Hadamard row product + MTTKRP rows vs a std::map tensor reference.
 

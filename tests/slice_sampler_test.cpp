@@ -102,5 +102,90 @@ TEST(SliceSamplerTest, SamplesIncludeZeroCells) {
   EXPECT_GE(zero_cells, 39);
 }
 
+// The rejection sampler written plainly: each candidate compared with the
+// delta cells and the accepted cells coordinate by coordinate. The keyed
+// SampleSliceCellsInto must draw the same RNG stream and return the same
+// cells, in the same order, with the same values and keys.
+std::vector<SampledCell> ReferenceRejectionSample(const SparseTensor& window,
+                                                  int mode, int64_t row,
+                                                  int64_t count,
+                                                  const WindowDelta& delta,
+                                                  Rng& rng) {
+  std::vector<SampledCell> cells;
+  ModeIndex index;
+  for (int n = 0; n < window.num_modes(); ++n) index.PushBack(0);
+  index[mode] = static_cast<int32_t>(row);
+  int attempts = 0;
+  while (static_cast<int64_t>(cells.size()) < count &&
+         attempts++ < static_cast<int>(count) * 20 + 64) {
+    uint64_t key = 0;
+    for (int n = 0; n < window.num_modes(); ++n) {
+      if (n == mode) continue;
+      const int64_t i = rng.UniformInt(0, window.dim(n) - 1);
+      index[n] = static_cast<int32_t>(i);
+      key = key * static_cast<uint64_t>(window.dim(n)) +
+            static_cast<uint64_t>(i);
+    }
+    bool skip = false;
+    for (const DeltaCell& cell : delta.cells) {
+      skip = skip || cell.index == index;
+    }
+    for (const SampledCell& cell : cells) skip = skip || cell.index == index;
+    if (!skip) cells.push_back({index, window.Get(index), key});
+  }
+  return cells;
+}
+
+TEST(SliceSamplerTest, MatchesPlainRejectionSamplerDrawForDraw) {
+  Rng data(6);
+  for (const std::vector<int64_t>& dims :
+       {std::vector<int64_t>{9, 8, 5}, std::vector<int64_t>{4, 6, 3, 5}}) {
+    SparseTensor window(dims);
+    window.TrackOccupancy();  // As the continuous window does.
+    const int modes = static_cast<int>(dims.size());
+    auto random_cell = [&] {
+      ModeIndex index;
+      for (const int64_t dim : dims) {
+        index.PushBack(static_cast<int32_t>(data.UniformInt(0, dim - 1)));
+      }
+      return index;
+    };
+    for (int i = 0; i < 120; ++i) window.Set(random_cell(), data.Normal());
+    for (int trial = 0; trial < 300; ++trial) {
+      const int mode = static_cast<int>(data.NextUint64(modes));
+      const int64_t row =
+          data.UniformInt(0, dims[static_cast<size_t>(mode)] - 1);
+      // A slide's two delta cells, both in the slice, or one outside it.
+      WindowDelta delta;
+      for (int d = 0; d < 2; ++d) {
+        ModeIndex cell = random_cell();
+        if (trial % 3 != 0) cell[mode] = static_cast<int32_t>(row);
+        delta.cells.push_back({cell, 1.0});
+      }
+      // θ near the slice grid forces duplicates and long rejection runs.
+      const int64_t count = 3 + static_cast<int64_t>(data.NextUint64(12));
+      const uint64_t seed = data.NextUint64(1u << 30);
+      Rng fast_rng(seed), reference_rng(seed);
+      std::vector<SampledCell> fast;
+      SampleSliceCellsInto(window, mode, row, count, delta, fast_rng, fast);
+      int64_t grid = 1;
+      for (int n = 0; n < modes; ++n) {
+        if (n != mode) grid *= dims[static_cast<size_t>(n)];
+      }
+      if (grid <= count + 2) continue;  // The enumeration branch.
+      const std::vector<SampledCell> reference = ReferenceRejectionSample(
+          window, mode, row, count, delta, reference_rng);
+      ASSERT_EQ(fast.size(), reference.size());
+      for (size_t c = 0; c < fast.size(); ++c) {
+        EXPECT_TRUE(fast[c].index == reference[c].index) << c;
+        EXPECT_EQ(fast[c].value, reference[c].value) << c;
+        EXPECT_EQ(fast[c].offset, reference[c].offset) << c;
+      }
+      EXPECT_EQ(fast_rng.NextUint64(1u << 30),
+                reference_rng.NextUint64(1u << 30));
+    }
+  }
+}
+
 }  // namespace
 }  // namespace sns

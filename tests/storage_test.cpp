@@ -5,7 +5,9 @@
 //   - a window-churn test asserting no near-zero residue or bucket leak
 //     after full slide-expiry cycles,
 //   - a regression guard pinning the hash-lookup count of slice iteration
-//     and MttkrpRow at zero (the pre-refactor code re-hashed per entry).
+//     and MttkrpRow at zero (the pre-refactor code re-hashed per entry),
+//   - a differential test of the occupancy bitset's Get against the hash
+//     probe and a std::map reference, on grids below and above its cap.
 
 #include <cmath>
 #include <map>
@@ -16,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/serial.h"
 #include "stream/continuous_window.h"
 #include "tensor/kruskal.h"
 #include "tensor/mttkrp.h"
@@ -219,6 +222,141 @@ TEST(EntryPoolStorageTest, MttkrpRowPerformsNoHashLookups) {
   EXPECT_NE(sum, -1.0);  // Keep the loops observable.
   EXPECT_EQ(x.hash_lookup_count(), lookups_before)
       << "slice/pool iteration must not touch the coordinate hash index";
+}
+
+// The occupancy bitset against the hash probe: random Add / Set / Clear /
+// RestoreFrom runs — net-zero inserts and kZeroEpsilon erasures included —
+// on a grid under SparseTensor::kOccupancyCap (504 cells, eight bitset
+// words) that tracks occupancy, on the same grid untracked and on a
+// tracked grid above the cap (both plain hash probes). Every Get matches a
+// std::map reference, and with the bitset a Get of a cell whose bit is
+// clear is answered without a hash lookup: hash_lookup_count only counts
+// probe sequences of the coordinate hash index.
+TEST(EntryPoolStorageTest, OccupancyBitsetMatchesHashAndMapReference) {
+  struct Grid {
+    std::vector<int64_t> dims;
+    bool track;
+    const char* name;
+  };
+  const Grid grids[] = {{{9, 8, 7}, true, "bitset"},
+                        {{9, 8, 7}, false, "untracked"},
+                        {{4097, 4097, 2}, true, "above the cap"}};
+  for (const Grid& grid : grids) {
+    const std::vector<int64_t>& dims = grid.dims;
+    int64_t grid_cells = 1;
+    for (const int64_t dim : dims) grid_cells *= dim;
+    const bool bitset =
+        grid.track && grid_cells <= SparseTensor::kOccupancyCap;
+    SCOPED_TRACE(grid.name);
+    Rng rng(0xb175e7);
+    // A pool of 60 cells revisited often, so inserts, updates and erasures
+    // hit the same bits; a fifth of the operations touch a fresh cell.
+    std::vector<ModeIndex> hot;
+    for (int i = 0; i < 60; ++i) hot.push_back(RandomIndex(dims, rng));
+    auto pick = [&] {
+      return rng.NextUint64(5) == 0 ? RandomIndex(dims, rng)
+                                    : hot[rng.NextUint64(hot.size())];
+    };
+    SparseTensor x(dims);
+    if (grid.track) x.TrackOccupancy();
+    std::map<std::string, double> reference;
+    auto expected = [&](const ModeIndex& index) {
+      const auto it = reference.find(index.ToString());
+      return it == reference.end() ? 0.0 : it->second;
+    };
+    auto record = [&](const ModeIndex& index, double value) {
+      if (std::fabs(value) < SparseTensor::kZeroEpsilon) {
+        reference.erase(index.ToString());
+      } else {
+        reference[index.ToString()] = value;
+      }
+    };
+
+    for (int step = 0; step < 4000; ++step) {
+      const ModeIndex index = pick();
+      const double before = expected(index);
+      switch (rng.NextUint64(8)) {
+        case 0:  // Integer delta; 0 on an absent cell is a net-zero insert.
+        case 1: {
+          const double delta = static_cast<double>(rng.UniformInt(-2, 2));
+          x.Add(index, delta);
+          record(index, before + delta);
+          break;
+        }
+        case 2:  // Lands within kZeroEpsilon of zero: erased (or never made).
+          x.Add(index, -before + 0.5 * SparseTensor::kZeroEpsilon);
+          record(index, 0.0);
+          break;
+        case 3:
+          x.Set(index, rng.UniformDouble(-3.0, 3.0));
+          record(index, x.Get(index));
+          break;
+        case 4:  // Below kZeroEpsilon: an erasure.
+          x.Set(index, 0.25 * SparseTensor::kZeroEpsilon);
+          record(index, 0.0);
+          break;
+        case 5:
+          if (rng.NextUint64(50) == 0) {
+            x.Clear();
+            reference.clear();
+          }
+          break;
+        case 6:
+          if (rng.NextUint64(20) == 0) {
+            // The bitset is not serialized: RestoreFrom rebuilds it when
+            // occupancy is tracked first (as the continuous window does),
+            // and TrackOccupancy builds it from the stored cells after.
+            serial::StringSink sink;
+            serial::Writer writer(sink);
+            x.SerializeTo(writer);
+            SparseTensor restored(dims);
+            const bool track_first = rng.NextUint64(2) == 0;
+            if (grid.track && track_first) restored.TrackOccupancy();
+            serial::StringSource source(sink.data());
+            serial::Reader reader(source);
+            ASSERT_TRUE(restored.RestoreFrom(reader).ok());
+            if (grid.track && !track_first) restored.TrackOccupancy();
+            x = std::move(restored);
+          }
+          break;
+        default: {  // A lookup alone; above the cap, always one probe.
+          const uint64_t lookups = x.hash_lookup_count();
+          ASSERT_EQ(x.Get(index), expected(index)) << index.ToString();
+          if (!bitset) {
+            EXPECT_EQ(x.hash_lookup_count(), lookups + 1);
+          }
+          break;
+        }
+      }
+      ASSERT_EQ(x.Get(index), expected(index)) << index.ToString();
+      ASSERT_EQ(x.nnz(), static_cast<int64_t>(reference.size()));
+      if (step % 400 == 399) {
+        for (const ModeIndex& cell : hot) {
+          ASSERT_EQ(x.Get(cell), expected(cell)) << cell.ToString();
+        }
+        if (bitset) {
+          // Every cell of the grid, and every absent one unhashed.
+          const uint64_t lookups = x.hash_lookup_count();
+          int64_t absent = 0;
+          ModeIndex cell;
+          for (size_t m = 0; m < dims.size(); ++m) cell.PushBack(0);
+          for (int32_t i = 0; i < dims[0]; ++i) {
+            for (int32_t j = 0; j < dims[1]; ++j) {
+              for (int32_t k = 0; k < dims[2]; ++k) {
+                cell[0] = i;
+                cell[1] = j;
+                cell[2] = k;
+                ASSERT_EQ(x.Get(cell), expected(cell)) << cell.ToString();
+                if (expected(cell) == 0.0) ++absent;
+              }
+            }
+          }
+          EXPECT_EQ(x.hash_lookup_count() - lookups,
+                    static_cast<uint64_t>(grid_cells - absent));
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
