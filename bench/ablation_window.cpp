@@ -1,4 +1,4 @@
-// Ablation (DESIGN.md): the event-driven continuous tensor model
+// Ablation: the event-driven continuous tensor model
 // (Algorithm 1) versus rebuilding D(t, W) from scratch at every event — the
 // "computationally prohibitive" strawman of §IV-B — plus an empirical check
 // of the Theorem 1/2 bounds (O(MW) events per tuple, space linear in active

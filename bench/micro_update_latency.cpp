@@ -1,9 +1,8 @@
 // google-benchmark microbenchmarks: per-event update latency under each
 // loss, sharded-service throughput, the storage share of one event, the
-// Gram-solver ablation (Cholesky fast path vs the symmetric-eigen
-// pseudoinverse fallback) called out in DESIGN.md, and the rank-R kernels
-// per tier. Per-layer latency of the engine, handle and service lives in
-// the perfbench ledger (perfbench/run.py --trace 1).
+// one-shot Gram solve, and the rank-R kernels per tier. Per-layer latency
+// of the engine, handle and service lives in the perfbench ledger
+// (perfbench/run.py --trace 1).
 //
 // Unless --benchmark_out is given, results are also written as JSON to
 // BENCH_micro_update_latency.json in the working directory so the perf
@@ -28,7 +27,6 @@
 #include "data/datasets.h"
 #include "linalg/cholesky.h"
 #include "losses/loss_function.h"
-#include "linalg/pseudo_inverse.h"
 #include "linalg/simd.h"
 #include "tensor/mttkrp.h"
 
@@ -267,8 +265,8 @@ BENCHMARK(BM_ServiceThroughput)
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 
-// Gram-solver ablation: R x R solve via the production path (Cholesky with
-// pseudoinverse fallback) vs always-pseudoinverse.
+// One-shot R x R Gram solve through the production path (Cholesky, with
+// the ridge rungs for a singular H).
 void BM_GramSolveProduction(benchmark::State& state) {
   const int64_t rank = state.range(0);
   Rng rng(13);
@@ -339,21 +337,6 @@ void BM_StoragePerEventFlatPool(benchmark::State& state) {
   state.SetLabel("flat entry pool");
 }
 BENCHMARK(BM_StoragePerEventFlatPool)->Unit(benchmark::kMicrosecond);
-
-void BM_GramSolvePinvOnly(benchmark::State& state) {
-  const int64_t rank = state.range(0);
-  Rng rng(13);
-  Matrix a = Matrix::RandomNormal(4 * rank, rank, rng);
-  Matrix h = MultiplyTransposeA(a, a);
-  std::vector<double> b(static_cast<size_t>(rank), 1.0);
-  std::vector<double> x(static_cast<size_t>(rank));
-  for (auto _ : state) {
-    Matrix pinv = PseudoInverseSymmetric(h);
-    RowTimesMatrix(b.data(), pinv, x.data());
-    benchmark::DoNotOptimize(x.data());
-  }
-}
-BENCHMARK(BM_GramSolvePinvOnly)->Arg(10)->Arg(20)->Arg(40);
 
 // ---------------------------------------------------------------------------
 // Per-kernel microbenchmarks of the SIMD kernel layer (the rank-R inner

@@ -121,10 +121,16 @@ class ByteSink;
 class ByteSource;
 }  // namespace serial
 
+class SnsService;
+
 namespace durability {
 class JournalWriter;
 struct JournalOptions;
+struct RecoveryReport;
 enum class JournalOpType : uint8_t;
+StatusOr<RecoveryReport> RecoverStream(SnsService& service,
+                                       serial::ByteSource& checkpoint,
+                                       const std::string& journal_directory);
 }  // namespace durability
 
 /// Multi-stream service facade over the sharded runtime. Move-only; streams
@@ -371,6 +377,12 @@ class SnsService {
   void Shutdown();
 
  private:
+  // Crash recovery rebuilds the stream off-service (RecoverHandle) and
+  // registers it at its recovered sequence token.
+  friend StatusOr<durability::RecoveryReport> durability::RecoverStream(
+      SnsService& service, serial::ByteSource& checkpoint,
+      const std::string& journal_directory);
+
   /// Auto-recovery configuration of one stream (set by EnableAutoRecovery;
   /// defined in the .cpp — durability::JournalOptions is incomplete here).
   struct AutoRecoveryConfig;

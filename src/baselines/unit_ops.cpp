@@ -57,15 +57,6 @@ void AccumulateUnitMttkrp(const SparseTensor& unit,
   });
 }
 
-void AddRidge(Matrix& h, double relative) {
-  SNS_CHECK(h.rows() == h.cols());
-  double trace = 0.0;
-  for (int64_t i = 0; i < h.rows(); ++i) trace += h(i, i);
-  const double ridge =
-      relative * (trace / static_cast<double>(h.rows()) + 1e-12);
-  for (int64_t i = 0; i < h.rows(); ++i) h(i, i) += ridge;
-}
-
 std::vector<SparseTensor> SplitWindowIntoUnits(const SparseTensor& window) {
   const int time_mode = window.num_modes() - 1;
   const int64_t w_size = window.dim(time_mode);

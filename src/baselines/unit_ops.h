@@ -30,13 +30,6 @@ void AccumulateUnitMttkrp(const SparseTensor& unit,
 /// (index 0 = oldest slice).
 std::vector<SparseTensor> SplitWindowIntoUnits(const SparseTensor& window);
 
-/// Adds `relative · (trace(h)/n + 1e-12)` to the diagonal of the square
-/// matrix `h`. The incremental baselines ridge their accumulated normal
-/// equations this way: decayed/frozen history Grams go near-singular on
-/// sparse data and an unregularized pseudoinverse solve amplifies noise
-/// catastrophically.
-void AddRidge(Matrix& h, double relative);
-
 }  // namespace sns
 
 #endif  // SLICENSTITCH_BASELINES_UNIT_OPS_H_

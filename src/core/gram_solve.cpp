@@ -4,15 +4,23 @@
 #include <cmath>
 
 #include "linalg/cholesky.h"
-#include "linalg/pseudo_inverse.h"
 
 namespace sns {
 namespace {
 
 // Minimum acceptable ratio between the smallest and largest Cholesky pivot:
-// below this the Gram is treated as numerically singular and the
-// pseudoinverse path is used instead.
+// below this the Gram is treated as numerically singular and ridged.
 constexpr double kPivotRatioFloor = 1e-7;
+
+// Trace-relative ridge factor (AddRidge) of the first fallback rung.
+// c ≈ √ε balances the ridge's bias (δ/λ on an eigenvalue λ of H) against
+// the rounding its 1/δ amplification of range(H)'s complement lets into
+// the solution (~ε·‖H‖/δ). For PSD H it passes the floor, as
+// λ_min(H + δI) ≥ δ bounds the pivot ratio² below by c/(n + c). Every H
+// the solver keeps is PSD up to rounding (resynced or per-sweep Grams, the
+// floored GCP Hessian), so the last rung only catches an indefinite, zero
+// or non-finite H.
+constexpr double kRidge = 1e-8;
 
 bool FactorIsWellConditioned(const Matrix& factor) {
   double min_pivot = factor(0, 0), max_pivot = factor(0, 0);
@@ -25,25 +33,71 @@ bool FactorIsWellConditioned(const Matrix& factor) {
 
 }  // namespace
 
-void GramSolver::Factorize(const Matrix& h) {
+bool GramSolver::Factorize(const Matrix& h) {
   const int64_t n = h.rows();
-  if (upper_.rows() != n) upper_ = Matrix(n, n);
+  if (upper_.rows() != n) {
+    upper_ = Matrix(n, n);
+    ridged_ = Matrix(n, n);
+  }
+  zero_ = false;
   // Row-suffix (U'U) factorization: every inner loop contiguous — see
   // CholeskyFactorizeUpperInto.
-  use_pinv_ = !(CholeskyFactorizeUpperInto(h, upper_) &&
-                FactorIsWellConditioned(upper_));
-  if (use_pinv_) pinv_ = PseudoInverseSymmetric(h);
+  if (CholeskyFactorizeUpperInto(h, upper_) &&
+      FactorIsWellConditioned(upper_)) {
+    return true;
+  }
+
+  double trace = 0.0, max_abs = 0.0;
+  for (int64_t i = 0; i < n; ++i) {
+    trace += h(i, i);
+    for (int64_t j = i; j < n; ++j) {
+      max_abs = std::max(max_abs, std::abs(h(i, j)));
+    }
+  }
+  auto stage_upper = [&] {
+    for (int64_t i = 0; i < n; ++i) {
+      std::copy(h.Row(i) + i, h.Row(i) + n, ridged_.Row(i) + i);
+    }
+  };
+  // At tr(H) ≤ 0 AddRidge's δ is at most 1e-20, which passes the floor for
+  // H = 0 and solves to b·1e20; such H go straight to the last rung.
+  if (trace > 0.0) {
+    stage_upper();
+    AddRidge(ridged_, kRidge);
+    if (CholeskyFactorizeUpperInto(ridged_, upper_) &&
+        FactorIsWellConditioned(upper_)) {
+      return false;
+    }
+  }
+  // Last rung. Every eigenvalue of H lies within n·max|h_ij| of zero
+  // (Gershgorin), so H + 2n·max|h_ij|·I has condition number at most 3.
+  // Only H = 0 (δ = 0) and a non-finite H fail this Cholesky; they solve
+  // to x = 0.
+  stage_upper();
+  const double delta = 2.0 * static_cast<double>(n) * max_abs;
+  for (int64_t i = 0; i < n; ++i) ridged_(i, i) += delta;
+  zero_ = !CholeskyFactorizeUpperInto(ridged_, upper_);
+  return false;
 }
 
 void GramSolver::Solve(const double* b, double* x) const {
-  if (use_pinv_) {
-    RowTimesMatrix(b, pinv_, x);
+  const int64_t n = upper_.rows();
+  if (zero_) {
+    std::fill(x, x + n, 0.0);
     return;
   }
-  // H symmetric: b H† == (H⁻¹ b')' for nonsingular H.
-  const int64_t n = upper_.rows();
+  // H symmetric: b H⁻¹ == (H⁻¹ b')'.
   std::copy(b, b + n, x);
   CholeskySolveUpperInPlace(upper_, x);
+}
+
+void AddRidge(Matrix& h, double relative) {
+  SNS_CHECK(h.rows() == h.cols());
+  double trace = 0.0;
+  for (int64_t i = 0; i < h.rows(); ++i) trace += h(i, i);
+  const double ridge =
+      relative * (trace / static_cast<double>(h.rows()) + 1e-12);
+  for (int64_t i = 0; i < h.rows(); ++i) h(i, i) += ridge;
 }
 
 void SolveRowAgainstGram(const Matrix& h, const double* b, double* x) {

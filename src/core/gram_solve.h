@@ -1,9 +1,13 @@
 // Row solve against a Gram matrix: x = b H† (Eqs. 4, 9, 12, 16).
 //
-// H = ∗ A'A is symmetric PSD. The fast path is a Cholesky solve (identical
-// result when H is safely positive definite); when H is singular or
-// ill-conditioned the solve falls back to the symmetric eigendecomposition
-// pseudoinverse, which is what the paper's H† denotes.
+// H = ∗ A'A is symmetric PSD in exact arithmetic, and the solve is a
+// Cholesky solve whenever H is safely positive definite. When it is not —
+// a dead or duplicated component makes H singular, or incrementally
+// maintained Grams drifted indefinite — the solver factorizes the ridged
+// system H + δI instead: a tiny trace-relative δ first, then, if that
+// factor is still not well conditioned, a δ large enough for any H. For b
+// in range(H) and the first rung's tiny δ the ridged solve agrees with the
+// pseudoinverse solution to ~δ/λ_min relative.
 
 #ifndef SLICENSTITCH_CORE_GRAM_SOLVE_H_
 #define SLICENSTITCH_CORE_GRAM_SOLVE_H_
@@ -13,26 +17,38 @@
 namespace sns {
 
 /// Reusable Gram solver: factorize H once, then solve any number of rows
-/// against it. The Cholesky fast path performs zero heap allocations once
-/// the internal buffer matches H's order, which makes this the solver of
-/// the per-event update hot path (owned by UpdateWorkspace / AlsWorkspace).
-/// Singular / ill-conditioned H falls back to the (allocating, rare)
-/// symmetric-eigen pseudoinverse — the paper's H†.
+/// against it. Both the Cholesky path and the ridge fallback perform zero
+/// heap allocations once the internal buffers match H's order, which makes
+/// this the solver of the per-event update hot path (owned by
+/// UpdateWorkspace / AlsWorkspace).
 class GramSolver {
  public:
-  /// Factorizes symmetric PSD `h` (order n), replacing any previous
-  /// factorization.
-  void Factorize(const Matrix& h);
+  /// Factorizes symmetric `h` (order n; only its upper triangle, diagonal
+  /// included, is read), replacing any previous factorization. Returns true
+  /// when H itself passes Cholesky with a smallest-to-largest pivot ratio
+  /// above 1e-7. Otherwise factorizes H + δI with δ = 1e-8·(tr(H)/n +
+  /// 1e-12) (AddRidge) when tr(H) > 0, and if that ratio still fails, with
+  /// δ = 2n·max|h_ij|, which makes any finite nonzero symmetric H positive
+  /// definite; returns false. Only when even that last factorization fails
+  /// (H = 0, or a NaN or ±inf entry) does Solve write x = 0.
+  bool Factorize(const Matrix& h);
 
-  /// x = b H† for the last Factorize'd H. `b` and `x` hold n values and
-  /// must not alias.
+  /// x = b H⁻¹ (or b (H + δI)⁻¹ after a false Factorize) for the last
+  /// Factorize'd H. `b` and `x` hold n values and must not alias.
   void Solve(const double* b, double* x) const;
 
  private:
-  Matrix upper_;  // A = U'U factor (row-suffix kernels; linalg/cholesky.h).
-  Matrix pinv_;
-  bool use_pinv_ = false;
+  Matrix upper_;   // A = U'U factor (row-suffix kernels; linalg/cholesky.h).
+  Matrix ridged_;  // H + δI staging of the ridge rungs.
+  bool zero_ = false;
 };
+
+/// Adds `relative · (trace(h)/n + 1e-12)` to the diagonal of the square
+/// matrix `h`. GramSolver's first ridge rung uses it, and the incremental
+/// baselines ridge their accumulated normal equations this way: decayed or
+/// frozen history Grams go near-singular on sparse data and an
+/// unregularized solve amplifies noise catastrophically.
+void AddRidge(Matrix& h, double relative);
 
 /// Computes x = b H† for symmetric PSD H (order n). `b` and `x` hold n
 /// values and must not alias. One-shot convenience over GramSolver.

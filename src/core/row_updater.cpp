@@ -123,8 +123,24 @@ void RowUpdater::UpdateRow(int mode, int64_t row, const SparseTensor& window,
   const int64_t padded = ws.padded_rank;
   kr.copy(factor.Row(row), ws.old_row.data(), padded);
 
-  // Right-hand side (the numerator of the + variants); *ws.h is
-  // H(m) = HQ(m) = ∗_{n≠m} Q(n), set by OnEvent.
+  // *ws.h is H(m) = HQ(m) = ∗_{n≠m} Q(n), set by OnEvent. The unclipped
+  // rules factorize it first. When the maintained Grams have drifted from
+  // A'A (Eq. 13 cancels once rows grow large) they are resynced from the
+  // factors, and the retry takes the ridge if H is genuinely singular.
+  // At most once per event: the few rows committed after a resync add no
+  // drift that a second O(Σ N_m R²) recompute could remove, and a
+  // genuinely singular H (a dead or duplicated component) would otherwise
+  // pay it on every row. U(n) = Q(n) + Σ (p−a)'a holds for the resynced Q
+  // too, so the sampled e-term below needs no further repair.
+  if (!clipped_ && !ws.solver.Factorize(*ws.h) && !grams_resynced_) {
+    grams_resynced_ = true;
+    state.RecomputeGrams();
+    gram_cache_.BeginEvent(state.grams);
+    ws.h = &gram_cache_.ProductExcept(mode);
+    ws.solver.Factorize(*ws.h);
+  }
+
+  // Right-hand side (the numerator of the + variants).
   const Matrix& h = *ws.h;
   const int time_mode = state.num_modes() - 1;
   const bool model_approximation = !sampled_ && mode == time_mode;
@@ -160,7 +176,6 @@ void RowUpdater::UpdateRow(int mode, int64_t row, const SparseTensor& window,
     CoordinateDescentRow(factor.Row(row), state.rank(), h, ws.rhs.data(),
                          clip_min_, clip_max_);
   } else {
-    ws.solver.Factorize(h);
     ws.solver.Solve(ws.rhs.data(), ws.solution.data());
     if (model_approximation) {
       // Eq. 9: A(M)(row,:) += ΔX_(M)(row,:) K(M) H(M)†.
@@ -195,6 +210,7 @@ void RowUpdater::BeginEvent(const WindowDelta& delta, const CpdState& state) {
     delta_values_.Resize(2 * (kMaxTensorModes + 2) * snap_stride_);
   }
   num_gram_deltas_ = 0;
+  grams_resynced_ = false;
   auto copy_row = [&](int mode, int64_t row, int segment) {
     // Full padded stride: the factor row's zero padding lanes come along,
     // keeping each snapshot segment a valid padded row.

@@ -22,6 +22,9 @@
 // slice it entered), then the i_m-th row of every non-time factor. Shared
 // bookkeeping:
 //   - Gram maintenance Q(m) = A(m)'A(m) after each row commit (Eq. 13),
+//     resynced from the factors (at most once per event) whenever an
+//     unclipped row's H(m) fails to factorize (the unclipped variants'
+//     rows grow until Eq. 13 cancels),
 //   - the event-start products U(m) = A(m)'_prev A(m) (Alg. 3 line 1,
 //     Eqs. 17/26) for the sampling variants — maintained as per-event rank-1
 //     delta records (U(m) = Q(m) + Σ (p−a)'a over this event's committed
@@ -162,6 +165,8 @@ class RowUpdater : public EventUpdater {
   GcpRowWorkspace gcp_ws_;
   int time_mode_ = 0;
   int64_t snap_rank_ = 0;
+  // Whether UpdateRow already resynced the Grams in this event.
+  bool grams_resynced_ = false;
   // Segment stride of the snapshot/delta arenas: PaddedRank(rank), so each
   // segment is a valid padded row (zero padding copied straight from the
   // factor rows) that the padded Gram kernels may read in full.

@@ -2,10 +2,10 @@
 // with the default hyperparameters of Table III.
 //
 // Mode sizes, periods, time units, θ and η match the paper exactly; event
-// counts are scaled down (see DESIGN.md "Dataset substitution") so every
-// benchmark finishes in minutes. The generated streams span
-// (1 + kLiveWindows)·W·T time units: one window span of warm-up (factors are
-// then initialized with ALS, §VI-A) plus the paper's 5·W·T of live events.
+// counts are scaled down so every benchmark finishes in minutes. The
+// generated streams span (1 + kLiveWindows)·W·T time units: one window
+// span of warm-up (factors are then initialized with ALS, §VI-A) plus the
+// paper's 5·W·T of live events.
 
 #ifndef SLICENSTITCH_DATA_DATASETS_H_
 #define SLICENSTITCH_DATA_DATASETS_H_

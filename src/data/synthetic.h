@@ -2,7 +2,7 @@
 //
 // The paper's four datasets are public trip/crime/taxi logs that are not
 // available offline, so experiments run on synthetic streams engineered to
-// preserve what the algorithms are sensitive to (see DESIGN.md §2):
+// preserve what the algorithms are sensitive to:
 //   - a ground-truth low-rank structure: events are drawn from a small set
 //     of latent components, each with skewed per-mode index profiles (so CP
 //     decomposition has signal to fit, like recurring traffic patterns),

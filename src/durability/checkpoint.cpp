@@ -101,59 +101,15 @@ StatusOr<RestoredStream> ReadStreamCheckpoint(serial::ByteSource& source) {
 StatusOr<RecoveryReport> RecoverStream(SnsService& service,
                                        serial::ByteSource& checkpoint,
                                        const std::string& journal_directory) {
-  auto restored = service.Restore(checkpoint);
-  if (!restored.ok()) return restored.status();
-  const std::string name = restored.value()->name();
-
-  RecoveryReport report;
-  {
-    auto sequence = service.AppliedSequence(name);
-    if (!sequence.ok()) return sequence.status();
-    report.checkpoint_sequence = sequence.value();
+  if (service.registry_->shutdown.load(std::memory_order_acquire)) {
+    return Status::FailedPrecondition("service is shut down");
   }
-
-  auto stats = ReplayJournal(
-      journal_directory, report.checkpoint_sequence,
-      [&service, &name, &report](const JournalRecord& record) {
-        Status status;
-        switch (record.op) {
-          case JournalOpType::kWarmup:
-            status = service.Warmup(name, record.tuples);
-            break;
-          case JournalOpType::kInitialize:
-            status = service.Initialize(name);
-            break;
-          case JournalOpType::kIngest:
-            status = service.Ingest(name, record.tuples);
-            break;
-          case JournalOpType::kAdvanceTo:
-            status = service.AdvanceTo(name, record.time);
-            break;
-        }
-        if (!status.ok()) {
-          if (!IsMirroredFailure(status.code())) return status;
-          ++report.mirrored_failures;
-        }
-        return Status::OK();
-      });
-  if (!stats.ok()) return stats.status();
-  report.records_replayed = stats.value().records_applied;
-  report.torn_tail = stats.value().torn_tail;
-  report.last_sequence =
-      report.checkpoint_sequence + stats.value().records_applied;
-
-  // Every replayed request consumed exactly one ticket, so the stream's
-  // applied token must land exactly at checkpoint + replayed. Anything else
-  // means the journal and the service disagree about history.
-  auto applied = service.AppliedSequence(name);
-  if (!applied.ok()) return applied.status();
-  if (applied.value() != report.last_sequence) {
-    return Status::Internal(
-        "recovery sequence mismatch: stream applied token " +
-        std::to_string(applied.value()) + " != checkpoint " +
-        std::to_string(report.checkpoint_sequence) + " + " +
-        std::to_string(report.records_replayed) + " replayed records");
-  }
+  auto recovered = RecoverHandle(checkpoint, journal_directory);
+  if (!recovered.ok()) return recovered.status();
+  const RecoveryReport report = recovered.value().report;
+  auto registered = service.Register(std::move(recovered).value().handle,
+                                     report.last_sequence);
+  if (!registered.ok()) return registered.status();
   return report;
 }
 

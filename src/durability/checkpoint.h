@@ -86,13 +86,12 @@ struct RecoveryReport {
   bool torn_tail = false;            // Journal ended in a torn record.
 };
 
-/// Full crash recovery: restores the checkpoint into `service` (registering
-/// the stream under its serialized name) and replays the journal suffix
-/// from `journal_directory` through the service's ticketed entry points, so
-/// the recovered stream ends bitwise identical to the uninterrupted
-/// original. Call before EnableJournal and before any other producer
-/// touches the stream; on error the partially recovered stream (if any) is
-/// left registered and should be Removed.
+/// Full crash recovery: rebuilds the stream from the checkpoint and the
+/// journal suffix in `journal_directory` (RecoverHandle), so it ends
+/// bitwise identical to the uninterrupted original, then registers it in
+/// `service` under its serialized name with its sequence token at
+/// report.last_sequence. Call before EnableJournal; on error nothing is
+/// registered.
 StatusOr<RecoveryReport> RecoverStream(SnsService& service,
                                        serial::ByteSource& checkpoint,
                                        const std::string& journal_directory);

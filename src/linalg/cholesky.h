@@ -1,7 +1,6 @@
-// Cholesky (LL') factorization for symmetric positive-definite systems.
-// Used as the fast path for solving Gram systems when they are well
-// conditioned; callers fall back to the pseudoinverse (pseudo_inverse.h)
-// when factorization fails.
+// Cholesky factorization for symmetric positive-definite systems: the
+// solver behind every Gram row solve. A failed factorization is the
+// caller's signal to ridge the system (core/gram_solve.h).
 
 #ifndef SLICENSTITCH_LINALG_CHOLESKY_H_
 #define SLICENSTITCH_LINALG_CHOLESKY_H_

@@ -19,10 +19,15 @@
 // differs.
 //
 // Padded-buffer contract: P > 0 instantiations run exactly P lanes
-// (P ≡ 0 mod 4, buffers padded with zeros per linalg/simd.h); the P = 0
-// runtime-length instantiations handle arbitrary n with scalar tails —
-// they serve the triangular Cholesky loops, whose row suffixes are
-// unaligned, so every vector access uses unaligned loads/stores.
+// (P ≡ 0 mod 4, buffers padded with zeros per linalg/simd.h), so only the
+// P = 0 runtime-length instantiations have scalar tails — they serve the
+// triangular Cholesky loops, whose row suffixes are unaligned, so every
+// vector access uses unaligned loads/stores.
+//
+// Like the rest of the library, this TU is compiled with -ffp-contract=off:
+// a scalar tail fuses a multiply-add exactly where it calls std::fma, in
+// every build type. The std::fma calls sit where GCC 12 -O3 contracted the
+// tails before that flag, so Release trajectories kept their bits.
 
 #include "linalg/codelets/codelet_tables.h"
 
@@ -31,6 +36,7 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <cmath>
 
 namespace sns::codelets {
 namespace {
@@ -46,7 +52,9 @@ void Fill(double* dst, double value, int64_t n) {
   const __m256d v = _mm256_set1_pd(value);
   int64_t r = 0;
   for (; r + 4 <= m; r += 4) _mm256_storeu_pd(dst + r, v);
-  for (; r < m; ++r) dst[r] = value;
+  if constexpr (P == 0) {
+    for (; r < m; ++r) dst[r] = value;
+  }
 }
 
 template <int64_t P>
@@ -56,7 +64,9 @@ void Copy(const double* src, double* dst, int64_t n) {
   for (; r + 4 <= m; r += 4) {
     _mm256_storeu_pd(dst + r, _mm256_loadu_pd(src + r));
   }
-  for (; r < m; ++r) dst[r] = src[r];
+  if constexpr (P == 0) {
+    for (; r < m; ++r) dst[r] = src[r];
+  }
 }
 
 template <int64_t P>
@@ -69,7 +79,9 @@ void Axpy(double alpha, const double* x, double* y, int64_t n) {
         _mm256_fmadd_pd(va, _mm256_loadu_pd(x + r), _mm256_loadu_pd(y + r));
     _mm256_storeu_pd(y + r, vy);
   }
-  for (; r < m; ++r) y[r] += alpha * x[r];
+  if constexpr (P == 0) {
+    for (; r < m; ++r) y[r] = std::fma(alpha, x[r], y[r]);
+  }
 }
 
 template <int64_t P>
@@ -80,7 +92,9 @@ void Mul(const double* a, const double* b, double* out, int64_t n) {
     _mm256_storeu_pd(
         out + r, _mm256_mul_pd(_mm256_loadu_pd(a + r), _mm256_loadu_pd(b + r)));
   }
-  for (; r < m; ++r) out[r] = a[r] * b[r];
+  if constexpr (P == 0) {
+    for (; r < m; ++r) out[r] = a[r] * b[r];
+  }
 }
 
 template <int64_t P>
@@ -91,7 +105,9 @@ void MulAccum(double* dst, const double* src, int64_t n) {
     _mm256_storeu_pd(dst + r, _mm256_mul_pd(_mm256_loadu_pd(dst + r),
                                             _mm256_loadu_pd(src + r)));
   }
-  for (; r < m; ++r) dst[r] *= src[r];
+  if constexpr (P == 0) {
+    for (; r < m; ++r) dst[r] *= src[r];
+  }
 }
 
 template <int64_t P>
@@ -105,7 +121,9 @@ void Fma3(double v, const double* a, const double* b, double* out, int64_t n) {
     _mm256_storeu_pd(out + r,
                      _mm256_fmadd_pd(vv, prod, _mm256_loadu_pd(out + r)));
   }
-  for (; r < m; ++r) out[r] += v * (a[r] * b[r]);
+  if constexpr (P == 0) {
+    for (; r < m; ++r) out[r] = std::fma(v, a[r] * b[r], out[r]);
+  }
 }
 
 template <int64_t P>
@@ -121,7 +139,15 @@ double Dot(const double* a, const double* b, int64_t n) {
   const __m128d pair = _mm_add_pd(_mm256_castpd256_pd128(acc),
                                   _mm256_extractf128_pd(acc, 1));
   double sum = _mm_cvtsd_f64(_mm_add_sd(pair, _mm_unpackhi_pd(pair, pair)));
-  for (; r < m; ++r) sum += a[r] * b[r];
+  if constexpr (P == 0) {
+    // The roundings GCC 12 -O3 gave this tail before -ffp-contract=off:
+    // products added pairwise in order, an odd last one fused.
+    for (; r + 2 <= m; r += 2) {
+      sum += a[r] * b[r];
+      sum += a[r + 1] * b[r + 1];
+    }
+    if (r < m) sum = std::fma(a[r], b[r], sum);
+  }
   return sum;
 }
 
@@ -139,7 +165,11 @@ void GramRowDelta(double new_i, const double* new_row, double old_i,
     t = _mm256_fnmadd_pd(vo, _mm256_loadu_pd(old_row + r), t);
     _mm256_storeu_pd(g + r, _mm256_add_pd(_mm256_loadu_pd(g + r), t));
   }
-  for (; r < m; ++r) g[r] += new_i * new_row[r] - old_i * old_row[r];
+  if constexpr (P == 0) {
+    for (; r < m; ++r) {
+      g[r] += std::fma(new_i, new_row[r], -(old_i * old_row[r]));
+    }
+  }
 }
 
 template <int64_t P>
@@ -153,7 +183,9 @@ void ScaledDiffAccum(double p, const double* new_row, const double* prev_row,
                                     _mm256_loadu_pd(prev_row + r));
     _mm256_storeu_pd(g + r, _mm256_fmadd_pd(vp, d, _mm256_loadu_pd(g + r)));
   }
-  for (; r < m; ++r) g[r] += p * (new_row[r] - prev_row[r]);
+  if constexpr (P == 0) {
+    for (; r < m; ++r) g[r] = std::fma(p, new_row[r] - prev_row[r], g[r]);
+  }
 }
 
 // Weighted upper SYRK (see VecWeightedSyrkUpper). Register tiles of NR
@@ -231,16 +263,11 @@ void WeightedSyrkUpper(const double* panel, const double* weights,
 
 // One coordinate-descent entry from its dot: ((numerator − (dot − row·c))
 // / c) clipped, each operation rounded on its own as in the portable
-// sources. The scalar SSE2 intrinsics keep this TU's default FMA
-// contraction from fusing row·c into the subtraction.
+// sources (no contraction in this TU).
 inline double CoordinateValue(double dot, double row_k, double c_k,
                               double numerator_k, double clip_min,
                               double clip_max) {
-  const __m128d c = _mm_set_sd(c_k);
-  const __m128d d =
-      _mm_sub_sd(_mm_set_sd(dot), _mm_mul_sd(_mm_set_sd(row_k), c));
-  double value =
-      _mm_cvtsd_f64(_mm_div_sd(_mm_sub_sd(_mm_set_sd(numerator_k), d), c));
+  double value = (numerator_k - (dot - row_k * c_k)) / c_k;
   if (value > clip_max) {
     value = clip_max;
   } else if (value < clip_min) {

@@ -8,7 +8,8 @@
 // Padded ranks are multiples of 4 doubles, not 8, so every kernel runs an
 // 8-wide (512-bit) main loop followed by at most one 4-wide (256-bit) step
 // — e.g. padded rank 20 = 2×8 + 4 — and the P = 0 runtime-length
-// instantiations add a scalar tail for the unaligned Cholesky suffixes.
+// instantiations add a scalar tail for the unaligned Cholesky suffixes,
+// fused exactly where it calls std::fma (see codelets_avx2.cpp).
 // The dot kernel reduces eight partial-sum lanes, so its summation
 // grouping differs from the generic/AVX2 four-lane scheme: dots agree to
 // ulp-level tolerance across tiers, never bitwise (tests pin this).
@@ -20,6 +21,7 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <cmath>
 
 namespace sns::codelets {
 namespace {
@@ -39,7 +41,9 @@ void Fill(double* dst, double value, int64_t n) {
     _mm256_storeu_pd(dst + r, _mm512_castpd512_pd256(v8));
     r += 4;
   }
-  for (; r < m; ++r) dst[r] = value;
+  if constexpr (P == 0) {
+    for (; r < m; ++r) dst[r] = value;
+  }
 }
 
 template <int64_t P>
@@ -53,7 +57,9 @@ void Copy(const double* src, double* dst, int64_t n) {
     _mm256_storeu_pd(dst + r, _mm256_loadu_pd(src + r));
     r += 4;
   }
-  for (; r < m; ++r) dst[r] = src[r];
+  if constexpr (P == 0) {
+    for (; r < m; ++r) dst[r] = src[r];
+  }
 }
 
 template <int64_t P>
@@ -71,7 +77,9 @@ void Axpy(double alpha, const double* x, double* y, int64_t n) {
                                             _mm256_loadu_pd(y + r)));
     r += 4;
   }
-  for (; r < m; ++r) y[r] += alpha * x[r];
+  if constexpr (P == 0) {
+    for (; r < m; ++r) y[r] = std::fma(alpha, x[r], y[r]);
+  }
 }
 
 template <int64_t P>
@@ -87,7 +95,9 @@ void Mul(const double* a, const double* b, double* out, int64_t n) {
                                             _mm256_loadu_pd(b + r)));
     r += 4;
   }
-  for (; r < m; ++r) out[r] = a[r] * b[r];
+  if constexpr (P == 0) {
+    for (; r < m; ++r) out[r] = a[r] * b[r];
+  }
 }
 
 template <int64_t P>
@@ -103,7 +113,9 @@ void MulAccum(double* dst, const double* src, int64_t n) {
                                             _mm256_loadu_pd(src + r)));
     r += 4;
   }
-  for (; r < m; ++r) dst[r] *= src[r];
+  if constexpr (P == 0) {
+    for (; r < m; ++r) dst[r] *= src[r];
+  }
 }
 
 template <int64_t P>
@@ -124,7 +136,9 @@ void Fma3(double v, const double* a, const double* b, double* out, int64_t n) {
                                               prod, _mm256_loadu_pd(out + r)));
     r += 4;
   }
-  for (; r < m; ++r) out[r] += v * (a[r] * b[r]);
+  if constexpr (P == 0) {
+    for (; r < m; ++r) out[r] = std::fma(v, a[r] * b[r], out[r]);
+  }
 }
 
 template <int64_t P>
@@ -144,7 +158,9 @@ double Dot(const double* a, const double* b, int64_t n) {
     sum += _mm_cvtsd_f64(_mm_add_sd(pair, _mm_unpackhi_pd(pair, pair)));
     r += 4;
   }
-  for (; r < m; ++r) sum += a[r] * b[r];
+  if constexpr (P == 0) {
+    for (; r < m; ++r) sum = std::fma(a[r], b[r], sum);
+  }
   return sum;
 }
 
@@ -168,7 +184,11 @@ void GramRowDelta(double new_i, const double* new_row, double old_i,
     _mm256_storeu_pd(g + r, _mm256_add_pd(_mm256_loadu_pd(g + r), t));
     r += 4;
   }
-  for (; r < m; ++r) g[r] += new_i * new_row[r] - old_i * old_row[r];
+  if constexpr (P == 0) {
+    for (; r < m; ++r) {
+      g[r] += std::fma(new_i, new_row[r], -(old_i * old_row[r]));
+    }
+  }
 }
 
 template <int64_t P>
@@ -189,7 +209,9 @@ void ScaledDiffAccum(double p, const double* new_row, const double* prev_row,
                                             _mm256_loadu_pd(g + r)));
     r += 4;
   }
-  for (; r < m; ++r) g[r] += p * (new_row[r] - prev_row[r]);
+  if constexpr (P == 0) {
+    for (; r < m; ++r) g[r] = std::fma(p, new_row[r] - prev_row[r], g[r]);
+  }
 }
 
 // Weighted upper SYRK (see VecWeightedSyrkUpper and the AVX2 codelet).
@@ -284,17 +306,13 @@ void WeightedSyrkUpper(const double* panel, const double* weights,
   }
 }
 
-// One coordinate-descent entry from its dot (as in codelets_avx2.cpp):
-// each operation rounded on its own, the scalar SSE2 intrinsics keeping
-// this TU's default FMA contraction out.
+// One coordinate-descent entry from its dot: ((numerator − (dot − row·c))
+// / c) clipped, each operation rounded on its own as in the portable
+// sources (no contraction in this TU).
 inline double CoordinateValue(double dot, double row_k, double c_k,
                               double numerator_k, double clip_min,
                               double clip_max) {
-  const __m128d c = _mm_set_sd(c_k);
-  const __m128d d =
-      _mm_sub_sd(_mm_set_sd(dot), _mm_mul_sd(_mm_set_sd(row_k), c));
-  double value =
-      _mm_cvtsd_f64(_mm_div_sd(_mm_sub_sd(_mm_set_sd(numerator_k), d), c));
+  double value = (numerator_k - (dot - row_k * c_k)) / c_k;
   if (value > clip_max) {
     value = clip_max;
   } else if (value < clip_min) {

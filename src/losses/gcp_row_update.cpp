@@ -11,8 +11,9 @@ namespace {
 
 // Tikhonov ridge added to the Newton system's diagonal: scaled to the
 // system's own trace so it stays negligible against real curvature but
-// keeps the Cholesky fast path positive definite when the cell set is
-// rank-deficient (few cells, collinear Hadamard rows).
+// keeps the system positive definite when the cell set is rank-deficient
+// (few cells, collinear Hadamard rows). A system still too ill-conditioned
+// for the Cholesky solve takes GramSolver's own ridge.
 constexpr double kRidgeScale = 1e-9;
 
 // Backtracking schedule of the damped step.
@@ -74,17 +75,11 @@ bool GcpNewtonRowUpdate(CpdState& state, int mode, int64_t row,
   if (!std::isfinite(obj0)) return false;  // Already-poisoned row: bail out.
 
   // Curvature: the upper triangle of Σ ℓ''·h h' in one tiled pass over the
-  // panel, mirrored so the solver's pseudoinverse fallback (which reads
-  // the whole matrix) sees a symmetric system.
+  // panel — all the Cholesky solver reads.
   ws.hessian.SetZero();
   kr.weighted_syrk_upper(ws.panel.data(), ws.curvature.data(),
                          static_cast<int64_t>(n), rank, ws.hessian.Row(0),
                          padded);
-  for (int64_t i = 0; i < rank; ++i) {
-    for (int64_t j = i + 1; j < rank; ++j) {
-      ws.hessian(j, i) = ws.hessian(i, j);
-    }
-  }
 
   double trace = 0.0;
   for (int64_t r = 0; r < rank; ++r) trace += ws.hessian(r, r);

@@ -29,9 +29,10 @@
 //     cells × P panel of the workspace, next to one fused loss evaluation
 //     (LossFunction::Evaluate: ℓ, ℓ', ℓ'' from a single exponential), one
 //     θ dot and one gradient axpy;
-//   - curvature: only the upper triangle of Σ ℓ''·h h' is accumulated, by
-//     the register-tiled weighted SYRK of the kernel table
-//     (RankKernelTable::weighted_syrk_upper), O(n·P²/2);
+//   - curvature: only the upper triangle of Σ ℓ''·h h' is accumulated —
+//     all the Cholesky solve reads — by the register-tiled weighted SYRK
+//     of the kernel table (RankKernelTable::weighted_syrk_upper),
+//     O(n·P²/2);
 //   - the Cholesky solve, O(R³), then the step's θ-rates as one dot per
 //     staged panel row, O(n·P), and the backtracking search on cached
 //     scalars, O(n) loss values per trial length.
@@ -79,7 +80,7 @@ struct GcpRowWorkspace {
   const RankKernelTable* kernels = nullptr;
   int64_t padded_rank = 0;
 
-  Matrix hessian;           // Σ ℓ''·h h' + ridge·I (upper triangle mirrored).
+  Matrix hessian;           // Σ ℓ''·h h' + ridge·I (upper triangle only).
   GramSolver solver;
   AlignedVector grad;       // −g accumulator (so Solve yields the step).
   AlignedVector step;       // Box-projected Newton direction.

@@ -1,5 +1,6 @@
 // Correctness tests for the five SliceNStitch updaters (Algorithms 2-5).
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <span>
@@ -241,6 +242,42 @@ TEST(SnsVecTest, GramsStayConsistentAcrossEvents) {
     updater.OnEvent(window, delta, state);
   }
   EXPECT_LT(GramDrift(state), 1e-6);
+}
+
+// A drifted Gram makes the event's first factorization fail; the row
+// updater resyncs every Gram from the factors before solving. The factors
+// are 0/1 matrices and the event keeps every value dyadic, so Eq. 13's
+// incremental commits after the resync are exact, and the Grams after the
+// event equal a fresh recomputation bit for bit.
+TEST(SnsVecTest, FailedFactorizationResyncsDriftedGrams) {
+  const int w_size = 2;
+  Matrix time_factor(w_size, 2);
+  time_factor(0, 1) = 1.0;
+  time_factor(1, 0) = 1.0;
+  KruskalModel model({Matrix::Identity(2), Matrix::Identity(2), time_factor});
+  SparseTensor window = DenseWindowFromModel(model);
+  CpdState state(model);
+  // Drift Q(0) = I into diag(1, −1): H(time) = Q(0) ∗ Q(1) is indefinite.
+  state.grams[0](1, 1) = -1.0;
+  RowUpdater updater(RowOptions(SnsVariant::kVec));
+
+  const WindowDelta delta = MakeArrival(window, 0, 0, 1.0, w_size);
+  updater.OnEvent(window, delta, state);
+
+  EXPECT_EQ(state.model.factor(2)(1, 0), 2.0);  // Eq. 9 with H = I.
+  CpdState fresh = state;
+  fresh.RecomputeGrams();
+  for (int m = 0; m < 3; ++m) {
+    const Matrix& gram = state.grams[static_cast<size_t>(m)];
+    const Matrix& expected = fresh.grams[static_cast<size_t>(m)];
+    for (int64_t i = 0; i < 2; ++i) {
+      for (int64_t j = 0; j < 2; ++j) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(gram(i, j)),
+                  std::bit_cast<uint64_t>(expected(i, j)))
+            << "mode " << m << " (" << i << ", " << j << ")";
+      }
+    }
+  }
 }
 
 TEST(SnsRndTest, ExactPathWhenDegreeBelowThreshold) {
@@ -499,21 +536,20 @@ TEST(RowUpdaterGoldenTest, SerializedStateMatchesRecordedTrajectories) {
 // enough that heavy rows take rejection sampling (not the tiny-slice
 // enumeration), and one run has four modes.
 //
-// The intrinsic tiers have no hash here: their runtime-length kernels (the
-// unaligned Cholesky row suffixes of the ALS initialization, the unclipped
-// solves and the GCP step) end in scalar loops whose multiply-add
-// contraction the compiler chooses, so their trajectories differ between
-// builds. Their fast paths are pinned per tier by build-independent
-// differentials instead: CoordinateDescentMatchesScalarDotLoop
-// (kernel_dispatch_test), and SampledRuleDifferentialTest and
-// GcpStepDifferentialTest (hot_path_test).
+// The AVX2 and AVX-512 tiers have their own hashes: their multiply-adds
+// are fused wherever the source says so (intrinsics and std::fma tails)
+// and nowhere else, as the library is compiled with -ffp-contract=off, so
+// their trajectories are the same in every build type too. They were
+// recorded and checked with GCC only; under clang they hold only if it
+// lowers the intrinsics (e.g. _mm512_reduce_add_pd) in the same order.
 
 struct RankGoldenRun {
   const char* name;
   SnsVariant variant;
   LossKind loss;
   std::vector<int64_t> dims;  // Non-time modes.
-  uint64_t hash[3];           // Ranks 4, 10, 20.
+  // [KernelTier: generic, AVX2, AVX-512][rank 4, 10, 20].
+  uint64_t hash[3][3];
 };
 
 // 600 tuples, four per time unit, each coordinate and value from its own
@@ -565,49 +601,75 @@ uint64_t RankGoldenHash(const RankGoldenRun& run, int64_t rank) {
   return hash;
 }
 
-const RankGoldenRun kGenericGoldens[] = {
-    {"SNS+RND",
+const RankGoldenRun kRankGoldens[] = {
+    {"SNS-RND",
      SnsVariant::kRnd,
      LossKind::kGaussian,
      {12, 10},
-     {0x4f9eedd59c233c5dull, 0xb893f777e5ea27fdull,
-      0xa8d43db10624afedull}},
-    {"SNS+RND+",
+     {{0x4f9eedd59c233c5dull, 0xb893f777e5ea27fdull, 0xa8d43db10624afedull},
+      {0x39b482cddcfeb533ull, 0x5d1bbe7db45eb249ull, 0xf076a79d11974758ull},
+      {0xa2bab7a0ee517b02ull, 0x622aaaf062ccc80dull, 0x15ff55b4568c2f23ull}}},
+    {"SNS+RND",
      SnsVariant::kRndPlus,
      LossKind::kGaussian,
      {12, 10},
-     {0x7c9031dc5577f993ull, 0x4c73ec9671d709ecull,
-      0xb781278ff431824eull}},
-    {"SNS+RND+ 4-mode",
+     {{0x7c9031dc5577f993ull, 0x4c73ec9671d709ecull, 0xb781278ff431824eull},
+      {0xc76518c19a355731ull, 0x9f4c0ebf5531c006ull, 0x8198b432103cef05ull},
+      {0x649569522a907c2dull, 0x6f15e6f434a42dc6ull, 0xd2070e2a0ee11c17ull}}},
+    {"SNS+RND 4-mode",
      SnsVariant::kRndPlus,
      LossKind::kGaussian,
      {6, 5, 4},
-     {0x5ba9afe9717228d4ull, 0x3a5caf6faa5c2c3full,
-      0xa79048b24b225bffull}},
-    {"SNS+VEC+",
+     {{0x5ba9afe9717228d4ull, 0x3a5caf6faa5c2c3full, 0xa79048b24b225bffull},
+      {0x91f3f9e152f9a9a2ull, 0x916473d874f11ddeull, 0x78645ac6a0d699b9ull},
+      {0x042e85b2bfb760e7ull, 0x967a68de06adf54aull, 0x6f607d7f5685a577ull}}},
+    {"SNS+VEC",
      SnsVariant::kVecPlus,
      LossKind::kGaussian,
      {12, 10},
-     {0x58156b1ae5819bedull, 0xa47d95a171852b3dull,
-      0x4d763b523f7c5eebull}},
-    {"Poisson SNS+VEC",
+     {{0x58156b1ae5819bedull, 0xa47d95a171852b3dull, 0x4d763b523f7c5eebull},
+      {0xcb8d5eaf25008020ull, 0xfb0534dbebff3004ull, 0xfd9c3620ed19c37cull},
+      {0x286b2ecdf0ff618dull, 0xc413d94aa44ef744ull, 0x377121435140d50full}}},
+    {"Poisson SNS-VEC",
      SnsVariant::kVec,
      LossKind::kPoisson,
      {12, 10},
-     {0x5311a67f5ec65784ull, 0xd32f01b8eb169cb3ull,
-      0x2b5691aee7896775ull}},
+     {{0x5311a67f5ec65784ull, 0xd32f01b8eb169cb3ull, 0x2b5691aee7896775ull},
+      {0x9186865bb4254bbfull, 0xdfb667bec520bf22ull, 0x647e170fe2188e5eull},
+      {0xd38d6ce6595b7043ull, 0xee4fc576513901e7ull, 0xec3b9619d77d9427ull}}},
 };
 
-TEST(RowUpdaterGoldenTest, GenericTierMatchesRecordedTrajectoriesAtThreeRanks) {
-  internal::RefreshKernelTierForTest(KernelTier::kGeneric);
+// Runs every kRankGoldens configuration at `tier` against its hashes.
+void ExpectRankGoldens(KernelTier tier) {
+  internal::RefreshKernelTierForTest(tier);
   const int64_t ranks[] = {4, 10, 20};
-  for (const RankGoldenRun& run : kGenericGoldens) {
+  for (const RankGoldenRun& run : kRankGoldens) {
     for (size_t r = 0; r < 3; ++r) {
-      EXPECT_EQ(RankGoldenHash(run, ranks[r]), run.hash[r])
-          << run.name << " rank " << ranks[r];
+      const uint64_t hash = RankGoldenHash(run, ranks[r]);
+      EXPECT_EQ(hash, run.hash[static_cast<size_t>(tier)][r])
+          << run.name << " rank " << ranks[r] << " " << KernelTierName(tier)
+          << " 0x" << std::hex << hash;
     }
   }
   internal::RefreshKernelTierForTest();
+}
+
+TEST(RowUpdaterGoldenTest, GenericTierMatchesRecordedTrajectoriesAtThreeRanks) {
+  ExpectRankGoldens(KernelTier::kGeneric);
+}
+
+TEST(RowUpdaterGoldenTest, Avx2TierMatchesRecordedTrajectoriesAtThreeRanks) {
+  if (!KernelTierSupported(KernelTier::kAvx2)) {
+    GTEST_SKIP() << "host or build lacks the AVX2 tier";
+  }
+  ExpectRankGoldens(KernelTier::kAvx2);
+}
+
+TEST(RowUpdaterGoldenTest, Avx512TierMatchesRecordedTrajectoriesAtThreeRanks) {
+  if (!KernelTierSupported(KernelTier::kAvx512)) {
+    GTEST_SKIP() << "host or build lacks the AVX-512 tier";
+  }
+  ExpectRankGoldens(KernelTier::kAvx512);
 }
 
 }  // namespace

@@ -217,13 +217,23 @@ WindowDelta RandomEvent(SparseTensor& window, Rng& rng, int w_size,
 
 // Runs `updater` over `total` random events on a dense-ish window and
 // returns the number of heap allocations performed by OnEvent calls after
-// the first `warmup` events (which are allowed to size workspaces).
+// the first `warmup` events (which are allowed to size workspaces). With
+// `dead_column` ≥ 0 that component is zero in every factor (and so in the
+// window), which makes every Gram product H(m) singular.
 std::uint64_t SteadyStateAllocations(EventUpdater& updater, int warmup,
-                                     int measured, uint64_t seed) {
+                                     int measured, uint64_t seed,
+                                     int dead_column = -1) {
   Rng rng(seed);
   const int w_size = 4;
   const std::vector<int64_t> dims = {6, 5, w_size};
   KruskalModel model = KruskalModel::Random(dims, 4, rng);
+  if (dead_column >= 0) {
+    for (int m = 0; m < model.num_modes(); ++m) {
+      for (int64_t i = 0; i < dims[static_cast<size_t>(m)]; ++i) {
+        model.factor(m)(i, dead_column) = 0.0;
+      }
+    }
+  }
   SparseTensor window = DenseWindowFromModel(model);
   CpdState state(model);
 
@@ -236,6 +246,14 @@ std::uint64_t SteadyStateAllocations(EventUpdater& updater, int warmup,
     const std::uint64_t after =
         g_heap_allocations.load(std::memory_order_relaxed);
     if (step >= warmup) counted += after - before;
+  }
+  if (dead_column >= 0) {
+    // The component stayed dead, so every H(m) stayed singular.
+    for (int m = 0; m < state.num_modes(); ++m) {
+      for (int64_t i = 0; i < dims[static_cast<size_t>(m)]; ++i) {
+        EXPECT_EQ(state.model.factor(m)(i, dead_column), 0.0);
+      }
+    }
   }
   return counted;
 }
@@ -255,6 +273,16 @@ TEST(ZeroAllocationTest, CountingAllocatorIntercepts) {
 TEST(ZeroAllocationTest, SnsVecSteadyStateEventsAllocateNothing) {
   RowUpdater updater(RowOptions(SnsVariant::kVec));
   EXPECT_EQ(SteadyStateAllocations(updater, 20, 80, 0xa110c1), 0u);
+}
+
+// A dead component makes every unclipped solve fail Cholesky and take the
+// ridge, the event's first one after resyncing the Grams and failing
+// again: none of that may allocate.
+TEST(ZeroAllocationTest, SnsVecRidgedSolvesAllocateNothing) {
+  RowUpdater updater(RowOptions(SnsVariant::kVec));
+  EXPECT_EQ(SteadyStateAllocations(updater, 20, 80, 0xa110cb,
+                                   /*dead_column=*/2),
+            0u);
 }
 
 TEST(ZeroAllocationTest, SnsVecPlusSteadyStateEventsAllocateNothing) {
@@ -957,7 +985,10 @@ class ReferenceSampledRuleUpdater : public RowUpdater {
   std::string_view name() const override { return "reference-rnd"; }
 
   /// Call before each OnEvent: drops the previous event's delta records.
-  void StartEvent() { deltas_.clear(); }
+  void StartEvent() {
+    deltas_.clear();
+    grams_resynced_ = false;
+  }
 
   std::vector<SampledRowRecord> log;
 
@@ -970,6 +1001,19 @@ class ReferenceSampledRuleUpdater : public RowUpdater {
     const int64_t padded = ws.padded_rank;
     Matrix& factor = state.model.factor(mode);
     kr.copy(factor.Row(row), ws.old_row.data(), padded);
+    // H(m) from a freshly bound product cache (bitwise the production
+    // cache's product: chain entries depend only on the current Grams).
+    // Like the production rule, the unclipped rule factorizes it before
+    // the rhs and resyncs the Grams, once per event, when that fails.
+    products_.BeginEvent(state.grams);
+    const Matrix* h = &products_.ProductExcept(mode);
+    if (!plus_ && !ws.solver.Factorize(*h) && !grams_resynced_) {
+      grams_resynced_ = true;
+      state.RecomputeGrams();
+      products_.BeginEvent(state.grams);
+      h = &products_.ProductExcept(mode);
+      ws.solver.Factorize(*h);
+    }
     SampledRowRecord record;
     record.mode = mode;
     record.row = row;
@@ -1001,10 +1045,9 @@ class ReferenceSampledRuleUpdater : public RowUpdater {
     log.push_back(std::move(record));
 
     if (plus_) {
-      CoordinateDescentRow(factor.Row(row), rank, *ws.h, ws.rhs.data(),
+      CoordinateDescentRow(factor.Row(row), rank, *h, ws.rhs.data(),
                            -clip_bound_, clip_bound_);
     } else {
-      ws.solver.Factorize(*ws.h);
       ws.solver.Solve(ws.rhs.data(), ws.solution.data());
       kr.copy(ws.solution.data(), factor.Row(row), padded);
     }
@@ -1062,6 +1105,8 @@ class ReferenceSampledRuleUpdater : public RowUpdater {
   Rng rng_;
   SampledRulePinCoverage& coverage_;
   std::vector<GramDelta> deltas_;
+  GramProductCache products_;
+  bool grams_resynced_ = false;
   Matrix h_prev_;
 };
 

@@ -1,6 +1,8 @@
 // Unit and property tests for the dense linear algebra substrate.
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -8,8 +10,6 @@
 #include "core/gram_solve.h"
 #include "linalg/cholesky.h"
 #include "linalg/matrix.h"
-#include "linalg/pseudo_inverse.h"
-#include "linalg/symmetric_eigen.h"
 
 namespace sns {
 namespace {
@@ -156,98 +156,128 @@ TEST(CholeskyTest, SolveRecoversSolution) {
   for (int64_t i = 0; i < 5; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-9);
 }
 
-TEST(SymmetricEigenTest, DiagonalizesKnownMatrix) {
-  Matrix a(2, 2);
-  a(0, 0) = 2.0; a(0, 1) = 1.0;
-  a(1, 0) = 1.0; a(1, 1) = 2.0;
-  SymmetricEigen eig = DecomposeSymmetric(a);
-  EXPECT_NEAR(eig.values[0], 3.0, 1e-10);
-  EXPECT_NEAR(eig.values[1], 1.0, 1e-10);
-}
+// --- GramSolver ridge fallback ---------------------------------------------
 
-TEST(SymmetricEigenTest, ReconstructsRandomSymmetric) {
-  Rng rng(16);
-  Matrix b = Matrix::RandomNormal(8, 8, rng);
-  Matrix a = Add(b, b.Transposed());  // symmetric, possibly indefinite
-  SymmetricEigen eig = DecomposeSymmetric(a);
-  // V diag(values) V' == A.
-  Matrix d(8, 8);
-  for (int64_t i = 0; i < 8; ++i) d(i, i) = eig.values[i];
-  Matrix recon = Multiply(Multiply(eig.vectors, d), eig.vectors.Transposed());
-  EXPECT_LT(MaxAbsDiff(recon, a), 1e-8);
-}
+// H = V·diag(d)·V' with V = I − (2/n)·11' (a Householder reflector: exact
+// entries for n a power of two) and dyadic d, so H, its null space and
+// b = Σ β_k v_k are all exact.
+struct SingularGram {
+  Matrix h;
+  std::vector<double> b;
+  std::vector<double> min_norm_x;  // Σ_{d_k > 0} β_k / d_k · v_k.
+};
 
-TEST(SymmetricEigenTest, EigenvectorsOrthonormal) {
-  Rng rng(17);
-  Matrix a = RandomSpd(7, rng);
-  SymmetricEigen eig = DecomposeSymmetric(a);
-  Matrix vtv = MultiplyTransposeA(eig.vectors, eig.vectors);
-  EXPECT_LT(MaxAbsDiff(vtv, Matrix::Identity(7)), 1e-9);
-}
-
-TEST(PseudoInverseTest, InvertsFullRankSpd) {
-  Rng rng(18);
-  Matrix a = RandomSpd(6, rng);
-  Matrix pinv = PseudoInverseSymmetric(a);
-  EXPECT_LT(MaxAbsDiff(Multiply(a, pinv), Matrix::Identity(6)), 1e-8);
-}
-
-// All four Moore–Penrose conditions on a singular symmetric matrix.
-TEST(PseudoInverseTest, MoorePenroseConditionsOnSingularMatrix) {
-  Rng rng(19);
-  Matrix b = Matrix::RandomNormal(3, 6, rng);  // rank <= 3
-  Matrix a = MultiplyTransposeA(b, b);         // 6x6 singular PSD
-  Matrix p = PseudoInverseSymmetric(a);
-  Matrix apa = Multiply(Multiply(a, p), a);
-  Matrix pap = Multiply(Multiply(p, a), p);
-  Matrix ap = Multiply(a, p);
-  Matrix pa = Multiply(p, a);
-  EXPECT_LT(MaxAbsDiff(apa, a), 1e-7);
-  EXPECT_LT(MaxAbsDiff(pap, p), 1e-7);
-  EXPECT_LT(MaxAbsDiff(ap, ap.Transposed()), 1e-8);
-  EXPECT_LT(MaxAbsDiff(pa, pa.Transposed()), 1e-8);
-}
-
-TEST(PseudoInverseTest, ZeroMatrixHasZeroPinv) {
-  Matrix zero(4, 4);
-  Matrix p = PseudoInverseSymmetric(zero);
-  EXPECT_EQ(p.MaxAbs(), 0.0);
-}
-
-TEST(PseudoInverseTest, RowTimesPinvMatchesLeastSquares) {
-  Rng rng(20);
-  Matrix h = RandomSpd(5, rng);
-  Matrix h_pinv = PseudoInverseSymmetric(h);
-  std::vector<double> b = {1, 2, 3, 4, 5};
-  std::vector<double> x(5);
-  RowTimesMatrix(b.data(), h_pinv, x.data());  // x = b H†.
-  // x H should give back b for a full-rank H.
-  std::vector<double> recon(5, 0.0);
-  for (int64_t j = 0; j < 5; ++j) {
-    for (int64_t i = 0; i < 5; ++i) recon[j] += x[i] * h(i, j);
+SingularGram MakeSingularGram(int64_t n, int64_t nullity) {
+  Matrix v = Matrix::Identity(n);
+  const double scale = 2.0 / static_cast<double>(n);
+  for (int64_t i = 0; i < n; ++i) {
+    for (int64_t j = 0; j < n; ++j) v(i, j) -= scale;
   }
-  for (int64_t j = 0; j < 5; ++j) EXPECT_NEAR(recon[j], b[j], 1e-8);
+  SingularGram g{Matrix(n, n), std::vector<double>(n, 0.0),
+                 std::vector<double>(n, 0.0)};
+  for (int64_t k = 0; k < n; ++k) {
+    const double d = k < n - nullity ? 1.0 + 0.25 * static_cast<double>(k)
+                                     : 0.0;
+    const double beta = d > 0.0 ? 0.5 * static_cast<double>(k % 3) + 1.0 : 0.0;
+    for (int64_t i = 0; i < n; ++i) {
+      g.b[i] += beta * v(i, k);
+      if (d > 0.0) g.min_norm_x[i] += beta / d * v(i, k);
+      for (int64_t j = 0; j < n; ++j) g.h(i, j) += d * v(i, k) * v(j, k);
+    }
+  }
+  return g;
 }
 
-// Parameterized sweep: pinv agrees with Cholesky-based solve on random SPD
-// systems across sizes.
-class PinvVsCholeskyTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(PinvVsCholeskyTest, AgreesWithCholeskySolve) {
-  const int n = GetParam();
-  Rng rng(100 + n);
-  Matrix h = RandomSpd(n, rng, 1.0);
-  Matrix h_pinv = PseudoInverseSymmetric(h);
-  std::vector<double> b(n);
-  for (int i = 0; i < n; ++i) b[i] = rng.Normal();
-  std::vector<double> x_chol = CholeskySolve(h, b);
-  std::vector<double> x_pinv(n);
-  RowTimesMatrix(b.data(), h_pinv, x_pinv.data());  // H symmetric: same sol.
-  for (int i = 0; i < n; ++i) EXPECT_NEAR(x_pinv[i], x_chol[i], 1e-7);
+TEST(GramSolverRidgeTest, SingularPsdMatchesMinimumNormSolution) {
+  for (const int64_t n : {4, 8, 16}) {
+    const SingularGram g = MakeSingularGram(n, n / 4);
+    GramSolver solver;
+    EXPECT_FALSE(solver.Factorize(g.h)) << "n = " << n;
+    std::vector<double> x(n);
+    solver.Solve(g.b.data(), x.data());
+    double err = 0.0, norm = 0.0;
+    for (int64_t i = 0; i < n; ++i) {
+      err += (x[i] - g.min_norm_x[i]) * (x[i] - g.min_norm_x[i]);
+      norm += g.min_norm_x[i] * g.min_norm_x[i];
+    }
+    EXPECT_LT(std::sqrt(err), 1e-6 * std::sqrt(norm)) << "n = " << n;
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(Sizes, PinvVsCholeskyTest,
-                         ::testing::Values(1, 2, 3, 5, 8, 13, 20, 32));
+TEST(GramSolverRidgeTest, ZeroGramSolvesToZero) {
+  GramSolver solver;
+  EXPECT_FALSE(solver.Factorize(Matrix(5, 5)));
+  std::vector<double> b = {1, 2, 3, 4, 5};
+  std::vector<double> x(5, 7.0);
+  solver.Solve(b.data(), x.data());
+  for (const double v : x) EXPECT_EQ(v, 0.0);
+}
+
+TEST(GramSolverRidgeTest, NonFiniteGramSolvesToZero) {
+  const double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad :
+       {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf}) {
+    for (const bool diagonal : {true, false}) {
+      Rng rng(46);
+      Matrix h = RandomSpd(4, rng);
+      if (diagonal) {
+        h(2, 2) = bad;
+      } else {
+        h(1, 3) = bad;
+        h(3, 1) = bad;
+      }
+      GramSolver solver;
+      EXPECT_FALSE(solver.Factorize(h));
+      std::vector<double> b = {1, 2, 3, 4};
+      std::vector<double> x(4, 7.0);
+      solver.Solve(b.data(), x.data());
+      for (const double v : x) EXPECT_EQ(v, 0.0) << bad << " " << diagonal;
+    }
+  }
+}
+
+TEST(GramSolverRidgeTest, IndefiniteGramTakesTheLastRung) {
+  // diag(2, −1): trace 1 > 0 but λ = −1, which the trace-relative rung
+  // cannot lift. diag(1, −1): zero trace, yet no zero matrix. The
+  // Gershgorin rung ridges both with δ = 2·n·max|h_ij|.
+  struct Case {
+    double h00, h11, x0, x1;
+  };
+  for (const Case& c : {Case{2.0, -1.0, 1.0 / 10.0, 1.0 / 7.0},
+                        Case{1.0, -1.0, 1.0 / 5.0, 1.0 / 3.0}}) {
+    Matrix h(2, 2);
+    h(0, 0) = c.h00;
+    h(1, 1) = c.h11;
+    GramSolver solver;
+    EXPECT_FALSE(solver.Factorize(h));
+    const double b[2] = {1.0, 1.0};
+    double x[2];
+    solver.Solve(b, x);
+    EXPECT_NEAR(x[0], c.x0, 1e-15) << c.h00;
+    EXPECT_NEAR(x[1], c.x1, 1e-15) << c.h00;
+  }
+}
+
+TEST(GramSolverRidgeTest, IgnoresGarbageBelowTheDiagonal) {
+  Rng rng(47);
+  const SingularGram singular = MakeSingularGram(8, 2);
+  const Matrix regular = RandomSpd(8, rng);
+  for (const Matrix* h : {&singular.h, &regular}) {
+    Matrix dirty = *h;
+    for (int64_t i = 1; i < 8; ++i) {
+      for (int64_t j = 0; j < i; ++j) {
+        dirty(i, j) = j % 2 == 0 ? std::numeric_limits<double>::quiet_NaN()
+                                 : rng.Normal() * 1e6;
+      }
+    }
+    GramSolver clean_solver, dirty_solver;
+    EXPECT_EQ(clean_solver.Factorize(*h), dirty_solver.Factorize(dirty));
+    std::vector<double> x_clean(8), x_dirty(8);
+    clean_solver.Solve(singular.b.data(), x_clean.data());
+    dirty_solver.Solve(singular.b.data(), x_dirty.data());
+    for (int64_t i = 0; i < 8; ++i) EXPECT_EQ(x_clean[i], x_dirty[i]);
+  }
+}
 
 // --- In-place hot-path kernels ---------------------------------------------
 

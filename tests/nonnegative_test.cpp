@@ -1,5 +1,5 @@
 // Tests for the non-negative factor extension (projected coordinate
-// descent; DESIGN.md extension, not in the paper).
+// descent; an extension, not in the paper).
 
 #include <cmath>
 #include <memory>
