@@ -9,9 +9,11 @@
 //
 // Numeric contract (see rank_dispatch.h): elementwise kernels (fill, copy,
 // mul, mul_accum) are bitwise identical to the generic tier — each lane is
-// a single correctly-rounded operation.
+// a single correctly-rounded operation — and so is exp_clamped, which
+// spells out the generic tier's unfused multiplies and adds.
 // Multiply-accumulate kernels (axpy, fma3, gram_row_delta,
-// scaled_diff_accum, dot) use fused multiply-adds, which drop one rounding
+// scaled_diff_accum, dot and their panel forms) use fused multiply-adds,
+// which drop one rounding
 // per element relative to an uncontracted generic build, so they agree to
 // a few ulps rather than bitwise. The dot kernel keeps the generic tier's
 // fixed four-lane reduction grouping (s0+s2)+(s1+s3): vector lane l holds
@@ -323,6 +325,69 @@ void CoordinateDescent(double* row, int64_t rank, const double* hq,
   }
 }
 
+// The GCP Newton panel passes (see VecPanelDots, VecPanelAxpy): direct,
+// inlinable calls of this tier's Dot<P> and Axpy<P> per cell, so each
+// result is theirs bit for bit without an indirect call per cell.
+template <int64_t P>
+void PanelDots(const double* panel, const double* v, int64_t cells,
+               double* out, int64_t n) {
+  const int64_t m = Trip<P>(n);
+  for (int64_t c = 0; c < cells; ++c) out[c] = Dot<P>(panel + c * m, v, n);
+}
+
+template <int64_t P>
+void PanelAxpy(const double* weights, const double* panel, int64_t cells,
+               double* y, int64_t n) {
+  const int64_t m = Trip<P>(n);
+  for (int64_t c = 0; c < cells; ++c) {
+    Axpy<P>(weights[c], panel + c * m, y, n);
+  }
+}
+
+// ExpClamped over four lanes (see rank_dispatch.h): separate multiplies and
+// adds, never fused, so every lane equals the scalar form bitwise. The
+// clamp keeps x in max_pd's and min_pd's second operand, the one they
+// return when either input is a NaN.
+inline __m256d ExpClamped4(__m256d x) {
+  using namespace exp_clamped;
+  x = _mm256_min_pd(_mm256_set1_pd(kBound),
+                    _mm256_max_pd(_mm256_set1_pd(-kBound), x));
+  const __m256d shifter = _mm256_set1_pd(kShifter);
+  const __m256d t = _mm256_add_pd(_mm256_mul_pd(x, _mm256_set1_pd(kLog2e)),
+                                  shifter);
+  const __m256d k = _mm256_sub_pd(t, shifter);
+  const __m256d r = _mm256_sub_pd(
+      _mm256_sub_pd(x, _mm256_mul_pd(k, _mm256_set1_pd(kLn2Hi))),
+      _mm256_mul_pd(k, _mm256_set1_pd(kLn2Lo)));
+  __m256d q = _mm256_set1_pd(kCoeffs[kNumCoeffs - 1]);
+  for (int i = kNumCoeffs - 2; i >= 0; --i) {
+    q = _mm256_add_pd(_mm256_mul_pd(q, r), _mm256_set1_pd(kCoeffs[i]));
+  }
+  const __m256d p = _mm256_add_pd(r, _mm256_mul_pd(_mm256_mul_pd(r, r), q));
+  const __m256i scale = _mm256_slli_epi64(
+      _mm256_add_epi64(_mm256_castpd_si256(t),
+                       _mm256_set1_epi64x(kExponentBias)),
+      52);
+  return _mm256_mul_pd(_mm256_add_pd(_mm256_set1_pd(1.0), p),
+                       _mm256_castsi256_pd(scale));
+}
+
+// Elementwise over `count` values: full four-lane blocks, then one masked
+// block for the remainder (its masked-off lanes compute e^0 and are never
+// stored).
+void ExpClampedKernel(const double* x, double* out, int64_t count) {
+  int64_t i = 0;
+  for (; i + 4 <= count; i += 4) {
+    _mm256_storeu_pd(out + i, ExpClamped4(_mm256_loadu_pd(x + i)));
+  }
+  if (i < count) {
+    const __m256i mask = _mm256_cmpgt_epi64(
+        _mm256_set1_epi64x(count - i), _mm256_setr_epi64x(0, 1, 2, 3));
+    _mm256_maskstore_pd(out + i, mask,
+                        ExpClamped4(_mm256_maskload_pd(x + i, mask)));
+  }
+}
+
 template <int64_t P>
 constexpr RankKernelTable kTable = {KernelTier::kAvx2,
                                     P,
@@ -336,7 +401,10 @@ constexpr RankKernelTable kTable = {KernelTier::kAvx2,
                                     &GramRowDelta<P>,
                                     &ScaledDiffAccum<P>,
                                     &WeightedSyrkUpper<P>,
-                                    &CoordinateDescent<P>};
+                                    &CoordinateDescent<P>,
+                                    &PanelDots<P>,
+                                    &PanelAxpy<P>,
+                                    &ExpClampedKernel};
 
 }  // namespace
 

@@ -13,6 +13,16 @@
 // The dot kernel reduces eight partial-sum lanes, so its summation
 // grouping differs from the generic/AVX2 four-lane scheme: dots agree to
 // ulp-level tolerance across tiers, never bitwise (tests pin this).
+// exp_clamped is the exception among the arithmetic kernels: it spells out
+// the generic tier's unfused multiplies and adds, so it is bitwise equal to
+// the other tiers.
+//
+// No 512-bit value is split with _mm512_extractf64x4_pd,
+// _mm512_castpd512_pd256, _mm512_zextpd256_pd512 or _mm512_reduce_add_pd:
+// GCC implements those through an _mm256_undefined_pd() merge source that
+// -Wall reports as uninitialized in every instantiation. The helpers below
+// use the zero-masked forms with a full mask instead, which compile to the
+// same unmasked instructions; so does the exponential's clamp and shift.
 
 #include "linalg/codelets/codelet_tables.h"
 
@@ -31,6 +41,31 @@ inline int64_t Trip(int64_t n) {
   return P > 0 ? P : n;
 }
 
+inline __m256d Lo256(__m512d x) {
+  return _mm512_maskz_extractf64x4_pd(0xFF, x, 0);
+}
+
+inline __m256d Hi256(__m512d x) {
+  return _mm512_maskz_extractf64x4_pd(0xFF, x, 1);
+}
+
+// Horizontal sum of eight lanes in GCC's _mm512_reduce_add_pd order: the
+// 256-bit halves added, then the 128-bit halves of that, then the pair.
+// Spelled out, so clang reduces in the same order.
+inline double ReduceLanes8(__m512d acc) {
+  const __m256d quad = _mm256_add_pd(Hi256(acc), Lo256(acc));
+  const __m128d pair = _mm_add_pd(_mm256_extractf128_pd(quad, 1),
+                                  _mm256_castpd256_pd128(quad));
+  return _mm_cvtsd_f64(_mm_add_sd(pair, _mm_unpackhi_pd(pair, pair)));
+}
+
+// Horizontal sum of a 4-wide tail: (l0 + l2) + (l1 + l3).
+inline double ReduceLanes4(__m256d p) {
+  const __m128d pair =
+      _mm_add_pd(_mm256_castpd256_pd128(p), _mm256_extractf128_pd(p, 1));
+  return _mm_cvtsd_f64(_mm_add_sd(pair, _mm_unpackhi_pd(pair, pair)));
+}
+
 template <int64_t P>
 void Fill(double* dst, double value, int64_t n) {
   const int64_t m = Trip<P>(n);
@@ -38,7 +73,7 @@ void Fill(double* dst, double value, int64_t n) {
   int64_t r = 0;
   for (; r + 8 <= m; r += 8) _mm512_storeu_pd(dst + r, v8);
   if (r + 4 <= m) {
-    _mm256_storeu_pd(dst + r, _mm512_castpd512_pd256(v8));
+    _mm256_storeu_pd(dst + r, _mm256_set1_pd(value));
     r += 4;
   }
   if constexpr (P == 0) {
@@ -72,7 +107,7 @@ void Axpy(double alpha, const double* x, double* y, int64_t n) {
                                             _mm512_loadu_pd(y + r)));
   }
   if (r + 4 <= m) {
-    const __m256d va4 = _mm512_castpd512_pd256(va8);
+    const __m256d va4 = _mm256_set1_pd(alpha);
     _mm256_storeu_pd(y + r, _mm256_fmadd_pd(va4, _mm256_loadu_pd(x + r),
                                             _mm256_loadu_pd(y + r)));
     r += 4;
@@ -132,8 +167,8 @@ void Fma3(double v, const double* a, const double* b, double* out, int64_t n) {
   if (r + 4 <= m) {
     const __m256d prod =
         _mm256_mul_pd(_mm256_loadu_pd(a + r), _mm256_loadu_pd(b + r));
-    _mm256_storeu_pd(out + r, _mm256_fmadd_pd(_mm512_castpd512_pd256(vv8),
-                                              prod, _mm256_loadu_pd(out + r)));
+    _mm256_storeu_pd(out + r, _mm256_fmadd_pd(_mm256_set1_pd(v), prod,
+                                              _mm256_loadu_pd(out + r)));
     r += 4;
   }
   if constexpr (P == 0) {
@@ -149,13 +184,10 @@ double Dot(const double* a, const double* b, int64_t n) {
   for (; r + 8 <= m; r += 8) {
     acc = _mm512_fmadd_pd(_mm512_loadu_pd(a + r), _mm512_loadu_pd(b + r), acc);
   }
-  double sum = _mm512_reduce_add_pd(acc);
+  double sum = ReduceLanes8(acc);
   if (r + 4 <= m) {
-    const __m256d p = _mm256_mul_pd(_mm256_loadu_pd(a + r),
-                                    _mm256_loadu_pd(b + r));
-    const __m128d pair =
-        _mm_add_pd(_mm256_castpd256_pd128(p), _mm256_extractf128_pd(p, 1));
-    sum += _mm_cvtsd_f64(_mm_add_sd(pair, _mm_unpackhi_pd(pair, pair)));
+    sum += ReduceLanes4(
+        _mm256_mul_pd(_mm256_loadu_pd(a + r), _mm256_loadu_pd(b + r)));
     r += 4;
   }
   if constexpr (P == 0) {
@@ -177,10 +209,10 @@ void GramRowDelta(double new_i, const double* new_row, double old_i,
     _mm512_storeu_pd(g + r, _mm512_add_pd(_mm512_loadu_pd(g + r), t));
   }
   if (r + 4 <= m) {
-    __m256d t = _mm256_mul_pd(_mm512_castpd512_pd256(vn8),
+    __m256d t = _mm256_mul_pd(_mm256_set1_pd(new_i),
                               _mm256_loadu_pd(new_row + r));
-    t = _mm256_fnmadd_pd(_mm512_castpd512_pd256(vo8),
-                         _mm256_loadu_pd(old_row + r), t);
+    t = _mm256_fnmadd_pd(_mm256_set1_pd(old_i), _mm256_loadu_pd(old_row + r),
+                         t);
     _mm256_storeu_pd(g + r, _mm256_add_pd(_mm256_loadu_pd(g + r), t));
     r += 4;
   }
@@ -205,7 +237,7 @@ void ScaledDiffAccum(double p, const double* new_row, const double* prev_row,
   if (r + 4 <= m) {
     const __m256d d = _mm256_sub_pd(_mm256_loadu_pd(new_row + r),
                                     _mm256_loadu_pd(prev_row + r));
-    _mm256_storeu_pd(g + r, _mm256_fmadd_pd(_mm512_castpd512_pd256(vp8), d,
+    _mm256_storeu_pd(g + r, _mm256_fmadd_pd(_mm256_set1_pd(p), d,
                                             _mm256_loadu_pd(g + r)));
     r += 4;
   }
@@ -345,9 +377,7 @@ void CoordinateDescent(double* row, int64_t rank, const double* hq,
     constexpr int kRegs = kZ + (kTail ? 1 : 0);
     __m512d r[kRegs];
     for (int v = 0; v < kZ; ++v) r[v] = _mm512_loadu_pd(row + 8 * v);
-    if constexpr (kTail) {
-      r[kZ] = _mm512_zextpd256_pd512(_mm256_loadu_pd(row + 8 * kZ));
-    }
+    if constexpr (kTail) r[kZ] = _mm512_maskz_loadu_pd(0x0F, row + 8 * kZ);
     for (int64_t k = 0; k < rank; ++k) {
       const double* hq_k = hq + k * P;
       const double c_k = hq_k[k];
@@ -356,13 +386,10 @@ void CoordinateDescent(double* row, int64_t rank, const double* hq,
       for (int v = 0; v < kZ; ++v) {
         acc = _mm512_fmadd_pd(r[v], _mm512_loadu_pd(hq_k + 8 * v), acc);
       }
-      double dot = _mm512_reduce_add_pd(acc);
+      double dot = ReduceLanes8(acc);
       if constexpr (kTail) {
-        const __m256d p = _mm256_mul_pd(_mm512_castpd512_pd256(r[kZ]),
-                                        _mm256_loadu_pd(hq_k + 8 * kZ));
-        const __m128d pair = _mm_add_pd(_mm256_castpd256_pd128(p),
-                                        _mm256_extractf128_pd(p, 1));
-        dot += _mm_cvtsd_f64(_mm_add_sd(pair, _mm_unpackhi_pd(pair, pair)));
+        dot += ReduceLanes4(
+            _mm256_mul_pd(Lo256(r[kZ]), _mm256_loadu_pd(hq_k + 8 * kZ)));
       }
       // Lane k has not been written yet, so memory still holds row[k].
       const __m512d value = _mm512_set1_pd(CoordinateValue(
@@ -375,8 +402,71 @@ void CoordinateDescent(double* row, int64_t rank, const double* hq,
     }
     for (int v = 0; v < kZ; ++v) _mm512_storeu_pd(row + 8 * v, r[v]);
     if constexpr (kTail) {
-      _mm256_storeu_pd(row + 8 * kZ, _mm512_castpd512_pd256(r[kZ]));
+      _mm256_storeu_pd(row + 8 * kZ, Lo256(r[kZ]));
     }
+  }
+}
+
+// The GCP Newton panel passes (see VecPanelDots, VecPanelAxpy): direct,
+// inlinable calls of this tier's Dot<P> and Axpy<P> per cell, so each
+// result is theirs bit for bit without an indirect call per cell.
+template <int64_t P>
+void PanelDots(const double* panel, const double* v, int64_t cells,
+               double* out, int64_t n) {
+  const int64_t m = Trip<P>(n);
+  for (int64_t c = 0; c < cells; ++c) out[c] = Dot<P>(panel + c * m, v, n);
+}
+
+template <int64_t P>
+void PanelAxpy(const double* weights, const double* panel, int64_t cells,
+               double* y, int64_t n) {
+  const int64_t m = Trip<P>(n);
+  for (int64_t c = 0; c < cells; ++c) {
+    Axpy<P>(weights[c], panel + c * m, y, n);
+  }
+}
+
+// ExpClamped over eight lanes: the steps of codelets_avx2.cpp's
+// ExpClamped4 at twice the width (see rank_dispatch.h), x kept in the
+// NaN-returning second operand of max_pd and min_pd (full-mask maskz forms,
+// for the warning above).
+inline __m512d ExpClamped8(__m512d x) {
+  using namespace exp_clamped;
+  x = _mm512_maskz_min_pd(
+      0xFF, _mm512_set1_pd(kBound),
+      _mm512_maskz_max_pd(0xFF, _mm512_set1_pd(-kBound), x));
+  const __m512d shifter = _mm512_set1_pd(kShifter);
+  const __m512d t = _mm512_add_pd(_mm512_mul_pd(x, _mm512_set1_pd(kLog2e)),
+                                  shifter);
+  const __m512d k = _mm512_sub_pd(t, shifter);
+  const __m512d r = _mm512_sub_pd(
+      _mm512_sub_pd(x, _mm512_mul_pd(k, _mm512_set1_pd(kLn2Hi))),
+      _mm512_mul_pd(k, _mm512_set1_pd(kLn2Lo)));
+  __m512d q = _mm512_set1_pd(kCoeffs[kNumCoeffs - 1]);
+  for (int i = kNumCoeffs - 2; i >= 0; --i) {
+    q = _mm512_add_pd(_mm512_mul_pd(q, r), _mm512_set1_pd(kCoeffs[i]));
+  }
+  const __m512d p = _mm512_add_pd(r, _mm512_mul_pd(_mm512_mul_pd(r, r), q));
+  const __m512i scale = _mm512_maskz_slli_epi64(
+      0xFF,
+      _mm512_add_epi64(_mm512_castpd_si512(t),
+                       _mm512_set1_epi64(kExponentBias)),
+      52);
+  return _mm512_mul_pd(_mm512_add_pd(_mm512_set1_pd(1.0), p),
+                       _mm512_castsi512_pd(scale));
+}
+
+// Elementwise over `count` values: full eight-lane blocks, then one masked
+// block for the remainder (masked-off lanes load 0 and are never stored).
+void ExpClampedKernel(const double* x, double* out, int64_t count) {
+  int64_t i = 0;
+  for (; i + 8 <= count; i += 8) {
+    _mm512_storeu_pd(out + i, ExpClamped8(_mm512_loadu_pd(x + i)));
+  }
+  if (i < count) {
+    const auto mask = static_cast<__mmask8>((1u << (count - i)) - 1u);
+    _mm512_mask_storeu_pd(out + i, mask,
+                          ExpClamped8(_mm512_maskz_loadu_pd(mask, x + i)));
   }
 }
 
@@ -393,7 +483,10 @@ constexpr RankKernelTable kTable = {KernelTier::kAvx512,
                                     &GramRowDelta<P>,
                                     &ScaledDiffAccum<P>,
                                     &WeightedSyrkUpper<P>,
-                                    &CoordinateDescent<P>};
+                                    &CoordinateDescent<P>,
+                                    &PanelDots<P>,
+                                    &PanelAxpy<P>,
+                                    &ExpClampedKernel};
 
 }  // namespace
 

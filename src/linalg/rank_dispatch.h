@@ -12,8 +12,11 @@
 //     fallback for larger ranks,
 //   - the templated __restrict vector primitives every dense kernel is
 //     built from (fill/copy/axpy/Hadamard/dot/rank-1 Gram deltas, the
-//     weighted upper-triangle SYRK of the GCP Newton step and the clipped
-//     coordinate descent of the + variants), and
+//     weighted upper-triangle SYRK and the panel dot / axpy passes of the
+//     GCP Newton step, and the clipped coordinate descent of the +
+//     variants),
+//   - the library's own clamped exponential (ExpClamped and the
+//     exp_clamped slot), which rounds identically on every tier, and
 //   - RankKernelTable: a function-pointer table over those primitives, one
 //     per tier and padded rank. Every library kernel (linalg/matrix.h,
 //     linalg/cholesky.h, tensor/mttkrp.h, the Gram updates of
@@ -233,6 +236,70 @@ inline void VecCoordinateDescent(double* row, int64_t rank, const double* hq,
   }
 }
 
+/// Per-cell dots against one vector: out[c] = VecDot<P>(panel + c·n, v, n)
+/// for c in [0, cells). `panel` is cells × n row-major.
+template <int64_t P>
+inline void VecPanelDots(const double* panel, const double* v, int64_t cells,
+                         double* out, int64_t n) {
+  const int64_t m = TripCount<P>(n);
+  for (int64_t c = 0; c < cells; ++c) out[c] = VecDot<P>(panel + c * m, v, n);
+}
+
+/// The per-cell axpy sequence y += weights[c] · panel row c, for c in
+/// [0, cells) in order, each step VecAxpy<P>. y must not alias the inputs.
+template <int64_t P>
+inline void VecPanelAxpy(const double* weights, const double* panel,
+                         int64_t cells, double* y, int64_t n) {
+  const int64_t m = TripCount<P>(n);
+  for (int64_t c = 0; c < cells; ++c) {
+    VecAxpy<P>(weights[c], panel + c * m, y, n);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Clamped exponential e^clamp(x, −40, 40) of the non-Gaussian losses
+// (losses/loss_function.h). The library owns it instead of calling libm so
+// that the generic tier, both intrinsic tiers and the scalar loss forms
+// round identically on every host: every step below is one IEEE multiply,
+// add or subtract (no fused multiply-add), an exact integer exponent
+// build, or the clamp, so the lanes of a vector body and the scalar form
+// compute the same bits.
+//
+//   x ← clamp(x, −40, 40)             NaN stays NaN, ±inf → ±40
+//   t = x·log2(e) + 1.5·2⁵²            t's low bits hold k = round(x/ln 2)
+//   k = t − 1.5·2⁵²                    exact
+//   r = (x − k·ln2_hi) − k·ln2_lo      first subtraction exact (Sterbenz)
+//   e^r ≈ 1 + (r + r²·q(r))            q = Σ_{i≥2} r^(i−2)/i!, i ≤ 13
+//   result = e^r · 2^k                 2^k built from t's bits, exact
+//
+// |r| ≤ ln 2/2 (plus a rounding sliver), where the Taylor tail r¹⁴/14! is
+// below 5e-18, so the result stays within 1.5 ulp of the true exponential
+// (tests/kernel_dispatch_test.cpp measures it against long double).
+// ln2_hi carries 32 significant bits, so k·ln2_hi is exact for |k| ≤ 58
+// (= 40/ln 2 rounded up), and e^±40 is far from overflow and from
+// subnormals.
+namespace exp_clamped {
+inline constexpr double kBound = 40.0;
+inline constexpr double kLog2e = 0x1.71547652b82fep0;
+inline constexpr double kShifter = 0x1.8p52;
+inline constexpr double kLn2Hi = 0x1.62e42feep-1;
+inline constexpr double kLn2Lo = 0x1.a39ef35793c76p-33;
+inline constexpr int64_t kExponentBias = 1023;
+/// q(r) coefficients, 1/2! first: Horner runs from the back.
+inline constexpr double kCoeffs[] = {
+    1.0 / 2.0,          1.0 / 6.0,           1.0 / 24.0,
+    1.0 / 120.0,        1.0 / 720.0,         1.0 / 5040.0,
+    1.0 / 40320.0,      1.0 / 362880.0,      1.0 / 3628800.0,
+    1.0 / 39916800.0,   1.0 / 479001600.0,   1.0 / 6227020800.0};
+inline constexpr int kNumCoeffs =
+    static_cast<int>(sizeof(kCoeffs) / sizeof(kCoeffs[0]));
+}  // namespace exp_clamped
+
+/// e^clamp(x, −40, 40): bitwise what every tier's exp_clamped slot writes
+/// for x. Defined out of line in rank_dispatch.cpp, so callers in TUs built
+/// without -ffp-contract=off still get the unfused roundings.
+double ExpClamped(double x);
+
 // ---------------------------------------------------------------------------
 // Function-pointer table over the primitives.
 
@@ -255,7 +322,10 @@ inline void VecCoordinateDescent(double* row, int64_t rank, const double* hq,
 /// every entry exactly as the scalar loop over the same tier's `dot` does
 /// (the intrinsic tiers hold a P ≤ 32 row in registers and write lane k in
 /// place instead of storing it for the next dot to reload; P = 0 runs the
-/// loop), and fma3(v, a, b) equals axpy(v, a∗b) with a∗b formed by `mul`.
+/// loop), fma3(v, a, b) equals axpy(v, a∗b) with a∗b formed by `mul`, and
+/// panel_dots / panel_axpy equal the same tier's per-row dot / axpy
+/// sequence. exp_clamped is bitwise identical on every tier (see
+/// ExpClamped); it takes an element count, not a padded length.
 struct RankKernelTable {
   KernelTier tier;      // Which implementation tier this table points at.
   int64_t padded_rank;  // 0 for the runtime-bound table of this tier.
@@ -279,6 +349,14 @@ struct RankKernelTable {
   void (*coordinate_descent)(double* row, int64_t rank, const double* hq,
                              const double* numerator, double clip_min,
                              double clip_max, int64_t n);
+  // GCP Newton panel passes: θ / dθ per cell, and the gradient (see
+  // VecPanelDots, VecPanelAxpy).
+  void (*panel_dots)(const double* panel, const double* v, int64_t cells,
+                     double* out, int64_t n);
+  void (*panel_axpy)(const double* weights, const double* panel,
+                     int64_t cells, double* y, int64_t n);
+  // out[i] = ExpClamped(x[i]) for i in [0, count); out may alias x.
+  void (*exp_clamped)(const double* x, double* out, int64_t count);
 };
 
 /// The auto-tier table for a given padded rank: a specialization for every

@@ -34,9 +34,10 @@ void GcpRowWorkspace::Prepare(int64_t rank) {
 }
 
 void GcpRowWorkspace::Reserve(size_t num_cells) {
-  curvature.resize(num_cells);
-  theta0.resize(num_cells);
-  dtheta.resize(num_cells);
+  for (std::vector<double>* v :
+       {&y, &theta0, &dtheta, &curvature, &grad_weight, &trial, &value}) {
+    v->resize(num_cells);
+  }
   const int64_t needed = static_cast<int64_t>(num_cells) * padded_rank;
   if (panel.size() < needed) panel.Resize(std::max(needed, 2 * panel.size()));
 }
@@ -58,21 +59,28 @@ bool GcpNewtonRowUpdate(CpdState& state, int mode, int64_t row,
   const size_t n = cells.size();
   ws.Reserve(n);
 
-  // Pass 1: stage every cell's Hadamard row once, with θ, the objective,
-  // the gradient and the curvature weight at the current row.
-  kr.fill(ws.grad.data(), 0.0, padded);
+  // Pass 1: stage every cell's Hadamard row once, then θ, the loss terms,
+  // the objective and the gradient at the current row, each one pass over
+  // the panel or the cells.
+  const auto cells_n = static_cast<int64_t>(n);
+  for (size_t c = 0; c < n; ++c) {
+    HadamardRow(state.model.factors(), cells[c].index, mode, ws.PanelRow(c),
+                kr);
+    ws.y[c] = cells[c].value;
+  }
+  kr.panel_dots(ws.panel.data(), ws.old_row.data(), cells_n,
+                ws.theta0.data(), padded);
+  loss.EvaluateBatch(ws.y.data(), ws.theta0.data(), ws.value.data(),
+                     ws.grad_weight.data(), ws.curvature.data(), n);
   double obj0 = 0.0;
   for (size_t c = 0; c < n; ++c) {
-    double* had = ws.PanelRow(c);
-    HadamardRow(state.model.factors(), cells[c].index, mode, had, kr);
-    const double theta = kr.dot(had, ws.old_row.data(), padded);
-    const LossTerms terms = loss.Evaluate(cells[c].value, theta);
-    ws.theta0[c] = theta;
-    ws.curvature[c] = terms.d2;
-    obj0 += terms.value;
-    kr.axpy(-terms.d1, had, ws.grad.data(), padded);
+    obj0 += ws.value[c];
+    ws.grad_weight[c] = -ws.grad_weight[c];
   }
   if (!std::isfinite(obj0)) return false;  // Already-poisoned row: bail out.
+  kr.fill(ws.grad.data(), 0.0, padded);
+  kr.panel_axpy(ws.grad_weight.data(), ws.panel.data(), cells_n,
+                ws.grad.data(), padded);
 
   // Curvature: the upper triangle of Σ ℓ''·h h' in one tiled pass over the
   // panel — all the Cholesky solver reads.
@@ -110,17 +118,18 @@ bool GcpNewtonRowUpdate(CpdState& state, int mode, int64_t row,
   if (!(dir_norm_sq > 0.0) || !std::isfinite(dir_norm_sq)) return false;
 
   // Pass 2: the step's θ-rate at every cell, against the staged rows.
-  for (size_t c = 0; c < n; ++c) {
-    ws.dtheta[c] = kr.dot(ws.PanelRow(c), ws.step.data(), padded);
-  }
+  kr.panel_dots(ws.panel.data(), ws.step.data(), cells_n, ws.dtheta.data(),
+                padded);
 
   // Backtracking: commit the first non-increasing candidate, else keep the
   // row exactly as it was (objective unchanged — monotone either way).
   for (double alpha : kAlphas) {
-    double obj = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      obj += loss.Value(cells[i].value, ws.theta0[i] + alpha * ws.dtheta[i]);
+    for (size_t c = 0; c < n; ++c) {
+      ws.trial[c] = ws.theta0[c] + alpha * ws.dtheta[c];
     }
+    loss.ValueBatch(ws.y.data(), ws.trial.data(), ws.value.data(), n);
+    double obj = 0.0;
+    for (size_t c = 0; c < n; ++c) obj += ws.value[c];
     if (!std::isfinite(obj) || obj > obj0) continue;
     kr.copy(ws.old_row.data(), ws.candidate.data(), padded);
     kr.axpy(alpha, ws.step.data(), ws.candidate.data(), padded);

@@ -24,26 +24,35 @@
 // their sampled cells (which include zero cells — those contribute ℓ(0, θ)
 // terms that pull spurious model mass down) plus the event's delta cells.
 //
-// Cost model, per row with n = |cells|, M modes and padded rank P:
+// Cost model, per row with n = |cells|, M modes and padded rank P. Every
+// pass runs over the whole cell set at once, so a cell costs no indirect
+// call beyond its Hadamard row's `mul`s:
 //   - staging: each cell's Hadamard row h_J is built ONCE, O(M·P), into a
-//     cells × P panel of the workspace, next to one fused loss evaluation
-//     (LossFunction::Evaluate: ℓ, ℓ', ℓ'' from a single exponential), one
-//     θ dot and one gradient axpy;
+//     cells × P panel of the workspace;
+//   - pass 1: θ for every cell in one panel_dots call, O(n·P); ℓ, ℓ', ℓ''
+//     for every cell in one LossFunction::EvaluateBatch call (Poisson: one
+//     vector exp_clamped pass, O(n), on every tier); the objective summed
+//     in cell order; the gradient in one panel_axpy call, O(n·P);
 //   - curvature: only the upper triangle of Σ ℓ''·h h' is accumulated —
 //     all the Cholesky solve reads — by the register-tiled weighted SYRK
 //     of the kernel table (RankKernelTable::weighted_syrk_upper),
 //     O(n·P²/2);
-//   - the Cholesky solve, O(R³), then the step's θ-rates as one dot per
-//     staged panel row, O(n·P), and the backtracking search on cached
-//     scalars, O(n) loss values per trial length.
+//   - the Cholesky solve, O(R³), then pass 2: the step's θ-rates in one
+//     panel_dots call, O(n·P);
+//   - backtracking on cached scalars: per trial length one trial-θ pass,
+//     one LossFunction::ValueBatch call and a sum in cell order, O(n).
 // So O(n·(M·P + P²/2) + R³) in all — still the price of loss generality
-// against the Gaussian Gram shortcut; BM_LossUpdate tracks it. Every
-// element sees the same floating-point operations in the same cell order
-// as a per-cell outer-product accumulation, so the factor state is
-// bitwise that of the straightforward step per kernel tier
-// (tests/hot_path_test.cpp pins it). The workspace reuses its buffers
-// across events; the panel and per-cell scratch grow geometrically to the
-// largest cell set seen, so steady state allocates nothing new.
+// against the Gaussian Gram shortcut; BM_LossUpdate tracks it. At the
+// benchmarks' P = 20 and ~115 cells per step, the Cholesky factorize and
+// solve (~30% of a step, its O(R³) doing ~230 runtime-length kernel calls)
+// and the SYRK (~27%) are the largest terms (rdtsc timers, 4-vCPU AVX-512
+// host). Every element sees the same floating-point operations in the
+// same cell order as a per-cell loop of dot, Evaluate, axpy and
+// outer-product accumulation, so the factor state is bitwise that of the
+// straightforward step per kernel tier (tests/hot_path_test.cpp pins it).
+// The workspace reuses its buffers across events; the panel and per-cell
+// scratch grow geometrically to the largest cell set seen, so steady state
+// allocates nothing new.
 
 #ifndef SLICENSTITCH_LOSSES_GCP_ROW_UPDATE_H_
 #define SLICENSTITCH_LOSSES_GCP_ROW_UPDATE_H_
@@ -88,11 +97,16 @@ struct GcpRowWorkspace {
   AlignedVector old_row;    // Row value at entry.
   AlignedVector panel;      // cells × padded_rank staged Hadamard rows.
 
-  /// Per-cell caches: curvature ℓ'' (the SYRK weights), θ at entry and the
-  /// step's θ-rate. Sized to the largest cell set seen.
-  std::vector<double> curvature;
+  /// Per-cell arrays of the batch passes, sized to the largest cell set
+  /// seen: the data values, θ at entry, the step's θ-rate, ℓ'' (the SYRK
+  /// weights), −ℓ' (the gradient weights), a trial θ and a loss value.
+  std::vector<double> y;
   std::vector<double> theta0;
   std::vector<double> dtheta;
+  std::vector<double> curvature;
+  std::vector<double> grad_weight;
+  std::vector<double> trial;
+  std::vector<double> value;
   /// Materialized cell set of the slice-driven entry points.
   std::vector<SampledCell> cells;
 

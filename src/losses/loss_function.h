@@ -5,11 +5,19 @@
 // with any twice-differentiable pointwise loss ℓ(y, θ) of the data value y
 // and the model value θ = x̃_J (the natural parameter). Each loss exposes
 // its value, a fused value-and-derivatives evaluation (one exponential per
-// call; the row-update Newton steps in losses/gcp_row_update.h consume it)
-// and its link function μ = Link(θ),
-// the model's prediction of the data mean — the quantity the robust mode
-// (losses/outlier_store.h) subtracts from an observation to form the
-// residual it soft-thresholds.
+// call), batch forms of both over arrays of (y, θ) (the row-update Newton
+// steps in losses/gcp_row_update.h consume those) and its link function
+// μ = Link(θ), the model's prediction of the data mean — the quantity the
+// robust mode (losses/outlier_store.h) subtracts from an observation to
+// form the residual it soft-thresholds.
+//
+// Poisson's exponential is the library's own e^clamp(θ, −40, 40)
+// (ExpClamped and the kernel tables' exp_clamped slot,
+// linalg/rank_dispatch.h), not libm's: it rounds identically on every
+// kernel tier and every host, and the scalar and batch forms share it, so
+// Poisson trajectories depend on neither the host's libm nor its vector
+// width. Bernoulli's softplus/sigmoid still call std::exp and std::log1p,
+// one scalar evaluation per cell.
 //
 // The catalog:
 //   kGaussian       ℓ = (θ − y)²        identity link   continuous data
@@ -28,6 +36,7 @@
 #ifndef SLICENSTITCH_LOSSES_LOSS_FUNCTION_H_
 #define SLICENSTITCH_LOSSES_LOSS_FUNCTION_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -68,6 +77,17 @@ class LossFunction {
   virtual LossTerms Evaluate(double y, double theta) const = 0;
   /// μ = E[y | θ]: identity (Gaussian), e^θ (Poisson), σ(θ) (Bernoulli).
   virtual double Link(double theta) const = 0;
+
+  /// Batch Value: out[c] = Value(y[c], theta[c]) bitwise, c < count. `out`
+  /// must not alias the inputs. The default loops over Value.
+  virtual void ValueBatch(const double* y, const double* theta, double* out,
+                          size_t count) const;
+  /// Batch Evaluate: value[c], d1[c], d2[c] are Evaluate(y[c], theta[c])'s
+  /// terms bitwise, c < count. The outputs must not alias the inputs or
+  /// each other. The default loops over Evaluate.
+  virtual void EvaluateBatch(const double* y, const double* theta,
+                             double* value, double* d1, double* d2,
+                             size_t count) const;
 };
 
 /// Process-lifetime singleton for `kind`. Never fails; out-of-range kinds

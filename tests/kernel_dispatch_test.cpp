@@ -5,10 +5,14 @@
 // 4, 8, 12, 16, 20, 24, 32), the generic fallback (padded rank > 32), and
 // padded tails of every phase (rank ≡ 0..3 mod 4). Also regression-guards
 // the layout invariants: 64-byte-aligned storage, padded leading stride,
-// and padding lanes that stay exactly 0.0 through real updater runs.
+// and padding lanes that stay exactly 0.0 through real updater runs. The
+// GCP panel kernels are pinned to the per-row kernels bitwise, and the
+// library's clamped exponential to its scalar form and to long-double exp.
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <vector>
 
@@ -393,6 +397,148 @@ TEST_P(KernelDispatchTest, CoordinateDescentMatchesScalarDotLoop) {
     for (int64_t r = 0; r < padded; ++r) {
       ASSERT_EQ(row.data()[r], expected.data()[r]) << "r " << r;
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// GCP Newton panel passes: panel_dots and panel_axpy against the same
+// tier's per-row dot and axpy, bitwise, at a partial last block (7), the
+// benchmarks' rank (20) and two runtime-bound ranks (37 with a padded tail,
+// 40), over 131 cells.
+
+TEST(PanelKernelTest, PanelDotsAndAxpyEqualPerRowKernelsOnEveryTier) {
+  for (const int64_t rank : {int64_t{7}, int64_t{20}, int64_t{37},
+                             int64_t{40}}) {
+    const int64_t padded = PaddedRank(rank);
+    const int64_t cells = 131;
+    Rng rng(700 + rank);
+    const Matrix panel = Matrix::RandomNormal(cells, rank, rng);
+    AlignedVector v(rank), y0(rank);
+    std::vector<double> weights(static_cast<size_t>(cells));
+    for (int64_t r = 0; r < rank; ++r) {
+      v[r] = rng.Normal();
+      y0[r] = rng.Normal();
+    }
+    for (double& w : weights) w = rng.Normal();
+    for (const KernelTier tier : AvailableTiers()) {
+      SCOPED_TRACE(testing::Message()
+                   << KernelTierName(tier) << " rank=" << rank);
+      const RankKernelTable& kr = GetRankKernelTable(padded, tier);
+      std::vector<double> dots(static_cast<size_t>(cells));
+      kr.panel_dots(panel.Row(0), v.data(), cells, dots.data(), padded);
+      AlignedVector y = y0, expected_y = y0;
+      kr.panel_axpy(weights.data(), panel.Row(0), cells, y.data(), padded);
+      for (int64_t c = 0; c < cells; ++c) {
+        ASSERT_EQ(std::bit_cast<uint64_t>(dots[static_cast<size_t>(c)]),
+                  std::bit_cast<uint64_t>(
+                      kr.dot(panel.Row(c), v.data(), padded)))
+            << "cell " << c;
+        kr.axpy(weights[static_cast<size_t>(c)], panel.Row(c),
+                expected_y.data(), padded);
+      }
+      for (int64_t r = 0; r < padded; ++r) {
+        ASSERT_EQ(std::bit_cast<uint64_t>(y.data()[r]),
+                  std::bit_cast<uint64_t>(expected_y.data()[r]))
+            << "lane " << r;
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The library's clamped exponential: every tier's exp_clamped slot equals
+// the scalar ExpClamped bitwise (the loss layer mixes the two), its error
+// against long-double expl stays within 1.5 ulp across [−40, 40], and the
+// edges behave as e^std::clamp(x, −40, 40) does.
+
+// x and ExpClamped(x) for every tier, with `count` not a multiple of any
+// vector width so the masked remainders run too.
+void ExpectTiersMatchScalar(const std::vector<double>& x) {
+  std::vector<double> out(x.size());
+  for (const KernelTier tier : AvailableTiers()) {
+    SCOPED_TRACE(KernelTierName(tier));
+    GetRankKernelTable(0, tier).exp_clamped(
+        x.data(), out.data(), static_cast<int64_t>(x.size()));
+    for (size_t i = 0; i < x.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<uint64_t>(out[i]),
+                std::bit_cast<uint64_t>(ExpClamped(x[i])))
+          << "x = " << x[i];
+    }
+  }
+}
+
+TEST(ExpClampedTest, EveryTierEqualsTheScalarFormBitwise) {
+  Rng rng(0xe4);
+  std::vector<double> x;
+  for (int i = 0; i < 100003; ++i) {
+    x.push_back(-45.0 + 90.0 * rng.UniformDouble());  // Past both edges.
+  }
+  for (int i = 0; i < 1001; ++i) x.push_back(1e-6 * rng.Normal());
+  ExpectTiersMatchScalar(x);
+  // In-place use, as the loss layer may call it.
+  for (const KernelTier tier : AvailableTiers()) {
+    std::vector<double> in_place(x.begin(), x.begin() + 37);
+    GetRankKernelTable(0, tier).exp_clamped(in_place.data(), in_place.data(),
+                                            37);
+    for (size_t i = 0; i < in_place.size(); ++i) {
+      ASSERT_EQ(in_place[i], ExpClamped(x[i])) << KernelTierName(tier);
+    }
+  }
+}
+
+TEST(ExpClampedTest, WithinOneAndAHalfUlpOfLongDoubleExp) {
+  // A uniform grid of 10⁶ + 1 points over [−40, 40], both ends included.
+  constexpr int64_t kPoints = 1000001;
+  std::vector<double> x(kPoints), out(kPoints);
+  for (int64_t i = 0; i < kPoints; ++i) {
+    x[static_cast<size_t>(i)] =
+        -40.0 + 80.0 * static_cast<double>(i) / (kPoints - 1);
+  }
+  GetRankKernelTable(0).exp_clamped(x.data(), out.data(), kPoints);
+  double worst = 0.0, worst_x = 0.0;
+  for (size_t i = 0; i < x.size(); ++i) {
+    const long double exact = std::exp(static_cast<long double>(x[i]));
+    const double ulp =
+        std::ldexp(1.0, std::ilogb(static_cast<double>(exact)) - 52);
+    const auto err = static_cast<double>(
+        std::fabs(static_cast<long double>(out[i]) - exact) / ulp);
+    if (err > worst) {
+      worst = err;
+      worst_x = x[i];
+    }
+  }
+  EXPECT_LE(worst, 1.5) << "at x = " << worst_x;
+  ExpectTiersMatchScalar(x);
+}
+
+TEST(ExpClampedTest, EdgesAndNonFiniteInputsFollowTheClamp) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(ExpClamped(0.0), 1.0);
+  EXPECT_EQ(ExpClamped(-0.0), 1.0);
+  const double top = ExpClamped(40.0);
+  const double bottom = ExpClamped(-40.0);
+  EXPECT_NEAR(top, std::exp(40.0), std::exp(40.0) * 4e-16);
+  EXPECT_NEAR(bottom, std::exp(-40.0), std::exp(-40.0) * 4e-16);
+  for (const double beyond : {40.0 + 1e-9, 41.0, 1e300, kInf}) {
+    EXPECT_EQ(ExpClamped(beyond), top) << beyond;
+    EXPECT_EQ(ExpClamped(-beyond), bottom) << -beyond;
+  }
+  EXPECT_TRUE(std::isnan(ExpClamped(nan)));
+  // A NaN in any lane of a vector block stays NaN and leaves its
+  // neighbours alone; so do ±inf.
+  std::vector<double> x = {0.5, nan, -1.0, kInf, -kInf, 2.0, nan, 40.0,
+                           -40.0, 3.0, nan};
+  ExpectTiersMatchScalar(x);
+  for (const KernelTier tier : AvailableTiers()) {
+    std::vector<double> out(x.size());
+    GetRankKernelTable(0, tier).exp_clamped(x.data(), out.data(),
+                                            static_cast<int64_t>(x.size()));
+    EXPECT_TRUE(std::isnan(out[1]) && std::isnan(out[6]) &&
+                std::isnan(out[10]))
+        << KernelTierName(tier);
+    EXPECT_EQ(out[3], top) << KernelTierName(tier);
+    EXPECT_EQ(out[4], bottom) << KernelTierName(tier);
   }
 }
 

@@ -1,12 +1,14 @@
 // Loss subsystem coverage: the fused analytic derivatives of every
 // LossFunction against central differences (boundary data values
-// included) and against the closed forms bitwise, link
+// included) and against the closed forms bitwise, the batch forms against
+// the scalar forms bitwise, link
 // functions, the bounded outlier store's capture/evict/decay/serialize
 // semantics, and the GCP Newton sweep's differential contracts — the
 // monotone non-increase of the reference objective on a static window and
 // the generalized running fitness agreeing with the slow reference.
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -20,6 +22,7 @@
 #include "core/cpd_state.h"
 #include "core/options.h"
 #include "data/synthetic.h"
+#include "linalg/rank_dispatch.h"
 #include "losses/gcp_row_update.h"
 #include "losses/loss_function.h"
 #include "losses/outlier_store.h"
@@ -143,6 +146,8 @@ TEST(LossFunctionTest, MinimizerSitsAtTheMatchingLink) {
 // The fused evaluation shares one exponential between ℓ, ℓ' and ℓ''. Its
 // value must equal Value() bitwise in every build (the GCP row step mixes
 // the two), and ℓ', ℓ'' must equal their standalone closed forms bitwise.
+// Poisson's closed forms are written with the library's ExpClamped, which
+// stays within an ulp of std::exp.
 // The closed-form values carry a multiply-subtract that FMA builds may
 // contract in this file but not in the library, so those compare to an ulp
 // of the summed term magnitudes instead.
@@ -163,7 +168,11 @@ TEST(LossFunctionTest, FusedTermsMatchTheClosedForms) {
     EXPECT_EQ(g.d1, 2.0 * (theta - y));
     EXPECT_EQ(g.d2, 2.0);
 
-    const double e = std::exp(std::clamp(theta, -40.0, 40.0));
+    const double e = ExpClamped(theta);
+    const double libm_e = std::exp(std::clamp(theta, -40.0, 40.0));
+    EXPECT_LE(std::fabs(e - libm_e),
+              std::ldexp(1.0, std::ilogb(libm_e) - 52))
+        << "theta=" << theta;
     const LossTerms p = poisson.Evaluate(y, theta);
     EXPECT_EQ(p.value, poisson.Value(y, theta));
     EXPECT_NEAR(p.value, e - y * theta, 2 * ulp * (e + std::fabs(y * theta)));
@@ -182,6 +191,55 @@ TEST(LossFunctionTest, FusedTermsMatchTheClosedForms) {
     EXPECT_EQ(q.d2, std::max(sigma * (1.0 - sigma), 1e-12));
     EXPECT_EQ(bernoulli.Link(theta), sigma);
   }
+}
+
+// The batch forms the GCP Newton step calls must equal the scalar forms
+// bitwise for every loss, on every kernel tier (Poisson's batch exp runs at
+// the process tier), including the clamp edges and non-finite θ.
+TEST(LossFunctionTest, BatchFormsEqualScalarFormsBitwise) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Rng rng(23);
+  std::vector<double> y, theta;
+  for (int i = 0; i < 517; ++i) {
+    theta.push_back((rng.UniformDouble() - 0.5) * 120.0);  // Past ±40.
+    y.push_back(std::floor(rng.UniformDouble() * 4.0));
+  }
+  for (const double edge : {0.0, -0.0, 40.0, -40.0, 1e3, -1e3, kInf, -kInf,
+                            std::numeric_limits<double>::quiet_NaN()}) {
+    theta.push_back(edge);
+    y.push_back(1.0);
+  }
+  const size_t n = theta.size();
+  auto same = [](double a, double b) {
+    return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b) ||
+           (std::isnan(a) && std::isnan(b));
+  };
+  std::vector<KernelTier> tiers = {KernelTier::kGeneric};
+  for (const KernelTier t : {KernelTier::kAvx2, KernelTier::kAvx512}) {
+    if (KernelTierSupported(t)) tiers.push_back(t);
+  }
+  for (const KernelTier tier : tiers) {
+    internal::RefreshKernelTierForTest(tier);
+    for (const LossKind kind : {LossKind::kGaussian, LossKind::kPoisson,
+                                LossKind::kBernoulliLogit}) {
+      SCOPED_TRACE(testing::Message()
+                   << KernelTierName(tier) << " " << LossKindName(kind));
+      const LossFunction& loss = GetLossFunction(kind);
+      std::vector<double> value(n), d1(n), d2(n), batch_value(n);
+      loss.EvaluateBatch(y.data(), theta.data(), value.data(), d1.data(),
+                         d2.data(), n);
+      loss.ValueBatch(y.data(), theta.data(), batch_value.data(), n);
+      for (size_t c = 0; c < n; ++c) {
+        const LossTerms terms = loss.Evaluate(y[c], theta[c]);
+        EXPECT_TRUE(same(value[c], terms.value)) << "theta=" << theta[c];
+        EXPECT_TRUE(same(d1[c], terms.d1)) << "theta=" << theta[c];
+        EXPECT_TRUE(same(d2[c], terms.d2)) << "theta=" << theta[c];
+        EXPECT_TRUE(same(batch_value[c], loss.Value(y[c], theta[c])))
+            << "theta=" << theta[c];
+      }
+    }
+  }
+  internal::RefreshKernelTierForTest();
 }
 
 TEST(LossFunctionTest, NamesAndKindsRoundTrip) {
