@@ -25,7 +25,6 @@
 #include "core/cpd_state.h"
 #include "core/gram_solve.h"
 #include "data/datasets.h"
-#include "linalg/cholesky.h"
 #include "losses/loss_function.h"
 #include "linalg/simd.h"
 #include "tensor/mttkrp.h"
@@ -486,9 +485,9 @@ void BM_KernelGramRankOneUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelGramRankOneUpdate)->SNS_KERNEL_BENCH_ARGS;
 
-// Cholesky row solve x = b H⁻¹ against a prefactorized Gram (the per-row
-// GramSolver fast path: copy + forward/back substitution), run through the
-// tier's runtime-length table.
+// Gram solve x = b H⁻¹ as the engine pays it on every row step: one
+// GramSolver::Factorize of H (the tier's cholesky_upper slot and the pivot
+// ratio check) and one Solve (the cholesky_solve_upper slot).
 void BM_KernelCholeskySolve(benchmark::State& state) {
   KernelTier tier;
   if (!ResolveBenchTier(state, &tier)) return;
@@ -498,13 +497,12 @@ void BM_KernelCholeskySolve(benchmark::State& state) {
   Matrix a = Matrix::RandomNormal(4 * rank, rank, rng);
   Matrix h = MultiplyTransposeA(a, a);
   for (int64_t i = 0; i < rank; ++i) h(i, i) += 1.0;
-  Matrix upper(rank, rank);
-  SNS_CHECK(CholeskyFactorizeUpperInto(h, upper));
+  GramSolver solver;
   AlignedVector b(rank), x(rank);
   for (int64_t r = 0; r < rank; ++r) b[r] = rng.Normal();
   for (auto _ : state) {
-    std::copy(b.data(), b.data() + rank, x.data());
-    CholeskySolveUpperInPlace(upper, x.data());
+    SNS_CHECK(solver.Factorize(h));
+    solver.Solve(b.data(), x.data());
     benchmark::DoNotOptimize(x.data());
   }
   state.SetItemsProcessed(state.iterations());

@@ -62,7 +62,7 @@ void AlsSweep(const SparseTensor& x, CpdState& state, AlsWorkspace& ws) {
     for (int64_t i = 0; i < factor.rows(); ++i) {
       kr.mul_accum(factor.Row(i), scale, padded);
     }
-    MultiplyTransposeAInto(factor, factor, state.grams[static_cast<size_t>(m)]);
+    SymmetricGramInto(factor, state.grams[static_cast<size_t>(m)]);
     ws.grams.NotifyModeChanged(m);
   }
 }

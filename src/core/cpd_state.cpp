@@ -19,8 +19,7 @@ void CpdState::RecomputeGrams() {
     grams.assign(static_cast<size_t>(modes), Matrix(r, r));
   }
   for (int m = 0; m < modes; ++m) {
-    const Matrix& f = model.factor(m);
-    MultiplyTransposeAInto(f, f, grams[static_cast<size_t>(m)]);
+    SymmetricGramInto(model.factor(m), grams[static_cast<size_t>(m)]);
   }
 }
 

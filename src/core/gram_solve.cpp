@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "linalg/cholesky.h"
+#include "linalg/rank_dispatch.h"
 
 namespace sns {
 namespace {
@@ -86,9 +87,10 @@ void GramSolver::Solve(const double* b, double* x) const {
     std::fill(x, x + n, 0.0);
     return;
   }
-  // H symmetric: b H⁻¹ == (H⁻¹ b')'.
-  std::copy(b, b + n, x);
-  CholeskySolveUpperInPlace(upper_, x);
+  // H symmetric: b H⁻¹ == (H⁻¹ b')'. One slot call, reading b in place
+  // (no staging copy into x for the slot's loads to wait on).
+  GetRankKernelTable(upper_.stride())
+      .cholesky_solve_upper(upper_.Row(0), b, x, n, upper_.stride());
 }
 
 void AddRidge(Matrix& h, double relative) {

@@ -20,7 +20,10 @@ namespace sns {
 /// against it. Both the Cholesky path and the ridge fallback perform zero
 /// heap allocations once the internal buffers match H's order, which makes
 /// this the solver of the per-event update hot path (owned by
-/// UpdateWorkspace / AlsWorkspace).
+/// UpdateWorkspace / AlsWorkspace). Each factorization attempt is one call
+/// of the process tier's `cholesky_upper` slot and each Solve one call of
+/// `cholesky_solve_upper` (linalg/rank_dispatch.h), so the factor and the
+/// solution are bitwise the row-suffix loops' on every tier.
 class GramSolver {
  public:
   /// Factorizes symmetric `h` (order n; only its upper triangle, diagonal
@@ -38,7 +41,7 @@ class GramSolver {
   void Solve(const double* b, double* x) const;
 
  private:
-  Matrix upper_;   // A = U'U factor (row-suffix kernels; linalg/cholesky.h).
+  Matrix upper_;   // A = U'U factor (upper triangle; linalg/cholesky.h).
   Matrix ridged_;  // H + δI staging of the ridge rungs.
   bool zero_ = false;
 };

@@ -1,6 +1,7 @@
 #include "linalg/matrix.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
 
@@ -119,6 +120,32 @@ void MultiplyTransposeAInto(const Matrix& a, const Matrix& b, Matrix& out) {
       if (a_ki == 0.0) continue;
       kr.axpy(a_ki, b_row, out.Row(i), b.stride());
     }
+  }
+}
+
+void SymmetricGramInto(const Matrix& f, Matrix& out) {
+  SNS_CHECK(out.rows() == f.cols() && out.cols() == f.cols());
+  out.SetZero();
+  if (f.cols() == 0) return;
+  // The weighted SYRK at unit weights: (1·f_ki)·f_kj is the exact product,
+  // and every upper entry takes it row by row in k order, in the table's
+  // axpy form, as MultiplyTransposeAInto does (which also skips f_ki == 0;
+  // adding a zero product changes nothing unless the sum is −0).
+  constexpr int64_t kChunk = 128;
+  static const std::array<double, kChunk> kOnes = [] {
+    std::array<double, kChunk> ones;
+    ones.fill(1.0);
+    return ones;
+  }();
+  const RankKernelTable& kr = GetRankKernelTable(f.stride());
+  for (int64_t k0 = 0; k0 < f.rows(); k0 += kChunk) {
+    kr.weighted_syrk_upper(f.Row(k0), kOnes.data(),
+                           std::min(kChunk, f.rows() - k0), f.cols(),
+                           out.Row(0), f.stride());
+  }
+  for (int64_t i = 1; i < f.cols(); ++i) {
+    double* row = out.Row(i);
+    for (int64_t j = 0; j < i; ++j) row[j] = out(j, i);
   }
 }
 

@@ -159,6 +159,14 @@ void AddOuterProduct(Matrix& dst, const double* u, const double* v);
 /// The allocation-free form of MultiplyTransposeA (Gram recomputation).
 void MultiplyTransposeAInto(const Matrix& a, const Matrix& b, Matrix& out);
 
+/// out = f' f, the Gram matrix of a factor: forms the upper triangle with
+/// the register-tiled weighted SYRK kernel and mirrors it, about half the
+/// multiply-adds of MultiplyTransposeAInto(f, f, out). Each entry takes the
+/// same products in the same order, so the two agree bitwise for finite f
+/// unless a product underflows to −0 while the sum is still zero (the zero
+/// products MultiplyTransposeAInto skips would then turn that −0 into +0).
+void SymmetricGramInto(const Matrix& f, Matrix& out);
+
 /// Column-wise Khatri-Rao product: (IK)×R from I×R and K×R, with row
 /// (i*K + k) = A(i,:) ∗ B(k,:). Matches the ⊙ operator of the paper. Used by
 /// tests and reference implementations, not by hot paths.

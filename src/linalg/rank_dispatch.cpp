@@ -51,7 +51,9 @@ constexpr RankKernelTable kGenericTable = {KernelTier::kGeneric,
                                            &VecCoordinateDescent<P>,
                                            &VecPanelDots<P>,
                                            &VecPanelAxpy<P>,
-                                           &GenericExpClamped};
+                                           &GenericExpClamped,
+                                           &VecCholeskyUpper<P>,
+                                           &VecCholeskySolveUpper<P>};
 
 const RankKernelTable& GenericTable(int64_t padded_rank) {
   // Reuses DispatchPaddedRank so the specialization set lives in exactly

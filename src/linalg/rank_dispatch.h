@@ -15,6 +15,9 @@
 //     weighted upper-triangle SYRK and the panel dot / axpy passes of the
 //     GCP Newton step, and the clipped coordinate descent of the +
 //     variants),
+//   - the Gram solve: the Cholesky factorization A = U'U and its forward /
+//     back substitution, as row-suffix loops over a runtime-length axpy and
+//     dot that every tier reproduces bitwise,
 //   - the library's own clamped exponential (ExpClamped and the
 //     exp_clamped slot), which rounds identically on every tier, and
 //   - RankKernelTable: a function-pointer table over those primitives, one
@@ -34,6 +37,7 @@
 #ifndef SLICENSTITCH_LINALG_RANK_DISPATCH_H_
 #define SLICENSTITCH_LINALG_RANK_DISPATCH_H_
 
+#include <cmath>
 #include <cstdint>
 
 #include "common/cpu_features.h"
@@ -257,6 +261,84 @@ inline void VecPanelAxpy(const double* weights, const double* panel,
 }
 
 // ---------------------------------------------------------------------------
+// Gram solve: Cholesky A = U'U of a symmetric positive-definite order ×
+// order matrix and its forward/back substitution, in the row-suffix form
+// every tier's table reproduces bitwise. `a` and `u` are row-major with
+// rows `stride` doubles apart (stride >= order, padding lanes 0.0); U is
+// upper-triangular, so every inner loop is a contiguous row suffix.
+
+/// Right-looking factorization through a runtime-length axpy `kAxpy`
+/// (signature of VecAxpy): stage a's upper triangle into u; then for k =
+/// 0..order−1 take the pivot u_kk, set it to √pivot, scale U(k, k+1..order)
+/// by 1/√pivot, and give every later row i with u_ki ≠ 0 the suffix update
+/// U(i, i..order) += (−u_ki)·U(k, i..order). So U(i, j) takes its updates
+/// k = 0..i−1 in k order, each one kAxpy multiply-add. Writes u's upper
+/// triangle only. Returns false at the first pivot that is not positive
+/// and finite; u is then partially written and must not be solved against.
+template <auto kAxpy>
+inline bool CholeskyUpperRowSuffixes(const double* a, double* u,
+                                     int64_t order, int64_t stride) {
+  for (int64_t i = 0; i < order; ++i) {
+    for (int64_t j = i; j < order; ++j) u[i * stride + j] = a[i * stride + j];
+  }
+  for (int64_t k = 0; k < order; ++k) {
+    double* row_k = u + k * stride;
+    const double pivot = row_k[k];
+    if (pivot <= 0.0 || !std::isfinite(pivot)) return false;
+    const double diag = std::sqrt(pivot);
+    row_k[k] = diag;
+    const double inv = 1.0 / diag;
+    for (int64_t j = k + 1; j < order; ++j) row_k[j] *= inv;
+    for (int64_t i = k + 1; i < order; ++i) {
+      const double u_ki = row_k[i];
+      if (u_ki == 0.0) continue;
+      kAxpy(-u_ki, row_k + i, u + i * stride + i, order - i);
+    }
+  }
+  return true;
+}
+
+/// Solve A x = b against CholeskyUpperRowSuffixes' factor: b and x hold
+/// `order` values and may be the same buffer. Forward elimination U' y = b:
+/// y_k = x_k / u_kk, then x(k+1..order) += (−y_k)·U(k, k+1..order) through
+/// kAxpy; back substitution U x = y: x_i = (x_i − kDot(U(i, i+1..order),
+/// x(i+1..order))) / u_ii.
+template <auto kAxpy, auto kDot>
+inline void CholeskySolveUpperRowSuffixes(const double* u, const double* b,
+                                          double* x, int64_t order,
+                                          int64_t stride) {
+  if (x != b) {
+    for (int64_t r = 0; r < order; ++r) x[r] = b[r];
+  }
+  for (int64_t k = 0; k < order; ++k) {
+    const double* row = u + k * stride;
+    const double y_k = x[k] / row[k];
+    x[k] = y_k;
+    kAxpy(-y_k, row + k + 1, x + k + 1, order - k - 1);
+  }
+  for (int64_t i = order - 1; i >= 0; --i) {
+    const double* row = u + i * stride;
+    x[i] = (x[i] - kDot(row + i + 1, x + i + 1, order - i - 1)) / row[i];
+  }
+}
+
+/// The generic tier's Gram solve slots: the row-suffix loops over
+/// VecAxpy<0> / VecDot<0>, at the padded stride. `order` is the system's
+/// order; n the padded stride (ignored for P > 0).
+template <int64_t P>
+inline bool VecCholeskyUpper(const double* a, double* u, int64_t order,
+                             int64_t n) {
+  return CholeskyUpperRowSuffixes<&VecAxpy<0>>(a, u, order, TripCount<P>(n));
+}
+
+template <int64_t P>
+inline void VecCholeskySolveUpper(const double* u, const double* b, double* x,
+                                  int64_t order, int64_t n) {
+  CholeskySolveUpperRowSuffixes<&VecAxpy<0>, &VecDot<0>>(u, b, x, order,
+                                                         TripCount<P>(n));
+}
+
+// ---------------------------------------------------------------------------
 // Clamped exponential e^clamp(x, −40, 40) of the non-Gaussian losses
 // (losses/loss_function.h). The library owns it instead of calling libm so
 // that the generic tier, both intrinsic tiers and the scalar loss forms
@@ -326,6 +408,16 @@ double ExpClamped(double x);
 /// panel_dots / panel_axpy equal the same tier's per-row dot / axpy
 /// sequence. exp_clamped is bitwise identical on every tier (see
 /// ExpClamped); it takes an element count, not a padded length.
+/// cholesky_upper and cholesky_solve_upper take the system's order and the
+/// padded row stride; on every tier they compute exactly what
+/// CholeskyUpperRowSuffixes and CholeskySolveUpperRowSuffixes compute over
+/// the same tier's runtime-length (P = 0) axpy and dot: the factor's upper
+/// triangle and padding lanes (kept 0.0), the solution, and on failure the
+/// same false at the same pivot with the rows before it written. Entries
+/// below the diagonal are unspecified (the intrinsic tiers write zeros into
+/// the diagonal's register block). The generic tier and the P = 0 tables
+/// run those loops; the intrinsic tiers at padded ranks up to 32 hold the
+/// working rows in registers (see codelets_avx2.cpp).
 struct RankKernelTable {
   KernelTier tier;      // Which implementation tier this table points at.
   int64_t padded_rank;  // 0 for the runtime-bound table of this tier.
@@ -357,6 +449,13 @@ struct RankKernelTable {
                      int64_t cells, double* y, int64_t n);
   // out[i] = ExpClamped(x[i]) for i in [0, count); out may alias x.
   void (*exp_clamped)(const double* x, double* out, int64_t count);
+  // Gram solve of an order × order system whose rows are n doubles apart
+  // (see CholeskyUpperRowSuffixes, CholeskySolveUpperRowSuffixes); a and u
+  // must not alias.
+  bool (*cholesky_upper)(const double* a, double* u, int64_t order,
+                         int64_t n);
+  void (*cholesky_solve_upper)(const double* u, const double* b, double* x,
+                               int64_t order, int64_t n);
 };
 
 /// The auto-tier table for a given padded rank: a specialization for every

@@ -6,8 +6,10 @@
 // padded tails of every phase (rank ≡ 0..3 mod 4). Also regression-guards
 // the layout invariants: 64-byte-aligned storage, padded leading stride,
 // and padding lanes that stay exactly 0.0 through real updater runs. The
-// GCP panel kernels are pinned to the per-row kernels bitwise, and the
-// library's clamped exponential to its scalar form and to long-double exp.
+// GCP panel kernels are pinned to the per-row kernels bitwise, the Gram
+// solve slots to the row-suffix loops over each tier's runtime-length
+// kernels bitwise, and the library's clamped exponential to its scalar form
+// and to long-double exp.
 
 #include <bit>
 #include <cmath>
@@ -212,6 +214,38 @@ TEST_P(KernelDispatchTest, MultiplyTransposeAIntoMatchesNaive) {
 
 // ---------------------------------------------------------------------------
 // Gram rank-1 updates.
+
+// SymmetricGramInto (upper triangle, mirrored) against the full
+// MultiplyTransposeAInto(f, f), bitwise on every tier, with exact zeros of
+// both signs in the factor (the entries one triangle skips).
+TEST_P(KernelDispatchTest, SymmetricGramEqualsFullProductBitwise) {
+  const int64_t rank = GetParam();
+  Rng rng(210 + rank);
+  Matrix f = Matrix::RandomNormal(3 * rank + 5, rank, rng);
+  for (int64_t i = 0; i < f.rows(); ++i) {
+    for (int64_t j = 0; j < rank; ++j) {
+      const double draw = rng.UniformDouble();
+      if (draw < 0.2) f(i, j) = 0.0;
+      if (draw > 0.9) f(i, j) = -0.0;
+    }
+  }
+  for (const KernelTier tier : AvailableTiers()) {
+    SCOPED_TRACE(KernelTierName(tier));
+    const ScopedProcessTier pin(tier);
+    Matrix gram(rank, rank), expected(rank, rank);
+    gram.Fill(3.0);  // Must be fully overwritten.
+    SymmetricGramInto(f, gram);
+    MultiplyTransposeAInto(f, f, expected);
+    for (int64_t i = 0; i < rank; ++i) {
+      for (int64_t j = 0; j < rank; ++j) {
+        ASSERT_EQ(std::bit_cast<uint64_t>(gram(i, j)),
+                  std::bit_cast<uint64_t>(expected(i, j)))
+            << "(" << i << ", " << j << ")";
+      }
+    }
+    EXPECT_TRUE(gram.PaddingIsZero());
+  }
+}
 
 TEST_P(KernelDispatchTest, GramRowUpdatesMatchNaive) {
   const int64_t rank = GetParam();
@@ -686,27 +720,31 @@ TEST_P(KernelDispatchTest, MttkrpIntoMatchesRowKernel) {
 }
 
 // ---------------------------------------------------------------------------
-// Cholesky solve vs a naive textbook substitution on (i, j) indexing.
+// Cholesky: the library's U'U factorization and solve against a textbook
+// lower factorization and substitution on (i, j) indexing.
 
-TEST_P(KernelDispatchTest, CholeskySolveMatchesNaiveSubstitution) {
-  const int64_t n = GetParam();
-  Rng rng(90 + n);
-  Matrix b = Matrix::RandomNormal(2 * n, n, rng);
-  Matrix spd = MultiplyTransposeA(b, b);
-  for (int64_t i = 0; i < n; ++i) spd(i, i) += 1.0;
+// A = L L' by the textbook column formula; false on a non-positive pivot.
+bool TextbookCholesky(const Matrix& a, Matrix& lower) {
+  const int64_t n = a.rows();
+  for (int64_t j = 0; j < n; ++j) {
+    for (int64_t i = j; i < n; ++i) {
+      double sum = a(i, j);
+      for (int64_t k = 0; k < j; ++k) sum -= lower(i, k) * lower(j, k);
+      if (i == j) {
+        if (!(sum > 0.0)) return false;
+        lower(j, j) = std::sqrt(sum);
+      } else {
+        lower(i, j) = sum / lower(j, j);
+      }
+    }
+  }
+  return true;
+}
 
-  Matrix lower(n, n);
-  ASSERT_TRUE(CholeskyFactorizeInto(spd, lower));
-  EXPECT_TRUE(lower.PaddingIsZero());
-
-  AlignedVector rhs(n), x(n);
-  for (int64_t i = 0; i < n; ++i) rhs[i] = rng.Normal();
-
-  // Kernel path.
-  for (int64_t i = 0; i < n; ++i) x[i] = rhs[i];
-  CholeskySolveInPlace(lower, x.data());
-
-  // Naive textbook forward/back substitution.
+// L L' x = b by forward then back substitution.
+std::vector<double> TextbookSolve(const Matrix& lower,
+                                  const AlignedVector& rhs) {
+  const int64_t n = lower.rows();
   std::vector<double> y(static_cast<size_t>(n));
   for (int64_t i = 0; i < n; ++i) {
     double sum = rhs[i];
@@ -721,6 +759,29 @@ TEST_P(KernelDispatchTest, CholeskySolveMatchesNaiveSubstitution) {
     }
     z[static_cast<size_t>(i)] = sum / lower(i, i);
   }
+  return z;
+}
+
+TEST_P(KernelDispatchTest, CholeskySolveMatchesNaiveSubstitution) {
+  const int64_t n = GetParam();
+  Rng rng(90 + n);
+  Matrix b = Matrix::RandomNormal(2 * n, n, rng);
+  Matrix spd = MultiplyTransposeA(b, b);
+  for (int64_t i = 0; i < n; ++i) spd(i, i) += 1.0;
+
+  Matrix lower(n, n), upper(n, n);
+  ASSERT_TRUE(TextbookCholesky(spd, lower));
+  ASSERT_TRUE(CholeskyFactorizeUpperInto(spd, upper));
+  EXPECT_TRUE(upper.PaddingIsZero());
+
+  AlignedVector rhs(n), x(n);
+  for (int64_t i = 0; i < n; ++i) rhs[i] = rng.Normal();
+
+  // Kernel path.
+  for (int64_t i = 0; i < n; ++i) x[i] = rhs[i];
+  CholeskySolveUpperInPlace(upper, x.data());
+
+  const std::vector<double> z = TextbookSolve(lower, rhs);
   for (int64_t i = 0; i < n; ++i) {
     ASSERT_NEAR(x[i], z[static_cast<size_t>(i)],
                 1e-9 * (1.0 + std::fabs(z[static_cast<size_t>(i)])));
@@ -739,7 +800,7 @@ TEST_P(KernelDispatchTest, UpperCholeskyMatchesLowerFactorization) {
   for (int64_t i = 0; i < n; ++i) spd(i, i) += 1.0;
 
   Matrix lower(n, n), upper(n, n);
-  ASSERT_TRUE(CholeskyFactorizeInto(spd, lower));
+  ASSERT_TRUE(TextbookCholesky(spd, lower));
   ASSERT_TRUE(CholeskyFactorizeUpperInto(spd, upper));
   for (int64_t i = 0; i < n; ++i) {
     for (int64_t j = i; j < n; ++j) {
@@ -749,18 +810,146 @@ TEST_P(KernelDispatchTest, UpperCholeskyMatchesLowerFactorization) {
     }
   }
 
-  AlignedVector rhs(n), x_lower(n), x_upper(n);
+  AlignedVector rhs(n), x_upper(n);
   for (int64_t i = 0; i < n; ++i) {
     rhs[i] = rng.Normal();
-    x_lower[i] = rhs[i];
     x_upper[i] = rhs[i];
   }
-  CholeskySolveInPlace(lower, x_lower.data());
+  const std::vector<double> x_lower = TextbookSolve(lower, rhs);
   CholeskySolveUpperInPlace(upper, x_upper.data());
   for (int64_t i = 0; i < n; ++i) {
-    ASSERT_NEAR(x_upper[i], x_lower[i], 1e-8 * (1.0 + std::fabs(x_lower[i])));
+    const double expected = x_lower[static_cast<size_t>(i)];
+    ASSERT_NEAR(x_upper[i], expected, 1e-8 * (1.0 + std::fabs(expected)));
   }
   EXPECT_TRUE(upper.PaddingIsZero());
+}
+
+// The Gram solve slots against the row-suffix loops over the same tier's
+// runtime-length axpy and dot, bitwise, on every tier and order 1..40 (so
+// the register-held forms of every padded rank and P = 0 run): the factor's
+// upper triangle and padding, the solution, a failure at the same pivot
+// with the same rows before it, and exact zeros (both signs) in the factor.
+
+// The loops as the library ran them through the table: the reference.
+int64_t RowSuffixCholesky(const RankKernelTable& rt, const Matrix& a,
+                          Matrix& upper) {
+  const int64_t n = a.rows();
+  for (int64_t i = 0; i < n; ++i) {
+    for (int64_t j = i; j < n; ++j) upper(i, j) = a(i, j);
+  }
+  for (int64_t k = 0; k < n; ++k) {
+    double* row_k = upper.Row(k);
+    const double pivot = row_k[k];
+    if (pivot <= 0.0 || !std::isfinite(pivot)) return k;
+    const double diag = std::sqrt(pivot);
+    row_k[k] = diag;
+    const double inv = 1.0 / diag;
+    for (int64_t j = k + 1; j < n; ++j) row_k[j] *= inv;
+    for (int64_t i = k + 1; i < n; ++i) {
+      const double u_ki = row_k[i];
+      if (u_ki == 0.0) continue;
+      rt.axpy(-u_ki, row_k + i, upper.Row(i) + i, n - i);
+    }
+  }
+  return n;
+}
+
+void RowSuffixSolve(const RankKernelTable& rt, const Matrix& upper,
+                    double* x) {
+  const int64_t n = upper.rows();
+  for (int64_t k = 0; k < n; ++k) {
+    const double* row = upper.Row(k);
+    const double y_k = x[k] / row[k];
+    x[k] = y_k;
+    rt.axpy(-y_k, row + k + 1, x + k + 1, n - k - 1);
+  }
+  for (int64_t i = n - 1; i >= 0; --i) {
+    const double* row = upper.Row(i);
+    x[i] = (x[i] - rt.dot(row + i + 1, x + i + 1, n - i - 1)) / row[i];
+  }
+}
+
+// Upper-triangle rows [0, rows) and every padding lane, bit for bit.
+void ExpectSameUpperRows(const Matrix& actual, const Matrix& expected,
+                         int64_t rows) {
+  for (int64_t i = 0; i < rows; ++i) {
+    for (int64_t j = i; j < actual.cols(); ++j) {
+      ASSERT_EQ(std::bit_cast<uint64_t>(actual(i, j)),
+                std::bit_cast<uint64_t>(expected(i, j)))
+          << "(" << i << ", " << j << ")";
+    }
+  }
+  EXPECT_TRUE(actual.PaddingIsZero());
+}
+
+void ExpectSlotsMatchRowSuffixLoops(const Matrix& h, const char* what) {
+  const int64_t n = h.rows();
+  const int64_t padded = PaddedRank(n);
+  Rng rng(500 + n);
+  std::vector<double> rhs(static_cast<size_t>(n));
+  for (double& v : rhs) v = rng.Normal();
+  for (const KernelTier tier : AvailableTiers()) {
+    SCOPED_TRACE(testing::Message()
+                 << what << " " << KernelTierName(tier) << " n=" << n);
+    const RankKernelTable& rt = GetRankKernelTable(0, tier);
+    const RankKernelTable& kr = GetRankKernelTable(padded, tier);
+    Matrix expected(n, n), upper(n, n);
+    upper.Fill(7.0);  // Stale values below the diagonal must not matter.
+    const int64_t failed_at = RowSuffixCholesky(rt, h, expected);
+    const bool ok = kr.cholesky_upper(h.Row(0), upper.Row(0), n, padded);
+    ASSERT_EQ(ok, failed_at == n);
+    ExpectSameUpperRows(upper, expected, failed_at);
+    if (!ok) continue;
+    // Unpadded b and x: the slot touches `order` values of each. In place
+    // (b == x) and out of place give the same bits.
+    std::vector<double> x(rhs.size()), in_place(rhs), expected_x(rhs);
+    kr.cholesky_solve_upper(upper.Row(0), rhs.data(), x.data(), n, padded);
+    kr.cholesky_solve_upper(upper.Row(0), in_place.data(), in_place.data(),
+                            n, padded);
+    ASSERT_EQ(x, in_place);
+    RowSuffixSolve(rt, expected, expected_x.data());
+    for (int64_t r = 0; r < n; ++r) {
+      ASSERT_EQ(std::bit_cast<uint64_t>(x[static_cast<size_t>(r)]),
+                std::bit_cast<uint64_t>(expected_x[static_cast<size_t>(r)]))
+          << "x[" << r << "]";
+    }
+  }
+}
+
+TEST(GramSolveSlotTest, EqualRowSuffixLoopsBitwiseOnEveryTier) {
+  for (int64_t n = 1; n <= 40; ++n) {
+    Rng rng(400 + n);
+    Matrix b = Matrix::RandomNormal(n + 3, n, rng);
+    Matrix spd = MultiplyTransposeA(b, b);
+    for (int64_t i = 0; i < n; ++i) spd(i, i) += 0.5;
+    ExpectSlotsMatchRowSuffixLoops(spd, "spd");
+
+    // Exact zeros in the factor: a sparse B leaves zeros in H that
+    // survive as u_ki == 0 (some of them −0) and take the skip.
+    Matrix sparse(2 * n, n);
+    for (int64_t i = 0; i < 2 * n; ++i) {
+      for (int64_t j = 0; j < n; ++j) {
+        if (rng.UniformDouble() < 0.15) sparse(i, j) = rng.Normal();
+      }
+    }
+    Matrix gram = MultiplyTransposeA(sparse, sparse);
+    for (int64_t i = 0; i < n; ++i) {
+      gram(i, i) += 1.0;
+      for (int64_t j = i + 1; j < n; ++j) {
+        if (gram(i, j) == 0.0 && (i + j) % 3 == 0) gram(i, j) = -0.0;
+      }
+    }
+    ExpectSlotsMatchRowSuffixLoops(gram, "zeros");
+
+    // Not positive definite: a pivot fails part-way (or at 0 for n = 1).
+    Matrix indefinite = spd;
+    const int64_t bad = n / 2;
+    for (int64_t j = 0; j < n; ++j) {
+      indefinite(bad, j) = indefinite(j, bad) = spd(0, j);
+    }
+    indefinite(bad, bad) = bad == 0 ? -1.0 : spd(0, 0) - 1e-3;
+    ExpectSlotsMatchRowSuffixLoops(indefinite, "indefinite");
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -127,21 +127,42 @@ TEST(MatrixTest, RowTimesMatrix) {
   }
 }
 
-/// x = A⁻¹ b through CholeskyFactorizeInto + CholeskySolveInPlace.
+/// A = L L' by the textbook (i, j)-indexed column formula: the reference
+/// the library's U'U factor is checked against.
+Matrix TextbookCholesky(const Matrix& a) {
+  const int64_t n = a.rows();
+  Matrix lower(n, n);
+  for (int64_t j = 0; j < n; ++j) {
+    for (int64_t i = j; i < n; ++i) {
+      double sum = a(i, j);
+      for (int64_t k = 0; k < j; ++k) sum -= lower(i, k) * lower(j, k);
+      SNS_CHECK(i != j || sum > 0.0);
+      lower(i, j) = i == j ? std::sqrt(sum) : sum / lower(j, j);
+    }
+  }
+  return lower;
+}
+
+/// x = A⁻¹ b through CholeskyFactorizeUpperInto + CholeskySolveUpperInPlace.
 std::vector<double> CholeskySolve(const Matrix& a, std::vector<double> b) {
-  Matrix lower(a.rows(), a.rows());
-  SNS_CHECK(CholeskyFactorizeInto(a, lower));
-  CholeskySolveInPlace(lower, b.data());
+  Matrix upper(a.rows(), a.rows());
+  SNS_CHECK(CholeskyFactorizeUpperInto(a, upper));
+  CholeskySolveUpperInPlace(upper, b.data());
   return b;
 }
 
 TEST(CholeskyTest, ReconstructsFactorization) {
   Rng rng(13);
   Matrix a = RandomSpd(6, rng);
-  Matrix lower(6, 6);  // Zero above the diagonal, which is never written.
-  ASSERT_TRUE(CholeskyFactorizeInto(a, lower));
-  Matrix recon = Multiply(lower, lower.Transposed());
-  EXPECT_LT(MaxAbsDiff(recon, a), 1e-9);
+  const Matrix lower = TextbookCholesky(a);
+  EXPECT_LT(MaxAbsDiff(Multiply(lower, lower.Transposed()), a), 1e-9);
+  Matrix upper(6, 6);  // Zero below the diagonal, as the slots leave it.
+  ASSERT_TRUE(CholeskyFactorizeUpperInto(a, upper));
+  for (int64_t i = 0; i < 6; ++i) {
+    for (int64_t j = 0; j < i; ++j) upper(i, j) = 0.0;
+  }
+  EXPECT_LT(MaxAbsDiff(Multiply(upper.Transposed(), upper), a), 1e-9);
+  EXPECT_LT(MaxAbsDiff(upper, lower.Transposed()), 1e-9);
 }
 
 TEST(CholeskyTest, SolveRecoversSolution) {
@@ -328,16 +349,16 @@ TEST(InPlaceKernelsTest, MultiplyTransposeAIntoMatchesAllocatingForm) {
   EXPECT_EQ(MaxAbsDiff(out, expected), 0.0);
 }
 
-TEST(InPlaceKernelsTest, CholeskyFactorizeIntoAndSolveInPlace) {
+TEST(InPlaceKernelsTest, CholeskyFactorizeUpperIntoAndSolveUpperInPlace) {
   Rng rng(44);
   Matrix h = RandomSpd(5, rng, 1.0);
-  Matrix lower(5, 5);
-  lower.Fill(7.0);  // Stale garbage that must not leak into the solve.
-  ASSERT_TRUE(CholeskyFactorizeInto(h, lower));
+  Matrix upper(5, 5);
+  upper.Fill(7.0);  // Stale garbage that must not leak into the solve.
+  ASSERT_TRUE(CholeskyFactorizeUpperInto(h, upper));
   std::vector<double> b(5);
   for (int i = 0; i < 5; ++i) b[i] = rng.Normal();
   std::vector<double> x(b);
-  CholeskySolveInPlace(lower, x.data());
+  CholeskySolveUpperInPlace(upper, x.data());
   // Residual ‖Hx − b‖ of the solve.
   double residual_sq = 0.0;
   for (int i = 0; i < 5; ++i) {
@@ -348,11 +369,11 @@ TEST(InPlaceKernelsTest, CholeskyFactorizeIntoAndSolveInPlace) {
   EXPECT_LT(std::sqrt(residual_sq), 1e-10);
 }
 
-TEST(InPlaceKernelsTest, CholeskyFactorizeIntoRejectsIndefinite) {
+TEST(InPlaceKernelsTest, CholeskyFactorizeUpperIntoRejectsIndefinite) {
   Matrix a = Matrix::Identity(3);
   a(2, 2) = -1.0;
-  Matrix lower(3, 3);
-  EXPECT_FALSE(CholeskyFactorizeInto(a, lower));
+  Matrix upper(3, 3);
+  EXPECT_FALSE(CholeskyFactorizeUpperInto(a, upper));
 }
 
 TEST(InPlaceKernelsTest, GramSolverReuseMatchesOneShotSolve) {
