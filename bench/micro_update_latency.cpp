@@ -26,6 +26,7 @@
 #include "core/gram_solve.h"
 #include "data/datasets.h"
 #include "losses/loss_function.h"
+#include "linalg/rank_dispatch.h"
 #include "linalg/simd.h"
 #include "tensor/mttkrp.h"
 
@@ -508,6 +509,63 @@ void BM_KernelCholeskySolve(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_KernelCholeskySolve)->SNS_KERNEL_BENCH_ARGS;
+
+// Cells per GCP Newton row step: the mean of a durable-gcp step.
+constexpr int64_t kGcpStepCells = 115;
+
+// The GCP Newton step's curvature: the Hessian zeroed, then the weighted
+// upper SYRK of one step's staged panel.
+void BM_KernelWeightedSyrk(benchmark::State& state) {
+  KernelTier tier;
+  if (!ResolveBenchTier(state, &tier)) return;
+  const ScopedProcessTier pin(tier);
+  const int64_t rank = state.range(0);
+  Rng rng(47);
+  const Matrix panel = Matrix::RandomNormal(kGcpStepCells, rank, rng);
+  std::vector<double> weights(static_cast<size_t>(kGcpStepCells));
+  for (double& w : weights) w = 0.1 + rng.UniformDouble();
+  Matrix hessian(rank, rank);
+  const RankKernelTable& kr = GetRankKernelTable(hessian.stride());
+  for (auto _ : state) {
+    hessian.SetZero();
+    kr.weighted_syrk_upper(panel.Row(0), weights.data(), kGcpStepCells, rank,
+                           hessian.Row(0), hessian.stride());
+    benchmark::DoNotOptimize(hessian.Row(0));
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetLabel("115 cells");
+}
+BENCHMARK(BM_KernelWeightedSyrk)->SNS_KERNEL_BENCH_ARGS;
+
+// The GCP Newton step's staging: one step's Hadamard rows of a 3-mode
+// slice gathered from their factor rows into the panel, with θ per cell.
+void BM_KernelGatherHadamardDots(benchmark::State& state) {
+  KernelTier tier;
+  if (!ResolveBenchTier(state, &tier)) return;
+  const ScopedProcessTier pin(tier);
+  KernelFixture w(state.range(0));
+  std::vector<const double*> rows;
+  for (int64_t c = 0; c < kGcpStepCells; ++c) {
+    const ModeIndex& cell = w.cells[static_cast<size_t>(c)];
+    rows.push_back(w.factors[1].Row(cell[1]));
+    rows.push_back(w.factors[2].Row(cell[2]));
+  }
+  const int64_t stride = w.factors[0].stride();
+  Matrix panel(kGcpStepCells, state.range(0));
+  std::vector<double> dots(static_cast<size_t>(kGcpStepCells));
+  const RankKernelTable& kr = GetRankKernelTable(stride);
+  for (auto _ : state) {
+    kr.gather_hadamard_dots(rows.data(), 2, kGcpStepCells,
+                            w.factors[0].Row(0), panel.Row(0), dots.data(),
+                            stride);
+    benchmark::DoNotOptimize(dots.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetLabel("115 cells");
+}
+BENCHMARK(BM_KernelGatherHadamardDots)->SNS_KERNEL_BENCH_ARGS;
 
 }  // namespace
 }  // namespace sns

@@ -345,6 +345,51 @@ void PanelAxpy(const double* weights, const double* panel, int64_t cells,
   }
 }
 
+// GCP Newton staging (see VecGatherHadamardDots). For P ≤ 32 a cell's
+// Hadamard row is formed in P/4 ymm registers, one multiply per factor row
+// and block, stored to the panel and dotted with the register-held v in
+// Dot<P>'s chain and reduction. P = 0 runs Copy/Mul/MulAccum and Dot<0>.
+template <int64_t P>
+void GatherHadamardDots(const double* const* rows, int64_t count,
+                        int64_t cells, const double* v, double* panel,
+                        double* dots, int64_t n) {
+  if constexpr (P == 0) {
+    for (int64_t c = 0; c < cells; ++c) {
+      const double* const* r = rows + c * count;
+      double* h = panel + c * n;
+      if (count == 1) {
+        Copy<0>(r[0], h, n);
+      } else {
+        Mul<0>(r[0], r[1], h, n);
+        for (int64_t k = 2; k < count; ++k) MulAccum<0>(h, r[k], n);
+      }
+      dots[c] = Dot<0>(h, v, n);
+    }
+  } else {
+    constexpr int kRegs = static_cast<int>(P / 4);
+    __m256d vv[kRegs];
+    for (int b = 0; b < kRegs; ++b) vv[b] = _mm256_loadu_pd(v + 4 * b);
+    for (int64_t c = 0; c < cells; ++c) {
+      const double* const* r = rows + c * count;
+      __m256d h[kRegs];
+      for (int b = 0; b < kRegs; ++b) h[b] = _mm256_loadu_pd(r[0] + 4 * b);
+      for (int64_t k = 1; k < count; ++k) {
+        for (int b = 0; b < kRegs; ++b) {
+          h[b] = _mm256_mul_pd(h[b], _mm256_loadu_pd(r[k] + 4 * b));
+        }
+      }
+      __m256d acc = _mm256_setzero_pd();
+      for (int b = 0; b < kRegs; ++b) {
+        _mm256_storeu_pd(panel + c * P + 4 * b, h[b]);
+        acc = _mm256_fmadd_pd(h[b], vv[b], acc);
+      }
+      const __m128d pair = _mm_add_pd(_mm256_castpd256_pd128(acc),
+                                      _mm256_extractf128_pd(acc, 1));
+      dots[c] = _mm_cvtsd_f64(_mm_add_sd(pair, _mm_unpackhi_pd(pair, pair)));
+    }
+  }
+}
+
 // ExpClamped over four lanes (see rank_dispatch.h): separate multiplies and
 // adds, never fused, so every lane equals the scalar form bitwise. The
 // clamp keeps x in max_pd's and min_pd's second operand, the one they
@@ -656,6 +701,7 @@ constexpr RankKernelTable kTable = {KernelTier::kAvx2,
                                     &CoordinateDescent<P>,
                                     &PanelDots<P>,
                                     &PanelAxpy<P>,
+                                    &GatherHadamardDots<P>,
                                     &ExpClampedKernel,
                                     &CholeskyUpper<P>,
                                     &CholeskySolveUpper<P>};

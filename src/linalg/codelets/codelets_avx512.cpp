@@ -34,6 +34,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <tuple>
+#include <utility>
 
 namespace sns::codelets {
 namespace {
@@ -66,6 +68,16 @@ inline double ReduceLanes4(__m256d p) {
   const __m128d pair =
       _mm_add_pd(_mm256_castpd256_pd128(p), _mm256_extractf128_pd(p, 1));
   return _mm_cvtsd_f64(_mm_add_sd(pair, _mm_unpackhi_pd(pair, pair)));
+}
+
+// Block w of a P-lane row. The four-lane tail is a plain 256-bit load,
+// zero-extended: a masked load would not be forwarded a row that was
+// stored just before (by the caller, or by the Gram solve's StoreBlock).
+template <int64_t P>
+inline __m512d LoadBlock(const double* row, int w) {
+  if (8 * w + 8 <= P) return _mm512_loadu_pd(row + 8 * w);
+  return _mm512_maskz_insertf64x4(0xFF, _mm512_setzero_pd(),
+                                  _mm256_loadu_pd(row + 8 * w), 0);
 }
 
 template <int64_t P>
@@ -249,12 +261,27 @@ void ScaledDiffAccum(double p, const double* new_row, const double* prev_row,
 }
 
 // Weighted upper SYRK (see VecWeightedSyrkUpper and the AVX2 codelet).
-// A W-column tile row is W/8 zmm accumulators plus one ymm when W ≡ 4
-// (mod 8); the widest 4-row tile holds 16 accumulators + 4 column loads +
-// 1 broadcast of the 32 zmm registers. One FMA per element per cell, in
-// cell order, exactly like Axpy.
+// Every element takes one FMA per cell, u·h_j + acc with u = weights[c] ·
+// h_i rounded on its own, in cell order, exactly like Axpy. Cells go in
+// chunks of 128, so a chunk's panel rows (and its staged u, at most 32 KiB
+// of stack) stay cache-resident across the chunk's passes.
+//
+// P = 0 runs 4-row tiles of at most 32 columns, each over the whole chunk:
+// a W-column tile row is W/8 zmm accumulators plus one ymm when W ≡ 4
+// (mod 8).
+//
+// For P ≤ 32 a chunk first stages u_c = weights[c]·h_c, one multiply per
+// block. The triangle's 4-row bands then run in as few passes over the
+// chunk as the 32 zmm registers allow: band b holds rows [4b, 4b + 4) over
+// columns [4b, P), (P − 4b)/8 zmm accumulators per row plus a ymm when
+// P − 4b ≡ 4 (mod 8), and a pass takes consecutive bands while their
+// blocks per row sum to at most kSyrkPassBlocks (4 accumulators and one
+// column load per block: at most 30 registers, u broadcast from memory).
+// At P = 20 that is bands {0, 1} with 20 accumulators, then {2, 3, 4} with
+// 16. Rows from `rows` on are neither loaded nor stored.
 constexpr int64_t kSyrkMaxWidth = 32;
-constexpr int64_t kSyrkCellChunk = 128;  // Keeps a chunk's panel L1-resident.
+constexpr int64_t kSyrkCellChunk = 128;
+constexpr int kSyrkPassBlocks = 6;
 
 template <int NR, int W>
 void SyrkTile(const double* panel, const double* weights, int64_t cells,
@@ -317,25 +344,138 @@ void SyrkTileOfWidth(int64_t width, const double* panel,
   }
 }
 
+// Band B of a P-lane triangle: its accumulators, and one cell's update of
+// them from the cell's panel row h and staged u.
+template <int64_t P, int B>
+struct SyrkBand {
+  static constexpr int64_t kRow = 4 * B;  // First row, and first column.
+  static constexpr int kZ = static_cast<int>((P - kRow) / 8);
+  static constexpr bool kTail = (P - kRow) % 8 != 0;
+  static constexpr int kZs = kZ > 0 ? kZ : 1;  // No zero-length arrays.
+  __m512d z[4][kZs] = {};
+  __m256d t[4] = {};
+
+  void Load(const double* out, int64_t rows) {
+    for (int r = 0; r < 4; ++r) {
+      if (kRow + r >= rows) continue;
+      const double* o = out + (kRow + r) * P + kRow;
+      for (int v = 0; v < kZ; ++v) z[r][v] = _mm512_loadu_pd(o + 8 * v);
+      if constexpr (kTail) t[r] = _mm256_loadu_pd(o + 8 * kZ);
+    }
+  }
+
+  void Update(const double* h, const double* u) {
+    __m512d x[kZs] = {};
+    for (int v = 0; v < kZ; ++v) x[v] = _mm512_loadu_pd(h + kRow + 8 * v);
+    const __m256d xt =
+        kTail ? _mm256_loadu_pd(h + kRow + 8 * kZ) : _mm256_setzero_pd();
+    for (int r = 0; r < 4; ++r) {
+      for (int v = 0; v < kZ; ++v) {
+        z[r][v] = _mm512_fmadd_pd(_mm512_set1_pd(u[kRow + r]), x[v], z[r][v]);
+      }
+      if constexpr (kTail) {
+        t[r] = _mm256_fmadd_pd(_mm256_set1_pd(u[kRow + r]), xt, t[r]);
+      }
+    }
+  }
+
+  void Store(double* out, int64_t rows) const {
+    for (int r = 0; r < 4; ++r) {
+      if (kRow + r >= rows) continue;
+      double* o = out + (kRow + r) * P + kRow;
+      for (int v = 0; v < kZ; ++v) _mm512_storeu_pd(o + 8 * v, z[r][v]);
+      if constexpr (kTail) _mm256_storeu_pd(o + 8 * kZ, t[r]);
+    }
+  }
+};
+
+template <int64_t P>
+constexpr int SyrkBandBlocks(int b) {
+  return static_cast<int>((P - 4 * b + 7) / 8);
+}
+
+// One past the last band of the pass that starts at band b0.
+template <int64_t P>
+constexpr int SyrkPassEnd(int b0) {
+  int b = b0;
+  for (int blocks = 0; b < P / 4; ++b) {
+    blocks += SyrkBandBlocks<P>(b);
+    if (blocks > kSyrkPassBlocks) break;
+  }
+  return b;
+}
+
+template <int64_t P, int B0, int... Is>
+void SyrkPass(const double* panel, const double* u, int64_t cells,
+              int64_t rows, double* out, std::integer_sequence<int, Is...>) {
+  std::tuple<SyrkBand<P, B0 + Is>...> bands;
+  std::apply([&](auto&... band) { (band.Load(out, rows), ...); }, bands);
+  for (int64_t c = 0; c < cells; ++c) {
+    std::apply(
+        [&](auto&... band) { (band.Update(panel + c * P, u + c * P), ...); },
+        bands);
+  }
+  std::apply([&](const auto&... band) { (band.Store(out, rows), ...); },
+             bands);
+}
+
+// The passes from band B0 on, while they hold a row below `rows`.
+template <int64_t P, int B0>
+void SyrkPasses(const double* panel, const double* u, int64_t cells,
+                int64_t rows, double* out) {
+  constexpr int kEnd = SyrkPassEnd<P>(B0);
+  SyrkPass<P, B0>(panel, u, cells, rows, out,
+                  std::make_integer_sequence<int, kEnd - B0>{});
+  if constexpr (kEnd < P / 4) {
+    if (4 * kEnd < rows) SyrkPasses<P, kEnd>(panel, u, cells, rows, out);
+  }
+}
+
 template <int64_t P>
 void WeightedSyrkUpper(const double* panel, const double* weights,
                        int64_t cells, int64_t rows, double* out, int64_t n) {
-  const int64_t m = Trip<P>(n);
-  for (int64_t c0 = 0; c0 < cells; c0 += kSyrkCellChunk) {
-    const int64_t chunk = std::min(kSyrkCellChunk, cells - c0);
-    const double* p = panel + c0 * m;
-    const double* w = weights + c0;
-    for (int64_t i0 = 0; i0 < rows; i0 += 4) {
-      for (int64_t j0 = i0; j0 < m; j0 += kSyrkMaxWidth) {
-        const int64_t width = std::min(kSyrkMaxWidth, m - j0);
-        if (i0 + 4 <= rows) {
-          SyrkTileOfWidth<4>(width, p, w, chunk, m, i0, j0, out);
-        } else {
-          for (int64_t i = i0; i < rows; ++i) {
-            SyrkTileOfWidth<1>(width, p, w, chunk, m, i, j0, out);
+  if constexpr (P == 0) {
+    for (int64_t c0 = 0; c0 < cells; c0 += kSyrkCellChunk) {
+      const int64_t chunk = std::min(kSyrkCellChunk, cells - c0);
+      const double* p = panel + c0 * n;
+      const double* w = weights + c0;
+      for (int64_t i0 = 0; i0 < rows; i0 += 4) {
+        for (int64_t j0 = i0; j0 < n; j0 += kSyrkMaxWidth) {
+          const int64_t width = std::min(kSyrkMaxWidth, n - j0);
+          if (i0 + 4 <= rows) {
+            SyrkTileOfWidth<4>(width, p, w, chunk, n, i0, j0, out);
+          } else {
+            for (int64_t i = i0; i < rows; ++i) {
+              SyrkTileOfWidth<1>(width, p, w, chunk, n, i, j0, out);
+            }
           }
         }
       }
+    }
+  } else {
+    if (rows <= 0) return;
+    constexpr int kZ = static_cast<int>(P / 8);
+    constexpr bool kTail = P % 8 != 0;
+    alignas(64) double u[kSyrkCellChunk * P];
+    for (int64_t c0 = 0; c0 < cells; c0 += kSyrkCellChunk) {
+      const int64_t chunk = std::min(kSyrkCellChunk, cells - c0);
+      const double* p = panel + c0 * P;
+      for (int64_t c = 0; c < chunk; ++c) {
+        const double* h = p + c * P;
+        double* uc = u + c * P;
+        const double w = weights[c0 + c];
+        for (int v = 0; v < kZ; ++v) {
+          _mm512_storeu_pd(uc + 8 * v,
+                           _mm512_mul_pd(_mm512_set1_pd(w),
+                                         _mm512_loadu_pd(h + 8 * v)));
+        }
+        if constexpr (kTail) {
+          _mm256_storeu_pd(uc + 8 * kZ,
+                           _mm256_mul_pd(_mm256_set1_pd(w),
+                                         _mm256_loadu_pd(h + 8 * kZ)));
+        }
+      }
+      SyrkPasses<P, 0>(p, u, chunk, rows, out);
     }
   }
 }
@@ -378,8 +518,7 @@ void CoordinateDescent(double* row, int64_t rank, const double* hq,
     constexpr bool kTail = P % 8 != 0;           // Then one 4-wide block.
     constexpr int kRegs = kZ + (kTail ? 1 : 0);
     __m512d r[kRegs];
-    for (int v = 0; v < kZ; ++v) r[v] = _mm512_loadu_pd(row + 8 * v);
-    if constexpr (kTail) r[kZ] = _mm512_maskz_loadu_pd(0x0F, row + 8 * kZ);
+    for (int v = 0; v < kRegs; ++v) r[v] = LoadBlock<P>(row, v);
     for (int64_t k = 0; k < rank; ++k) {
       const double* hq_k = hq + k * P;
       const double c_k = hq_k[k];
@@ -425,6 +564,65 @@ void PanelAxpy(const double* weights, const double* panel, int64_t cells,
   const int64_t m = Trip<P>(n);
   for (int64_t c = 0; c < cells; ++c) {
     Axpy<P>(weights[c], panel + c * m, y, n);
+  }
+}
+
+// GCP Newton staging (see VecGatherHadamardDots). For P ≤ 32 a cell's
+// Hadamard row is formed in registers (P/8 zmm, then a ymm when P ≡ 4
+// mod 8), one multiply per factor row and block, stored to the panel and
+// dotted with the register-held v in Dot<P>'s chain, reduction and tail.
+// P = 0 runs Copy/Mul/MulAccum and Dot<0>.
+template <int64_t P>
+void GatherHadamardDots(const double* const* rows, int64_t count,
+                        int64_t cells, const double* v, double* panel,
+                        double* dots, int64_t n) {
+  if constexpr (P == 0) {
+    for (int64_t c = 0; c < cells; ++c) {
+      const double* const* r = rows + c * count;
+      double* h = panel + c * n;
+      if (count == 1) {
+        Copy<0>(r[0], h, n);
+      } else {
+        Mul<0>(r[0], r[1], h, n);
+        for (int64_t k = 2; k < count; ++k) MulAccum<0>(h, r[k], n);
+      }
+      dots[c] = Dot<0>(h, v, n);
+    }
+  } else {
+    constexpr int kZ = static_cast<int>(P / 8);
+    constexpr bool kTail = P % 8 != 0;
+    constexpr int kZs = kZ > 0 ? kZ : 1;  // No zero-length arrays.
+    __m512d vz[kZs] = {};
+    for (int b = 0; b < kZ; ++b) vz[b] = _mm512_loadu_pd(v + 8 * b);
+    const __m256d vt =
+        kTail ? _mm256_loadu_pd(v + 8 * kZ) : _mm256_setzero_pd();
+    for (int64_t c = 0; c < cells; ++c) {
+      const double* const* r = rows + c * count;
+      double* out = panel + c * P;
+      __m512d h[kZs] = {};
+      for (int b = 0; b < kZ; ++b) h[b] = _mm512_loadu_pd(r[0] + 8 * b);
+      __m256d t =
+          kTail ? _mm256_loadu_pd(r[0] + 8 * kZ) : _mm256_setzero_pd();
+      for (int64_t k = 1; k < count; ++k) {
+        for (int b = 0; b < kZ; ++b) {
+          h[b] = _mm512_mul_pd(h[b], _mm512_loadu_pd(r[k] + 8 * b));
+        }
+        if constexpr (kTail) {
+          t = _mm256_mul_pd(t, _mm256_loadu_pd(r[k] + 8 * kZ));
+        }
+      }
+      __m512d acc = _mm512_setzero_pd();
+      for (int b = 0; b < kZ; ++b) {
+        _mm512_storeu_pd(out + 8 * b, h[b]);
+        acc = _mm512_fmadd_pd(h[b], vz[b], acc);
+      }
+      double dot = ReduceLanes8(acc);
+      if constexpr (kTail) {
+        _mm256_storeu_pd(out + 8 * kZ, t);
+        dot += ReduceLanes4(_mm256_mul_pd(t, vt));
+      }
+      dots[c] = dot;
+    }
   }
 }
 
@@ -499,16 +697,6 @@ inline __mmask8 BlockMask(int64_t lo, int64_t hi, int w) {
   const uint64_t bits =
       ((uint64_t{1} << hi) - 1) & ~((uint64_t{1} << lo) - 1);
   return static_cast<__mmask8>(bits >> (8 * w));
-}
-
-// Block w of a P-lane row. The four-lane tail is a plain 256-bit load,
-// zero-extended: a masked load would not be forwarded the row that
-// StoreBlock stored just before.
-template <int64_t P>
-inline __m512d LoadBlock(const double* row, int w) {
-  if (8 * w + 8 <= P) return _mm512_loadu_pd(row + 8 * w);
-  return _mm512_maskz_insertf64x4(0xFF, _mm512_setzero_pd(),
-                                  _mm256_loadu_pd(row + 8 * w), 0);
 }
 
 template <int64_t P>
@@ -735,6 +923,7 @@ constexpr RankKernelTable kTable = {KernelTier::kAvx512,
                                     &CoordinateDescent<P>,
                                     &PanelDots<P>,
                                     &PanelAxpy<P>,
+                                    &GatherHadamardDots<P>,
                                     &ExpClampedKernel,
                                     &CholeskyUpper<P>,
                                     &CholeskySolveUpper<P>};

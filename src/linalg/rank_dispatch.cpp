@@ -51,6 +51,7 @@ constexpr RankKernelTable kGenericTable = {KernelTier::kGeneric,
                                            &VecCoordinateDescent<P>,
                                            &VecPanelDots<P>,
                                            &VecPanelAxpy<P>,
+                                           &VecGatherHadamardDots<P>,
                                            &GenericExpClamped,
                                            &VecCholeskyUpper<P>,
                                            &VecCholeskySolveUpper<P>};

@@ -12,9 +12,9 @@
 //     fallback for larger ranks,
 //   - the templated __restrict vector primitives every dense kernel is
 //     built from (fill/copy/axpy/Hadamard/dot/rank-1 Gram deltas, the
-//     weighted upper-triangle SYRK and the panel dot / axpy passes of the
-//     GCP Newton step, and the clipped coordinate descent of the +
-//     variants),
+//     weighted upper-triangle SYRK, the gathered Hadamard staging and the
+//     panel dot / axpy passes of the GCP Newton step, and the clipped
+//     coordinate descent of the + variants),
 //   - the Gram solve: the Cholesky factorization A = U'U and its forward /
 //     back substitution, as row-suffix loops over a runtime-length axpy and
 //     dot that every tier reproduces bitwise,
@@ -260,6 +260,31 @@ inline void VecPanelAxpy(const double* weights, const double* panel,
   }
 }
 
+/// Gathered Hadamard rows and their dots, for c in [0, cells): panel row c
+/// = rows[c·count] ∗ rows[c·count + 1] ∗ … ∗ rows[c·count + count − 1],
+/// multiplied left to right (a copy for count = 1), and dots[c] =
+/// VecDot<P>(panel row c, v, n). So it is HadamardOfRows
+/// (tensor/hadamard_row.h) per cell followed by VecPanelDots. count ≥ 1;
+/// `rows` holds cells·count row pointers; `panel` is cells × n row-major
+/// and must not alias the rows or v.
+template <int64_t P>
+inline void VecGatherHadamardDots(const double* const* rows, int64_t count,
+                                  int64_t cells, const double* v,
+                                  double* panel, double* dots, int64_t n) {
+  const int64_t m = TripCount<P>(n);
+  for (int64_t c = 0; c < cells; ++c) {
+    const double* const* r = rows + c * count;
+    double* h = panel + c * m;
+    if (count == 1) {
+      VecCopy<P>(r[0], h, n);
+    } else {
+      VecMul<P>(r[0], r[1], h, n);
+      for (int64_t k = 2; k < count; ++k) VecMulAccum<P>(h, r[k], n);
+    }
+    dots[c] = VecDot<P>(h, v, n);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Gram solve: Cholesky A = U'U of a symmetric positive-definite order ×
 // order matrix and its forward/back substitution, in the row-suffix form
@@ -404,10 +429,13 @@ double ExpClamped(double x);
 /// every entry exactly as the scalar loop over the same tier's `dot` does
 /// (the intrinsic tiers hold a P ≤ 32 row in registers and write lane k in
 /// place instead of storing it for the next dot to reload; P = 0 runs the
-/// loop), fma3(v, a, b) equals axpy(v, a∗b) with a∗b formed by `mul`, and
+/// loop), fma3(v, a, b) equals axpy(v, a∗b) with a∗b formed by `mul`,
 /// panel_dots / panel_axpy equal the same tier's per-row dot / axpy
-/// sequence. exp_clamped is bitwise identical on every tier (see
-/// ExpClamped); it takes an element count, not a padded length.
+/// sequence, and gather_hadamard_dots equals HadamardOfRows over the same
+/// rows (copy, mul and mul_accum, bitwise on every tier) followed by the
+/// same tier's `dot` of each panel row with v. exp_clamped is bitwise
+/// identical on every tier (see ExpClamped); it takes an element count, not
+/// a padded length.
 /// cholesky_upper and cholesky_solve_upper take the system's order and the
 /// padded row stride; on every tier they compute exactly what
 /// CholeskyUpperRowSuffixes and CholeskySolveUpperRowSuffixes compute over
@@ -447,6 +475,11 @@ struct RankKernelTable {
                      double* out, int64_t n);
   void (*panel_axpy)(const double* weights, const double* panel,
                      int64_t cells, double* y, int64_t n);
+  // GCP Newton staging: each cell's Hadamard row gathered from its factor
+  // rows into the panel, with θ per cell (see VecGatherHadamardDots).
+  void (*gather_hadamard_dots)(const double* const* rows, int64_t count,
+                               int64_t cells, const double* v, double* panel,
+                               double* dots, int64_t n);
   // out[i] = ExpClamped(x[i]) for i in [0, count); out may alias x.
   void (*exp_clamped)(const double* x, double* out, int64_t count);
   // Gram solve of an order × order system whose rows are n doubles apart

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "tensor/hadamard_row.h"
-
 namespace sns {
 namespace {
 
@@ -33,43 +31,66 @@ void GcpRowWorkspace::Prepare(int64_t rank) {
   old_row.Assign(rank, 0.0);
 }
 
-void GcpRowWorkspace::Reserve(size_t num_cells) {
-  for (std::vector<double>* v :
-       {&y, &theta0, &dtheta, &curvature, &grad_weight, &trial, &value}) {
-    v->resize(num_cells);
+void GcpRowWorkspace::Reserve(size_t num_cells, size_t rows_per_cell) {
+  // Grow only: a smaller step keeps the size, so no step value-initializes
+  // elements an earlier one already sized, and std::vector grows the
+  // capacity geometrically.
+  if (y.size() < num_cells) {
+    for (std::vector<double>* v :
+         {&y, &theta0, &dtheta, &curvature, &grad_weight, &trial, &value}) {
+      v->resize(num_cells);
+    }
   }
+  const size_t needed_rows = num_cells * rows_per_cell;
+  if (rows.size() < needed_rows) rows.resize(needed_rows);
   const int64_t needed = static_cast<int64_t>(num_cells) * padded_rank;
   if (panel.size() < needed) panel.Resize(std::max(needed, 2 * panel.size()));
 }
 
-bool GcpNewtonRowUpdate(CpdState& state, int mode, int64_t row,
-                        const LossFunction& loss,
-                        std::span<const SampledCell> cells, double clip_min,
-                        double clip_max, GcpRowWorkspace& ws) {
+namespace {
+
+// Snapshots the row into ws.old_row (callers commit against it even when
+// the step declines to move the row) and sizes the workspace for
+// `num_cells` cells. False when there are none: no information, so the
+// row is left alone.
+bool BeginStep(CpdState& state, int mode, int64_t row, size_t num_cells,
+               GcpRowWorkspace& ws) {
+  ws.Prepare(state.rank());
+  ws.kernels->copy(state.model.factor(mode).Row(row), ws.old_row.data(),
+                   ws.padded_rank);
+  if (num_cells == 0) return false;
+  ws.Reserve(num_cells, static_cast<size_t>(state.num_modes() - 1));
+  return true;
+}
+
+// Writes the factor rows of cell `index` in every mode but `mode`, in mode
+// order, to `out`; returns the end of what it wrote.
+const double** GatherFactorRows(const std::vector<Matrix>& factors,
+                                const ModeIndex& index, int mode,
+                                const double** out) {
+  for (int m = 0; m < static_cast<int>(factors.size()); ++m) {
+    if (m != mode) *out++ = factors[m].Row(index[m]);
+  }
+  return out;
+}
+
+// The damped Newton step over the n cells whose factor rows and values the
+// caller gathered into ws.rows and ws.y after BeginStep.
+bool NewtonStep(CpdState& state, int mode, int64_t row,
+                const LossFunction& loss, size_t n, double clip_min,
+                double clip_max, GcpRowWorkspace& ws) {
   const int64_t rank = state.rank();
-  ws.Prepare(rank);
   const RankKernelTable& kr = *ws.kernels;
   const int64_t padded = ws.padded_rank;
   double* live_row = state.model.factor(mode).Row(row);
-  // Snapshot before any early-out: callers commit against ws.old_row even
-  // when the update declines to move the row.
-  kr.copy(live_row, ws.old_row.data(), padded);
-  if (cells.empty()) return false;  // No information: leave the row alone.
 
-  const size_t n = cells.size();
-  ws.Reserve(n);
-
-  // Pass 1: stage every cell's Hadamard row once, then θ, the loss terms,
-  // the objective and the gradient at the current row, each one pass over
-  // the panel or the cells.
+  // Pass 1: stage every cell's Hadamard row once, with θ at the current
+  // row, then the loss terms, the objective and the gradient, each one pass
+  // over the panel or the cells.
   const auto cells_n = static_cast<int64_t>(n);
-  for (size_t c = 0; c < n; ++c) {
-    HadamardRow(state.model.factors(), cells[c].index, mode, ws.PanelRow(c),
-                kr);
-    ws.y[c] = cells[c].value;
-  }
-  kr.panel_dots(ws.panel.data(), ws.old_row.data(), cells_n,
-                ws.theta0.data(), padded);
+  kr.gather_hadamard_dots(ws.rows.data(), state.num_modes() - 1, cells_n,
+                          ws.old_row.data(), ws.panel.data(),
+                          ws.theta0.data(), padded);
   loss.EvaluateBatch(ws.y.data(), ws.theta0.data(), ws.value.data(),
                      ws.grad_weight.data(), ws.curvature.data(), n);
   double obj0 = 0.0;
@@ -149,16 +170,36 @@ bool GcpNewtonRowUpdate(CpdState& state, int mode, int64_t row,
   return false;
 }
 
+}  // namespace
+
+bool GcpNewtonRowUpdate(CpdState& state, int mode, int64_t row,
+                        const LossFunction& loss,
+                        std::span<const SampledCell> cells, double clip_min,
+                        double clip_max, GcpRowWorkspace& ws) {
+  if (!BeginStep(state, mode, row, cells.size(), ws)) return false;
+  const double** rows = ws.rows.data();
+  for (size_t c = 0; c < cells.size(); ++c) {
+    rows = GatherFactorRows(state.model.factors(), cells[c].index, mode, rows);
+    ws.y[c] = cells[c].value;
+  }
+  return NewtonStep(state, mode, row, loss, cells.size(), clip_min, clip_max,
+                    ws);
+}
+
 bool GcpNewtonRowUpdateOnSlice(const SparseTensor& window, CpdState& state,
                                int mode, int64_t row, const LossFunction& loss,
                                double clip_min, double clip_max,
                                GcpRowWorkspace& ws) {
-  ws.cells.clear();
-  for (const auto [coords, value] : window.Slice(mode, row)) {
-    ws.cells.push_back({coords, value});
+  const SparseTensor::SliceView slice = window.Slice(mode, row);
+  if (!BeginStep(state, mode, row, slice.size(), ws)) return false;
+  const double** rows = ws.rows.data();
+  size_t c = 0;
+  for (const auto [coords, value] : slice) {
+    rows = GatherFactorRows(state.model.factors(), coords, mode, rows);
+    ws.y[c++] = value;
   }
-  return GcpNewtonRowUpdate(state, mode, row, loss, ws.cells, clip_min,
-                            clip_max, ws);
+  return NewtonStep(state, mode, row, loss, slice.size(), clip_min, clip_max,
+                    ws);
 }
 
 void GcpSweep(const SparseTensor& window, CpdState& state,

@@ -26,33 +26,37 @@
 //
 // Cost model, per row with n = |cells|, M modes and padded rank P. Every
 // pass runs over the whole cell set at once, so a cell costs no indirect
-// call beyond its Hadamard row's `mul`s:
-//   - staging: each cell's Hadamard row h_J is built ONCE, O(M·P), into a
-//     cells × P panel of the workspace;
-//   - pass 1: θ for every cell in one panel_dots call, O(n·P); ℓ, ℓ', ℓ''
-//     for every cell in one LossFunction::EvaluateBatch call (Poisson: one
-//     vector exp_clamped pass, O(n), on every tier); the objective summed
-//     in cell order; the gradient in one panel_axpy call, O(n·P);
+// call:
+//   - gather: each cell's M − 1 factor-row pointers and its value, read
+//     straight from the slice (or the sampled span), O(n·M);
+//   - staging: one gather_hadamard_dots call forms each cell's Hadamard row
+//     h_J ONCE, O(M·P), into a cells × P panel of the workspace, with θ at
+//     the current row from the registers that hold it;
+//   - pass 1: ℓ, ℓ', ℓ'' for every cell in one LossFunction::EvaluateBatch
+//     call (Poisson: one vector exp_clamped pass, O(n), on every tier); the
+//     objective summed in cell order; the gradient in one panel_axpy call,
+//     O(n·P);
 //   - curvature: only the upper triangle of Σ ℓ''·h h' is accumulated —
 //     all the Cholesky solve reads — by the register-tiled weighted SYRK
 //     of the kernel table (RankKernelTable::weighted_syrk_upper),
 //     O(n·P²/2);
-//   - the Cholesky solve, O(R³), then pass 2: the step's θ-rates in one
-//     panel_dots call, O(n·P);
+//   - the Cholesky factorize and solve (one table call each), O(R³), then
+//     pass 2: the step's θ-rates in one panel_dots call, O(n·P);
 //   - backtracking on cached scalars: per trial length one trial-θ pass,
 //     one LossFunction::ValueBatch call and a sum in cell order, O(n).
 // So O(n·(M·P + P²/2) + R³) in all — still the price of loss generality
-// against the Gaussian Gram shortcut; BM_LossUpdate tracks it. At the
-// benchmarks' P = 20 and ~115 cells per step, the Cholesky factorize and
-// solve (~30% of a step, its O(R³) doing ~230 runtime-length kernel calls)
-// and the SYRK (~27%) are the largest terms (rdtsc timers, 4-vCPU AVX-512
-// host). Every element sees the same floating-point operations in the
-// same cell order as a per-cell loop of dot, Evaluate, axpy and
-// outer-product accumulation, so the factor state is bitwise that of the
-// straightforward step per kernel tier (tests/hot_path_test.cpp pins it).
-// The workspace reuses its buffers across events; the panel and per-cell
-// scratch grow geometrically to the largest cell set seen, so steady state
-// allocates nothing new.
+// against the Gaussian Gram shortcut; BM_LossUpdate tracks it. Measured
+// on durable-gcp (P = 20, 115 cells per step on average; rdtsc timers in
+// an instrumented build, 4-vCPU AVX-512 host, 2.1 GHz TSC), a step costs
+// about 13.6k cycles: the SYRK 30%, the Gram solve 17%, staging 14%, the
+// gather 10%, backtracking 9%, the loss terms 8%, projection and dθ 8%,
+// the gradient 5%. Every element sees the same floating-point operations
+// in the same cell order as a per-cell loop of Hadamard product, dot,
+// Evaluate, axpy and outer-product accumulation, so the factor state is
+// bitwise that of the straightforward step per kernel tier
+// (tests/hot_path_test.cpp pins it). The workspace reuses its buffers
+// across events; the panel and per-cell scratch only grow, to the largest
+// cell set seen, so steady state allocates nothing new.
 
 #ifndef SLICENSTITCH_LOSSES_GCP_ROW_UPDATE_H_
 #define SLICENSTITCH_LOSSES_GCP_ROW_UPDATE_H_
@@ -77,14 +81,11 @@ struct GcpRowWorkspace {
   /// process tier; allocation-free no-op when the rank is unchanged.
   void Prepare(int64_t rank);
 
-  /// Sizes the per-cell buffers for `num_cells` cells (Prepare first).
-  /// Capacity only grows, geometrically, so steady state never allocates.
-  void Reserve(size_t num_cells);
-
-  /// Staged Hadamard row h_J of cell c (padded_rank doubles).
-  double* PanelRow(size_t c) {
-    return panel.data() + static_cast<int64_t>(c) * padded_rank;
-  }
+  /// Sizes the per-cell buffers for `num_cells` cells of `rows_per_cell`
+  /// factor rows each (Prepare first). Capacity only grows, geometrically,
+  /// so steady state never allocates, and a step writes no element it does
+  /// not use.
+  void Reserve(size_t num_cells, size_t rows_per_cell);
 
   const RankKernelTable* kernels = nullptr;
   int64_t padded_rank = 0;
@@ -96,6 +97,9 @@ struct GcpRowWorkspace {
   AlignedVector candidate;  // Trial row of the backtracking search.
   AlignedVector old_row;    // Row value at entry.
   AlignedVector panel;      // cells × padded_rank staged Hadamard rows.
+  /// Factor-row pointers of each cell's Hadamard row (modes − 1 per cell,
+  /// mode order), gathered from the cell set before staging.
+  std::vector<const double*> rows;
 
   /// Per-cell arrays of the batch passes, sized to the largest cell set
   /// seen: the data values, θ at entry, the step's θ-rate, ℓ'' (the SYRK
@@ -107,7 +111,7 @@ struct GcpRowWorkspace {
   std::vector<double> grad_weight;
   std::vector<double> trial;
   std::vector<double> value;
-  /// Materialized cell set of the slice-driven entry points.
+  /// Cell set of RowUpdater's θ-sampled rule (sampled cells + delta cells).
   std::vector<SampledCell> cells;
 
  private:
@@ -127,9 +131,11 @@ bool GcpNewtonRowUpdate(CpdState& state, int mode, int64_t row,
                         std::span<const SampledCell> cells, double clip_min,
                         double clip_max, GcpRowWorkspace& ws);
 
-/// Convenience over GcpNewtonRowUpdate: materializes the full slice
-/// {J : J[mode] = row} of window non-zeros into ws.cells and steps on it —
-/// the exact (non-sampled) GCP row rule.
+/// GcpNewtonRowUpdate over the full slice {J : J[mode] = row} of window
+/// non-zeros, in slice order — the exact (non-sampled) GCP row rule. The
+/// slice's factor rows and values go straight into the workspace, with no
+/// SampledCell records in between; the result is bitwise the span form's
+/// over the same cells.
 bool GcpNewtonRowUpdateOnSlice(const SparseTensor& window, CpdState& state,
                                int mode, int64_t row, const LossFunction& loss,
                                double clip_min, double clip_max,

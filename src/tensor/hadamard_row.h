@@ -1,9 +1,9 @@
 // Hadamard row products through a resolved kernel table, for the loops
-// that form one product per cell (tensor/mttkrp.cpp, the GCP Newton step
-// of losses/gcp_row_update.cpp and the sampled rule of
-// core/row_updater.cpp). Internal to the library: tensor/mttkrp.h's
-// HadamardRowProduct is the public form, which resolves its table from
-// the factors' stride.
+// that form one product per cell (tensor/mttkrp.cpp and the sampled rule
+// of core/row_updater.cpp; the GCP Newton step stages its products with
+// the table's gather_hadamard_dots, which computes the same bits).
+// Internal to the library: tensor/mttkrp.h's HadamardRowProduct is the
+// public form, which resolves its table from the factors' stride.
 
 #ifndef SLICENSTITCH_TENSOR_HADAMARD_ROW_H_
 #define SLICENSTITCH_TENSOR_HADAMARD_ROW_H_

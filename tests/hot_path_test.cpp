@@ -10,7 +10,8 @@
 //     reconstruction U = Q + (p−a)'a is algebraically exact but rounds
 //     differently than the deep-copy-and-maintain path),
 //   - a per-tier bitwise pin of the staged, tiled GCP Newton row step
-//     against the straightforward per-cell step it replaced,
+//     against the straightforward per-cell step it replaced, and of its
+//     slice-driven form against the span form,
 //   - a per-tier bitwise pin of the staged sampled rule of SNS-RND /
 //     SNS+RND against the per-cell loop, sampler and pre-event evaluation
 //     it replaced,
@@ -845,6 +846,72 @@ TEST(GcpStepDifferentialTest, BitwiseIdenticalToPerCellStepOnEveryTier) {
   // actually exercise the projection.
   EXPECT_GT(coverage.moved, 0);
   EXPECT_GT(coverage.on_bound, 0);
+}
+
+// The slice-driven step gathers factor rows and values straight from the
+// window; it must equal the span step over the same cells, listed in slice
+// order, bitwise — rows, Hessian upper triangles and return values — on
+// 3- and 4-mode windows, every row with a non-empty slice in every mode,
+// and on every tier.
+void RunSliceStepPin(const std::vector<int64_t>& dims, KernelTier tier,
+                     int& moved) {
+  constexpr int64_t kRank = 7;
+  const LossFunction& loss = GetLossFunction(LossKind::kPoisson);
+  const ScopedProcessTier pin(tier);
+  Rng rng(0x51ce + dims.size());
+  SparseTensor window(dims);
+  for (int e = 0; e < 400; ++e) {
+    ModeIndex index;
+    for (const int64_t d : dims) {
+      index.PushBack(static_cast<int32_t>(rng.UniformInt(0, d - 1)));
+    }
+    window.Add(index, static_cast<double>(rng.UniformInt(1, 4)));
+  }
+  KruskalModel model = KruskalModel::Random(dims, kRank, rng);
+  CpdState by_slice(model), by_span(model);
+  GcpRowWorkspace slice_ws, span_ws;
+  std::vector<SampledCell> cells;
+  for (int step = 0; step < 2; ++step) {
+    for (int m = 0; m < static_cast<int>(dims.size()); ++m) {
+      for (int64_t i = 0; i < dims[static_cast<size_t>(m)]; ++i) {
+        SCOPED_TRACE(testing::Message() << "step " << step << " mode " << m
+                                        << " row " << i);
+        cells.clear();
+        for (const auto [coords, value] : window.Slice(m, i)) {
+          cells.push_back({coords, value});
+        }
+        const bool a = GcpNewtonRowUpdateOnSlice(window, by_slice, m, i, loss,
+                                                 -1.0, 4.0, slice_ws);
+        const bool b = GcpNewtonRowUpdate(by_span, m, i, loss, cells, -1.0,
+                                          4.0, span_ws);
+        ASSERT_EQ(a, b);
+        moved += a ? 1 : 0;
+        if (cells.empty()) continue;
+        for (int64_t r = 0; r < kRank; ++r) {
+          for (int64_t j = r; j < kRank; ++j) {
+            ExpectBitwiseEqual(slice_ws.hessian(r, j), span_ws.hessian(r, j),
+                               "hessian", r, j);
+          }
+          ExpectBitwiseEqual(by_slice.model.factor(m).Row(i)[r],
+                             by_span.model.factor(m).Row(i)[r], "row", i, r);
+        }
+      }
+    }
+  }
+}
+
+TEST(GcpStepDifferentialTest, SliceStepBitwiseEqualsSpanStepOnEveryTier) {
+  int moved = 0;
+  for (const KernelTier tier : SupportedTiers()) {
+    for (const std::vector<int64_t>& dims :
+         {std::vector<int64_t>{6, 20, 9}, std::vector<int64_t>{5, 8, 7, 6}}) {
+      SCOPED_TRACE(testing::Message() << KernelTierName(tier) << " modes="
+                                      << dims.size());
+      RunSliceStepPin(dims, tier, moved);
+      if (HasFatalFailure()) return;
+    }
+  }
+  EXPECT_GT(moved, 0);
 }
 
 // ---------------------------------------------------------------------------

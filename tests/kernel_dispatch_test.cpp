@@ -6,8 +6,9 @@
 // padded tails of every phase (rank ≡ 0..3 mod 4). Also regression-guards
 // the layout invariants: 64-byte-aligned storage, padded leading stride,
 // and padding lanes that stay exactly 0.0 through real updater runs. The
-// GCP panel kernels are pinned to the per-row kernels bitwise, the Gram
-// solve slots to the row-suffix loops over each tier's runtime-length
+// GCP panel kernels (gathered staging, dots, axpys, and the weighted SYRK
+// across its cell chunks) are pinned to the per-row kernels bitwise, the
+// Gram solve slots to the row-suffix loops over each tier's runtime-length
 // kernels bitwise, and the library's clamped exponential to its scalar form
 // and to long-double exp.
 
@@ -28,6 +29,7 @@
 #include "linalg/matrix.h"
 #include "linalg/rank_dispatch.h"
 #include "linalg/simd.h"
+#include "tensor/hadamard_row.h"
 #include "tensor/mttkrp.h"
 
 namespace sns {
@@ -474,6 +476,97 @@ TEST(PanelKernelTest, PanelDotsAndAxpyEqualPerRowKernelsOnEveryTier) {
         ASSERT_EQ(std::bit_cast<uint64_t>(y.data()[r]),
                   std::bit_cast<uint64_t>(expected_y.data()[r]))
             << "lane " << r;
+      }
+    }
+  }
+}
+
+// gather_hadamard_dots against HadamardOfRows and the same tier's dot,
+// bitwise: every specialization class (partial last blocks 1, 3, 7, 29; the
+// benchmarks' 20; the four-lane 12; a full 32) and a runtime-bound rank
+// (40), with one to three factor rows per cell, over 37 cells whose rows
+// repeat and interleave.
+TEST(PanelKernelTest, GatherHadamardDotsEqualsHadamardOfRowsAndDot) {
+  for (const int64_t rank : {int64_t{1}, int64_t{3}, int64_t{7}, int64_t{12},
+                             int64_t{20}, int64_t{29}, int64_t{32},
+                             int64_t{40}}) {
+    const int64_t padded = PaddedRank(rank);
+    const int64_t cells = 37;
+    Rng rng(800 + rank);
+    const Matrix factor = Matrix::RandomNormal(9, rank, rng);
+    AlignedVector v(rank);
+    for (int64_t r = 0; r < rank; ++r) v[r] = rng.Normal();
+    for (const int64_t count : {int64_t{1}, int64_t{2}, int64_t{3}}) {
+      std::vector<const double*> rows;
+      for (int64_t i = 0; i < cells * count; ++i) {
+        rows.push_back(factor.Row(rng.UniformInt(0, factor.rows() - 1)));
+      }
+      for (const KernelTier tier : AvailableTiers()) {
+        SCOPED_TRACE(testing::Message() << KernelTierName(tier) << " rank="
+                                        << rank << " count=" << count);
+        const RankKernelTable& kr = GetRankKernelTable(padded, tier);
+        Matrix panel(cells, rank);
+        std::vector<double> dots(static_cast<size_t>(cells));
+        kr.gather_hadamard_dots(rows.data(), count, cells, v.data(),
+                                panel.Row(0), dots.data(), padded);
+        AlignedVector expected(rank);
+        for (int64_t c = 0; c < cells; ++c) {
+          HadamardOfRows(rows.data() + c * count, static_cast<int>(count),
+                         expected.data(), padded, kr);
+          for (int64_t r = 0; r < padded; ++r) {
+            ASSERT_EQ(std::bit_cast<uint64_t>(panel.Row(c)[r]),
+                      std::bit_cast<uint64_t>(expected.data()[r]))
+                << "cell " << c << " lane " << r;
+          }
+          ASSERT_EQ(std::bit_cast<uint64_t>(dots[static_cast<size_t>(c)]),
+                    std::bit_cast<uint64_t>(
+                        kr.dot(expected.data(), v.data(), padded)))
+              << "cell " << c;
+        }
+      }
+    }
+  }
+}
+
+// weighted_syrk_upper against the per-cell axpy accumulation (row i of
+// cell c: axpy(weights[c]·h_i, h, out row i)), bitwise on the upper
+// triangle, at cell counts on both sides of the codelets' 128-cell chunks
+// (and of half a chunk) and with `rows` below the padded rank (7 → 8,
+// 29 → 32), into a nonzero starting matrix.
+TEST(PanelKernelTest, WeightedSyrkEqualsPerCellAxpyAcrossChunks) {
+  for (const int64_t rank : {int64_t{7}, int64_t{12}, int64_t{20},
+                             int64_t{29}, int64_t{40}}) {
+    const int64_t padded = PaddedRank(rank);
+    Rng rng(900 + rank);
+    const Matrix base = Matrix::RandomNormal(rank, rank, rng);
+    for (const int64_t cells : {int64_t{1}, int64_t{63}, int64_t{64},
+                                int64_t{65}, int64_t{127}, int64_t{128},
+                                int64_t{129}, int64_t{150}}) {
+      const Matrix panel = Matrix::RandomNormal(cells, rank, rng);
+      std::vector<double> weights(static_cast<size_t>(cells));
+      for (double& w : weights) w = 0.1 + rng.UniformDouble();
+      for (const KernelTier tier : AvailableTiers()) {
+        SCOPED_TRACE(testing::Message() << KernelTierName(tier) << " rank="
+                                        << rank << " cells=" << cells);
+        const RankKernelTable& kr = GetRankKernelTable(padded, tier);
+        Matrix syrk = base, expected = base;
+        kr.weighted_syrk_upper(panel.Row(0), weights.data(), cells, rank,
+                               syrk.Row(0), padded);
+        EXPECT_TRUE(syrk.PaddingIsZero());
+        for (int64_t c = 0; c < cells; ++c) {
+          const double* h = panel.Row(c);
+          for (int64_t i = 0; i < rank; ++i) {
+            kr.axpy(weights[static_cast<size_t>(c)] * h[i], h,
+                    expected.Row(i), padded);
+          }
+        }
+        for (int64_t i = 0; i < rank; ++i) {
+          for (int64_t j = i; j < rank; ++j) {
+            ASSERT_EQ(std::bit_cast<uint64_t>(syrk(i, j)),
+                      std::bit_cast<uint64_t>(expected(i, j)))
+                << "(" << i << ", " << j << ")";
+          }
+        }
       }
     }
   }
