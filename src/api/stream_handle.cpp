@@ -471,6 +471,13 @@ StatusOr<StreamHandle> StreamHandle::DeserializeState(serial::Reader& r,
   SNS_RETURN_IF_ERROR(r.I64(&last_time));
   SNS_RETURN_IF_ERROR(r.U8(&initialized));
   SNS_RETURN_IF_ERROR(handle.value().engine_->RestoreFrom(r));
+  // Initialize sets both bytes, so a checkpoint where they differ is
+  // corrupt: the engine would update factors the handle never initialized,
+  // or skip the updates of a live stream.
+  if ((initialized != 0) != handle.value().engine_->updates_enabled()) {
+    return Status::DataLoss(
+        "checkpoint stream initialization byte disagrees with the engine's");
+  }
   handle.value().last_time_ = last_time;
   handle.value().initialized_ = initialized != 0;
   return handle;

@@ -117,6 +117,8 @@ class ContinuousCpd {
     observer_ = std::move(observer);
   }
 
+  /// True once InitializeWithAls ran: window events update the factors.
+  bool updates_enabled() const { return updates_enabled_; }
   /// Number of window events that triggered factor updates.
   int64_t events_processed() const { return events_processed_; }
   /// Total wall-clock time spent inside factor updates.

@@ -60,6 +60,26 @@ void PrevModelValues(const double* const* rows, int modes, int64_t rank,
   PrevModelValues<kLanes, 0>(rows, modes, rank, out);
 }
 
+// The most cells a slice holds: the largest product of all mode sizes but
+// one, saturated below INT64_MAX − 4.
+int64_t LargestSliceGrid(const CpdState& state) {
+  constexpr int64_t kCap = std::numeric_limits<int64_t>::max() - 4;
+  int64_t largest = 0;
+  for (int m = 0; m < state.num_modes(); ++m) {
+    int64_t grid = 1;
+    for (int n = 0; n < state.num_modes(); ++n) {
+      if (n == m) continue;
+      if (__builtin_mul_overflow(grid, state.model.factor(n).rows(), &grid) ||
+          grid > kCap) {
+        grid = kCap;
+        break;
+      }
+    }
+    largest = std::max(largest, grid);
+  }
+  return largest;
+}
+
 }  // namespace
 
 RowUpdater::RowUpdater(const ContinuousCpdOptions& options,
@@ -200,9 +220,12 @@ void RowUpdater::BeginEvent(const WindowDelta& delta, const CpdState& state) {
   snap_rank_ = state.rank();
   snap_stride_ = PaddedRank(snap_rank_);
   // The sample buffer holds θ plus the ≤2 delta cells a tiny-slice
-  // enumeration may add, keeping the sampled path allocation-free.
-  ws_.Prepare(state.num_modes(), snap_rank_,
-              sampled_ ? sample_threshold_ + 4 : 0);
+  // enumeration may add, keeping the sampled path allocation-free. A slice
+  // is sampled only when its degree exceeds θ, so no sample outgrows the
+  // largest slice grid, and a θ past it reserves only the grid.
+  const int64_t sample_capacity =
+      sampled_ ? std::min(sample_threshold_, LargestSliceGrid(state)) + 4 : 0;
+  ws_.Prepare(state.num_modes(), snap_rank_, sample_capacity);
   gram_cache_.BeginEvent(state.grams);
   // No-ops (and allocation-free) once sized for this shape.
   snapshot_values_.Resize((kMaxTensorModes + 2) * snap_stride_);

@@ -1,0 +1,488 @@
+// The codelet kernels that are one algorithm at two widths, written once
+// for both intrinsic TUs.
+//
+// Each kernel is a template over an eight-double block type B: one zmm in
+// codelets_avx512.cpp, a pair of ymm registers (lanes 0–3 and 4–7) in
+// codelets_avx2.cpp. A padded rank is a multiple of 4 doubles, not 8, so a
+// kernel runs B over the full eight-lane blocks, then at most one four-lane
+// step through Ymm below (padded rank 20 = 2×8 + 4), and the P = 0
+// runtime-length instantiations add a scalar tail for the unaligned
+// suffixes of the Gram solve's row-suffix loops, fused exactly where it
+// calls std::fma. Every lane of both block types takes the same operations
+// in the same order, so the two TUs compute the same bits: a dot keeps
+// eight partial sums, reduced in ReduceLanes8's order, adds the four-lane
+// step's product through ReduceLanes4, then runs the fused tail in order.
+//
+// Everything here sits in an anonymous namespace: each TU compiles its own
+// copy under its own -m flags, so no wide-vector symbol can leak into
+// baseline TUs through the linker (see codelet_tables.h). The library,
+// these TUs included, is compiled with -ffp-contract=off, so a multiply-add
+// is fused only where an intrinsic or std::fma says so.
+//
+// A block type B provides, as static members:
+//   V                      the eight-double value type;
+//   Zero, Set1, Load, Store (unaligned), Add, Sub, Mul;
+//   Fmadd(a, b, c)         a·b + c with one rounding;
+//   Fnmadd(a, b, c)        c − a·b with one rounding;
+//   Min(a, b), Max(a, b)   b when either operand is a NaN (as min_pd/max_pd);
+//   Pow2(t)                the exponential's 2^k from the shifted t;
+//   Reduce(v)              ReduceLanes8 of the eight lanes;
+//   LoadLow(p), Low(v)     four doubles zero-extended into V, and lanes 0–3;
+//   Blend(v, lanes, x)     x in the lanes of v whose bit is set in the low
+//                          8 bits of `lanes`;
+//   LoadFirst(p, count), StoreFirst(p, count, v)
+//                          the first count (1..7) lanes; the others load 0
+//                          and are not stored.
+
+#ifndef SLICENSTITCH_LINALG_CODELETS_CODELET_KERNELS_H_
+#define SLICENSTITCH_LINALG_CODELETS_CODELET_KERNELS_H_
+
+#include <immintrin.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+
+#include "linalg/rank_dispatch.h"
+
+namespace sns::codelets {
+namespace {
+
+// Horizontal sum of eight lanes in GCC's _mm512_reduce_add_pd order: the
+// 256-bit halves added, then the 128-bit halves of that, then the pair.
+// Spelled out, so clang reduces in the same order.
+inline double ReduceLanes8(__m256d lo, __m256d hi) {
+  const __m256d quad = _mm256_add_pd(hi, lo);
+  const __m128d pair = _mm_add_pd(_mm256_extractf128_pd(quad, 1),
+                                  _mm256_castpd256_pd128(quad));
+  return _mm_cvtsd_f64(_mm_add_sd(pair, _mm_unpackhi_pd(pair, pair)));
+}
+
+// Horizontal sum of four lanes: (l0 + l2) + (l1 + l3).
+inline double ReduceLanes4(__m256d p) {
+  const __m128d pair =
+      _mm_add_pd(_mm256_castpd256_pd128(p), _mm256_extractf128_pd(p, 1));
+  return _mm_cvtsd_f64(_mm_add_sd(pair, _mm_unpackhi_pd(pair, pair)));
+}
+
+// The four-lane step: the elementwise arithmetic of the block interface.
+struct Ymm {
+  using V = __m256d;
+  static V Zero() { return _mm256_setzero_pd(); }
+  static V Set1(double x) { return _mm256_set1_pd(x); }
+  static V Load(const double* p) { return _mm256_loadu_pd(p); }
+  static void Store(double* p, V v) { _mm256_storeu_pd(p, v); }
+  static V Add(V a, V b) { return _mm256_add_pd(a, b); }
+  static V Sub(V a, V b) { return _mm256_sub_pd(a, b); }
+  static V Mul(V a, V b) { return _mm256_mul_pd(a, b); }
+  static V Fmadd(V a, V b, V c) { return _mm256_fmadd_pd(a, b, c); }
+  static V Fnmadd(V a, V b, V c) { return _mm256_fnmadd_pd(a, b, c); }
+};
+
+// Runs body(B{}, r) on each full eight-lane block at r, then body(Ymm{}, r)
+// on a remaining four-lane block, then (P = 0 only) tail(r) per element.
+template <class B, int64_t P, class Body, class Tail>
+inline void ForEachBlock(int64_t n, Body&& body,
+                         [[maybe_unused]] Tail&& tail) {
+  const int64_t m = TripCount<P>(n);
+  int64_t r = 0;
+  for (; r + 8 <= m; r += 8) body(B{}, r);
+  if (r + 4 <= m) {
+    body(Ymm{}, r);
+    r += 4;
+  }
+  if constexpr (P == 0) {
+    for (; r < m; ++r) tail(r);
+  }
+}
+
+template <class B, int64_t P>
+void Fill(double* dst, double value, int64_t n) {
+  ForEachBlock<B, P>(
+      n, [&](auto w, int64_t r) { w.Store(dst + r, w.Set1(value)); },
+      [&](int64_t r) { dst[r] = value; });
+}
+
+template <class B, int64_t P>
+void Copy(const double* src, double* dst, int64_t n) {
+  ForEachBlock<B, P>(
+      n, [&](auto w, int64_t r) { w.Store(dst + r, w.Load(src + r)); },
+      [&](int64_t r) { dst[r] = src[r]; });
+}
+
+template <class B, int64_t P>
+void Axpy(double alpha, const double* x, double* y, int64_t n) {
+  ForEachBlock<B, P>(
+      n,
+      [&](auto w, int64_t r) {
+        w.Store(y + r, w.Fmadd(w.Set1(alpha), w.Load(x + r), w.Load(y + r)));
+      },
+      [&](int64_t r) { y[r] = std::fma(alpha, x[r], y[r]); });
+}
+
+template <class B, int64_t P>
+void Mul(const double* a, const double* b, double* out, int64_t n) {
+  ForEachBlock<B, P>(
+      n,
+      [&](auto w, int64_t r) {
+        w.Store(out + r, w.Mul(w.Load(a + r), w.Load(b + r)));
+      },
+      [&](int64_t r) { out[r] = a[r] * b[r]; });
+}
+
+template <class B, int64_t P>
+void MulAccum(double* dst, const double* src, int64_t n) {
+  ForEachBlock<B, P>(
+      n,
+      [&](auto w, int64_t r) {
+        w.Store(dst + r, w.Mul(w.Load(dst + r), w.Load(src + r)));
+      },
+      [&](int64_t r) { dst[r] *= src[r]; });
+}
+
+template <class B, int64_t P>
+void Fma3(double v, const double* a, const double* b, double* out, int64_t n) {
+  ForEachBlock<B, P>(
+      n,
+      [&](auto w, int64_t r) {
+        const auto prod = w.Mul(w.Load(a + r), w.Load(b + r));
+        w.Store(out + r, w.Fmadd(w.Set1(v), prod, w.Load(out + r)));
+      },
+      [&](int64_t r) { out[r] = std::fma(v, a[r] * b[r], out[r]); });
+}
+
+// g += new_i·new − old_i·old, the delta formed first: one multiply and one
+// fused negated multiply-add keep the subtraction inside the delta like the
+// generic expression.
+template <class B, int64_t P>
+void GramRowDelta(double new_i, const double* new_row, double old_i,
+                  const double* old_row, double* g, int64_t n) {
+  ForEachBlock<B, P>(
+      n,
+      [&](auto w, int64_t r) {
+        const auto t = w.Fnmadd(w.Set1(old_i), w.Load(old_row + r),
+                                w.Mul(w.Set1(new_i), w.Load(new_row + r)));
+        w.Store(g + r, w.Add(w.Load(g + r), t));
+      },
+      [&](int64_t r) {
+        g[r] += std::fma(new_i, new_row[r], -(old_i * old_row[r]));
+      });
+}
+
+template <class B, int64_t P>
+void ScaledDiffAccum(double p, const double* new_row, const double* prev_row,
+                     double* g, int64_t n) {
+  ForEachBlock<B, P>(
+      n,
+      [&](auto w, int64_t r) {
+        const auto d = w.Sub(w.Load(new_row + r), w.Load(prev_row + r));
+        w.Store(g + r, w.Fmadd(w.Set1(p), d, w.Load(g + r)));
+      },
+      [&](int64_t r) { g[r] = std::fma(p, new_row[r] - prev_row[r], g[r]); });
+}
+
+template <class B, int64_t P>
+double Dot(const double* a, const double* b, int64_t n) {
+  const int64_t m = TripCount<P>(n);
+  typename B::V acc = B::Zero();
+  int64_t r = 0;
+  for (; r + 8 <= m; r += 8) {
+    acc = B::Fmadd(B::Load(a + r), B::Load(b + r), acc);
+  }
+  double sum = B::Reduce(acc);
+  if (r + 4 <= m) {
+    sum += ReduceLanes4(Ymm::Mul(Ymm::Load(a + r), Ymm::Load(b + r)));
+    r += 4;
+  }
+  if constexpr (P == 0) {
+    for (; r < m; ++r) sum = std::fma(a[r], b[r], sum);
+  }
+  return sum;
+}
+
+// One coordinate-descent entry from its dot: ((numerator − (dot − row·c))
+// / c) clipped, each operation rounded on its own as in the portable
+// sources.
+inline double CoordinateValue(double dot, double row_k, double c_k,
+                              double numerator_k, double clip_min,
+                              double clip_max) {
+  double value = (numerator_k - (dot - row_k * c_k)) / c_k;
+  if (value > clip_max) {
+    value = clip_max;
+  } else if (value < clip_min) {
+    value = clip_min;
+  }
+  return value;
+}
+
+// Clipped coordinate descent (see VecCoordinateDescent). For P ≤ 32 the row
+// lives in at most four blocks (the last holding a four-lane tail in its
+// low half when P ≡ 4 mod 8) and lane k is blended in place, so no dot
+// reloads a lane the step before it just stored; each dot is the chain,
+// reduction and four-lane step of Dot<P>. P = 0 loops over Dot<0>.
+template <class B, int64_t P>
+void CoordinateDescent(double* row, int64_t rank, const double* hq,
+                       const double* numerator, double clip_min,
+                       double clip_max, int64_t n) {
+  if constexpr (P == 0) {
+    for (int64_t k = 0; k < rank; ++k) {
+      const double* hq_k = hq + k * n;
+      const double c_k = hq_k[k];
+      if (!(c_k > 1e-300)) continue;
+      row[k] = CoordinateValue(Dot<B, 0>(row, hq_k, n), row[k], c_k,
+                               numerator[k], clip_min, clip_max);
+    }
+  } else {
+    constexpr int kZ = static_cast<int>(P / 8);  // Full eight-lane blocks.
+    constexpr bool kTail = P % 8 != 0;           // Then one four-lane block.
+    constexpr int kRegs = kZ + (kTail ? 1 : 0);
+    typename B::V r[kRegs];
+    for (int v = 0; v < kZ; ++v) r[v] = B::Load(row + 8 * v);
+    if constexpr (kTail) r[kZ] = B::LoadLow(row + 8 * kZ);
+    for (int64_t k = 0; k < rank; ++k) {
+      const double* hq_k = hq + k * P;
+      const double c_k = hq_k[k];
+      if (!(c_k > 1e-300)) continue;
+      typename B::V acc = B::Zero();
+      for (int v = 0; v < kZ; ++v) {
+        acc = B::Fmadd(r[v], B::Load(hq_k + 8 * v), acc);
+      }
+      double dot = B::Reduce(acc);
+      if constexpr (kTail) {
+        dot += ReduceLanes4(
+            Ymm::Mul(B::Low(r[kZ]), Ymm::Load(hq_k + 8 * kZ)));
+      }
+      // Lane k has not been written yet, so memory still holds row[k].
+      const typename B::V value = B::Set1(CoordinateValue(
+          dot, row[k], c_k, numerator[k], clip_min, clip_max));
+      const uint32_t bit = 1u << k;
+      for (int v = 0; v < kRegs; ++v) {
+        r[v] = B::Blend(r[v], bit >> (8 * v), value);
+      }
+    }
+    for (int v = 0; v < kZ; ++v) B::Store(row + 8 * v, r[v]);
+    if constexpr (kTail) Ymm::Store(row + 8 * kZ, B::Low(r[kZ]));
+  }
+}
+
+// The GCP Newton panel passes (see VecPanelDots, VecPanelAxpy): direct,
+// inlinable calls of Dot<P> and Axpy<P> per cell, so each result is theirs
+// bit for bit without an indirect call per cell.
+template <class B, int64_t P>
+void PanelDots(const double* panel, const double* v, int64_t cells,
+               double* out, int64_t n) {
+  const int64_t m = TripCount<P>(n);
+  for (int64_t c = 0; c < cells; ++c) out[c] = Dot<B, P>(panel + c * m, v, n);
+}
+
+template <class B, int64_t P>
+void PanelAxpy(const double* weights, const double* panel, int64_t cells,
+               double* y, int64_t n) {
+  const int64_t m = TripCount<P>(n);
+  for (int64_t c = 0; c < cells; ++c) {
+    Axpy<B, P>(weights[c], panel + c * m, y, n);
+  }
+}
+
+// GCP Newton staging (see VecGatherHadamardDots). For P ≤ 32 a cell's
+// Hadamard row is formed in registers (P/8 blocks, then a ymm when P ≡ 4
+// mod 8), one multiply per factor row and block, stored to the panel and
+// dotted with the register-held v in Dot<P>'s chain, reduction and
+// four-lane step. P = 0 runs Copy/Mul/MulAccum and Dot<0>.
+template <class B, int64_t P>
+void GatherHadamardDots(const double* const* rows, int64_t count,
+                        int64_t cells, const double* v, double* panel,
+                        double* dots, int64_t n) {
+  if constexpr (P == 0) {
+    for (int64_t c = 0; c < cells; ++c) {
+      const double* const* r = rows + c * count;
+      double* h = panel + c * n;
+      if (count == 1) {
+        Copy<B, 0>(r[0], h, n);
+      } else {
+        Mul<B, 0>(r[0], r[1], h, n);
+        for (int64_t k = 2; k < count; ++k) MulAccum<B, 0>(h, r[k], n);
+      }
+      dots[c] = Dot<B, 0>(h, v, n);
+    }
+  } else {
+    constexpr int kZ = static_cast<int>(P / 8);
+    constexpr bool kTail = P % 8 != 0;
+    constexpr int kZs = kZ > 0 ? kZ : 1;  // No zero-length arrays.
+    typename B::V vz[kZs] = {};
+    for (int b = 0; b < kZ; ++b) vz[b] = B::Load(v + 8 * b);
+    const __m256d vt = kTail ? Ymm::Load(v + 8 * kZ) : Ymm::Zero();
+    for (int64_t c = 0; c < cells; ++c) {
+      const double* const* r = rows + c * count;
+      double* out = panel + c * P;
+      typename B::V h[kZs] = {};
+      for (int b = 0; b < kZ; ++b) h[b] = B::Load(r[0] + 8 * b);
+      __m256d t = kTail ? Ymm::Load(r[0] + 8 * kZ) : Ymm::Zero();
+      for (int64_t k = 1; k < count; ++k) {
+        for (int b = 0; b < kZ; ++b) h[b] = B::Mul(h[b], B::Load(r[k] + 8 * b));
+        if constexpr (kTail) t = Ymm::Mul(t, Ymm::Load(r[k] + 8 * kZ));
+      }
+      typename B::V acc = B::Zero();
+      for (int b = 0; b < kZ; ++b) {
+        B::Store(out + 8 * b, h[b]);
+        acc = B::Fmadd(h[b], vz[b], acc);
+      }
+      double dot = B::Reduce(acc);
+      if constexpr (kTail) {
+        Ymm::Store(out + 8 * kZ, t);
+        dot += ReduceLanes4(Ymm::Mul(t, vt));
+      }
+      dots[c] = dot;
+    }
+  }
+}
+
+// Weighted upper SYRK (see VecWeightedSyrkUpper) in register tiles: NR
+// rows × W columns of `out` (W/8 blocks, then a ymm when W ≡ 4 mod 8) stay
+// in registers across a chunk of cells. Every element takes one FMA per
+// cell, u·h_j + acc with u = weights[c]·h_i rounded on its own, in cell
+// order, exactly like Axpy, so the result is bitwise the per-cell
+// AddOuterProduct accumulation.
+constexpr int64_t kSyrkCellChunk = 128;  // Keeps a chunk's panel cached.
+
+template <class B, int NR, int W>
+void SyrkTile(const double* panel, const double* weights, int64_t cells,
+              int64_t m, int64_t row0, int64_t col0, double* out) {
+  constexpr int kZ = W / 8;
+  constexpr bool kTail = W % 8 != 0;
+  constexpr int kZs = kZ > 0 ? kZ : 1;  // No zero-length arrays.
+  typename B::V acc[NR][kZs] = {};
+  __m256d tail[NR] = {};
+  for (int r = 0; r < NR; ++r) {
+    const double* o = out + (row0 + r) * m + col0;
+    for (int v = 0; v < kZ; ++v) acc[r][v] = B::Load(o + 8 * v);
+    if constexpr (kTail) tail[r] = Ymm::Load(o + 8 * kZ);
+  }
+  for (int64_t c = 0; c < cells; ++c) {
+    const double* h = panel + c * m;
+    typename B::V x[kZs] = {};
+    for (int v = 0; v < kZ; ++v) x[v] = B::Load(h + col0 + 8 * v);
+    const __m256d xt = kTail ? Ymm::Load(h + col0 + 8 * kZ) : Ymm::Zero();
+    for (int r = 0; r < NR; ++r) {
+      const double u = weights[c] * h[row0 + r];
+      const typename B::V u8 = B::Set1(u);
+      for (int v = 0; v < kZ; ++v) acc[r][v] = B::Fmadd(u8, x[v], acc[r][v]);
+      if constexpr (kTail) tail[r] = Ymm::Fmadd(Ymm::Set1(u), xt, tail[r]);
+    }
+  }
+  for (int r = 0; r < NR; ++r) {
+    double* o = out + (row0 + r) * m + col0;
+    for (int v = 0; v < kZ; ++v) B::Store(o + 8 * v, acc[r][v]);
+    if constexpr (kTail) Ymm::Store(o + 8 * kZ, tail[r]);
+  }
+}
+
+// The tile of `width` columns, a multiple of 4 from W up to kMaxWidth.
+template <class B, int NR, int kMaxWidth, int W = 4>
+void SyrkTileOfWidth(int64_t width, const double* panel,
+                     const double* weights, int64_t cells, int64_t m,
+                     int64_t row0, int64_t col0, double* out) {
+  if constexpr (W < kMaxWidth) {
+    if (width != W) {
+      return SyrkTileOfWidth<B, NR, kMaxWidth, W + 4>(width, panel, weights,
+                                                      cells, m, row0, col0,
+                                                      out);
+    }
+  }
+  SyrkTile<B, NR, W>(panel, weights, cells, m, row0, col0, out);
+}
+
+// The SYRK of an m-lane panel (m a multiple of 4) as 4-row tiles of at
+// most kMaxWidth columns, each over a whole chunk of cells; rows from
+// `rows` on are never touched.
+template <class B, int kMaxWidth>
+void WeightedSyrkTiles(const double* panel, const double* weights,
+                       int64_t cells, int64_t rows, double* out, int64_t m) {
+  for (int64_t c0 = 0; c0 < cells; c0 += kSyrkCellChunk) {
+    const int64_t chunk = std::min(kSyrkCellChunk, cells - c0);
+    const double* p = panel + c0 * m;
+    const double* w = weights + c0;
+    for (int64_t i0 = 0; i0 < rows; i0 += 4) {
+      for (int64_t j0 = i0; j0 < m; j0 += kMaxWidth) {
+        const int64_t width = std::min<int64_t>(kMaxWidth, m - j0);
+        if (i0 + 4 <= rows) {
+          SyrkTileOfWidth<B, 4, kMaxWidth>(width, p, w, chunk, m, i0, j0,
+                                           out);
+        } else {
+          for (int64_t i = i0; i < rows; ++i) {
+            SyrkTileOfWidth<B, 1, kMaxWidth>(width, p, w, chunk, m, i, j0,
+                                             out);
+          }
+        }
+      }
+    }
+  }
+}
+
+// ExpClamped (see rank_dispatch.h) over the lanes of a block: separate
+// multiplies and adds, never fused, so every lane equals the scalar form
+// bitwise. The clamp keeps x in Max's and Min's second operand, the one
+// they return when either input is a NaN.
+template <class W>
+typename W::V ExpClampedBlock(typename W::V x) {
+  using namespace exp_clamped;
+  x = W::Min(W::Set1(kBound), W::Max(W::Set1(-kBound), x));
+  const typename W::V shifter = W::Set1(kShifter);
+  const typename W::V t = W::Add(W::Mul(x, W::Set1(kLog2e)), shifter);
+  const typename W::V k = W::Sub(t, shifter);
+  const typename W::V r = W::Sub(W::Sub(x, W::Mul(k, W::Set1(kLn2Hi))),
+                                 W::Mul(k, W::Set1(kLn2Lo)));
+  typename W::V q = W::Set1(kCoeffs[kNumCoeffs - 1]);
+  for (int i = kNumCoeffs - 2; i >= 0; --i) {
+    q = W::Add(W::Mul(q, r), W::Set1(kCoeffs[i]));
+  }
+  const typename W::V p = W::Add(r, W::Mul(W::Mul(r, r), q));
+  return W::Mul(W::Add(W::Set1(1.0), p), W::Pow2(t));
+}
+
+// Elementwise over `count` values: full eight-lane blocks, then one block
+// for the remainder, loaded and stored through LoadFirst / StoreFirst.
+template <class B>
+void ExpClampedKernel(const double* x, double* out, int64_t count) {
+  int64_t i = 0;
+  for (; i + 8 <= count; i += 8) {
+    B::Store(out + i, ExpClampedBlock<B>(B::Load(x + i)));
+  }
+  if (i < count) {
+    B::StoreFirst(out + i, count - i,
+                  ExpClampedBlock<B>(B::LoadFirst(x + i, count - i)));
+  }
+}
+
+// A tier's table at padded rank P: the kernels above over block B, and the
+// tier's own SYRK and Gram solve slots.
+template <class B, int64_t P>
+constexpr RankKernelTable SharedKernelTable(
+    KernelTier tier, decltype(RankKernelTable::weighted_syrk_upper) syrk,
+    decltype(RankKernelTable::cholesky_upper) cholesky,
+    decltype(RankKernelTable::cholesky_solve_upper) solve) {
+  return {tier,
+          P,
+          &Fill<B, P>,
+          &Copy<B, P>,
+          &Axpy<B, P>,
+          &Mul<B, P>,
+          &MulAccum<B, P>,
+          &Fma3<B, P>,
+          &Dot<B, P>,
+          &GramRowDelta<B, P>,
+          &ScaledDiffAccum<B, P>,
+          syrk,
+          &CoordinateDescent<B, P>,
+          &PanelDots<B, P>,
+          &PanelAxpy<B, P>,
+          &GatherHadamardDots<B, P>,
+          &ExpClampedKernel<B>,
+          cholesky,
+          solve};
+}
+
+}  // namespace
+}  // namespace sns::codelets
+
+#endif  // SLICENSTITCH_LINALG_CODELETS_CODELET_KERNELS_H_

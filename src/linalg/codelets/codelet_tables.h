@@ -8,7 +8,8 @@
 // tables of GetRankKernelTable (linalg/rank_dispatch.cpp). Everything
 // inside those TUs lives in anonymous namespaces except the two getters
 // below, so no inline symbol compiled with wide-vector flags can leak into
-// baseline TUs through the linker.
+// baseline TUs through the linker. That includes the kernels the two TUs
+// share (codelet_kernels.h): each TU compiles its own copy.
 //
 // The getters are only linked into builds that define SNS_HAVE_X86_CODELETS
 // (x86-64 with a GCC/Clang toolchain); rank_dispatch.cpp guards every

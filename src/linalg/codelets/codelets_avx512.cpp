@@ -3,20 +3,10 @@
 // Same contract and isolation rules as codelets_avx2.cpp (see its header
 // comment); this TU is compiled with -mavx512f -mavx2 -mfma and reached
 // only through the tier-resolved RankKernelTable after the cpuid probe
-// confirmed avx512f.
-//
-// Padded ranks are multiples of 4 doubles, not 8, so every kernel runs an
-// 8-wide (512-bit) main loop followed by at most one 4-wide (256-bit) step
-// — e.g. padded rank 20 = 2×8 + 4 — and the P = 0 runtime-length
-// instantiations add a scalar tail for the unaligned suffixes of the Gram
-// solve's row-suffix loops, fused exactly where it calls std::fma (see
-// codelets_avx2.cpp).
-// The dot kernel reduces eight partial-sum lanes, so its summation
-// grouping differs from the generic/AVX2 four-lane scheme: dots agree to
-// ulp-level tolerance across tiers, never bitwise (tests pin this).
-// exp_clamped is the exception among the arithmetic kernels: it spells out
-// the generic tier's unfused multiplies and adds, so it is bitwise equal to
-// the other tiers.
+// confirmed avx512f. The kernels shared with the AVX2 TU
+// (codelet_kernels.h) run here on one zmm per eight-lane block, so every
+// slot but the SYRK and the register-held Gram solve is that header's
+// code, and all 17 slots return the AVX2 table's bits.
 //
 // No 512-bit value is split with _mm512_extractf64x4_pd,
 // _mm512_castpd512_pd256, _mm512_zextpd256_pd512 or _mm512_reduce_add_pd:
@@ -37,13 +27,10 @@
 #include <tuple>
 #include <utility>
 
+#include "linalg/codelets/codelet_kernels.h"
+
 namespace sns::codelets {
 namespace {
-
-template <int64_t P>
-inline int64_t Trip(int64_t n) {
-  return P > 0 ? P : n;
-}
 
 inline __m256d Lo256(__m512d x) {
   return _mm512_maskz_extractf64x4_pd(0xFF, x, 0);
@@ -53,222 +40,64 @@ inline __m256d Hi256(__m512d x) {
   return _mm512_maskz_extractf64x4_pd(0xFF, x, 1);
 }
 
-// Horizontal sum of eight lanes in GCC's _mm512_reduce_add_pd order: the
-// 256-bit halves added, then the 128-bit halves of that, then the pair.
-// Spelled out, so clang reduces in the same order.
-inline double ReduceLanes8(__m512d acc) {
-  const __m256d quad = _mm256_add_pd(Hi256(acc), Lo256(acc));
-  const __m128d pair = _mm_add_pd(_mm256_extractf128_pd(quad, 1),
-                                  _mm256_castpd256_pd128(quad));
-  return _mm_cvtsd_f64(_mm_add_sd(pair, _mm_unpackhi_pd(pair, pair)));
-}
+// The eight-lane block of codelet_kernels.h: one zmm.
+struct Zmm {
+  using V = __m512d;
+  static V Zero() { return _mm512_setzero_pd(); }
+  static V Set1(double x) { return _mm512_set1_pd(x); }
+  static V Load(const double* p) { return _mm512_loadu_pd(p); }
+  static void Store(double* p, V v) { _mm512_storeu_pd(p, v); }
+  static V Add(V a, V b) { return _mm512_add_pd(a, b); }
+  static V Sub(V a, V b) { return _mm512_sub_pd(a, b); }
+  static V Mul(V a, V b) { return _mm512_mul_pd(a, b); }
+  static V Fmadd(V a, V b, V c) { return _mm512_fmadd_pd(a, b, c); }
+  static V Fnmadd(V a, V b, V c) { return _mm512_fnmadd_pd(a, b, c); }
+  static V Min(V a, V b) { return _mm512_maskz_min_pd(0xFF, a, b); }
+  static V Max(V a, V b) { return _mm512_maskz_max_pd(0xFF, a, b); }
+  static V Pow2(V t) {
+    return _mm512_castsi512_pd(_mm512_maskz_slli_epi64(
+        0xFF,
+        _mm512_add_epi64(_mm512_castpd_si512(t),
+                         _mm512_set1_epi64(exp_clamped::kExponentBias)),
+        52));
+  }
+  static double Reduce(V v) { return ReduceLanes8(Lo256(v), Hi256(v)); }
+  // A plain 256-bit load, zero-extended: a masked load would not be
+  // forwarded a row that was stored just before.
+  static V LoadLow(const double* p) {
+    return _mm512_maskz_insertf64x4(0xFF, _mm512_setzero_pd(),
+                                    _mm256_loadu_pd(p), 0);
+  }
+  static __m256d Low(V v) { return Lo256(v); }
+  static V Blend(V v, uint32_t lanes, V x) {
+    return _mm512_mask_mov_pd(v, static_cast<__mmask8>(lanes), x);
+  }
+  static __mmask8 First(int64_t count) {
+    return static_cast<__mmask8>((1u << count) - 1u);
+  }
+  static V LoadFirst(const double* p, int64_t count) {
+    return _mm512_maskz_loadu_pd(First(count), p);
+  }
+  static void StoreFirst(double* p, int64_t count, V v) {
+    _mm512_mask_storeu_pd(p, First(count), v);
+  }
+};
 
-// Horizontal sum of a 4-wide tail: (l0 + l2) + (l1 + l3).
-inline double ReduceLanes4(__m256d p) {
-  const __m128d pair =
-      _mm_add_pd(_mm256_castpd256_pd128(p), _mm256_extractf128_pd(p, 1));
-  return _mm_cvtsd_f64(_mm_add_sd(pair, _mm_unpackhi_pd(pair, pair)));
-}
-
-// Block w of a P-lane row. The four-lane tail is a plain 256-bit load,
-// zero-extended: a masked load would not be forwarded a row that was
-// stored just before (by the caller, or by the Gram solve's StoreBlock).
+// Block w of a P-lane row (see Zmm::LoadLow for the four-lane tail).
 template <int64_t P>
 inline __m512d LoadBlock(const double* row, int w) {
   if (8 * w + 8 <= P) return _mm512_loadu_pd(row + 8 * w);
-  return _mm512_maskz_insertf64x4(0xFF, _mm512_setzero_pd(),
-                                  _mm256_loadu_pd(row + 8 * w), 0);
+  return Zmm::LoadLow(row + 8 * w);
 }
 
-template <int64_t P>
-void Fill(double* dst, double value, int64_t n) {
-  const int64_t m = Trip<P>(n);
-  const __m512d v8 = _mm512_set1_pd(value);
-  int64_t r = 0;
-  for (; r + 8 <= m; r += 8) _mm512_storeu_pd(dst + r, v8);
-  if (r + 4 <= m) {
-    _mm256_storeu_pd(dst + r, _mm256_set1_pd(value));
-    r += 4;
-  }
-  if constexpr (P == 0) {
-    for (; r < m; ++r) dst[r] = value;
-  }
-}
-
-template <int64_t P>
-void Copy(const double* src, double* dst, int64_t n) {
-  const int64_t m = Trip<P>(n);
-  int64_t r = 0;
-  for (; r + 8 <= m; r += 8) {
-    _mm512_storeu_pd(dst + r, _mm512_loadu_pd(src + r));
-  }
-  if (r + 4 <= m) {
-    _mm256_storeu_pd(dst + r, _mm256_loadu_pd(src + r));
-    r += 4;
-  }
-  if constexpr (P == 0) {
-    for (; r < m; ++r) dst[r] = src[r];
-  }
-}
-
-template <int64_t P>
-void Axpy(double alpha, const double* x, double* y, int64_t n) {
-  const int64_t m = Trip<P>(n);
-  const __m512d va8 = _mm512_set1_pd(alpha);
-  int64_t r = 0;
-  for (; r + 8 <= m; r += 8) {
-    _mm512_storeu_pd(y + r, _mm512_fmadd_pd(va8, _mm512_loadu_pd(x + r),
-                                            _mm512_loadu_pd(y + r)));
-  }
-  if (r + 4 <= m) {
-    const __m256d va4 = _mm256_set1_pd(alpha);
-    _mm256_storeu_pd(y + r, _mm256_fmadd_pd(va4, _mm256_loadu_pd(x + r),
-                                            _mm256_loadu_pd(y + r)));
-    r += 4;
-  }
-  if constexpr (P == 0) {
-    for (; r < m; ++r) y[r] = std::fma(alpha, x[r], y[r]);
-  }
-}
-
-template <int64_t P>
-void Mul(const double* a, const double* b, double* out, int64_t n) {
-  const int64_t m = Trip<P>(n);
-  int64_t r = 0;
-  for (; r + 8 <= m; r += 8) {
-    _mm512_storeu_pd(out + r, _mm512_mul_pd(_mm512_loadu_pd(a + r),
-                                            _mm512_loadu_pd(b + r)));
-  }
-  if (r + 4 <= m) {
-    _mm256_storeu_pd(out + r, _mm256_mul_pd(_mm256_loadu_pd(a + r),
-                                            _mm256_loadu_pd(b + r)));
-    r += 4;
-  }
-  if constexpr (P == 0) {
-    for (; r < m; ++r) out[r] = a[r] * b[r];
-  }
-}
-
-template <int64_t P>
-void MulAccum(double* dst, const double* src, int64_t n) {
-  const int64_t m = Trip<P>(n);
-  int64_t r = 0;
-  for (; r + 8 <= m; r += 8) {
-    _mm512_storeu_pd(dst + r, _mm512_mul_pd(_mm512_loadu_pd(dst + r),
-                                            _mm512_loadu_pd(src + r)));
-  }
-  if (r + 4 <= m) {
-    _mm256_storeu_pd(dst + r, _mm256_mul_pd(_mm256_loadu_pd(dst + r),
-                                            _mm256_loadu_pd(src + r)));
-    r += 4;
-  }
-  if constexpr (P == 0) {
-    for (; r < m; ++r) dst[r] *= src[r];
-  }
-}
-
-template <int64_t P>
-void Fma3(double v, const double* a, const double* b, double* out, int64_t n) {
-  const int64_t m = Trip<P>(n);
-  const __m512d vv8 = _mm512_set1_pd(v);
-  int64_t r = 0;
-  for (; r + 8 <= m; r += 8) {
-    const __m512d prod =
-        _mm512_mul_pd(_mm512_loadu_pd(a + r), _mm512_loadu_pd(b + r));
-    _mm512_storeu_pd(out + r,
-                     _mm512_fmadd_pd(vv8, prod, _mm512_loadu_pd(out + r)));
-  }
-  if (r + 4 <= m) {
-    const __m256d prod =
-        _mm256_mul_pd(_mm256_loadu_pd(a + r), _mm256_loadu_pd(b + r));
-    _mm256_storeu_pd(out + r, _mm256_fmadd_pd(_mm256_set1_pd(v), prod,
-                                              _mm256_loadu_pd(out + r)));
-    r += 4;
-  }
-  if constexpr (P == 0) {
-    for (; r < m; ++r) out[r] = std::fma(v, a[r] * b[r], out[r]);
-  }
-}
-
-template <int64_t P>
-double Dot(const double* a, const double* b, int64_t n) {
-  const int64_t m = Trip<P>(n);
-  __m512d acc = _mm512_setzero_pd();
-  int64_t r = 0;
-  for (; r + 8 <= m; r += 8) {
-    acc = _mm512_fmadd_pd(_mm512_loadu_pd(a + r), _mm512_loadu_pd(b + r), acc);
-  }
-  double sum = ReduceLanes8(acc);
-  if (r + 4 <= m) {
-    sum += ReduceLanes4(
-        _mm256_mul_pd(_mm256_loadu_pd(a + r), _mm256_loadu_pd(b + r)));
-    r += 4;
-  }
-  if constexpr (P == 0) {
-    for (; r < m; ++r) sum = std::fma(a[r], b[r], sum);
-  }
-  return sum;
-}
-
-template <int64_t P>
-void GramRowDelta(double new_i, const double* new_row, double old_i,
-                  const double* old_row, double* g, int64_t n) {
-  const int64_t m = Trip<P>(n);
-  const __m512d vn8 = _mm512_set1_pd(new_i);
-  const __m512d vo8 = _mm512_set1_pd(old_i);
-  int64_t r = 0;
-  for (; r + 8 <= m; r += 8) {
-    __m512d t = _mm512_mul_pd(vn8, _mm512_loadu_pd(new_row + r));
-    t = _mm512_fnmadd_pd(vo8, _mm512_loadu_pd(old_row + r), t);
-    _mm512_storeu_pd(g + r, _mm512_add_pd(_mm512_loadu_pd(g + r), t));
-  }
-  if (r + 4 <= m) {
-    __m256d t = _mm256_mul_pd(_mm256_set1_pd(new_i),
-                              _mm256_loadu_pd(new_row + r));
-    t = _mm256_fnmadd_pd(_mm256_set1_pd(old_i), _mm256_loadu_pd(old_row + r),
-                         t);
-    _mm256_storeu_pd(g + r, _mm256_add_pd(_mm256_loadu_pd(g + r), t));
-    r += 4;
-  }
-  if constexpr (P == 0) {
-    for (; r < m; ++r) {
-      g[r] += std::fma(new_i, new_row[r], -(old_i * old_row[r]));
-    }
-  }
-}
-
-template <int64_t P>
-void ScaledDiffAccum(double p, const double* new_row, const double* prev_row,
-                     double* g, int64_t n) {
-  const int64_t m = Trip<P>(n);
-  const __m512d vp8 = _mm512_set1_pd(p);
-  int64_t r = 0;
-  for (; r + 8 <= m; r += 8) {
-    const __m512d d = _mm512_sub_pd(_mm512_loadu_pd(new_row + r),
-                                    _mm512_loadu_pd(prev_row + r));
-    _mm512_storeu_pd(g + r, _mm512_fmadd_pd(vp8, d, _mm512_loadu_pd(g + r)));
-  }
-  if (r + 4 <= m) {
-    const __m256d d = _mm256_sub_pd(_mm256_loadu_pd(new_row + r),
-                                    _mm256_loadu_pd(prev_row + r));
-    _mm256_storeu_pd(g + r, _mm256_fmadd_pd(_mm256_set1_pd(p), d,
-                                            _mm256_loadu_pd(g + r)));
-    r += 4;
-  }
-  if constexpr (P == 0) {
-    for (; r < m; ++r) g[r] = std::fma(p, new_row[r] - prev_row[r], g[r]);
-  }
-}
-
-// Weighted upper SYRK (see VecWeightedSyrkUpper and the AVX2 codelet).
+// Weighted upper SYRK (see VecWeightedSyrkUpper and SyrkTile).
 // Every element takes one FMA per cell, u·h_j + acc with u = weights[c] ·
 // h_i rounded on its own, in cell order, exactly like Axpy. Cells go in
 // chunks of 128, so a chunk's panel rows (and its staged u, at most 32 KiB
 // of stack) stay cache-resident across the chunk's passes.
 //
-// P = 0 runs 4-row tiles of at most 32 columns, each over the whole chunk:
-// a W-column tile row is W/8 zmm accumulators plus one ymm when W ≡ 4
-// (mod 8).
+// P = 0 runs the shared 4-row tiles (codelet_kernels.h) of at most 32
+// columns, each over the whole chunk.
 //
 // For P ≤ 32 a chunk first stages u_c = weights[c]·h_c, one multiply per
 // block. The triangle's 4-row bands then run in as few passes over the
@@ -279,70 +108,7 @@ void ScaledDiffAccum(double p, const double* new_row, const double* prev_row,
 // column load per block: at most 30 registers, u broadcast from memory).
 // At P = 20 that is bands {0, 1} with 20 accumulators, then {2, 3, 4} with
 // 16. Rows from `rows` on are neither loaded nor stored.
-constexpr int64_t kSyrkMaxWidth = 32;
-constexpr int64_t kSyrkCellChunk = 128;
 constexpr int kSyrkPassBlocks = 6;
-
-template <int NR, int W>
-void SyrkTile(const double* panel, const double* weights, int64_t cells,
-              int64_t m, int64_t row0, int64_t col0, double* out) {
-  constexpr int kZ = W / 8;
-  constexpr bool kTail = W % 8 != 0;
-  constexpr int kZs = kZ > 0 ? kZ : 1;  // No zero-length arrays.
-  __m512d acc[NR][kZs] = {};
-  __m256d tail[NR] = {};
-  for (int r = 0; r < NR; ++r) {
-    double* o = out + (row0 + r) * m + col0;
-    for (int v = 0; v < kZ; ++v) acc[r][v] = _mm512_loadu_pd(o + 8 * v);
-    if constexpr (kTail) tail[r] = _mm256_loadu_pd(o + 8 * kZ);
-  }
-  for (int64_t c = 0; c < cells; ++c) {
-    const double* h = panel + c * m;
-    __m512d x[kZs] = {};
-    for (int v = 0; v < kZ; ++v) x[v] = _mm512_loadu_pd(h + col0 + 8 * v);
-    const __m256d xt =
-        kTail ? _mm256_loadu_pd(h + col0 + 8 * kZ) : _mm256_setzero_pd();
-    for (int r = 0; r < NR; ++r) {
-      const double u = weights[c] * h[row0 + r];
-      const __m512d u8 = _mm512_set1_pd(u);
-      for (int v = 0; v < kZ; ++v) {
-        acc[r][v] = _mm512_fmadd_pd(u8, x[v], acc[r][v]);
-      }
-      if constexpr (kTail) {
-        tail[r] = _mm256_fmadd_pd(_mm256_set1_pd(u), xt, tail[r]);
-      }
-    }
-  }
-  for (int r = 0; r < NR; ++r) {
-    double* o = out + (row0 + r) * m + col0;
-    for (int v = 0; v < kZ; ++v) _mm512_storeu_pd(o + 8 * v, acc[r][v]);
-    if constexpr (kTail) _mm256_storeu_pd(o + 8 * kZ, tail[r]);
-  }
-}
-
-template <int NR>
-void SyrkTileOfWidth(int64_t width, const double* panel,
-                     const double* weights, int64_t cells, int64_t m,
-                     int64_t row0, int64_t col0, double* out) {
-  switch (width) {
-    case 4:
-      return SyrkTile<NR, 4>(panel, weights, cells, m, row0, col0, out);
-    case 8:
-      return SyrkTile<NR, 8>(panel, weights, cells, m, row0, col0, out);
-    case 12:
-      return SyrkTile<NR, 12>(panel, weights, cells, m, row0, col0, out);
-    case 16:
-      return SyrkTile<NR, 16>(panel, weights, cells, m, row0, col0, out);
-    case 20:
-      return SyrkTile<NR, 20>(panel, weights, cells, m, row0, col0, out);
-    case 24:
-      return SyrkTile<NR, 24>(panel, weights, cells, m, row0, col0, out);
-    case 28:
-      return SyrkTile<NR, 28>(panel, weights, cells, m, row0, col0, out);
-    default:
-      return SyrkTile<NR, 32>(panel, weights, cells, m, row0, col0, out);
-  }
-}
 
 // Band B of a P-lane triangle: its accumulators, and one cell's update of
 // them from the cell's panel row h and staged u.
@@ -435,23 +201,7 @@ template <int64_t P>
 void WeightedSyrkUpper(const double* panel, const double* weights,
                        int64_t cells, int64_t rows, double* out, int64_t n) {
   if constexpr (P == 0) {
-    for (int64_t c0 = 0; c0 < cells; c0 += kSyrkCellChunk) {
-      const int64_t chunk = std::min(kSyrkCellChunk, cells - c0);
-      const double* p = panel + c0 * n;
-      const double* w = weights + c0;
-      for (int64_t i0 = 0; i0 < rows; i0 += 4) {
-        for (int64_t j0 = i0; j0 < n; j0 += kSyrkMaxWidth) {
-          const int64_t width = std::min(kSyrkMaxWidth, n - j0);
-          if (i0 + 4 <= rows) {
-            SyrkTileOfWidth<4>(width, p, w, chunk, n, i0, j0, out);
-          } else {
-            for (int64_t i = i0; i < rows; ++i) {
-              SyrkTileOfWidth<1>(width, p, w, chunk, n, i, j0, out);
-            }
-          }
-        }
-      }
-    }
+    WeightedSyrkTiles<Zmm, 32>(panel, weights, cells, rows, out, n);
   } else {
     if (rows <= 0) return;
     constexpr int kZ = static_cast<int>(P / 8);
@@ -477,196 +227,6 @@ void WeightedSyrkUpper(const double* panel, const double* weights,
       }
       SyrkPasses<P, 0>(p, u, chunk, rows, out);
     }
-  }
-}
-
-// One coordinate-descent entry from its dot: ((numerator − (dot − row·c))
-// / c) clipped, each operation rounded on its own as in the portable
-// sources (no contraction in this TU).
-inline double CoordinateValue(double dot, double row_k, double c_k,
-                              double numerator_k, double clip_min,
-                              double clip_max) {
-  double value = (numerator_k - (dot - row_k * c_k)) / c_k;
-  if (value > clip_max) {
-    value = clip_max;
-  } else if (value < clip_min) {
-    value = clip_min;
-  }
-  return value;
-}
-
-// Clipped coordinate descent (see VecCoordinateDescent). For P ≤ 32 the row
-// lives in at most four zmm registers (the last holding a 4-wide tail in
-// its low half when P ≡ 4 mod 8) and lane k is written by a masked move, so
-// no dot reloads a lane the step before it just stored; each dot is the
-// fmadd chain, reduction and 4-wide tail of Dot<P>. P = 0 loops over
-// Dot<0>.
-template <int64_t P>
-void CoordinateDescent(double* row, int64_t rank, const double* hq,
-                       const double* numerator, double clip_min,
-                       double clip_max, int64_t n) {
-  if constexpr (P == 0) {
-    for (int64_t k = 0; k < rank; ++k) {
-      const double* hq_k = hq + k * n;
-      const double c_k = hq_k[k];
-      if (!(c_k > 1e-300)) continue;
-      row[k] = CoordinateValue(Dot<0>(row, hq_k, n), row[k], c_k,
-                               numerator[k], clip_min, clip_max);
-    }
-  } else {
-    constexpr int kZ = static_cast<int>(P / 8);  // Full 8-wide blocks.
-    constexpr bool kTail = P % 8 != 0;           // Then one 4-wide block.
-    constexpr int kRegs = kZ + (kTail ? 1 : 0);
-    __m512d r[kRegs];
-    for (int v = 0; v < kRegs; ++v) r[v] = LoadBlock<P>(row, v);
-    for (int64_t k = 0; k < rank; ++k) {
-      const double* hq_k = hq + k * P;
-      const double c_k = hq_k[k];
-      if (!(c_k > 1e-300)) continue;
-      __m512d acc = _mm512_setzero_pd();
-      for (int v = 0; v < kZ; ++v) {
-        acc = _mm512_fmadd_pd(r[v], _mm512_loadu_pd(hq_k + 8 * v), acc);
-      }
-      double dot = ReduceLanes8(acc);
-      if constexpr (kTail) {
-        dot += ReduceLanes4(
-            _mm256_mul_pd(Lo256(r[kZ]), _mm256_loadu_pd(hq_k + 8 * kZ)));
-      }
-      // Lane k has not been written yet, so memory still holds row[k].
-      const __m512d value = _mm512_set1_pd(CoordinateValue(
-          dot, row[k], c_k, numerator[k], clip_min, clip_max));
-      const uint32_t bit = 1u << k;
-      for (int v = 0; v < kRegs; ++v) {
-        r[v] = _mm512_mask_mov_pd(r[v], static_cast<__mmask8>(bit >> (8 * v)),
-                                  value);
-      }
-    }
-    for (int v = 0; v < kZ; ++v) _mm512_storeu_pd(row + 8 * v, r[v]);
-    if constexpr (kTail) {
-      _mm256_storeu_pd(row + 8 * kZ, Lo256(r[kZ]));
-    }
-  }
-}
-
-// The GCP Newton panel passes (see VecPanelDots, VecPanelAxpy): direct,
-// inlinable calls of this tier's Dot<P> and Axpy<P> per cell, so each
-// result is theirs bit for bit without an indirect call per cell.
-template <int64_t P>
-void PanelDots(const double* panel, const double* v, int64_t cells,
-               double* out, int64_t n) {
-  const int64_t m = Trip<P>(n);
-  for (int64_t c = 0; c < cells; ++c) out[c] = Dot<P>(panel + c * m, v, n);
-}
-
-template <int64_t P>
-void PanelAxpy(const double* weights, const double* panel, int64_t cells,
-               double* y, int64_t n) {
-  const int64_t m = Trip<P>(n);
-  for (int64_t c = 0; c < cells; ++c) {
-    Axpy<P>(weights[c], panel + c * m, y, n);
-  }
-}
-
-// GCP Newton staging (see VecGatherHadamardDots). For P ≤ 32 a cell's
-// Hadamard row is formed in registers (P/8 zmm, then a ymm when P ≡ 4
-// mod 8), one multiply per factor row and block, stored to the panel and
-// dotted with the register-held v in Dot<P>'s chain, reduction and tail.
-// P = 0 runs Copy/Mul/MulAccum and Dot<0>.
-template <int64_t P>
-void GatherHadamardDots(const double* const* rows, int64_t count,
-                        int64_t cells, const double* v, double* panel,
-                        double* dots, int64_t n) {
-  if constexpr (P == 0) {
-    for (int64_t c = 0; c < cells; ++c) {
-      const double* const* r = rows + c * count;
-      double* h = panel + c * n;
-      if (count == 1) {
-        Copy<0>(r[0], h, n);
-      } else {
-        Mul<0>(r[0], r[1], h, n);
-        for (int64_t k = 2; k < count; ++k) MulAccum<0>(h, r[k], n);
-      }
-      dots[c] = Dot<0>(h, v, n);
-    }
-  } else {
-    constexpr int kZ = static_cast<int>(P / 8);
-    constexpr bool kTail = P % 8 != 0;
-    constexpr int kZs = kZ > 0 ? kZ : 1;  // No zero-length arrays.
-    __m512d vz[kZs] = {};
-    for (int b = 0; b < kZ; ++b) vz[b] = _mm512_loadu_pd(v + 8 * b);
-    const __m256d vt =
-        kTail ? _mm256_loadu_pd(v + 8 * kZ) : _mm256_setzero_pd();
-    for (int64_t c = 0; c < cells; ++c) {
-      const double* const* r = rows + c * count;
-      double* out = panel + c * P;
-      __m512d h[kZs] = {};
-      for (int b = 0; b < kZ; ++b) h[b] = _mm512_loadu_pd(r[0] + 8 * b);
-      __m256d t =
-          kTail ? _mm256_loadu_pd(r[0] + 8 * kZ) : _mm256_setzero_pd();
-      for (int64_t k = 1; k < count; ++k) {
-        for (int b = 0; b < kZ; ++b) {
-          h[b] = _mm512_mul_pd(h[b], _mm512_loadu_pd(r[k] + 8 * b));
-        }
-        if constexpr (kTail) {
-          t = _mm256_mul_pd(t, _mm256_loadu_pd(r[k] + 8 * kZ));
-        }
-      }
-      __m512d acc = _mm512_setzero_pd();
-      for (int b = 0; b < kZ; ++b) {
-        _mm512_storeu_pd(out + 8 * b, h[b]);
-        acc = _mm512_fmadd_pd(h[b], vz[b], acc);
-      }
-      double dot = ReduceLanes8(acc);
-      if constexpr (kTail) {
-        _mm256_storeu_pd(out + 8 * kZ, t);
-        dot += ReduceLanes4(_mm256_mul_pd(t, vt));
-      }
-      dots[c] = dot;
-    }
-  }
-}
-
-// ExpClamped over eight lanes: the steps of codelets_avx2.cpp's
-// ExpClamped4 at twice the width (see rank_dispatch.h), x kept in the
-// NaN-returning second operand of max_pd and min_pd (full-mask maskz forms,
-// for the warning above).
-inline __m512d ExpClamped8(__m512d x) {
-  using namespace exp_clamped;
-  x = _mm512_maskz_min_pd(
-      0xFF, _mm512_set1_pd(kBound),
-      _mm512_maskz_max_pd(0xFF, _mm512_set1_pd(-kBound), x));
-  const __m512d shifter = _mm512_set1_pd(kShifter);
-  const __m512d t = _mm512_add_pd(_mm512_mul_pd(x, _mm512_set1_pd(kLog2e)),
-                                  shifter);
-  const __m512d k = _mm512_sub_pd(t, shifter);
-  const __m512d r = _mm512_sub_pd(
-      _mm512_sub_pd(x, _mm512_mul_pd(k, _mm512_set1_pd(kLn2Hi))),
-      _mm512_mul_pd(k, _mm512_set1_pd(kLn2Lo)));
-  __m512d q = _mm512_set1_pd(kCoeffs[kNumCoeffs - 1]);
-  for (int i = kNumCoeffs - 2; i >= 0; --i) {
-    q = _mm512_add_pd(_mm512_mul_pd(q, r), _mm512_set1_pd(kCoeffs[i]));
-  }
-  const __m512d p = _mm512_add_pd(r, _mm512_mul_pd(_mm512_mul_pd(r, r), q));
-  const __m512i scale = _mm512_maskz_slli_epi64(
-      0xFF,
-      _mm512_add_epi64(_mm512_castpd_si512(t),
-                       _mm512_set1_epi64(kExponentBias)),
-      52);
-  return _mm512_mul_pd(_mm512_add_pd(_mm512_set1_pd(1.0), p),
-                       _mm512_castsi512_pd(scale));
-}
-
-// Elementwise over `count` values: full eight-lane blocks, then one masked
-// block for the remainder (masked-off lanes load 0 and are never stored).
-void ExpClampedKernel(const double* x, double* out, int64_t count) {
-  int64_t i = 0;
-  for (; i + 8 <= count; i += 8) {
-    _mm512_storeu_pd(out + i, ExpClamped8(_mm512_loadu_pd(x + i)));
-  }
-  if (i < count) {
-    const auto mask = static_cast<__mmask8>((1u << (count - i)) - 1u);
-    _mm512_mask_storeu_pd(out + i, mask,
-                          ExpClamped8(_mm512_maskz_loadu_pd(mask, x + i)));
   }
 }
 
@@ -791,7 +351,7 @@ bool FactorizeGroup(const double* a, double* u, int64_t order) {
 template <int64_t P>
 bool CholeskyUpper(const double* a, double* u, int64_t order, int64_t n) {
   if constexpr (P == 0) {
-    return CholeskyUpperRowSuffixes<&Axpy<0>>(a, u, order, n);
+    return CholeskyUpperRowSuffixes<&Axpy<Zmm, 0>>(a, u, order, n);
   } else {
     return FactorizeGroup<P, 0>(a, u, order);
   }
@@ -875,7 +435,7 @@ void BackSubstitute(const double* u, __m512d (&x)[kBlocks<P>],
       acc = _mm512_fmadd_pd(_mm512_loadu_pd(row + s + r), Window(x, s + r),
                             acc);
     }
-    double sum = ReduceLanes8(acc);
+    double sum = Zmm::Reduce(acc);
     if (r + 4 <= len) {
       sum += ReduceLanes4(_mm256_mul_pd(_mm256_loadu_pd(row + s + r),
                                         Lo256(Window(x, s + r))));
@@ -893,7 +453,8 @@ template <int64_t P>
 void CholeskySolveUpper(const double* u, const double* b, double* x,
                         int64_t order, int64_t n) {
   if constexpr (P == 0) {
-    CholeskySolveUpperRowSuffixes<&Axpy<0>, &Dot<0>>(u, b, x, order, n);
+    CholeskySolveUpperRowSuffixes<&Axpy<Zmm, 0>, &Dot<Zmm, 0>>(u, b, x, order,
+                                                              n);
   } else {
     __m512d v[kBlocks<P>];
     for (int w = 0; w < kBlocks<P>; ++w) {
@@ -908,25 +469,9 @@ void CholeskySolveUpper(const double* u, const double* b, double* x,
 }
 
 template <int64_t P>
-constexpr RankKernelTable kTable = {KernelTier::kAvx512,
-                                    P,
-                                    &Fill<P>,
-                                    &Copy<P>,
-                                    &Axpy<P>,
-                                    &Mul<P>,
-                                    &MulAccum<P>,
-                                    &Fma3<P>,
-                                    &Dot<P>,
-                                    &GramRowDelta<P>,
-                                    &ScaledDiffAccum<P>,
-                                    &WeightedSyrkUpper<P>,
-                                    &CoordinateDescent<P>,
-                                    &PanelDots<P>,
-                                    &PanelAxpy<P>,
-                                    &GatherHadamardDots<P>,
-                                    &ExpClampedKernel,
-                                    &CholeskyUpper<P>,
-                                    &CholeskySolveUpper<P>};
+constexpr RankKernelTable kTable =
+    SharedKernelTable<Zmm, P>(KernelTier::kAvx512, &WeightedSyrkUpper<P>,
+                              &CholeskyUpper<P>, &CholeskySolveUpper<P>);
 
 }  // namespace
 

@@ -421,9 +421,14 @@ double ExpClamped(double x);
 /// AVX-512 tiers point at the intrinsic codelets of linalg/codelets/,
 /// compiled in dedicated TUs with the matching -m flags and only reachable
 /// through this table (so a baseline build never executes them on hosts
-/// without the extensions). Intrinsic tiers may fuse multiply-adds, so they
-/// match the generic tier to a few ulps, not bitwise; elementwise kernels
-/// (fill/copy/mul/mul_accum) are bitwise across tiers. Within one tier,
+/// without the extensions). The two intrinsic tiers return the same bits
+/// from every slot: both run the kernels of codelets/codelet_kernels.h,
+/// whose dots keep eight partial sums (two four-lane accumulators on AVX2)
+/// in one reduction order, so a slot can move from one table to the other
+/// without changing a trajectory. They fuse multiply-adds and group their
+/// dots differently from the generic tier, so they match it to a few ulps,
+/// not bitwise; elementwise kernels (fill/copy/mul/mul_accum) and
+/// exp_clamped are bitwise across all three tiers. Within one tier,
 /// weighted_syrk_upper is bitwise equal to the per-cell axpy accumulation
 /// it replaces (see VecWeightedSyrkUpper), coordinate_descent computes
 /// every entry exactly as the scalar loop over the same tier's `dot` does

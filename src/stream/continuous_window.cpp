@@ -140,8 +140,15 @@ Status ContinuousTensorWindow::RestoreFrom(serial::Reader& r) {
     }
     SNS_RETURN_IF_ERROR(r.F64(&s.tuple.value));
     SNS_RETURN_IF_ERROR(r.I64(&s.tuple.time));
+    // The window schedules an event only at due = tuple.time + w·period
+    // (Ingest, ApplyScheduled), so any other due, or one past int64, is
+    // corrupt: it would pop behind the clock on a later slide.
+    int64_t offset = 0;
+    int64_t due = 0;
     if (s.w < 1 || s.w > window_size_ || s.seq >= next_seq_ ||
-        s.due < last_event_time_) {
+        s.due < last_event_time_ ||
+        __builtin_mul_overflow(int64_t{s.w}, period_, &offset) ||
+        __builtin_add_overflow(s.tuple.time, offset, &due) || due != s.due) {
       return Status::DataLoss("scheduled event " + std::to_string(i) +
                               " is inconsistent with the window clock");
     }

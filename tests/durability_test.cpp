@@ -530,6 +530,65 @@ TEST(CheckpointFieldPatchTest, EngineSnapshotPrecisionByteOneIsDataLoss) {
             StatusCode::kDataLoss);
 }
 
+TEST(CheckpointFieldPatchTest, ScheduledEventOffItsTupleTimeIsDataLoss) {
+  // The window schedules an event only at due = tuple.time + w·period. A
+  // tuple time moved ten periods back, its due untouched, used to restore;
+  // the event's next slide was then scheduled behind the window clock, and
+  // the next ingest aborted in PopScheduled's clock check.
+  const std::string bytes = MakeValidCheckpoint();
+  const size_t tag = bytes.find("WIND");
+  ASSERT_NE(tag, std::string::npos);
+  // The window tensor follows the tag: mode count u32, three dims, entry
+  // count u64 and 32-byte entries. Then next_seq u64, the clock i64, the
+  // pending count u64, and the first event: due i64, seq u64, w i32, arity
+  // u32, two coordinates i32, value f64 and the tuple time i64.
+  uint64_t nnz = 0;
+  std::memcpy(&nnz, bytes.data() + tag + 4 + 4 + 3 * 8, sizeof(nnz));
+  const size_t first = tag + 4 + 4 + 3 * 8 + 8 + 32 * nnz + 3 * 8;
+  uint64_t pending = 0;
+  int64_t due = 0;
+  int32_t w = 0;
+  int64_t time = 0;
+  std::memcpy(&pending, bytes.data() + first - 8, sizeof(pending));
+  std::memcpy(&due, bytes.data() + first, sizeof(due));
+  std::memcpy(&w, bytes.data() + first + 16, sizeof(w));
+  std::memcpy(&time, bytes.data() + first + 40, sizeof(time));
+  const int64_t period = SmallEngineOptions(SnsVariant::kVecPlus).period;
+  ASSERT_GT(pending, 0u);
+  ASSERT_EQ(due, time + w * period);  // The offset arithmetic is right.
+  const auto stored = static_cast<uint64_t>(time);
+  EXPECT_EQ(RestoreWithU64(bytes, first + 40, stored,
+                           static_cast<uint64_t>(time - 10 * period))
+                .code(),
+            StatusCode::kDataLoss);
+  // A tuple time whose due would overflow int64.
+  EXPECT_EQ(RestoreWithU64(bytes, first + 40, stored,
+                           static_cast<uint64_t>(
+                               std::numeric_limits<int64_t>::max()))
+                .code(),
+            StatusCode::kDataLoss);
+}
+
+TEST(CheckpointFieldPatchTest, InitializationBytesMustAgree) {
+  // Initialize sets the handle's initialized byte (just before the engine's
+  // "WIND" tag) and the engine's updates_enabled byte (just after its
+  // "CNTR" tag). A cleared engine byte used to restore, and the next ingest
+  // aborted in a matrix shape check.
+  const std::string bytes = MakeValidCheckpoint();
+  const size_t handle_byte = bytes.find("WIND") - 1;
+  const size_t engine_byte = bytes.find("CNTR") + 4;
+  ASSERT_EQ(bytes.find("CNTR"), bytes.rfind("CNTR"));
+  ASSERT_EQ(bytes[handle_byte], 1);
+  ASSERT_EQ(bytes[engine_byte], 1);
+  for (const size_t at : {handle_byte, engine_byte}) {
+    std::string patched = bytes;
+    patched[at] = 0;
+    ResealCrc(patched);
+    EXPECT_EQ(TryRestore(patched).code(), StatusCode::kDataLoss)
+        << "byte " << at;
+  }
+}
+
 std::string FromHex(std::string_view hex) {
   std::string bytes;
   for (size_t i = 0; i + 1 < hex.size(); i += 2) {

@@ -12,11 +12,14 @@
 // kernels bitwise, and the library's clamped exponential to its scalar form
 // and to long-double exp.
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -1042,6 +1045,243 @@ TEST(GramSolveSlotTest, EqualRowSuffixLoopsBitwiseOnEveryTier) {
     }
     indefinite(bad, bad) = bad == 0 ? -1.0 : spd(0, 0) - 1e-3;
     ExpectSlotsMatchRowSuffixLoops(indefinite, "indefinite");
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The two intrinsic tiers return the same bits from every slot: the AVX2
+// codelets run the AVX-512 grouping of every dot, so a slot can move
+// between the tables without changing a trajectory. Each slot runs on the
+// same inputs at both tiers, at every padded rank 4–32 (every data length
+// 1–32, so the padding lanes are compared too) and at the runtime-bound
+// tables' lengths and orders 1–40, with exact zeros of both signs in the
+// inputs. Outputs are compared with kGuard lanes past their end, which
+// must stay untouched; the SYRK and the factor only where their contract
+// specifies them (the upper triangle and its padding lanes).
+
+constexpr int64_t kGuard = 8;
+constexpr double kSentinel = 12345.0;
+
+// Random values with exact +0.0 and −0.0 mixed in.
+std::vector<double> SignedZeroValues(int64_t count, Rng& rng) {
+  std::vector<double> v(static_cast<size_t>(count));
+  for (double& x : v) {
+    const double u = rng.UniformDouble();
+    x = u < 0.1 ? 0.0 : u < 0.2 ? -0.0 : rng.Normal();
+  }
+  return v;
+}
+
+// A buffer of `len` data values, zero padding up to n, then guard lanes.
+std::vector<double> Padded(const std::vector<double>& data, int64_t n) {
+  std::vector<double> v(data);
+  v.resize(static_cast<size_t>(n), 0.0);
+  v.resize(static_cast<size_t>(n + kGuard), kSentinel);
+  return v;
+}
+
+void Record(std::vector<uint64_t>& bits, const double* p, int64_t count) {
+  for (int64_t i = 0; i < count; ++i) {
+    bits.push_back(std::bit_cast<uint64_t>(p[i]));
+  }
+}
+
+// The upper triangle of a rows × stride row-major matrix, padding included.
+void RecordUpper(std::vector<uint64_t>& bits, const std::vector<double>& m,
+                 int64_t rows, int64_t stride) {
+  for (int64_t i = 0; i < rows; ++i) {
+    Record(bits, m.data() + i * stride + i, stride - i);
+  }
+}
+
+// Every slot's outputs at data length `len`: padded length n for the
+// vector slots (len for the runtime-bound table), syrk_n for the SYRK (which
+// needs a multiple of 4) and stride n for the Gram solve of order len.
+std::map<std::string, std::vector<uint64_t>> SlotBits(
+    const RankKernelTable& kr, int64_t len, int64_t n, int64_t syrk_n) {
+  Rng rng(1000 + 97 * static_cast<uint64_t>(len) +
+          static_cast<uint64_t>(kr.padded_rank));
+  const std::vector<double> a = Padded(SignedZeroValues(len, rng), n);
+  const std::vector<double> b = Padded(SignedZeroValues(len, rng), n);
+  const std::vector<double> c = Padded(SignedZeroValues(len, rng), n);
+  const std::vector<double> zeros = Padded(std::vector<double>(
+      static_cast<size_t>(len), -0.0), n);
+  std::map<std::string, std::vector<uint64_t>> out;
+  std::vector<double> y;
+
+  y = Padded({}, n);
+  kr.fill(y.data(), -1.75, n);
+  Record(out["fill"], y.data(), n + kGuard);
+  y = Padded({}, n);
+  kr.copy(a.data(), y.data(), n);
+  Record(out["copy"], y.data(), n + kGuard);
+  y = b;
+  kr.axpy(-1.3, a.data(), y.data(), n);
+  Record(out["axpy"], y.data(), n + kGuard);
+  y = Padded({}, n);
+  kr.mul(a.data(), b.data(), y.data(), n);
+  Record(out["mul"], y.data(), n + kGuard);
+  y = a;
+  kr.mul_accum(y.data(), b.data(), n);
+  Record(out["mul_accum"], y.data(), n + kGuard);
+  y = c;
+  kr.fma3(0.77, a.data(), b.data(), y.data(), n);
+  Record(out["fma3"], y.data(), n + kGuard);
+  for (const auto& [x, z] :
+       {std::pair{&a, &b}, std::pair{&a, &a}, std::pair{&zeros, &b},
+        std::pair{&zeros, &zeros}}) {
+    const double d = kr.dot(x->data(), z->data(), n);
+    Record(out["dot"], &d, 1);
+  }
+  y = c;
+  kr.gram_row_delta(a[0], a.data(), b[0], b.data(), y.data(), n);
+  Record(out["gram_row_delta"], y.data(), n + kGuard);
+  y = c;
+  kr.scaled_diff_accum(1.1, a.data(), b.data(), y.data(), n);
+  Record(out["scaled_diff_accum"], y.data(), n + kGuard);
+
+  // Panels of 131 cells cross the SYRK's 128-cell chunks.
+  const int64_t cells = 131;
+  std::vector<double> panel, weights = SignedZeroValues(cells, rng);
+  for (int64_t i = 0; i < cells; ++i) {
+    std::vector<double> row = Padded(SignedZeroValues(len, rng), n);
+    panel.insert(panel.end(), row.begin(), row.begin() + n);
+  }
+  std::vector<double> dots(static_cast<size_t>(cells + kGuard), kSentinel);
+  kr.panel_dots(panel.data(), a.data(), cells, dots.data(), n);
+  Record(out["panel_dots"], dots.data(), cells + kGuard);
+  y = c;
+  kr.panel_axpy(weights.data(), panel.data(), cells, y.data(), n);
+  Record(out["panel_axpy"], y.data(), n + kGuard);
+  for (int64_t count = 1; count <= 3; ++count) {
+    std::vector<const double*> rows;
+    for (int64_t i = 0; i < 9 * count; ++i) {
+      rows.push_back(panel.data() + rng.UniformInt(0, cells - 1) * n);
+    }
+    std::vector<double> staged(static_cast<size_t>(9 * n + kGuard), kSentinel);
+    std::fill(dots.begin(), dots.end(), kSentinel);
+    kr.gather_hadamard_dots(rows.data(), count, 9, b.data(), staged.data(),
+                            dots.data(), n);
+    Record(out["gather_hadamard_dots"], staged.data(), 9 * n + kGuard);
+    Record(out["gather_hadamard_dots"], dots.data(), 9 + kGuard);
+  }
+
+  std::vector<double> syrk_panel;
+  for (int64_t i = 0; i < cells; ++i) {
+    std::vector<double> row = Padded(SignedZeroValues(len, rng), syrk_n);
+    syrk_panel.insert(syrk_panel.end(), row.begin(), row.begin() + syrk_n);
+  }
+  std::vector<double> syrk;
+  for (int64_t i = 0; i < len; ++i) {
+    std::vector<double> row = Padded(SignedZeroValues(len, rng), syrk_n);
+    syrk.insert(syrk.end(), row.begin(), row.begin() + syrk_n);
+  }
+  kr.weighted_syrk_upper(syrk_panel.data(), weights.data(), cells, len,
+                         syrk.data(), syrk_n);
+  RecordUpper(out["weighted_syrk_upper"], syrk, len, syrk_n);
+
+  // hq = K'K over n columns, one dead component, a clipping numerator.
+  std::vector<double> hq(static_cast<size_t>(len * n), 0.0);
+  for (int64_t k = 0; k < 2 * len + 1; ++k) {
+    const std::vector<double> r = SignedZeroValues(len, rng);
+    for (int64_t i = 0; i < len; ++i) {
+      for (int64_t j = 0; j < len; ++j) {
+        hq[static_cast<size_t>(i * n + j)] += r[i] * r[j];
+      }
+    }
+  }
+  hq[static_cast<size_t>((len / 2) * n + len / 2)] = 0.0;
+  std::vector<double> numerator = SignedZeroValues(len, rng);
+  for (double& v : numerator) v *= 3.0;
+  y = a;
+  kr.coordinate_descent(y.data(), len, hq.data(), numerator.data(), -2.0, 2.0,
+                        n);
+  Record(out["coordinate_descent"], y.data(), n + kGuard);
+
+  std::vector<double> x = SignedZeroValues(len + 3, rng);
+  for (const double v : {0.0, -0.0, 1e-300, -45.0, 45.0,
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN()}) {
+    x[rng.UniformInt(0, len + 2)] = v;
+  }
+  for (double& v : x) v *= 20.0;
+  y.assign(static_cast<size_t>(len + kGuard), kSentinel);
+  kr.exp_clamped(x.data(), y.data(), len);
+  Record(out["exp_clamped"], y.data(), len + kGuard);
+
+  // The Gram solve on a sparse Gram (exact zeros, some of them −0, which
+  // take the factorization's skip) and on an indefinite matrix that fails
+  // part-way.
+  std::vector<double> gram(static_cast<size_t>(len * n), 0.0);
+  for (int64_t k = 0; k < 2 * len; ++k) {
+    std::vector<double> r(static_cast<size_t>(len), 0.0);
+    for (double& v : r) {
+      if (rng.UniformDouble() < 0.15) v = rng.Normal();
+    }
+    for (int64_t i = 0; i < len; ++i) {
+      for (int64_t j = 0; j < len; ++j) {
+        gram[static_cast<size_t>(i * n + j)] += r[i] * r[j];
+      }
+    }
+  }
+  for (int64_t i = 0; i < len; ++i) {
+    gram[static_cast<size_t>(i * n + i)] += 1.0;
+    for (int64_t j = i + 1; j < len; ++j) {
+      double& g = gram[static_cast<size_t>(i * n + j)];
+      if (g == 0.0 && (i + j) % 3 == 0) g = -0.0;
+    }
+  }
+  std::vector<double> indefinite = gram;
+  indefinite[static_cast<size_t>((len / 2) * n + len / 2)] = -1.0;
+  for (const std::vector<double>* h : {&gram, &indefinite}) {
+    std::vector<double> u(static_cast<size_t>(len * n), 7.0);
+    const double ok = kr.cholesky_upper(h->data(), u.data(), len, n) ? 1 : 0;
+    Record(out["cholesky_upper"], &ok, 1);
+    RecordUpper(out["cholesky_upper"], u, len, n);
+    if (ok == 0) continue;
+    const std::vector<double> rhs = Padded(SignedZeroValues(len, rng), len);
+    y.assign(rhs.size(), kSentinel);
+    kr.cholesky_solve_upper(u.data(), rhs.data(), y.data(), len, n);
+    Record(out["cholesky_solve_upper"], y.data(), len + kGuard);
+    y = rhs;
+    kr.cholesky_solve_upper(u.data(), y.data(), y.data(), len, n);
+    Record(out["cholesky_solve_upper"], y.data(), len + kGuard);
+  }
+  return out;
+}
+
+void ExpectSameSlotBits(int64_t padded_rank, int64_t len, int64_t n,
+                        int64_t syrk_n) {
+  const RankKernelTable& avx2 =
+      GetRankKernelTable(padded_rank, KernelTier::kAvx2);
+  const RankKernelTable& avx512 =
+      GetRankKernelTable(padded_rank, KernelTier::kAvx512);
+  ASSERT_EQ(avx2.tier, KernelTier::kAvx2);
+  ASSERT_EQ(avx512.tier, KernelTier::kAvx512);
+  const auto expected = SlotBits(avx512, len, n, syrk_n);
+  const auto actual = SlotBits(avx2, len, n, syrk_n);
+  ASSERT_EQ(actual.size(), 17u);
+  for (const auto& [slot, bits] : expected) {
+    SCOPED_TRACE(testing::Message() << slot << " padded_rank=" << padded_rank
+                                    << " len=" << len);
+    const std::vector<uint64_t>& other = actual.at(slot);
+    ASSERT_EQ(other.size(), bits.size());
+    for (size_t i = 0; i < bits.size(); ++i) {
+      ASSERT_EQ(other[i], bits[i]) << "output " << i;
+    }
+  }
+}
+
+TEST(IntrinsicTierTest, Avx2AndAvx512SlotsReturnTheSameBits) {
+  if (!KernelTierSupported(KernelTier::kAvx2) ||
+      !KernelTierSupported(KernelTier::kAvx512)) {
+    GTEST_SKIP() << "host or build lacks an intrinsic tier";
+  }
+  for (int64_t len = 1; len <= 40; ++len) {
+    const int64_t padded = PaddedRank(len);
+    if (padded <= 32) ExpectSameSlotBits(padded, len, padded, padded);
+    ExpectSameSlotBits(0, len, len, padded);
   }
 }
 

@@ -7,6 +7,8 @@
 #include <cmath>
 #include <cstdlib>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -15,6 +17,8 @@
 
 #include "common/cpu_features.h"
 #include "common/random.h"
+#include "api/stream_handle.h"
+#include "common/serial.h"
 #include "core/continuous_cpd.h"
 #include "core/cpd_state.h"
 #include "linalg/cholesky.h"
@@ -307,6 +311,103 @@ TEST(ForcedGenericTest, ForcedMatchesAutoWhenHostLacksAvx2) {
     forced = RunEngine(options);
   }
   ExpectBitwiseEqual(auto_tier, forced);
+}
+
+// A checkpoint taken on the AVX2 tier continues on the AVX-512 tier
+// bitwise: the two tables return the same bits from every slot, so a stream
+// can move between hosts of either tier mid-trajectory. Half of the live
+// stream runs pinned to AVX2, is checkpointed, restored pinned to AVX-512
+// and fed the rest; its state must equal an uninterrupted AVX-512 run, for
+// the Gaussian SNS+RND and the Poisson SNS+VEC rule at R = 20.
+
+// 600 tuples on a 12 × 10 grid, four per time unit, counts 1..4, from a
+// 64-bit LCG.
+std::vector<Tuple> CrossTierStream() {
+  std::vector<Tuple> tuples;
+  uint64_t x = 0x5eedc0deull;
+  auto next = [&x] {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    return x >> 33;
+  };
+  for (int k = 0; k < 600; ++k) {
+    ModeIndex index;
+    index.PushBack(static_cast<int32_t>(next() % 12));
+    index.PushBack(static_cast<int32_t>(next() % 10));
+    tuples.push_back(
+        Tuple{index, static_cast<double>(1 + next() % 4), 1 + k / 4});
+  }
+  return tuples;
+}
+
+std::string SerializedState(const StreamHandle& handle) {
+  serial::StringSink sink;
+  serial::Writer writer(sink);
+  SNS_CHECK(handle.SerializeState(writer).ok());
+  return sink.TakeData();
+}
+
+// The stream's state after its warm-up, initialization and first `split`
+// live tuples at `first`, then the rest: restored from a checkpoint at
+// `second` when one is given, uninterrupted otherwise.
+std::string RunAcrossTiers(const ContinuousCpdOptions& options,
+                           KernelTier first, std::optional<KernelTier> second,
+                           size_t split) {
+  const std::vector<Tuple> tuples = CrossTierStream();
+  const std::span<const Tuple> all(tuples);
+  size_t warm = 0;
+  while (warm < all.size() &&
+         all[warm].time <= options.window_size * options.period) {
+    ++warm;
+  }
+  const std::span<const Tuple> live = all.subspan(warm);
+  internal::RefreshKernelTierForTest(first);
+  auto handle = StreamHandle::Create("cross-tier", {12, 10}, options);
+  SNS_CHECK(handle.ok());
+  SNS_CHECK(handle.value().Warmup(all.subspan(0, warm)).ok());
+  SNS_CHECK(handle.value().Initialize().ok());
+  SNS_CHECK(handle.value().Ingest(live.subspan(0, split)).ok());
+  std::string state;
+  if (second.has_value()) {
+    serial::StringSink checkpoint;
+    SNS_CHECK(handle.value().Checkpoint(checkpoint).ok());
+    internal::RefreshKernelTierForTest(*second);
+    serial::StringSource source(checkpoint.data());
+    auto restored = StreamHandle::Restore(source);
+    SNS_CHECK(restored.ok());
+    SNS_CHECK(restored.value().Ingest(live.subspan(split)).ok());
+    state = SerializedState(restored.value());
+  } else {
+    SNS_CHECK(handle.value().Ingest(live.subspan(split)).ok());
+    state = SerializedState(handle.value());
+  }
+  internal::RefreshKernelTierForTest();
+  return state;
+}
+
+TEST(CrossTierCheckpointTest, Avx2CheckpointContinuesBitwiseOnAvx512) {
+  if (!KernelTierSupported(KernelTier::kAvx2) ||
+      !KernelTierSupported(KernelTier::kAvx512)) {
+    GTEST_SKIP() << "host or build lacks an intrinsic tier";
+  }
+  ScopedForceGenericEnv env(nullptr);  // Restores the env tier on exit.
+  ContinuousCpdOptions rnd;
+  rnd.rank = 20;
+  rnd.window_size = 3;
+  rnd.period = 10;
+  rnd.variant = SnsVariant::kRndPlus;
+  rnd.sample_threshold = 3;
+  rnd.clip_bound = 2.0;
+  rnd.seed = 29;
+  ContinuousCpdOptions poisson = rnd;
+  poisson.variant = SnsVariant::kVecPlus;
+  poisson.loss = LossKind::kPoisson;
+  for (const ContinuousCpdOptions& options : {rnd, poisson}) {
+    SCOPED_TRACE(VariantName(options.variant));
+    const size_t half = 240;  // Of the 480 live tuples.
+    EXPECT_EQ(RunAcrossTiers(options, KernelTier::kAvx2, KernelTier::kAvx512,
+                             half),
+              RunAcrossTiers(options, KernelTier::kAvx512, std::nullopt, half));
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <iterator>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -400,6 +401,43 @@ TEST(StreamHandleTest, HugeExpectedNnzDoesNotAbort) {
   EXPECT_EQ(handle.value().options().expected_nnz, int64_t{1} << 40);
   const Tuple tuple{{4, 3}, 2.0, 1};
   EXPECT_TRUE(handle.value().Warmup(std::span<const Tuple>(&tuple, 1)).ok());
+}
+
+TEST(SnsServiceTest, HugeSampleThresholdIsBoundedByTheSliceGrid) {
+  // θ = 2⁴⁰ on a 6 × 5 stream with W = 3: the sampled rule reserved θ
+  // cells and the stream died of std::bad_alloc. No slice holds more than
+  // the largest slice grid, 6 · 5 = 30 cells, and sampling runs only past
+  // θ, so the stream runs exactly as one whose θ is that grid.
+  const DataStream stream = SmallStream(300, 17);
+  SnsService service;
+  ContinuousCpdOptions options = SmallOptions();
+  const auto [warm, live] = SplitWarmup(stream, options);
+  for (const int64_t theta : {int64_t{1} << 40, int64_t{30}}) {
+    options.sample_threshold = theta;
+    const std::string name = "theta-" + std::to_string(theta);
+    ASSERT_TRUE(service.CreateStream(name, {6, 5}, options).ok());
+    ASSERT_TRUE(service.Warmup(name, warm).ok());
+    ASSERT_TRUE(service.Initialize(name).ok());
+    ASSERT_TRUE(service.Ingest(name, live).ok());
+  }
+  const StreamHandle* huge = service.Find("theta-1099511627776");
+  const StreamHandle* grid = service.Find("theta-30");
+  ASSERT_NE(huge, nullptr);
+  ASSERT_NE(grid, nullptr);
+  ASSERT_GT(huge->Stats().events_processed, 0);
+  for (int mode = 0; mode < huge->num_modes(); ++mode) {
+    const int64_t rows = mode + 1 == huge->num_modes()
+                             ? huge->window_size()
+                             : huge->mode_dims()[static_cast<size_t>(mode)];
+    for (int64_t row = 0; row < rows; ++row) {
+      const FactorRowView a = huge->FactorRow(mode, row).value();
+      const FactorRowView b = grid->FactorRow(mode, row).value();
+      for (int64_t r = 0; r < a.rank(); ++r) {
+        ASSERT_EQ(a[r], b[r])
+            << "mode " << mode << " row " << row << " component " << r;
+      }
+    }
+  }
 }
 
 // --- Umbrella-header reachability (the original README-flow check) --------
