@@ -21,6 +21,7 @@ CpuFeatures Probe() {
   f.fma = __builtin_cpu_supports("fma") != 0;
   f.avx2 = __builtin_cpu_supports("avx2") != 0;
   f.avx512f = __builtin_cpu_supports("avx512f") != 0;
+  f.pclmul = __builtin_cpu_supports("pclmul") != 0;
 #endif
   return f;
 }
@@ -99,6 +100,7 @@ std::string CpuFeaturesSummary() {
   add(f.fma, "fma");
   add(f.avx2, "avx2");
   add(f.avx512f, "avx512f");
+  add(f.pclmul, "pclmul");
   if (out.empty()) out = "baseline";
   out += " tier=";
   out += KernelTierName(ResolveKernelTier());

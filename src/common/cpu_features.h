@@ -22,14 +22,16 @@
 
 namespace sns {
 
-/// The x86 SIMD extensions the kernel tiers care about. All false on
-/// non-x86 targets.
+/// The x86 SIMD extensions the kernel tiers care about, plus the
+/// carry-less multiply the CRC-32 fold uses (common/crc32.cpp). All false
+/// on non-x86 targets.
 struct CpuFeatures {
   bool sse42 = false;
   bool avx = false;
   bool fma = false;
   bool avx2 = false;
   bool avx512f = false;
+  bool pclmul = false;
 };
 
 /// cpuid probe, run once per process and cached.
@@ -59,7 +61,7 @@ bool KernelTierSupported(KernelTier tier);
 KernelTier ResolveKernelTier();
 
 /// One-line provenance summary for benchmark JSON, e.g.
-/// "sse4.2+avx+fma+avx2+avx512f tier=avx512".
+/// "sse4.2+avx+fma+avx2+avx512f+pclmul tier=avx512".
 std::string CpuFeaturesSummary();
 
 namespace internal {

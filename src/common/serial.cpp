@@ -1,6 +1,5 @@
 #include "common/serial.h"
 
-#include <bit>
 #include <cerrno>
 #include <cstring>
 
@@ -157,70 +156,22 @@ Status WriteStringToFile(const std::string& path, std::string_view data) {
   return sink.value().Close();
 }
 
-void Writer::U32(uint32_t v) {
-  unsigned char b[4];
-  for (int i = 0; i < 4; ++i) b[i] = static_cast<unsigned char>(v >> (8 * i));
-  Bytes(b, sizeof(b));
+Writer::Writer(ByteSink& sink)
+    : sink_(&sink), direct_(nullptr) {
+  if (auto* string_sink = dynamic_cast<StringSink*>(&sink)) {
+    direct_ = string_sink->mutable_data();
+  }
 }
 
-void Writer::U64(uint64_t v) {
-  unsigned char b[8];
-  for (int i = 0; i < 8; ++i) b[i] = static_cast<unsigned char>(v >> (8 * i));
-  Bytes(b, sizeof(b));
-}
-
-void Writer::F64(double v) { U64(std::bit_cast<uint64_t>(v)); }
-
-void Writer::Bytes(const void* data, size_t size) {
+void Writer::SinkWrite(const void* data, size_t size) {
   if (!status_.ok()) return;
   status_ = sink_->Write(data, size);
 }
 
-void Writer::Str(std::string_view s) {
-  U64(s.size());
-  Bytes(s.data(), s.size());
-}
+Reader::Reader(ByteSource& source)
+    : source_(&source), direct_(dynamic_cast<StringSource*>(&source)) {}
 
-Status Reader::U32(uint32_t* v) {
-  unsigned char b[4];
-  SNS_RETURN_IF_ERROR(Bytes(b, sizeof(b)));
-  uint32_t out = 0;
-  for (int i = 0; i < 4; ++i) out |= static_cast<uint32_t>(b[i]) << (8 * i);
-  *v = out;
-  return Status::OK();
-}
-
-Status Reader::U64(uint64_t* v) {
-  unsigned char b[8];
-  SNS_RETURN_IF_ERROR(Bytes(b, sizeof(b)));
-  uint64_t out = 0;
-  for (int i = 0; i < 8; ++i) out |= static_cast<uint64_t>(b[i]) << (8 * i);
-  *v = out;
-  return Status::OK();
-}
-
-Status Reader::I32(int32_t* v) {
-  uint32_t u = 0;
-  SNS_RETURN_IF_ERROR(U32(&u));
-  *v = static_cast<int32_t>(u);
-  return Status::OK();
-}
-
-Status Reader::I64(int64_t* v) {
-  uint64_t u = 0;
-  SNS_RETURN_IF_ERROR(U64(&u));
-  *v = static_cast<int64_t>(u);
-  return Status::OK();
-}
-
-Status Reader::F64(double* v) {
-  uint64_t u = 0;
-  SNS_RETURN_IF_ERROR(U64(&u));
-  *v = std::bit_cast<double>(u);
-  return Status::OK();
-}
-
-Status Reader::Bytes(void* data, size_t size) {
+Status Reader::SourceRead(void* data, size_t size) {
   if (!status_.ok()) return status_;
   status_ = source_->ReadExact(data, size);
   return status_;

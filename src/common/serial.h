@@ -10,18 +10,27 @@
 //
 // Encoding contract: all integers little-endian fixed width, doubles as the
 // little-endian bytes of their IEEE-754 bit pattern, strings as u64 length +
-// raw bytes. The layout is byte-for-byte deterministic — equal state always
-// serializes to equal bytes, which is what lets the durability tests compare
-// whole checkpoints bitwise.
+// raw bytes. There is no padding, alignment or framing between fields. The
+// layout is byte-for-byte deterministic — equal state always serializes to
+// equal bytes, which is what lets the durability tests compare whole
+// checkpoints bitwise — and it is the same on every host and over every
+// sink: a Writer over a StringSink appends each field straight into the
+// sink's string, and a Reader over a StringSource decodes each field
+// straight from its range (no virtual call, no per-field Status on
+// success), while other sinks and sources go through Write / ReadSome with
+// the same bytes and the same errors.
 
 #ifndef SLICENSTITCH_COMMON_SERIAL_H_
 #define SLICENSTITCH_COMMON_SERIAL_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 
 #include "common/status.h"
@@ -63,6 +72,9 @@ class StringSink final : public ByteSink {
     return Status::OK();
   }
   const std::string& data() const { return data_; }
+  /// The accumulated bytes, for encoders that patch a field after the
+  /// fact (a length or checksum) or frame their output in place.
+  std::string* mutable_data() { return &data_; }
   std::string TakeData() { return std::move(data_); }
 
  private:
@@ -77,6 +89,8 @@ class StringSource final : public ByteSource {
   size_t remaining() const override { return data_.size() - pos_; }
 
  private:
+  friend class Reader;  // Decodes straight from data_ (see Reader).
+
   std::string_view data_;
   size_t pos_ = 0;
 };
@@ -133,42 +147,77 @@ StatusOr<std::string> ReadFileToString(const std::string& path);
 Status WriteStringToFile(const std::string& path, std::string_view data);
 
 /// Little-endian primitive encoder over a ByteSink. The first write error
-/// sticks; callers compose an entire record and check status() once.
+/// sticks; callers compose an entire record and check status() once. Over a
+/// StringSink every field is appended inline (a StringSink never fails).
 class Writer {
  public:
-  explicit Writer(ByteSink& sink) : sink_(&sink) {}
+  explicit Writer(ByteSink& sink);
 
-  void U8(uint8_t v) { Bytes(&v, 1); }
-  void U32(uint32_t v);
-  void U64(uint64_t v);
+  void U8(uint8_t v) { Fixed<1>(v); }
+  void U32(uint32_t v) { Fixed<4>(v); }
+  void U64(uint64_t v) { Fixed<8>(v); }
   void I32(int32_t v) { U32(static_cast<uint32_t>(v)); }
   void I64(int64_t v) { U64(static_cast<uint64_t>(v)); }
-  void F64(double v);
-  void Bytes(const void* data, size_t size);
+  void F64(double v) { U64(std::bit_cast<uint64_t>(v)); }
+  void Bytes(const void* data, size_t size) {
+    if (direct_ != nullptr) {
+      direct_->append(static_cast<const char*>(data), size);
+    } else {
+      SinkWrite(data, size);
+    }
+  }
   /// u64 length + raw bytes.
-  void Str(std::string_view s);
+  void Str(std::string_view s) {
+    U64(s.size());
+    Bytes(s.data(), s.size());
+  }
 
   const Status& status() const { return status_; }
 
  private:
+  template <size_t N>
+  void Fixed(uint64_t v) {
+    char b[N];
+    for (size_t i = 0; i < N; ++i) b[i] = static_cast<char>(v >> (8 * i));
+    Bytes(b, N);
+  }
+  void SinkWrite(const void* data, size_t size);
+
   ByteSink* sink_;
+  std::string* direct_;  // The StringSink's string, or null.
   Status status_;
 };
 
 /// Little-endian primitive decoder over a ByteSource. The first read error
 /// sticks and every later accessor fails fast, so decode sequences need only
-/// one status check per record.
+/// one status check per record. Over a StringSource, a field that is there
+/// is decoded inline; a short read takes the ReadExact path and fails with
+/// its kDataLoss.
 class Reader {
  public:
-  explicit Reader(ByteSource& source) : source_(&source) {}
+  explicit Reader(ByteSource& source);
 
-  Status U8(uint8_t* v) { return Bytes(v, 1); }
-  Status U32(uint32_t* v);
-  Status U64(uint64_t* v);
-  Status I32(int32_t* v);
-  Status I64(int64_t* v);
-  Status F64(double* v);
-  Status Bytes(void* data, size_t size);
+  Status U8(uint8_t* v) { return Fixed<1>(v); }
+  Status U32(uint32_t* v) { return Fixed<4>(v); }
+  Status U64(uint64_t* v) { return Fixed<8>(v); }
+  Status I32(int32_t* v) { return Fixed<4>(v); }
+  Status I64(int64_t* v) { return Fixed<8>(v); }
+  Status F64(double* v) {
+    uint64_t u = 0;
+    SNS_RETURN_IF_ERROR(U64(&u));
+    *v = std::bit_cast<double>(u);
+    return Status::OK();
+  }
+  Status Bytes(void* data, size_t size) {
+    if (direct_ != nullptr && status_.ok() && direct_->remaining() >= size) {
+      if (size != 0) {
+        std::memcpy(data, direct_->data_.data() + direct_->pos_, size);
+      }
+      direct_->pos_ += size;
+      return Status::OK();
+    }
+    return SourceRead(data, size);
+  }
   /// Reads a Writer::Str string; fails with kDataLoss when the encoded
   /// length exceeds `max_size` (corruption guard for unchecksummed input).
   Status Str(std::string* s, size_t max_size = kDefaultMaxStr);
@@ -181,7 +230,21 @@ class Reader {
  private:
   static constexpr size_t kDefaultMaxStr = 1u << 20;
 
+  template <size_t N, typename T>
+  Status Fixed(T* v) {
+    unsigned char b[N];
+    SNS_RETURN_IF_ERROR(Bytes(b, N));
+    std::make_unsigned_t<T> out = 0;
+    for (size_t i = 0; i < N; ++i) {
+      out |= static_cast<std::make_unsigned_t<T>>(b[i]) << (8 * i);
+    }
+    *v = static_cast<T>(out);
+    return Status::OK();
+  }
+  Status SourceRead(void* data, size_t size);
+
   ByteSource* source_;
+  StringSource* direct_;  // The source when it is a StringSource, or null.
   Status status_;
 };
 

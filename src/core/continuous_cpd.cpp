@@ -218,10 +218,8 @@ void ContinuousCpd::MaybeDecayOutliers(int64_t time) {
     next_outlier_decay_ = time + options_.period;
     return;
   }
-  while (time >= next_outlier_decay_) {
-    outliers_.Decay();
-    next_outlier_decay_ += options_.period;
-  }
+  next_outlier_decay_ =
+      outliers_.DecayThrough(time, next_outlier_decay_, options_.period);
 }
 
 void ContinuousCpd::ProcessTuple(const Tuple& tuple) {
@@ -231,9 +229,12 @@ void ContinuousCpd::ProcessTuple(const Tuple& tuple) {
 void ContinuousCpd::ProcessBatch(std::span<const Tuple> tuples) {
   // Scheduled events due at or before each arrival drain first, but the
   // earliest due time is cached across the batch: a tuple only touches the
-  // schedule heap when an event is actually due. Ingest schedules the
-  // tuple's first slide at t + period, which is folded into the cached
-  // bound without re-reading the heap.
+  // window's event schedule when an event is actually due. Ingest schedules
+  // the tuple's first slide at t + period, which is folded into the cached
+  // bound without re-reading the schedule. That schedule is a FIFO queue:
+  // every event is due one period after the clock at which it was
+  // scheduled, and the clock never decreases (stream/continuous_window.h),
+  // so the new slide joins the back and the front stays the earliest.
   int64_t next_due = window_.NextScheduledTime();
   for (const Tuple& tuple : tuples) {
     if (next_due <= tuple.time) {

@@ -172,7 +172,8 @@ class ContinuousCpd {
   /// or updates are not yet enabled).
   double MaybeCaptureOutlier(Tuple& tuple);
   /// Applies the once-per-period multiplicative decay to S as stream time
-  /// crosses period boundaries.
+  /// crosses period boundaries (OutlierStore::DecayThrough, which skips the
+  /// periods whose passes would change nothing).
   void MaybeDecayOutliers(int64_t time);
 
   ContinuousCpdOptions options_;

@@ -35,19 +35,33 @@ Status WriteStreamCheckpoint(const StreamHandle& handle, uint64_t sequence,
   if (SNS_FAILPOINT("checkpoint.write")) {
     return failpoint::InjectedFailure("checkpoint.write");
   }
-  serial::StringSink payload_sink;
-  serial::Writer payload(payload_sink);
-  payload.U64(sequence);
-  SNS_RETURN_IF_ERROR(handle.SerializeState(payload));
-  const std::string& bytes = payload_sink.data();
-  serial::Writer w(sink);
+  // The envelope is framed in one buffer: the sink's own string when it is
+  // a StringSink, else a local one handed to the sink in one Write. The
+  // payload size and CRC are patched in after the payload is encoded.
+  serial::StringSink local;
+  auto* direct = dynamic_cast<serial::StringSink*>(&sink);
+  serial::StringSink& target = direct != nullptr ? *direct : local;
+  std::string& out = *target.mutable_data();
+  const size_t start = out.size();
+  serial::Writer w(target);
   w.U32(kCheckpointMagic);
   w.U32(handle.UsesExtendedState() ? kCheckpointVersionLoss
                                    : kCheckpointVersion);
-  w.U64(bytes.size());
-  w.Bytes(bytes.data(), bytes.size());
-  w.U32(Crc32(bytes.data(), bytes.size()));
-  return w.status();
+  w.U64(0);  // Payload size, patched below.
+  w.U64(sequence);
+  const Status encoded = handle.SerializeState(w);
+  if (!encoded.ok()) {
+    out.resize(start);
+    return encoded;
+  }
+  const size_t payload = start + 16;
+  const uint64_t payload_size = out.size() - payload;
+  for (int i = 0; i < 8; ++i) {
+    out[start + 8 + i] = static_cast<char>(payload_size >> (8 * i));
+  }
+  w.U32(Crc32(out.data() + payload, payload_size));
+  if (direct != nullptr) return w.status();
+  return sink.Write(out.data(), out.size());
 }
 
 StatusOr<RestoredStream> ReadStreamCheckpoint(serial::ByteSource& source) {

@@ -49,6 +49,11 @@ int64_t ParseSegmentNumber(std::string_view name) {
 std::string EncodeRecord(uint64_t sequence, JournalOpType op, int64_t time,
                          std::span<const Tuple> tuples) {
   serial::StringSink payload;
+  size_t bytes = 8 + 1 + 8 + 8;
+  for (const Tuple& tuple : tuples) {
+    bytes += 4 + 4 * static_cast<size_t>(tuple.index.size()) + 8 + 8;
+  }
+  payload.mutable_data()->reserve(bytes);
   serial::Writer w(payload);
   w.U64(sequence);
   w.U8(static_cast<uint8_t>(op));

@@ -1,6 +1,8 @@
 #include "losses/outlier_store.h"
 
+#include <bit>
 #include <cmath>
+#include <limits>
 
 #include "common/serial.h"
 
@@ -39,15 +41,35 @@ double OutlierStore::Capture(const ModeIndex& key, double residual) {
   return s;
 }
 
-void OutlierStore::Decay() {
+bool OutlierStore::Decay() {
+  bool changed = false;
   for (auto it = entries_.begin(); it != entries_.end();) {
-    it->second *= decay_;
-    if (std::abs(it->second) < kDropEpsilon) {
+    const double decayed = it->second * decay_;
+    changed |= std::bit_cast<uint64_t>(decayed) !=
+               std::bit_cast<uint64_t>(it->second);
+    it->second = decayed;
+    if (std::abs(decayed) < kDropEpsilon) {
       it = entries_.erase(it);
+      changed = true;
     } else {
       ++it;
     }
   }
+  return changed;
+}
+
+int64_t OutlierStore::DecayThrough(int64_t time, int64_t next_tick,
+                                   int64_t period) {
+  constexpr __int128 kMax = std::numeric_limits<int64_t>::max();
+  while (time >= next_tick) {
+    __int128 next = static_cast<__int128>(next_tick) + period;
+    if (!Decay()) {
+      next += (static_cast<__int128>(time) - next_tick) / period * period;
+    }
+    if (next > kMax) return static_cast<int64_t>(kMax);
+    next_tick = static_cast<int64_t>(next);
+  }
+  return next_tick;
 }
 
 double OutlierStore::Get(const ModeIndex& key) const {

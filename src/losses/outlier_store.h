@@ -76,8 +76,18 @@ class OutlierStore {
 
   /// Multiplies every entry by the decay factor, dropping entries whose
   /// magnitude falls below the zero epsilon. Called by the engine once per
-  /// stream period.
-  void Decay();
+  /// stream period. Returns false when the pass changed nothing (an empty
+  /// store, decay 1, entries at a fixed point such as ±inf): every further
+  /// pass is then a no-op too.
+  bool Decay();
+
+  /// The engine's decay clock: runs one Decay pass per tick in
+  /// [next_tick, time], ticks `period` apart, and returns the first tick
+  /// after `time` (saturated at int64 max). Bitwise equal to that loop, but
+  /// once a pass changes nothing the remaining ticks are skipped in one
+  /// step, so a long gap (an idle stream, a restored clock far behind) costs
+  /// only the passes that still change the store.
+  int64_t DecayThrough(int64_t time, int64_t next_tick, int64_t period);
 
   /// Accumulated (signed) outlier mass under `key`; 0.0 when absent.
   double Get(const ModeIndex& key) const;

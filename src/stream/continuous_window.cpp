@@ -1,5 +1,7 @@
 #include "stream/continuous_window.h"
 
+#include <algorithm>
+#include <bit>
 #include <limits>
 #include <string>
 
@@ -45,8 +47,7 @@ WindowDelta ContinuousTensorWindow::Ingest(const Tuple& tuple) {
   window_.Add(cell, tuple.value);
   delta.cells.push_back({cell, tuple.value});
 
-  schedule_.push(
-      Scheduled{tuple.time + period_, next_seq_++, tuple, /*w=*/1});
+  Schedule(Scheduled{tuple.time + period_, next_seq_++, tuple, /*w=*/1});
   return delta;
 }
 
@@ -74,14 +75,37 @@ Status ContinuousTensorWindow::IngestChecked(const Tuple& tuple,
 }
 
 int64_t ContinuousTensorWindow::NextScheduledTime() const {
-  return schedule_.empty() ? std::numeric_limits<int64_t>::max()
-                           : schedule_.top().due;
+  return HasScheduled() ? schedule_[head_].due
+                        : std::numeric_limits<int64_t>::max();
+}
+
+void ContinuousTensorWindow::Schedule(const Scheduled& event) {
+  if (pending_ == ring_slots_) ResizeRing(std::max<size_t>(16, 2 * pending_));
+  const size_t tail = (head_ + pending_) & (ring_slots_ - 1);
+  if (tail == schedule_.size()) {
+    schedule_.push_back(event);  // Within the reserved ring.
+  } else {
+    schedule_[tail] = event;
+  }
+  ++pending_;
+}
+
+void ContinuousTensorWindow::ResizeRing(size_t slots) {
+  std::vector<Scheduled> ring;
+  ring.reserve(slots);
+  for (size_t i = 0; i < pending_; ++i) ring.push_back(Pending(i));
+  schedule_.swap(ring);
+  ring_slots_ = slots;
+  head_ = 0;
 }
 
 WindowDelta ContinuousTensorWindow::PopScheduled() {
-  SNS_CHECK(!schedule_.empty());
-  Scheduled event = schedule_.top();
-  schedule_.pop();
+  SNS_CHECK(HasScheduled());
+  // A copy: applying the event schedules its follow-up, which may grow the
+  // ring.
+  const Scheduled event = schedule_[head_];
+  head_ = (head_ + 1) & (ring_slots_ - 1);
+  --pending_;
   SNS_CHECK(event.due >= last_event_time_);
   last_event_time_ = event.due;
   return ApplyScheduled(event);
@@ -91,13 +115,11 @@ void ContinuousTensorWindow::SerializeTo(serial::Writer& w) const {
   window_.SerializeTo(w);
   w.U64(next_seq_);
   w.I64(last_event_time_);
-  // Drain a copy of the heap: entries emerge in the exact (due, seq) pop
-  // order, which is also a canonical encoding — equal schedules always
-  // serialize to equal bytes regardless of internal heap layout.
-  auto copy = schedule_;
-  w.U64(copy.size());
-  while (!copy.empty()) {
-    const Scheduled& s = copy.top();
+  // The queue is already in (due, seq) pop order, which is also a
+  // canonical encoding: equal schedules serialize to equal bytes.
+  w.U64(pending_);
+  for (size_t i = 0; i < pending_; ++i) {
+    const Scheduled& s = Pending(i);
     w.I64(s.due);
     w.U64(s.seq);
     w.I32(s.w);
@@ -105,7 +127,6 @@ void ContinuousTensorWindow::SerializeTo(serial::Writer& w) const {
     for (int m = 0; m < s.tuple.index.size(); ++m) w.I32(s.tuple.index[m]);
     w.F64(s.tuple.value);
     w.I64(s.tuple.time);
-    copy.pop();
   }
 }
 
@@ -115,7 +136,21 @@ Status ContinuousTensorWindow::RestoreFrom(serial::Reader& r) {
   SNS_RETURN_IF_ERROR(r.I64(&last_event_time_));
   uint64_t pending = 0;
   SNS_RETURN_IF_ERROR(r.U64(&pending));
+  // Every pending event was scheduled one period after a clock no later
+  // than this one, so none is due past the horizon.
+  int64_t horizon = 0;
+  if (__builtin_add_overflow(last_event_time_, period_, &horizon)) {
+    horizon = std::numeric_limits<int64_t>::max();
+  }
   const int arity = num_modes() - 1;
+  // Each record takes due, seq, w, arity, the coordinates, value and time,
+  // so a count the bytes left cannot hold is corrupt.
+  const size_t record_bytes = 40 + 4 * static_cast<size_t>(arity);
+  if (pending > r.remaining() / record_bytes) {
+    return Status::DataLoss("implausible scheduled event count " +
+                            std::to_string(pending));
+  }
+  if (pending > 0) ResizeRing(std::bit_ceil(static_cast<size_t>(pending)));
   for (uint64_t i = 0; i < pending; ++i) {
     Scheduled s;
     SNS_RETURN_IF_ERROR(r.I64(&s.due));
@@ -146,13 +181,21 @@ Status ContinuousTensorWindow::RestoreFrom(serial::Reader& r) {
     int64_t offset = 0;
     int64_t due = 0;
     if (s.w < 1 || s.w > window_size_ || s.seq >= next_seq_ ||
-        s.due < last_event_time_ ||
+        s.due < last_event_time_ || s.due > horizon ||
         __builtin_mul_overflow(int64_t{s.w}, period_, &offset) ||
         __builtin_add_overflow(s.tuple.time, offset, &due) || due != s.due) {
       return Status::DataLoss("scheduled event " + std::to_string(i) +
                               " is inconsistent with the window clock");
     }
-    schedule_.push(std::move(s));
+    // The queue pops in file order, which must then be (due, seq) order.
+    if (pending_ > 0) {
+      const Scheduled& prev = Pending(pending_ - 1);
+      if (s.due < prev.due || (s.due == prev.due && s.seq <= prev.seq)) {
+        return Status::DataLoss("scheduled event " + std::to_string(i) +
+                                " is out of (due, seq) order");
+      }
+    }
+    Schedule(s);
   }
   return Status::OK();
 }
@@ -178,8 +221,7 @@ WindowDelta ContinuousTensorWindow::ApplyScheduled(const Scheduled& event) {
     const ModeIndex to = tuple.index.WithAppended(window_size_ - w - 1);
     window_.Add(to, v);
     delta.cells.push_back({to, v});
-    schedule_.push(Scheduled{tuple.time + static_cast<int64_t>(w + 1) * period_,
-                             next_seq_++, tuple, w + 1});
+    Schedule(Scheduled{event.due + period_, next_seq_++, tuple, w + 1});
   } else {
     delta.kind = EventKind::kExpiry;
   }

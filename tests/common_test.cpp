@@ -1,14 +1,18 @@
-// Unit tests for the common runtime: Status, Rng, CSV parsing.
+// Unit tests for the common runtime: Status, Rng, CSV parsing, CRC-32.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "api/service_options.h"
 #include "api/stream_health.h"
+#include "common/cpu_features.h"
+#include "common/crc32.h"
 #include "common/csv.h"
 #include "common/monotonic_clock.h"
 #include "common/random.h"
@@ -358,6 +362,64 @@ TEST(StreamHealthTest, BackoffScheduleIsBoundedJitteredAndDeterministic) {
     any_difference |= other.BackoffMs(attempt) != policy.BackoffMs(attempt);
   }
   EXPECT_TRUE(any_difference);
+}
+
+// --- CRC-32 ---------------------------------------------------------------
+
+TEST(Crc32Test, MatchesTheStandardCheckValue) {
+  const std::string check = "123456789";
+  EXPECT_EQ(Crc32(check.data(), check.size()), 0xCBF43926u);
+  EXPECT_EQ(Crc32(check.data(), 0), 0u);
+}
+
+TEST(Crc32Test, ContinuationEqualsTheConcatenation) {
+  Rng rng(0xC4C32);
+  std::string bytes(3000, '\0');
+  for (char& b : bytes) b = static_cast<char>(rng.UniformInt(0, 255));
+  for (const size_t split : {size_t{0}, size_t{1}, size_t{63}, size_t{64},
+                             size_t{100}, size_t{1500}, size_t{3000}}) {
+    const uint32_t a = Crc32(bytes.data(), split);
+    EXPECT_EQ(Crc32(bytes.data() + split, bytes.size() - split, a),
+              Crc32(bytes.data(), bytes.size()))
+        << "split at " << split;
+  }
+}
+
+TEST(Crc32Test, FoldEqualsTheTableLoopAtEveryLengthAndOffset) {
+  // The PCLMULQDQ fold runs at the intrinsic tiers, the table loop at the
+  // generic tier; pin each in turn over every length and start offset, with
+  // random bytes and random continuation seeds.
+  const bool fold = DetectCpuFeatures().pclmul &&
+                    KernelTierSupported(KernelTier::kAvx2);
+  if (!fold) GTEST_SKIP() << "host has no PCLMULQDQ intrinsic tier";
+  Rng rng(0xF01D);
+  std::vector<unsigned char> bytes(1100 + 16);
+  for (unsigned char& b : bytes) {
+    b = static_cast<unsigned char>(rng.UniformInt(0, 255));
+  }
+  std::vector<uint32_t> seeds(1101 * 16);
+  for (uint32_t& seed : seeds) seed = static_cast<uint32_t>(rng.Next());
+  auto all = [&]() {
+    std::vector<uint32_t> out;
+    out.reserve(seeds.size());
+    for (size_t length = 0; length <= 1100; ++length) {
+      for (size_t offset = 0; offset < 16; ++offset) {
+        out.push_back(Crc32(bytes.data() + offset, length,
+                            seeds[length * 16 + offset]));
+      }
+    }
+    return out;
+  };
+  internal::RefreshKernelTierForTest(KernelTier::kGeneric);
+  const std::vector<uint32_t> table = all();
+  internal::RefreshKernelTierForTest(KernelTier::kAvx2);
+  const std::vector<uint32_t> folded = all();
+  internal::RefreshKernelTierForTest();
+  ASSERT_EQ(table.size(), folded.size());
+  for (size_t i = 0; i < table.size(); ++i) {
+    ASSERT_EQ(table[i], folded[i])
+        << "length " << i / 16 << ", offset " << i % 16;
+  }
 }
 
 // Name functions promise to SNS_CHECK-fail on values outside their enums

@@ -589,6 +589,124 @@ TEST(CheckpointFieldPatchTest, InitializationBytesMustAgree) {
   }
 }
 
+/// Offset of the first scheduled event of a checkpoint of the 6 × 5 stream:
+/// past the "WIND" tag, the window tensor (mode count u32, three dims, entry
+/// count u64 and 32-byte entries), next_seq u64, the clock i64 and the
+/// pending count u64. Each event takes 48 bytes: due i64, seq u64, w i32,
+/// arity u32, two coordinates i32, value f64 and the tuple time i64.
+size_t FirstScheduledOffset(const std::string& bytes) {
+  const size_t tag = bytes.find("WIND");
+  SNS_CHECK(tag != std::string::npos);
+  uint64_t nnz = 0;
+  std::memcpy(&nnz, bytes.data() + tag + 4 + 4 + 3 * 8, sizeof(nnz));
+  return tag + 4 + 4 + 3 * 8 + 8 + 32 * nnz + 3 * 8;
+}
+constexpr size_t kScheduledBytes = 48;
+
+template <typename T>
+T ReadAt(const std::string& bytes, size_t at) {
+  T value{};
+  std::memcpy(&value, bytes.data() + at, sizeof(value));
+  return value;
+}
+
+template <typename T>
+void WriteAt(std::string& bytes, size_t at, T value) {
+  std::memcpy(bytes.data() + at, &value, sizeof(value));
+}
+
+TEST(CheckpointFieldPatchTest, ScheduleOutOfOrderIsDataLoss) {
+  // The schedule pops in file order, so the file must list it in (due, seq)
+  // order. Two adjacent events swapped are each consistent on their own;
+  // a heap schedule used to re-sort them.
+  const std::string bytes = MakeValidCheckpoint();
+  const size_t first = FirstScheduledOffset(bytes);
+  ASSERT_GE(ReadAt<uint64_t>(bytes, first - 8), 2u);
+  const std::string a = bytes.substr(first, kScheduledBytes);
+  const std::string b = bytes.substr(first + kScheduledBytes, kScheduledBytes);
+  ASSERT_LT(ReadAt<uint64_t>(a, 8), ReadAt<uint64_t>(b, 8));  // seq order.
+  std::string swapped = bytes;
+  swapped.replace(first, kScheduledBytes, b);
+  swapped.replace(first + kScheduledBytes, kScheduledBytes, a);
+  ResealCrc(swapped);
+  EXPECT_EQ(TryRestore(swapped).code(), StatusCode::kDataLoss);
+}
+
+TEST(CheckpointFieldPatchTest, ScheduleBeyondClockHorizonIsDataLoss) {
+  // Every event is scheduled one period after a clock no later than the
+  // window's, so none can be due past clock + period. The last event moved
+  // one tick past that horizon, its tuple time moved with it, stays in
+  // (due, seq) order and is consistent with its own tuple.
+  const std::string bytes = MakeValidCheckpoint();
+  const size_t first = FirstScheduledOffset(bytes);
+  const auto pending = ReadAt<uint64_t>(bytes, first - 8);
+  const auto clock = ReadAt<int64_t>(bytes, first - 16);
+  ASSERT_GT(pending, 0u);
+  const size_t last = first + (pending - 1) * kScheduledBytes;
+  const int64_t period = SmallEngineOptions(SnsVariant::kVecPlus).period;
+  const auto due = ReadAt<int64_t>(bytes, last);
+  const auto w = ReadAt<int32_t>(bytes, last + 16);
+  ASSERT_EQ(due, ReadAt<int64_t>(bytes, last + 40) + w * period);
+  ASSERT_LE(due, clock + period);
+  std::string patched = bytes;
+  WriteAt<int64_t>(patched, last, clock + period + 1);
+  WriteAt<int64_t>(patched, last + 40, clock + period + 1 - w * period);
+  ResealCrc(patched);
+  EXPECT_EQ(TryRestore(patched).code(), StatusCode::kDataLoss);
+  // At the horizon itself, the event restores.
+  WriteAt<int64_t>(patched, last, clock + period);
+  WriteAt<int64_t>(patched, last + 40, clock + period - w * period);
+  ResealCrc(patched);
+  EXPECT_TRUE(TryRestore(patched).ok());
+}
+
+TEST(CheckpointFieldPatchTest, DecayClockFarBehindCatchesUpInOneStep) {
+  // A robust stream's outlier-decay clock (after the "LOSS" tag, the two
+  // loss sums and the armed byte) set 2⁴⁰ periods behind used to make the
+  // next ingest run one decay pass per period, a hang. The passes now stop
+  // once the store has drained, and the stream ends bitwise where the same
+  // clock 200 periods behind ends (whose ~200 passes the loop ran too).
+  ContinuousCpdOptions options = SmallEngineOptions(SnsVariant::kVecPlus);
+  options.robust.enabled = true;
+  options.robust.threshold = 0.5;
+  options.robust.decay = 0.5;
+  options.robust.capacity = 32;
+  const DataStream stream = SmallStream(100, 13);
+  const auto [warmup, live] = SplitWarmup(stream, options);
+  auto handle = StreamHandle::Create("decay", {6, 5}, options);
+  ASSERT_TRUE(handle.ok());
+  ASSERT_TRUE(handle.value().Warmup(warmup).ok());
+  ASSERT_TRUE(handle.value().Initialize().ok());
+  ASSERT_TRUE(handle.value().Ingest(live.subspan(0, 30)).ok());
+  auto activity = handle.value().OutlierActivity(0, 1);
+  ASSERT_TRUE(activity.ok());
+  ASSERT_FALSE(activity.value().empty());  // The store holds live entries.
+  serial::StringSink sink;
+  ASSERT_TRUE(handle.value().Checkpoint(sink).ok());
+  const std::string bytes = sink.TakeData();
+
+  const size_t tag = bytes.find("LOSS");
+  ASSERT_NE(tag, std::string::npos);
+  ASSERT_EQ(tag, bytes.rfind("LOSS"));
+  const size_t at = tag + 4 + 16 + 1;
+  ASSERT_EQ(bytes[at - 1], 1);  // Armed.
+  const auto clock = ReadAt<uint64_t>(bytes, at);
+  auto behind_then_ingest = [&](int64_t periods) {
+    std::string patched = bytes;
+    WriteAt<uint64_t>(patched, at,
+                      clock - static_cast<uint64_t>(periods * options.period));
+    ResealCrc(patched);
+    serial::StringSource source(patched);
+    auto restored = StreamHandle::Restore(source);
+    SNS_CHECK(restored.ok());
+    SNS_CHECK(restored.value().Ingest(live.subspan(30)).ok());
+    serial::StringSink out;
+    SNS_CHECK(restored.value().Checkpoint(out).ok());
+    return out.TakeData();
+  };
+  EXPECT_EQ(behind_then_ingest(int64_t{1} << 40), behind_then_ingest(200));
+}
+
 std::string FromHex(std::string_view hex) {
   std::string bytes;
   for (size_t i = 0; i + 1 < hex.size(); i += 2) {

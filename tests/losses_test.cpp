@@ -305,6 +305,82 @@ TEST(OutlierStoreTest, DecayDrainsStaleMass) {
   EXPECT_EQ(store.size(), 0);
 }
 
+// The decay clock as the engine ran it before DecayThrough: one pass per
+// elapsed tick.
+int64_t DecayLoop(OutlierStore& store, int64_t time, int64_t next_tick,
+                  int64_t period) {
+  while (time >= next_tick) {
+    store.Decay();
+    next_tick += period;
+  }
+  return next_tick;
+}
+
+OutlierStore LiveStore(double decay) {
+  OutlierStore store;
+  store.Configure(1.0, decay, 16);
+  // Magnitudes from 2⁻²⁰ to 2¹²: at decay ½ the small ones drop within the
+  // first passes of a 40-tick gap and the large ones outlive it.
+  for (int k = 0; k < 8; ++k) {
+    store.Capture(ModeIndex({k, 1}), 1.0 + std::ldexp(1.0, 4 * k - 20));
+    store.Capture(ModeIndex({k, 2}), -1.0 - std::ldexp(3.0, 2 * k - 9));
+  }
+  return store;
+}
+
+void ExpectSameEntries(const OutlierStore& a, const OutlierStore& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (auto ia = a.entries().begin(), ib = b.entries().begin();
+       ia != a.entries().end(); ++ia, ++ib) {
+    EXPECT_TRUE(ia->first == ib->first);
+    EXPECT_EQ(std::bit_cast<uint64_t>(ia->second),
+              std::bit_cast<uint64_t>(ib->second));
+  }
+}
+
+TEST(OutlierStoreTest, DecayThroughIsBitwiseTheLoop) {
+  const int64_t period = 30;
+  for (const double decay : {0.5, 0.9, 1.0, 0.0}) {
+    // Gaps of 0 to 40 ticks past the clock, from just before a tick to just
+    // after one, with live entries some of which drain inside the gap.
+    for (int64_t gap = -1; gap <= 40 * period + 1; gap += 7) {
+      OutlierStore looped = LiveStore(decay);
+      OutlierStore skipped = LiveStore(decay);
+      const int64_t next_tick = 1000;
+      EXPECT_EQ(skipped.DecayThrough(next_tick + gap, next_tick, period),
+                DecayLoop(looped, next_tick + gap, next_tick, period))
+          << "decay " << decay << ", gap " << gap;
+      ExpectSameEntries(skipped, looped);
+    }
+  }
+}
+
+TEST(OutlierStoreTest, DecayThroughSkipsAHugeGapInFewPasses) {
+  // 2⁴⁰ periods: the loop would run ~10¹² passes. Once the store has
+  // drained, or a pass leaves it unchanged, the rest is one step.
+  const int64_t period = 30;
+  const int64_t behind = (int64_t{1} << 40) * period;
+  const int64_t time = 5000;
+  for (const double decay : {0.5, 1.0}) {
+    OutlierStore store = LiveStore(decay);
+    const int64_t next = store.DecayThrough(time, time - behind, period);
+    EXPECT_GT(next, time);
+    EXPECT_LE(next, time + period);
+    EXPECT_EQ((next - (time - behind)) % period, 0);
+    EXPECT_EQ(store.size(), decay == 1.0 ? 16 : 0);
+  }
+  // A store at a fixed point (±inf survives every pass) is skipped too.
+  OutlierStore inf_store;
+  inf_store.Configure(1.0, 0.5, 4);
+  inf_store.Capture(ModeIndex({0}), std::numeric_limits<double>::infinity());
+  EXPECT_EQ(inf_store.DecayThrough(time, time - behind, period), time + period);
+  EXPECT_EQ(inf_store.size(), 1);
+  // A tick past int64 saturates instead of overflowing.
+  const int64_t max = std::numeric_limits<int64_t>::max();
+  EXPECT_EQ(inf_store.DecayThrough(max, max - 5, period), max);
+  EXPECT_EQ(inf_store.DecayThrough(max, max, period), max);
+}
+
 TEST(OutlierStoreTest, SerializeRestoreRoundTripsContentAndCounters) {
   OutlierStore store;
   store.Configure(1.0, 0.5, 2);
