@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "common/serial.h"
 #include "core/als.h"
@@ -390,7 +392,11 @@ Status ContinuousCpd::RestoreFrom(serial::Reader& r) {
     SNS_RETURN_IF_ERROR(r.U8(&decay_armed));
     outlier_decay_armed_ = decay_armed != 0;
     SNS_RETURN_IF_ERROR(r.I64(&next_outlier_decay_));
-    SNS_RETURN_IF_ERROR(outliers_.RestoreFrom(r));
+    // The store is keyed by the non-time coordinates (the window's modes
+    // but its last).
+    const std::vector<int64_t>& dims = window_.mode_dims();
+    SNS_RETURN_IF_ERROR(outliers_.RestoreFrom(
+        r, std::span(dims).first(dims.size() - 1)));
   }
   // Wall-clock latency telemetry restarts at zero — it is nondeterministic
   // by nature and deliberately not part of the snapshot.

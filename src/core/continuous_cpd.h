@@ -78,7 +78,7 @@ class ContinuousCpd {
   /// the scheduled slide/expiry events due at or before it (each updating
   /// the factors), then applies the arrival event. The scheduled due time
   /// is kept in a register across the batch, so tuples that trigger no
-  /// slide/expiry skip the schedule heap entirely; splitting a batch never
+  /// slide/expiry never touch the schedule queue; splitting a batch never
   /// changes the result (pinned by tests).
   void ProcessBatch(std::span<const Tuple> tuples);
 

@@ -53,16 +53,4 @@ void ApplyGramRowUpdate(Matrix& gram, const double* old_row,
   }
 }
 
-void ApplyPrevGramRowUpdate(Matrix& prev_gram, const double* prev_row,
-                            const double* new_row) {
-  const RankKernelTable& kr = GetRankKernelTable(prev_gram.stride());
-  const int64_t r = prev_gram.rows();
-  for (int64_t i = 0; i < r; ++i) {
-    const double prev_i = prev_row[i];
-    if (prev_i == 0.0) continue;
-    kr.scaled_diff_accum(prev_i, new_row, prev_row, prev_gram.Row(i),
-                         prev_gram.stride());
-  }
-}
-
 }  // namespace sns

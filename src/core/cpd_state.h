@@ -41,13 +41,6 @@ struct CpdState {
 void ApplyGramRowUpdate(Matrix& gram, const double* old_row,
                         const double* new_row);
 
-/// Eq. 17 / Eq. 26: U ← U − p'p + p'a for U = A'_prev A when the row changed
-/// from `prev_row` (its value at event start) to `new_row`. Valid because
-/// each row changes at most once per event. Same padded-buffer contract as
-/// ApplyGramRowUpdate.
-void ApplyPrevGramRowUpdate(Matrix& prev_gram, const double* prev_row,
-                            const double* new_row);
-
 }  // namespace sns
 
 #endif  // SLICENSTITCH_CORE_CPD_STATE_H_

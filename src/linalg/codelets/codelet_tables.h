@@ -9,7 +9,8 @@
 // inside those TUs lives in anonymous namespaces except the two getters
 // below, so no inline symbol compiled with wide-vector flags can leak into
 // baseline TUs through the linker. That includes the kernels the two TUs
-// share (codelet_kernels.h): each TU compiles its own copy.
+// share (codelet_kernels.h: every slot but the SYRK): each TU compiles its
+// own copy, and keeps only its eight-double block type and its SYRK.
 //
 // The getters are only linked into builds that define SNS_HAVE_X86_CODELETS
 // (x86-64 with a GCC/Clang toolchain); rank_dispatch.cpp guards every

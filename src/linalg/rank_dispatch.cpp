@@ -46,7 +46,6 @@ constexpr RankKernelTable kGenericTable = {KernelTier::kGeneric,
                                            &VecFma3<P>,
                                            &VecDot<P>,
                                            &VecGramRowDelta<P>,
-                                           &VecScaledDiffAccum<P>,
                                            &VecWeightedSyrkUpper<P>,
                                            &VecCoordinateDescent<P>,
                                            &VecPanelDots<P>,

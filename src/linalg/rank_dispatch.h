@@ -174,16 +174,6 @@ inline void VecGramRowDelta(double new_i, const double* SNS_RESTRICT new_row,
   }
 }
 
-/// g[j] += p·(new_row[j] − prev_row[j]): one row of the prev-Gram update
-/// U ← U − p'p + p'a (Eq. 17 / Eq. 26). g must not alias the row arguments.
-template <int64_t P>
-inline void VecScaledDiffAccum(double p, const double* SNS_RESTRICT new_row,
-                               const double* SNS_RESTRICT prev_row,
-                               double* SNS_RESTRICT g, int64_t n) {
-  const int64_t m = TripCount<P>(n);
-  for (int64_t j = 0; j < m; ++j) g[j] += p * (new_row[j] - prev_row[j]);
-}
-
 /// Weighted upper-triangle SYRK: for every cell c in [0, cells), in order,
 ///   out[i·n + j] += (weights[c] · panel[c·n + i]) · panel[c·n + j]
 /// for i < rows and i <= j < n, with each element updated in the same
@@ -422,10 +412,11 @@ double ExpClamped(double x);
 /// compiled in dedicated TUs with the matching -m flags and only reachable
 /// through this table (so a baseline build never executes them on hosts
 /// without the extensions). The two intrinsic tiers return the same bits
-/// from every slot: both run the kernels of codelets/codelet_kernels.h,
-/// whose dots keep eight partial sums (two four-lane accumulators on AVX2)
-/// in one reduction order, so a slot can move from one table to the other
-/// without changing a trajectory. They fuse multiply-adds and group their
+/// from every slot: every slot but the SYRK is one source
+/// (codelets/codelet_kernels.h) compiled in both TUs, whose dots keep eight
+/// partial sums (two four-lane accumulators on AVX2) in one reduction
+/// order, so a slot can move from one table to the other without changing
+/// a trajectory. They fuse multiply-adds and group their
 /// dots differently from the generic tier, so they match it to a few ulps,
 /// not bitwise; elementwise kernels (fill/copy/mul/mul_accum) and
 /// exp_clamped are bitwise across all three tiers. Within one tier,
@@ -450,7 +441,8 @@ double ExpClamped(double x);
 /// below the diagonal are unspecified (the intrinsic tiers write zeros into
 /// the diagonal's register block). The generic tier and the P = 0 tables
 /// run those loops; the intrinsic tiers at padded ranks up to 32 hold the
-/// working rows in registers (see codelets_avx2.cpp).
+/// working rows in registers, in one form for both (see
+/// codelets/codelet_kernels.h).
 struct RankKernelTable {
   KernelTier tier;      // Which implementation tier this table points at.
   int64_t padded_rank;  // 0 for the runtime-bound table of this tier.
@@ -464,8 +456,6 @@ struct RankKernelTable {
   double (*dot)(const double* a, const double* b, int64_t n);
   void (*gram_row_delta)(double new_i, const double* new_row, double old_i,
                          const double* old_row, double* g, int64_t n);
-  void (*scaled_diff_accum)(double p, const double* new_row,
-                            const double* prev_row, double* g, int64_t n);
   // GCP Newton curvature (rows × n upper triangle; see VecWeightedSyrkUpper).
   void (*weighted_syrk_upper)(const double* panel, const double* weights,
                               int64_t cells, int64_t rows, double* out,

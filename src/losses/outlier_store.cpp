@@ -2,7 +2,9 @@
 
 #include <bit>
 #include <cmath>
+#include <iterator>
 #include <limits>
+#include <string>
 
 #include "common/serial.h"
 
@@ -100,27 +102,43 @@ void OutlierStore::SerializeTo(serial::Writer& w) const {
   w.U64(evictions_);
 }
 
-Status OutlierStore::RestoreFrom(serial::Reader& r) {
+Status OutlierStore::RestoreFrom(serial::Reader& r,
+                                 std::span<const int64_t> dims) {
   entries_.clear();
   uint64_t count = 0;
   SNS_RETURN_IF_ERROR(r.U64(&count));
-  auto hint = entries_.end();
+  if (count > static_cast<uint64_t>(capacity_)) {
+    return Status::DataLoss("outlier store holds " + std::to_string(count) +
+                            " entries; its capacity is " +
+                            std::to_string(capacity_));
+  }
   for (uint64_t i = 0; i < count; ++i) {
     uint8_t num_modes = 0;
     SNS_RETURN_IF_ERROR(r.U8(&num_modes));
-    if (num_modes > kMaxTensorModes) {
-      return Status::DataLoss("outlier entry has too many modes");
+    if (num_modes != dims.size()) {
+      return Status::DataLoss("outlier entry has " +
+                              std::to_string(num_modes) + " modes; the "
+                              "stream has " + std::to_string(dims.size()));
     }
     ModeIndex key;
-    for (int m = 0; m < static_cast<int>(num_modes); ++m) {
+    for (size_t m = 0; m < dims.size(); ++m) {
       int32_t index = 0;
       SNS_RETURN_IF_ERROR(r.I32(&index));
+      if (index < 0 || index >= dims[m]) {
+        return Status::DataLoss("outlier entry index " +
+                                std::to_string(index) + " lies outside mode " +
+                                std::to_string(m));
+      }
       key.PushBack(index);
     }
     double value = 0.0;
     SNS_RETURN_IF_ERROR(r.F64(&value));
-    // Serialized in key order, so end() stays the right hint.
-    hint = entries_.emplace_hint(hint, key, value);
+    // Serialized in key order, so every key goes at the end.
+    if (!entries_.empty() &&
+        !ModeIndexLess{}(std::prev(entries_.end())->first, key)) {
+      return Status::DataLoss("outlier entries are not in strict key order");
+    }
+    entries_.emplace_hint(entries_.end(), key, value);
   }
   SNS_RETURN_IF_ERROR(r.U64(&captures_));
   return r.U64(&evictions_);

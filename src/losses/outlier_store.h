@@ -29,6 +29,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 
 #include "common/status.h"
 #include "tensor/mode_index.h"
@@ -108,7 +109,11 @@ class OutlierStore {
   /// Content + counters, in key order; configuration is NOT serialized (it
   /// comes from the engine options the checkpoint carries separately).
   void SerializeTo(serial::Writer& w) const;
-  Status RestoreFrom(serial::Reader& r);
+  /// Restores what SerializeTo wrote for a stream whose non-time modes have
+  /// sizes `dims`. kDataLoss for content the store could not have held:
+  /// more entries than its capacity, a key of another arity or with an
+  /// index outside its mode, or keys not in strictly increasing order.
+  Status RestoreFrom(serial::Reader& r, std::span<const int64_t> dims);
 
  private:
   Map entries_;

@@ -91,21 +91,6 @@ TEST(CpdStateTest, GramRowUpdateMatchesRecompute) {
   EXPECT_LT(MaxAbsDiff(gram, MultiplyTransposeA(factor, factor)), 1e-10);
 }
 
-TEST(CpdStateTest, PrevGramRowUpdateMatchesDefinition) {
-  Rng rng(4);
-  Matrix prev_factor = Matrix::RandomNormal(5, 3, rng);
-  Matrix factor = prev_factor;
-  Matrix u = MultiplyTransposeA(prev_factor, factor);
-  // Update two distinct rows (as an event would: once each).
-  for (int64_t row : {1L, 3L}) {
-    std::vector<double> prev_row(factor.Row(row),
-                                 factor.Row(row) + factor.stride());
-    for (int64_t r = 0; r < 3; ++r) factor(row, r) = rng.Normal();
-    ApplyPrevGramRowUpdate(u, prev_row.data(), factor.Row(row));
-  }
-  EXPECT_LT(MaxAbsDiff(u, MultiplyTransposeA(prev_factor, factor)), 1e-10);
-}
-
 TEST(AlsTest, SweepSolvesExactRowLeastSquares) {
   // After one sweep, each factor row satisfies the normal equations of
   // Eq. 3 for the factors it was solved against, once the column norms the

@@ -8,11 +8,13 @@
 // Status — never a crash, never a silently wrong state.
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <initializer_list>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -705,6 +707,230 @@ TEST(CheckpointFieldPatchTest, DecayClockFarBehindCatchesUpInOneStep) {
     return out.TakeData();
   };
   EXPECT_EQ(behind_then_ingest(int64_t{1} << 40), behind_then_ingest(200));
+}
+
+// --- The v2 loss section ---------------------------------------------------
+//
+// The payload's last section: "LOSS", the loss and baseline sums (f64
+// each), the decay-armed byte and the decay clock (i64), then the outlier
+// store: its entry count (u64), the entries (arity u8, one i32 per non-time
+// mode, f64 mass) in key order, and the capture and eviction counters (u64
+// each).
+constexpr size_t kOutlierCountField = 4 + 16 + 1 + 8;
+constexpr size_t kOutlierEntryBytes = 1 + 2 * 4 + 8;  // Two non-time modes.
+
+size_t LossSectionOffset(const std::string& bytes) {
+  const size_t tag = bytes.find("LOSS");
+  SNS_CHECK(tag != std::string::npos && tag == bytes.rfind("LOSS"));
+  return tag;
+}
+
+/// A robust {6, 5} stream after its warm-up and 30 live tuples, with the
+/// tuples after those in `rest`.
+std::string RobustCheckpoint(const ContinuousCpdOptions& options,
+                             std::vector<Tuple>* rest = nullptr) {
+  const DataStream stream = SmallStream(100, 13);
+  const auto [warmup, live] = SplitWarmup(stream, options);
+  auto handle = StreamHandle::Create("robust", {6, 5}, options);
+  SNS_CHECK(handle.ok());
+  SNS_CHECK(handle.value().Warmup(warmup).ok());
+  SNS_CHECK(handle.value().Initialize().ok());
+  SNS_CHECK(handle.value().Ingest(live.subspan(0, 30)).ok());
+  if (rest != nullptr) rest->assign(live.begin() + 30, live.end());
+  serial::StringSink sink;
+  SNS_CHECK(handle.value().Checkpoint(sink).ok());
+  return sink.TakeData();
+}
+
+ContinuousCpdOptions RobustOptions(int64_t capacity) {
+  ContinuousCpdOptions options = SmallEngineOptions(SnsVariant::kVecPlus);
+  options.robust.enabled = true;
+  options.robust.threshold = 0.5;
+  options.robust.decay = 0.5;
+  options.robust.capacity = capacity;
+  return options;
+}
+
+/// Offset of the outlier store's entry count, which must be at least
+/// `min_entries`.
+size_t OutlierCountOffset(const std::string& bytes, uint64_t min_entries) {
+  const size_t at = LossSectionOffset(bytes) + kOutlierCountField;
+  SNS_CHECK(ReadAt<uint64_t>(bytes, at) >= min_entries);
+  // The entries and both counters end the payload.
+  SNS_CHECK(at + 8 + ReadAt<uint64_t>(bytes, at) * kOutlierEntryBytes + 16 ==
+            bytes.size() - 4);
+  return at;
+}
+
+/// Restores `bytes` after replacing its outlier entry `entry` with
+/// `replacement` (any length), the payload size and CRC rewritten.
+Status RestoreWithEntry(std::string bytes, uint64_t entry,
+                        const std::string& replacement) {
+  const size_t at =
+      OutlierCountOffset(bytes, entry + 1) + 8 + entry * kOutlierEntryBytes;
+  bytes.replace(at, kOutlierEntryBytes, replacement);
+  WriteAt<uint64_t>(bytes, 8, bytes.size() - 20);
+  ResealCrc(bytes);
+  return TryRestore(bytes);
+}
+
+/// An outlier entry's bytes with the given key and mass.
+std::string OutlierEntry(std::initializer_list<int32_t> key, double mass) {
+  std::string entry(1, static_cast<char>(key.size()));
+  for (const int32_t index : key) {
+    entry.append(reinterpret_cast<const char*>(&index), sizeof(index));
+  }
+  entry.append(reinterpret_cast<const char*>(&mass), sizeof(mass));
+  return entry;
+}
+
+TEST(CheckpointFieldPatchTest, OutlierKeyOutsideItsModeIsDataLoss) {
+  // OutlierActivity folds |S| into an array of the queried mode's size at
+  // key[mode]; a last key's first index of 2²⁸ used to restore, and the
+  // query then wrote far past that array. Each patch keeps the keys in
+  // order: the last key only grows, the first only shrinks.
+  const std::string bytes = RobustCheckpoint(RobustOptions(32));
+  const size_t count_at = OutlierCountOffset(bytes, 2);
+  const size_t first = count_at + 8;
+  const size_t last =
+      first + (ReadAt<uint64_t>(bytes, count_at) - 1) * kOutlierEntryBytes;
+  ASSERT_EQ(bytes[last], 2);
+  for (const auto& [at, index] :
+       {std::pair{last + 1, int32_t{1} << 28}, std::pair{last + 1, 6},
+        std::pair{last + 5, 5}, std::pair{first + 1, -1}}) {
+    std::string patched = bytes;
+    WriteAt<int32_t>(patched, at, index);
+    ResealCrc(patched);
+    EXPECT_EQ(TryRestore(patched).code(), StatusCode::kDataLoss)
+        << "index " << index << " at " << at - first;
+  }
+  // In range, the last key's largest index restores.
+  std::string patched = bytes;
+  WriteAt<int32_t>(patched, last + 1, 5);
+  WriteAt<int32_t>(patched, last + 5, 4);
+  ResealCrc(patched);
+  EXPECT_TRUE(TryRestore(patched).ok());
+}
+
+TEST(CheckpointFieldPatchTest, OutlierKeyOfAnotherArityIsDataLoss) {
+  // A key of one or three indices into a stream with two non-time modes,
+  // re-encoded so the rest of the payload still parses; the store's key
+  // order (by arity first) keeps both in order.
+  const std::string bytes = RobustCheckpoint(RobustOptions(32));
+  const size_t count_at = OutlierCountOffset(bytes, 1);
+  const uint64_t last = ReadAt<uint64_t>(bytes, count_at) - 1;
+  EXPECT_EQ(RestoreWithEntry(bytes, 0, OutlierEntry({0}, 1.0)).code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(RestoreWithEntry(bytes, last, OutlierEntry({5, 4, 0}, 1.0)).code(),
+            StatusCode::kDataLoss);
+  EXPECT_TRUE(RestoreWithEntry(bytes, last, OutlierEntry({5, 4}, 1.0)).ok());
+}
+
+TEST(CheckpointFieldPatchTest, OutlierKeysOutOfOrderAreDataLoss) {
+  // Entries are written in strictly increasing key order. Two swapped, or a
+  // key repeated, used to restore: the map re-sorted the one and silently
+  // dropped the other.
+  const std::string bytes = RobustCheckpoint(RobustOptions(32));
+  const size_t first = OutlierCountOffset(bytes, 2) + 8;
+  const std::string a = bytes.substr(first, kOutlierEntryBytes);
+  const std::string b = bytes.substr(first + kOutlierEntryBytes,
+                                     kOutlierEntryBytes);
+  std::string swapped = bytes;
+  swapped.replace(first, kOutlierEntryBytes, b);
+  swapped.replace(first + kOutlierEntryBytes, kOutlierEntryBytes, a);
+  ResealCrc(swapped);
+  EXPECT_EQ(TryRestore(swapped).code(), StatusCode::kDataLoss);
+  std::string repeated = bytes;
+  repeated.replace(first + kOutlierEntryBytes + 1, 8, a.substr(1, 8));
+  ResealCrc(repeated);
+  EXPECT_EQ(TryRestore(repeated).code(), StatusCode::kDataLoss);
+}
+
+TEST(CheckpointFieldPatchTest, OutlierEntriesPastCapacityAreDataLoss) {
+  // A full store (it has evicted) with one more entry appended after its
+  // last key: the store never holds more than robust.capacity entries.
+  const int64_t capacity = 4;
+  std::string bytes = RobustCheckpoint(RobustOptions(capacity));
+  const size_t count_at = OutlierCountOffset(bytes, capacity);
+  ASSERT_EQ(ReadAt<uint64_t>(bytes, count_at), uint64_t{capacity});
+  const size_t end = count_at + 8 + capacity * kOutlierEntryBytes;
+  ASSERT_GT(ReadAt<uint64_t>(bytes, end + 8), 0u);  // Evictions.
+  ASSERT_LT(ReadAt<int32_t>(bytes, end - kOutlierEntryBytes + 1), 5);
+  bytes.insert(end, OutlierEntry({5, 4}, 1.0));
+  WriteAt<uint64_t>(bytes, count_at, capacity + 1);
+  WriteAt<uint64_t>(bytes, 8, bytes.size() - 20);
+  ResealCrc(bytes);
+  EXPECT_EQ(TryRestore(bytes).code(), StatusCode::kDataLoss);
+}
+
+TEST(CheckpointFieldPatchTest, LossSectionSweepIsTypedOrSurvives) {
+  // At every byte offset of a robust Poisson checkpoint's loss section, each
+  // boundary value (8-byte 0, −1, INT64_MAX, 2³¹, 2⁴⁰, NaN and +inf; 4-byte
+  // 0xFFFFFFFF, 2³¹ and INT32_MAX; byte 0xFF), cut at the payload's end,
+  // under a resealed CRC: the restore either fails with a status, or the
+  // stream takes 40 more tuples and answers every query. Run under the
+  // sanitizers, "answers" includes touching no memory it does not own.
+  ContinuousCpdOptions options = RobustOptions(32);
+  options.variant = SnsVariant::kVec;
+  options.loss = LossKind::kPoisson;
+  options.robust.threshold = 2.0;
+  std::vector<Tuple> rest;
+  const std::string bytes = RobustCheckpoint(options, &rest);
+  ASSERT_GE(rest.size(), 40u);
+  rest.resize(40);
+  OutlierCountOffset(bytes, 1);  // The store holds live entries.
+  struct Value {
+    uint64_t bits;
+    size_t width;
+  };
+  const std::vector<Value> values = {
+      {0, 8},
+      {~uint64_t{0}, 8},
+      {uint64_t{std::numeric_limits<int64_t>::max()}, 8},
+      {uint64_t{1} << 31, 8},
+      {uint64_t{1} << 40, 8},
+      {std::bit_cast<uint64_t>(std::numeric_limits<double>::quiet_NaN()), 8},
+      {std::bit_cast<uint64_t>(std::numeric_limits<double>::infinity()), 8},
+      {0xFFFFFFFFu, 4},
+      {uint64_t{1} << 31, 4},
+      {uint64_t{std::numeric_limits<int32_t>::max()}, 4},
+      {0xFF, 1}};
+  const size_t payload_end = bytes.size() - 4;
+  int restored = 0, refused = 0;
+  for (size_t at = LossSectionOffset(bytes); at < payload_end; ++at) {
+    for (const Value& value : values) {
+      std::string patched = bytes;
+      std::memcpy(patched.data() + at, &value.bits,
+                  std::min(value.width, payload_end - at));
+      ResealCrc(patched);
+      serial::StringSource source(patched);
+      auto handle = StreamHandle::Restore(source);
+      if (!handle.ok()) {
+        ++refused;
+        continue;
+      }
+      ++restored;
+      StreamHandle& stream = handle.value();
+      (void)stream.Ingest(rest);
+      for (int mode = 0; mode < stream.num_modes(); ++mode) {
+        (void)stream.TopK(mode, 3);
+        (void)stream.TopKForComponent(mode, 0, 3);
+        (void)stream.FactorRow(mode, 0);
+        (void)stream.OutlierActivity(mode, 3);
+      }
+      (void)stream.ComponentActivity();
+      ModeIndex cell;
+      for (int mode = 0; mode < stream.num_modes(); ++mode) cell.PushBack(0);
+      (void)stream.Reconstruct(cell);
+      (void)stream.RunningFitness();
+      (void)stream.ExactFitness();
+      (void)stream.Stats();
+      serial::StringSink sink;
+      (void)stream.Checkpoint(sink);
+    }
+  }
+  EXPECT_GT(restored, 0);
+  EXPECT_GT(refused, 0);
 }
 
 std::string FromHex(std::string_view hex) {

@@ -384,9 +384,9 @@ TEST(ZeroAllocationTest, MetricsRecordingSteadyStateAllocatesNothing) {
 // ---------------------------------------------------------------------------
 // Differential tests against a naive reference reimplementation of the
 // pre-refactor update algorithm: per-row Hadamard-of-Grams recomputed from
-// scratch, prev Grams deep-copied at event start and maintained by
-// ApplyPrevGramRowUpdate, the pre-event model evaluated from a full factor
-// copy.
+// scratch, and the pre-event model kept as a full factor copy, from which
+// the prev Grams and the sampled cells' pre-event values are formed
+// directly.
 
 enum class RefKind { kVec, kVecPlus, kRnd, kRndPlus };
 
@@ -405,12 +405,8 @@ class NaiveReference {
     const int w = delta.w;
 
     const bool sampling = kind_ == RefKind::kRnd || kind_ == RefKind::kRndPlus;
-    std::vector<Matrix> prev_grams;
     std::vector<Matrix> prev_factors;
-    if (sampling) {
-      prev_grams = state.grams;                 // Alg. 3 line 1 (deep copy).
-      prev_factors = state.model.factors();     // Full pre-event snapshot.
-    }
+    if (sampling) prev_factors = state.model.factors();  // Pre-event copy.
 
     auto update_row = [&](int mode, int64_t row) {
       const int64_t rank = state.rank();
@@ -471,6 +467,13 @@ class NaiveReference {
           if (degree <= theta_) {
             MttkrpRow(window, state.model.factors(), mode, row, rhs.data());
           } else {
+            // Alg. 3 line 1: U(m) = A_prev(m)'A(m) for every mode.
+            std::vector<Matrix> prev_grams;
+            for (int m = 0; m < state.num_modes(); ++m) {
+              prev_grams.push_back(
+                  MultiplyTransposeA(prev_factors[static_cast<size_t>(m)],
+                                     state.model.factor(m)));
+            }
             const Matrix h_prev = HadamardOfGramsExcept(prev_grams, mode);
             RowTimesMatrix(old_row.data(), h_prev, rhs.data());
             for (const SampledCell& cell : SampleSliceCells(
@@ -511,10 +514,6 @@ class NaiveReference {
 
       ApplyGramRowUpdate(state.grams[static_cast<size_t>(mode)],
                          old_row.data(), factor.Row(row));
-      if (sampling) {
-        ApplyPrevGramRowUpdate(prev_grams[static_cast<size_t>(mode)],
-                               old_row.data(), factor.Row(row));
-      }
     };
 
     if (w > 0) update_row(time_mode, w_size - w);

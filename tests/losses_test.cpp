@@ -397,7 +397,8 @@ TEST(OutlierStoreTest, SerializeRestoreRoundTripsContentAndCounters) {
   restored.Configure(1.0, 0.5, 2);
   serial::StringSource source(sink.data());
   serial::Reader r(source);
-  ASSERT_TRUE(restored.RestoreFrom(r).ok());
+  const int64_t dims[] = {6, 6};
+  ASSERT_TRUE(restored.RestoreFrom(r, dims).ok());
 
   EXPECT_EQ(restored.size(), store.size());
   EXPECT_EQ(restored.captures(), store.captures());
