@@ -103,13 +103,13 @@ int main(int argc, char** argv) {
   // Warmup, token 2 = Initialize, token 2+k = k-th live tuple.
   uint64_t applied = 0;
   if (FileExists(checkpoint_path)) {
-    auto source = sns::serial::FileSource::Open(checkpoint_path);
-    if (!source.ok()) {
-      std::fprintf(stderr, "%s\n", source.status().ToString().c_str());
+    auto bytes = sns::serial::ReadFileToString(checkpoint_path);
+    if (!bytes.ok()) {
+      std::fprintf(stderr, "%s\n", bytes.status().ToString().c_str());
       return 1;
     }
-    auto report =
-        sns::durability::RecoverStream(service, source.value(), journal_dir);
+    sns::serial::StringSource source(bytes.value());
+    auto report = sns::durability::RecoverStream(service, source, journal_dir);
     if (!report.ok()) {
       std::fprintf(stderr, "recovery failed: %s\n",
                    report.status().ToString().c_str());

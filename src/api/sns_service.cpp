@@ -82,10 +82,10 @@ Status SnsService::AttemptRecovery(StreamEntry& entry) {
   // matches the disk after a failed append, and replay's torn-tail repair
   // truncates the very segment it still holds open.
   entry.journal.reset();
-  auto source = serial::FileSource::Open(cfg.checkpoint_path);
-  if (!source.ok()) return source.status();
-  auto recovered =
-      durability::RecoverHandle(source.value(), cfg.journal_directory);
+  auto bytes = serial::ReadFileToString(cfg.checkpoint_path);
+  if (!bytes.ok()) return bytes.status();
+  serial::StringSource source(bytes.value());
+  auto recovered = durability::RecoverHandle(source, cfg.journal_directory);
   if (!recovered.ok()) return recovered.status();
   durability::RecoveredHandle rebuilt = std::move(recovered).value();
 
@@ -803,9 +803,9 @@ Status SnsService::EnableAutoRecovery(std::string_view stream,
         "(EnableJournal first)");
   }
   {
-    // Fail fast on a misconfigured path — a recovery that cannot even open
+    // Fail fast on a misconfigured path — a recovery that cannot even read
     // its checkpoint should be caught here, not mid-incident.
-    auto probe = serial::FileSource::Open(checkpoint_path);
+    auto probe = serial::ReadFileToString(checkpoint_path);
     if (!probe.ok()) return probe.status();
   }
   // Quiesce the owning shard so the config attaches at a sequence point.
@@ -822,7 +822,7 @@ Status SnsService::EnableAutoRecovery(std::string_view stream,
 // --- Durability -----------------------------------------------------------
 
 Status SnsService::Checkpoint(std::string_view stream,
-                              serial::ByteSink& sink) {
+                              serial::StringSink& sink) {
   if (registry_->shutdown.load(std::memory_order_acquire)) {
     return Status::FailedPrecondition(
         "service is shut down; checkpoint streams before Shutdown");
@@ -878,7 +878,7 @@ Status SnsService::CheckpointToFile(std::string_view stream,
   return Status::OK();
 }
 
-StatusOr<StreamHandle*> SnsService::Restore(serial::ByteSource& source) {
+StatusOr<StreamHandle*> SnsService::Restore(serial::StringSource& source) {
   if (registry_->shutdown.load(std::memory_order_acquire)) {
     return Status::FailedPrecondition("service is shut down");
   }

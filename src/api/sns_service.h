@@ -117,8 +117,8 @@
 namespace sns {
 
 namespace serial {
-class ByteSink;
-class ByteSource;
+class StringSink;
+class StringSource;
 }  // namespace serial
 
 class SnsService;
@@ -129,7 +129,7 @@ struct JournalOptions;
 struct RecoveryReport;
 enum class JournalOpType : uint8_t;
 StatusOr<RecoveryReport> RecoverStream(SnsService& service,
-                                       serial::ByteSource& checkpoint,
+                                       serial::StringSource& checkpoint,
                                        const std::string& journal_directory);
 }  // namespace durability
 
@@ -334,7 +334,7 @@ class SnsService {
   /// exactly the operations whose tickets were enqueued before the
   /// checkpoint call are included. After Shutdown the service refuses with
   /// kFailedPrecondition — checkpoint before shutting down.
-  Status Checkpoint(std::string_view stream, serial::ByteSink& sink);
+  Status Checkpoint(std::string_view stream, serial::StringSink& sink);
 
   /// Checkpoint into a file, atomically: the envelope is written to a
   /// temporary sibling, fsynced, and renamed over `path`, so a crash or
@@ -348,7 +348,7 @@ class SnsService {
   /// The stream resumes at its checkpointed sequence token, so attaching a
   /// journal and replaying (durability::RecoverStream) continues the exact
   /// token sequence.
-  StatusOr<StreamHandle*> Restore(serial::ByteSource& source);
+  StatusOr<StreamHandle*> Restore(serial::StringSource& source);
 
   /// Attaches a write-ahead event journal to one stream: every subsequent
   /// ticketed mutation is appended to `directory` (durability/journal.h)
@@ -380,7 +380,7 @@ class SnsService {
   // Crash recovery rebuilds the stream off-service (RecoverHandle) and
   // registers it at its recovered sequence token.
   friend StatusOr<durability::RecoveryReport> durability::RecoverStream(
-      SnsService& service, serial::ByteSource& checkpoint,
+      SnsService& service, serial::StringSource& checkpoint,
       const std::string& journal_directory);
 
   /// Auto-recovery configuration of one stream (set by EnableAutoRecovery;

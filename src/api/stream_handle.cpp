@@ -327,17 +327,22 @@ void StreamHandle::NotifyMetrics(const telemetry::StreamMetricsSnapshot& metrics
   }
 }
 
-Status StreamHandle::Checkpoint(serial::ByteSink& sink) const {
+Status StreamHandle::Checkpoint(serial::StringSink& sink) const {
   return durability::WriteStreamCheckpoint(*this, /*sequence=*/0, sink);
 }
 
-StatusOr<StreamHandle> StreamHandle::Restore(serial::ByteSource& source) {
+StatusOr<StreamHandle> StreamHandle::Restore(
+    serial::StringSource& source) {
   auto restored = durability::ReadStreamCheckpoint(source);
   if (!restored.ok()) return restored.status();
   return std::move(restored).value().handle;
 }
 
 Status StreamHandle::SerializeState(serial::Writer& w) const {
+  // An eighth of headroom covers state growth since the last encode and the
+  // container's trailer (the checkpoint CRC).
+  w.Reserve(state_bytes_ + state_bytes_ / 8);
+  const size_t start = w.size();
   w.Str(name_);
   w.U32(static_cast<uint32_t>(mode_dims_.size()));
   for (int64_t dim : mode_dims_) w.I64(dim);
@@ -371,11 +376,13 @@ Status StreamHandle::SerializeState(serial::Writer& w) const {
   w.I64(last_time_);
   w.U8(initialized_ ? 1 : 0);
   engine_->SerializeTo(w);
+  state_bytes_ = w.size() - start;
   return w.status();
 }
 
 StatusOr<StreamHandle> StreamHandle::DeserializeState(serial::Reader& r,
                                                       uint32_t format_version) {
+  const size_t start = r.remaining();
   std::string name;
   SNS_RETURN_IF_ERROR(r.Str(&name));
   uint32_t num_dims = 0;
@@ -480,6 +487,7 @@ StatusOr<StreamHandle> StreamHandle::DeserializeState(serial::Reader& r,
   }
   handle.value().last_time_ = last_time;
   handle.value().initialized_ = initialized != 0;
+  handle.value().state_bytes_ = start - r.remaining();
   return handle;
 }
 

@@ -31,8 +31,8 @@
 namespace sns {
 
 namespace serial {
-class ByteSink;
-class ByteSource;
+class StringSink;
+class StringSource;
 class Writer;
 class Reader;
 }  // namespace serial
@@ -197,14 +197,14 @@ class StreamHandle {
   /// state (durability/checkpoint.h envelope) with sequence token 0 — the
   /// standalone-handle form; SnsService::Checkpoint stamps the stream's
   /// live token instead.
-  Status Checkpoint(serial::ByteSink& sink) const;
+  Status Checkpoint(serial::StringSink& sink) const;
 
   /// Rebuilds a stream from a Checkpoint byte stream. After an OK return
   /// the restored stream's observable behavior — every factor value, query
   /// result, and future trajectory — is bitwise identical to the stream the
   /// checkpoint was taken from. Corrupt input fails with a typed Status
   /// (kDataLoss / kInvalidArgument / kFailedPrecondition), never a crash.
-  static StatusOr<StreamHandle> Restore(serial::ByteSource& source);
+  static StatusOr<StreamHandle> Restore(serial::StringSource& source);
 
   /// Raw state payload (schema, options, clock, engine) without the
   /// checkpoint envelope; durability/checkpoint.h wraps it with the magic /
@@ -268,6 +268,10 @@ class StreamHandle {
   std::unique_ptr<SinkFanout> fanout_;
   int64_t last_time_ = INT64_MIN;
   bool initialized_ = false;
+  // Bytes of the state as last encoded or decoded (0 before either).
+  // SerializeState reserves them up front, so an encode grows its string
+  // once instead of doubling through freshly faulted pages. Not state.
+  mutable size_t state_bytes_ = 0;
 };
 
 }  // namespace sns

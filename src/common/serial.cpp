@@ -17,29 +17,6 @@ std::string ErrnoMessage(const std::string& what, const std::string& path) {
 
 }  // namespace
 
-Status ByteSource::ReadExact(void* data, size_t size) {
-  auto* out = static_cast<char*>(data);
-  size_t done = 0;
-  while (done < size) {
-    StatusOr<size_t> got = ReadSome(out + done, size - done);
-    if (!got.ok()) return got.status();
-    if (got.value() == 0) {
-      return Status::DataLoss("unexpected end of stream (wanted " +
-                              std::to_string(size) + " bytes, got " +
-                              std::to_string(done) + ")");
-    }
-    done += got.value();
-  }
-  return Status::OK();
-}
-
-StatusOr<size_t> StringSource::ReadSome(void* data, size_t size) {
-  const size_t n = std::min(size, remaining());
-  std::memcpy(data, data_.data() + pos_, n);
-  pos_ += n;
-  return n;
-}
-
 StatusOr<FileSink> FileSink::Open(const std::string& path) {
   std::FILE* file = std::fopen(path.c_str(), "wb");
   if (file == nullptr) {
@@ -104,48 +81,23 @@ Status FileSink::Close() {
   return Status::OK();
 }
 
-StatusOr<FileSource> FileSource::Open(const std::string& path) {
+StatusOr<std::string> ReadFileToString(const std::string& path) {
   std::FILE* file = std::fopen(path.c_str(), "rb");
   if (file == nullptr) {
     return Status::IOError(ErrnoMessage("cannot open for reading", path));
   }
-  return FileSource(file, path);
-}
-
-FileSource& FileSource::operator=(FileSource&& other) noexcept {
-  if (this != &other) {
-    if (file_ != nullptr) std::fclose(file_);
-    file_ = other.file_;
-    path_ = std::move(other.path_);
-    other.file_ = nullptr;
-  }
-  return *this;
-}
-
-FileSource::~FileSource() {
-  if (file_ != nullptr) std::fclose(file_);
-}
-
-StatusOr<size_t> FileSource::ReadSome(void* data, size_t size) {
-  if (file_ == nullptr) return Status::FailedPrecondition("source is closed");
-  const size_t n = std::fread(data, 1, size, file_);
-  if (n < size && std::ferror(file_) != 0) {
-    return Status::IOError(ErrnoMessage("read failed", path_));
-  }
-  return n;
-}
-
-StatusOr<std::string> ReadFileToString(const std::string& path) {
-  auto source = FileSource::Open(path);
-  if (!source.ok()) return source.status();
   std::string out;
   char buffer[1 << 16];
-  while (true) {
-    StatusOr<size_t> got = source.value().ReadSome(buffer, sizeof(buffer));
-    if (!got.ok()) return got.status();
-    if (got.value() == 0) break;
-    out.append(buffer, got.value());
+  size_t got = 0;
+  while ((got = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
+    out.append(buffer, got);
   }
+  Status status;
+  if (std::ferror(file) != 0) {
+    status = Status::IOError(ErrnoMessage("read failed", path));
+  }
+  std::fclose(file);
+  if (!status.ok()) return status;
   return out;
 }
 
@@ -156,24 +108,11 @@ Status WriteStringToFile(const std::string& path, std::string_view data) {
   return sink.value().Close();
 }
 
-Writer::Writer(ByteSink& sink)
-    : sink_(&sink), direct_(nullptr) {
-  if (auto* string_sink = dynamic_cast<StringSink*>(&sink)) {
-    direct_ = string_sink->mutable_data();
-  }
-}
-
-void Writer::SinkWrite(const void* data, size_t size) {
-  if (!status_.ok()) return;
-  status_ = sink_->Write(data, size);
-}
-
-Reader::Reader(ByteSource& source)
-    : source_(&source), direct_(dynamic_cast<StringSource*>(&source)) {}
-
-Status Reader::SourceRead(void* data, size_t size) {
+Status Reader::ShortRead(uint64_t size) {
   if (!status_.ok()) return status_;
-  status_ = source_->ReadExact(data, size);
+  status_ = Status::DataLoss("unexpected end of stream (wanted " +
+                             std::to_string(size) + " bytes, " +
+                             std::to_string(source_->remaining()) + " left)");
   return status_;
 }
 
@@ -185,8 +124,10 @@ Status Reader::Str(std::string* s, size_t max_size) {
                                " exceeds limit " + std::to_string(max_size));
     return status_;
   }
-  s->resize(static_cast<size_t>(size));
-  return Bytes(s->data(), s->size());
+  std::string_view bytes;
+  SNS_RETURN_IF_ERROR(View(size, &bytes));
+  s->assign(bytes);
+  return Status::OK();
 }
 
 }  // namespace serial

@@ -289,7 +289,7 @@ void ContinuousCpd::SerializeTo(serial::Writer& w) const {
   const FitnessAccumulators acc = fitness_tracker_.SaveAccumulators();
   w.F64(acc.norm_x_sq);
   w.F64(acc.inner);
-  w.I64(acc.events_since_resync);
+  w.I64(acc.events_since_exact);
 
   w.U32(kTagRng);
   WriteRngState(w, rng_.SaveState());
@@ -356,7 +356,7 @@ Status ContinuousCpd::RestoreFrom(serial::Reader& r) {
   FitnessAccumulators acc;
   SNS_RETURN_IF_ERROR(r.F64(&acc.norm_x_sq));
   SNS_RETURN_IF_ERROR(r.F64(&acc.inner));
-  SNS_RETURN_IF_ERROR(r.I64(&acc.events_since_resync));
+  SNS_RETURN_IF_ERROR(r.I64(&acc.events_since_exact));
 
   SNS_RETURN_IF_ERROR(ExpectTag(r, kTagRng, "rng"));
   RngState engine_rng;
@@ -402,12 +402,11 @@ Status ContinuousCpd::RestoreFrom(serial::Reader& r) {
   // by nature and deliberately not part of the snapshot.
   update_seconds_ = 0.0;
 
-  // Rebind the fitness tracker last: Reset sizes its scratch against the
-  // restored model and runs an exact resync, whose terms are then replaced
-  // by the snapshot's accumulators to resume the estimate mid-interval.
+  // Rebind the fitness tracker last: Bind sizes its scratch against the
+  // restored model without a rescan, and the snapshot's accumulators resume
+  // the estimate mid-interval (with an empty query cache).
   if (updates_enabled_) {
-    fitness_tracker_.Reset(window_.tensor(), state_,
-                           options_.fitness_resync_interval);
+    fitness_tracker_.Bind(state_.rank(), options_.fitness_resync_interval);
   }
   fitness_tracker_.RestoreAccumulators(acc);
   return Status::OK();

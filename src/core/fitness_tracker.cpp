@@ -10,13 +10,15 @@ namespace sns {
 void RunningFitnessTracker::Reset(const SparseTensor& window,
                                   const CpdState& state,
                                   int64_t resync_interval) {
+  Bind(state.rank(), resync_interval);
+  RestoreAccumulators(ExactTerms(window, state));
+}
+
+void RunningFitnessTracker::Bind(int64_t rank, int64_t resync_interval) {
   resync_interval_ = resync_interval;
-  num_cells_ = 0;
-  const int64_t rank = state.rank();
   if (gram_product_.rows() != rank || gram_product_.cols() != rank) {
     gram_product_ = Matrix(rank, rank);
   }
-  ResyncExact(window, state);
 }
 
 void RunningFitnessTracker::OnWindowDelta(const WindowDelta& delta,
@@ -72,21 +74,35 @@ void RunningFitnessTracker::OnFactorsUpdated(const CpdState& state) {
     }
   }
   num_cells_ = 0;
-  ++events_since_resync_;
+  ++events_since_exact_;
 }
 
 double RunningFitnessTracker::RunningFitness(const SparseTensor& window,
                                              const CpdState& state) const {
-  if (resync_interval_ > 0 && events_since_resync_ >= resync_interval_) {
-    ResyncExact(window, state);
+  if (resync_interval_ > 0 &&
+      events_since_exact_ - cache_anchor_.events_since_exact >=
+          resync_interval_) {
+    cache_exact_ = ExactTerms(window, state);
+    cache_anchor_ = SaveAccumulators();
   }
+  // exact + (accumulator now − accumulator at e₀); with an empty (zero)
+  // cache this is the accumulator itself.
+  const auto estimate = [](double exact, double now, double at_e0) {
+    return exact + (now - at_e0);
+  };
   if (loss_ != nullptr) {
     // Generalized fitness 1 − Σℓ(x, x̃)/Σℓ(x, 0): the GCP analog of the
     // Frobenius formula, agreeing with it for Gaussian up to the √.
-    if (baseline_sum_ <= 0.0) return 0.0;
-    return 1.0 - loss_sum_ / baseline_sum_;
+    const double baseline_sum = estimate(
+        cache_exact_.baseline_sum, baseline_sum_, cache_anchor_.baseline_sum);
+    if (baseline_sum <= 0.0) return 0.0;
+    return 1.0 - estimate(cache_exact_.loss_sum, loss_sum_,
+                          cache_anchor_.loss_sum) /
+                     baseline_sum;
   }
-  if (norm_x_sq_ <= 0.0) return 0.0;
+  const double norm_x_sq =
+      estimate(cache_exact_.norm_x_sq, norm_x_sq_, cache_anchor_.norm_x_sq);
+  if (norm_x_sq <= 0.0) return 0.0;
   // ‖X̃‖² = λ'(∗_m Q(m))λ over the incrementally maintained Grams.
   gram_product_.Fill(1.0);
   for (const Matrix& gram : state.grams) {
@@ -102,22 +118,24 @@ double RunningFitnessTracker::RunningFitness(const SparseTensor& window,
     }
     model_norm_sq += lambda[static_cast<size_t>(r)] * partial;
   }
+  const double inner =
+      estimate(cache_exact_.inner, inner_, cache_anchor_.inner);
   const double residual_sq =
-      std::max(0.0, model_norm_sq - 2.0 * inner_ + norm_x_sq_);
-  return 1.0 - std::sqrt(residual_sq) / std::sqrt(norm_x_sq_);
+      std::max(0.0, model_norm_sq - 2.0 * inner + norm_x_sq);
+  return 1.0 - std::sqrt(residual_sq) / std::sqrt(norm_x_sq);
 }
 
-void RunningFitnessTracker::ResyncExact(const SparseTensor& window,
-                                        const CpdState& state) const {
+FitnessAccumulators RunningFitnessTracker::ExactTerms(
+    const SparseTensor& window, const CpdState& state) const {
+  FitnessAccumulators exact;
   if (loss_ != nullptr) {
-    loss_sum_ = WindowLoss(window, state.model, *loss_);
-    baseline_sum_ = WindowLossBaseline(window, *loss_);
-    events_since_resync_ = 0;
-    return;
+    exact.loss_sum = WindowLoss(window, state.model, *loss_);
+    exact.baseline_sum = WindowLossBaseline(window, *loss_);
+  } else {
+    exact.norm_x_sq = window.FrobeniusNormSquared();
+    exact.inner = state.model.InnerProduct(window);
   }
-  norm_x_sq_ = window.FrobeniusNormSquared();
-  inner_ = state.model.InnerProduct(window);
-  events_since_resync_ = 0;
+  return exact;
 }
 
 }  // namespace sns

@@ -16,6 +16,17 @@
 // amortized resync (which runs lazily at query time, never on the ingest
 // path); no heap allocations after Reset.
 //
+// The accumulators are a function of the event sequence alone: exact at
+// Reset, then moved by the per-event increments only, and they are what a
+// checkpoint stores. A query never writes them. Its resync refreshes a
+// query-side cache instead, which is never serialized: the exact terms at
+// event count e₀ and the accumulators' values there. The estimate is
+// exact + (accumulator now − accumulator at e₀), and the cache is refreshed
+// once ≥ resync_interval events have passed since e₀. The cache is empty
+// after Reset and after a restore; an empty cache (all zero, e₀ = 0) makes
+// the estimate the accumulators themselves. So querying a stream never
+// changes its checkpoint bytes, and journal replay rebuilds them exactly.
+//
 // Accuracy contract: the estimate is EXACT at every resync boundary (and
 // with resync_interval = 1 it degenerates into the exact computation —
 // pinned by tests/fitness_tracker_test.cpp). Between resyncs only the
@@ -40,13 +51,13 @@ namespace sns {
 class LossFunction;
 
 /// Snapshot of the tracker's incremental accumulators, taken between events
-/// (durability checkpoints). Restoring them after Reset reproduces the
-/// tracker's exact estimate trajectory instead of restarting it from an
-/// exact resync.
+/// (durability checkpoints). Restoring them reproduces the tracker's exact
+/// accumulator trajectory instead of restarting it from an exact rescan.
 struct FitnessAccumulators {
   double norm_x_sq = 0.0;
   double inner = 0.0;
-  int64_t events_since_resync = 0;
+  // Events accounted since the accumulators were last exact.
+  int64_t events_since_exact = 0;
   // Generalized-loss terms (losses/): Σℓ(x, x̃) and Σℓ(x, 0) over the window
   // nonzeros. Unused (and not serialized — kTagFitness bytes are unchanged)
   // under the Gaussian default.
@@ -63,6 +74,11 @@ class RunningFitnessTracker {
   /// exact recomputations of ⟨X̃, X⟩ and ‖X‖² (0 = never resync).
   void Reset(const SparseTensor& window, const CpdState& state,
              int64_t resync_interval);
+
+  /// Reset's binding without the rescan: sets the cadence and sizes the
+  /// query scratch for `rank`. A restore calls it and then
+  /// RestoreAccumulators, which supplies the terms.
+  void Bind(int64_t rank, int64_t resync_interval);
 
   /// Switches the tracked objective to a generalized loss (losses/):
   /// fitness becomes 1 − Σℓ(x, x̃)/Σℓ(x, 0) over the window nonzeros,
@@ -83,45 +99,52 @@ class RunningFitnessTracker {
 
   /// Current fitness estimate, clamped to finite arithmetic: 0 when the
   /// window is empty, otherwise 1 − √(max(0, ‖X̃‖² − 2⟨X̃,X⟩est + ‖X‖²))/‖X‖.
-  /// Runs the amortized exact resync lazily when one is due (≥
-  /// resync_interval events since the last), so callers that never query
-  /// never pay the O(nnz·M·R) rescan on the ingest path.
+  /// Refreshes the query cache with an exact resync when one is due (≥
+  /// resync_interval events since the cache's e₀), so callers that never
+  /// query never pay the O(nnz·M·R) rescan on the ingest path. Never
+  /// changes the accumulators.
   double RunningFitness(const SparseTensor& window,
                         const CpdState& state) const;
 
-  /// Events accounted since the last exact resync (test hook).
-  int64_t events_since_resync() const { return events_since_resync_; }
-
   /// Snapshot / restore of the incremental terms, valid between events
-  /// (no delta in flight). Restore must follow a Reset against the same
-  /// window/model the snapshot was taken over.
+  /// (no delta in flight). Restore follows a Bind (or Reset) against the
+  /// model the snapshot was taken over, and empties the query cache.
   FitnessAccumulators SaveAccumulators() const {
-    return {norm_x_sq_, inner_, events_since_resync_, loss_sum_,
+    return {norm_x_sq_, inner_, events_since_exact_, loss_sum_,
             baseline_sum_};
   }
   void RestoreAccumulators(const FitnessAccumulators& acc) {
     norm_x_sq_ = acc.norm_x_sq;
     inner_ = acc.inner;
-    events_since_resync_ = acc.events_since_resync;
+    events_since_exact_ = acc.events_since_exact;
     loss_sum_ = acc.loss_sum;
     baseline_sum_ = acc.baseline_sum;
     num_cells_ = 0;
+    cache_exact_ = {};
+    cache_anchor_ = {};
   }
 
  private:
-  void ResyncExact(const SparseTensor& window, const CpdState& state) const;
+  /// The exact terms of the tracked objective (a full rescan); the other
+  /// objective's terms are 0.
+  FitnessAccumulators ExactTerms(const SparseTensor& window,
+                                 const CpdState& state) const;
 
-  // Resyncs are a query-side cache refresh, so the terms are mutable and
-  // RunningFitness stays const for read-only callers.
-  mutable double norm_x_sq_ = 0.0;  // ‖X‖², exact up to fp accumulation.
-  mutable double inner_ = 0.0;      // Estimate of ⟨X̃, X⟩.
+  double norm_x_sq_ = 0.0;  // ‖X‖², exact up to fp accumulation.
+  double inner_ = 0.0;      // Estimate of ⟨X̃, X⟩.
   // Generalized-loss terms, maintained instead of the two above when a
   // non-Gaussian loss is set.
-  mutable double loss_sum_ = 0.0;      // Estimate of Σℓ(x, x̃) over nnz.
-  mutable double baseline_sum_ = 0.0;  // Σℓ(x, 0) over nnz, exact.
+  double loss_sum_ = 0.0;      // Estimate of Σℓ(x, x̃) over nnz.
+  double baseline_sum_ = 0.0;  // Σℓ(x, 0) over nnz, exact.
   const LossFunction* loss_ = nullptr;
   int64_t resync_interval_ = 0;
-  mutable int64_t events_since_resync_ = 0;
+  int64_t events_since_exact_ = 0;
+
+  // Query cache (see the header comment), never serialized: the exact
+  // terms at e₀ and the accumulators at e₀, whose events_since_exact is e₀.
+  // Mutable so RunningFitness stays const for read-only callers.
+  mutable FitnessAccumulators cache_exact_;
+  mutable FitnessAccumulators cache_anchor_;
 
   // Delta cells of the event in flight: 1 for arrival/expiry, 2 for a slide
   // (WindowDelta's documented maximum).

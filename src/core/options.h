@@ -88,9 +88,10 @@ struct ContinuousCpdOptions {
   /// (core/fitness_tracker.h): smaller bounds the estimator's drift tighter
   /// at a higher amortized O(nnz·M·R) rescan cost. Resyncs run lazily
   /// inside RunningFitness() queries — callers that never query never pay
-  /// them. 0 disables resyncs (the estimate then drifts with factor churn
-  /// until the next ALS initialization). Affects RunningFitness() only,
-  /// never the factors.
+  /// them — and refresh a query-side cache that is never serialized, so a
+  /// query never touches checkpointed state. 0 disables resyncs (the
+  /// estimate then drifts with factor churn until the next ALS
+  /// initialization). Affects RunningFitness() only, never the factors.
   int64_t fitness_resync_interval = 128;
   /// Pointwise loss the engine minimizes (losses/loss_function.h). The
   /// Gaussian default reproduces the paper's least-squares engine exactly

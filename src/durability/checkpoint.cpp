@@ -1,6 +1,5 @@
 #include "durability/checkpoint.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "api/sns_service.h"
@@ -10,19 +9,6 @@
 
 namespace sns {
 namespace durability {
-namespace {
-
-// Plausibility guard for the payload-length field of a corrupt envelope;
-// real checkpoints of plausible streams sit far below it. The payload is
-// read in kPayloadChunkBytes steps, so a hostile length field can never
-// force one giant upfront allocation — a source shorter than its claimed
-// length fails with kDataLoss at its actual end, having allocated only as
-// much as it actually delivered.
-constexpr uint64_t kMaxPayloadBytes = 1ull << 32;
-constexpr size_t kPayloadChunkBytes = 1u << 20;
-
-}  // namespace
-
 bool IsMirroredFailure(StatusCode code) {
   return code == StatusCode::kInvalidArgument ||
          code == StatusCode::kOutOfRange ||
@@ -31,19 +17,15 @@ bool IsMirroredFailure(StatusCode code) {
 }
 
 Status WriteStreamCheckpoint(const StreamHandle& handle, uint64_t sequence,
-                             serial::ByteSink& sink) {
+                             serial::StringSink& sink) {
   if (SNS_FAILPOINT("checkpoint.write")) {
     return failpoint::InjectedFailure("checkpoint.write");
   }
-  // The envelope is framed in one buffer: the sink's own string when it is
-  // a StringSink, else a local one handed to the sink in one Write. The
-  // payload size and CRC are patched in after the payload is encoded.
-  serial::StringSink local;
-  auto* direct = dynamic_cast<serial::StringSink*>(&sink);
-  serial::StringSink& target = direct != nullptr ? *direct : local;
-  std::string& out = *target.mutable_data();
+  // The envelope is framed in the sink's own string: the payload size and
+  // CRC are patched in after the payload is encoded.
+  std::string& out = *sink.mutable_data();
   const size_t start = out.size();
-  serial::Writer w(target);
+  serial::Writer w(sink);
   w.U32(kCheckpointMagic);
   w.U32(handle.UsesExtendedState() ? kCheckpointVersionLoss
                                    : kCheckpointVersion);
@@ -60,42 +42,33 @@ Status WriteStreamCheckpoint(const StreamHandle& handle, uint64_t sequence,
     out[start + 8 + i] = static_cast<char>(payload_size >> (8 * i));
   }
   w.U32(Crc32(out.data() + payload, payload_size));
-  if (direct != nullptr) return w.status();
-  return sink.Write(out.data(), out.size());
+  return Status::OK();
 }
 
-StatusOr<RestoredStream> ReadStreamCheckpoint(serial::ByteSource& source) {
-  serial::Reader header(source);
+StatusOr<RestoredStream> ReadStreamCheckpoint(serial::StringSource& source) {
+  serial::Reader envelope(source);
   uint32_t magic = 0;
   uint32_t version = 0;
   uint64_t payload_size = 0;
-  SNS_RETURN_IF_ERROR(header.U32(&magic));
+  SNS_RETURN_IF_ERROR(envelope.U32(&magic));
   if (magic != kCheckpointMagic) {
     return Status::InvalidArgument(
         "not a stream checkpoint (bad magic number)");
   }
-  SNS_RETURN_IF_ERROR(header.U32(&version));
+  SNS_RETURN_IF_ERROR(envelope.U32(&version));
   if (version != kCheckpointVersion && version != kCheckpointVersionLoss) {
     return Status::FailedPrecondition(
         "checkpoint has format version " + std::to_string(version) +
         "; this build reads versions " + std::to_string(kCheckpointVersion) +
         " and " + std::to_string(kCheckpointVersionLoss));
   }
-  SNS_RETURN_IF_ERROR(header.U64(&payload_size));
-  if (payload_size > kMaxPayloadBytes) {
-    return Status::DataLoss("checkpoint frames an implausible payload size");
-  }
-  std::string bytes;
-  for (uint64_t left = payload_size; left > 0;) {
-    const size_t step =
-        static_cast<size_t>(std::min<uint64_t>(left, kPayloadChunkBytes));
-    const size_t old_size = bytes.size();
-    bytes.resize(old_size + step);
-    SNS_RETURN_IF_ERROR(source.ReadExact(bytes.data() + old_size, step));
-    left -= step;
-  }
+  SNS_RETURN_IF_ERROR(envelope.U64(&payload_size));
+  // The payload is checksummed and decoded where it lies in the source; a
+  // size past the bytes present is kDataLoss here, before any allocation.
+  std::string_view bytes;
+  SNS_RETURN_IF_ERROR(envelope.View(payload_size, &bytes));
   uint32_t crc = 0;
-  SNS_RETURN_IF_ERROR(header.U32(&crc));
+  SNS_RETURN_IF_ERROR(envelope.U32(&crc));
   if (Crc32(bytes.data(), bytes.size()) != crc) {
     return Status::DataLoss("checkpoint payload CRC mismatch");
   }
@@ -113,7 +86,7 @@ StatusOr<RestoredStream> ReadStreamCheckpoint(serial::ByteSource& source) {
 }
 
 StatusOr<RecoveryReport> RecoverStream(SnsService& service,
-                                       serial::ByteSource& checkpoint,
+                                       serial::StringSource& checkpoint,
                                        const std::string& journal_directory) {
   if (service.registry_->shutdown.load(std::memory_order_acquire)) {
     return Status::FailedPrecondition("service is shut down");
@@ -127,7 +100,7 @@ StatusOr<RecoveryReport> RecoverStream(SnsService& service,
   return report;
 }
 
-StatusOr<RecoveredHandle> RecoverHandle(serial::ByteSource& checkpoint,
+StatusOr<RecoveredHandle> RecoverHandle(serial::StringSource& checkpoint,
                                         const std::string& journal_directory) {
   auto restored = ReadStreamCheckpoint(checkpoint);
   if (!restored.ok()) return restored.status();

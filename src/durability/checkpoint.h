@@ -55,11 +55,11 @@ inline constexpr uint32_t kCheckpointVersionLoss = 2;
 /// other code during replay means the journal and the stream disagree.
 bool IsMirroredFailure(StatusCode code);
 
-/// Serializes `handle` (with its per-stream sequence token) into `sink` as
-/// one checkpoint envelope. The bytes are deterministic: equal stream state
-/// and sequence always produce equal envelopes.
+/// Appends one checkpoint envelope of `handle` (with its per-stream
+/// sequence token) to `sink`. The bytes are deterministic: equal stream
+/// state and sequence always produce equal envelopes.
 Status WriteStreamCheckpoint(const StreamHandle& handle, uint64_t sequence,
-                             serial::ByteSink& sink);
+                             serial::StringSink& sink);
 
 /// A decoded checkpoint: the rebuilt stream plus the sequence token of the
 /// last ticketed operation it reflects (0 for standalone-handle
@@ -70,9 +70,11 @@ struct RestoredStream {
   uint64_t sequence = 0;
 };
 
-/// Decodes one checkpoint envelope from `source`. See the failure taxonomy
-/// above; on any error the source's read position is unspecified.
-StatusOr<RestoredStream> ReadStreamCheckpoint(serial::ByteSource& source);
+/// Decodes one checkpoint envelope from `source`, checksumming and decoding
+/// the payload in place. See the failure taxonomy above; a payload size
+/// past the bytes present is kDataLoss before anything is allocated. On
+/// any error the source's read position is unspecified.
+StatusOr<RestoredStream> ReadStreamCheckpoint(serial::StringSource& source);
 
 /// Outcome of a successful RecoverStream.
 struct RecoveryReport {
@@ -93,7 +95,7 @@ struct RecoveryReport {
 /// report.last_sequence. Call before EnableJournal; on error nothing is
 /// registered.
 StatusOr<RecoveryReport> RecoverStream(SnsService& service,
-                                       serial::ByteSource& checkpoint,
+                                       serial::StringSource& checkpoint,
                                        const std::string& journal_directory);
 
 /// A stream rebuilt outside any service: checkpoint + journal-suffix replay
@@ -110,7 +112,7 @@ struct RecoveredHandle {
 /// plus the replay report. This is the primitive stream auto-recovery runs
 /// on the owning shard — no service registration, no ticket issue, no
 /// cross-shard hop.
-StatusOr<RecoveredHandle> RecoverHandle(serial::ByteSource& checkpoint,
+StatusOr<RecoveredHandle> RecoverHandle(serial::StringSource& checkpoint,
                                         const std::string& journal_directory);
 
 }  // namespace durability

@@ -46,15 +46,18 @@ int64_t ParseSegmentNumber(std::string_view name) {
   return number;
 }
 
-std::string EncodeRecord(uint64_t sequence, JournalOpType op, int64_t time,
-                         std::span<const Tuple> tuples) {
-  serial::StringSink payload;
-  size_t bytes = 8 + 1 + 8 + 8;
+/// One record frame, [u32 payload_size][u32 crc32(payload)][payload], in
+/// one string: the size and CRC are patched in after the payload is encoded.
+std::string EncodeFrame(uint64_t sequence, JournalOpType op, int64_t time,
+                        std::span<const Tuple> tuples) {
+  serial::StringSink frame;
+  size_t bytes = kRecordFrameBytes + 8 + 1 + 8 + 8;
   for (const Tuple& tuple : tuples) {
     bytes += 4 + 4 * static_cast<size_t>(tuple.index.size()) + 8 + 8;
   }
-  payload.mutable_data()->reserve(bytes);
-  serial::Writer w(payload);
+  frame.mutable_data()->reserve(bytes);
+  serial::Writer w(frame);
+  w.U64(0);  // Payload size and CRC, patched below.
   w.U64(sequence);
   w.U8(static_cast<uint8_t>(op));
   w.I64(time);
@@ -65,7 +68,15 @@ std::string EncodeRecord(uint64_t sequence, JournalOpType op, int64_t time,
     w.F64(tuple.value);
     w.I64(tuple.time);
   }
-  return payload.TakeData();
+  std::string out = frame.TakeData();
+  const size_t payload_size = out.size() - kRecordFrameBytes;
+  const uint32_t size_field = static_cast<uint32_t>(payload_size);
+  const uint32_t crc = Crc32(out.data() + kRecordFrameBytes, payload_size);
+  for (int i = 0; i < 4; ++i) {
+    out[i] = static_cast<char>(size_field >> (8 * i));
+    out[4 + i] = static_cast<char>(crc >> (8 * i));
+  }
+  return out;
 }
 
 /// Removes the torn tail of the final segment from disk. A later
@@ -170,10 +181,12 @@ Status JournalWriter::OpenNextSegment() {
   if (!sink.ok()) return sink.status();
   segment_ =
       std::make_unique<serial::FileSink>(std::move(sink).value());
-  serial::Writer w(*segment_);
+  serial::StringSink header;
+  serial::Writer w(header);
   w.U64(kJournalMagic);
   w.U32(kJournalVersion);
-  SNS_RETURN_IF_ERROR(w.status());
+  SNS_RETURN_IF_ERROR(
+      segment_->Write(header.data().data(), header.data().size()));
   SNS_RETURN_IF_ERROR(segment_->Flush());
   segment_bytes_ = static_cast<int64_t>(kSegmentHeaderBytes);
   ++next_segment_;
@@ -191,26 +204,21 @@ Status JournalWriter::Append(uint64_t sequence, JournalOpType op,
   if (SNS_FAILPOINT("journal.append")) {
     return failpoint::InjectedFailure("journal.append");
   }
-  const std::string payload = EncodeRecord(sequence, op, time, tuples);
-  if (payload.size() > kMaxRecordBytes) {
+  const std::string frame = EncodeFrame(sequence, op, time, tuples);
+  if (frame.size() - kRecordFrameBytes > kMaxRecordBytes) {
     return Status::InvalidArgument("journal record exceeds the 64 MiB cap");
   }
-  const int64_t frame =
-      static_cast<int64_t>(kRecordFrameBytes + payload.size());
+  const int64_t frame_bytes = static_cast<int64_t>(frame.size());
   if (segment_bytes_ > static_cast<int64_t>(kSegmentHeaderBytes) &&
-      segment_bytes_ + frame > options_.max_segment_bytes) {
+      segment_bytes_ + frame_bytes > options_.max_segment_bytes) {
     SNS_RETURN_IF_ERROR(OpenNextSegment());
   }
-  serial::Writer w(*segment_);
-  w.U32(static_cast<uint32_t>(payload.size()));
-  w.U32(Crc32(payload.data(), payload.size()));
-  w.Bytes(payload.data(), payload.size());
-  SNS_RETURN_IF_ERROR(w.status());
+  SNS_RETURN_IF_ERROR(segment_->Write(frame.data(), frame.size()));
   // Write-ahead flush: the record must reach the OS before the operation is
   // applied and acknowledged, or a process crash could lose an acked op.
   SNS_RETURN_IF_ERROR(segment_->Flush(options_.sync_each_record));
-  segment_bytes_ += frame;
-  bytes_appended_ += frame;
+  segment_bytes_ += frame_bytes;
+  bytes_appended_ += frame_bytes;
   return Status::OK();
 }
 

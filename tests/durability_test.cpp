@@ -296,15 +296,15 @@ TEST(CheckpointFaultInjectionTest, PayloadBitFlipsAreDataLoss) {
 TEST(CheckpointFaultInjectionTest, ImplausiblePayloadSizeFailsTyped) {
   const std::string valid = MakeValidCheckpoint();
   // The u64 payload_size field sits at offset 8 (after magic + version).
-  // Just under the 4 GiB plausibility cap: the chunked payload read runs off
-  // the source's actual end and fails kDataLoss without ever attempting one
-  // multi-GiB allocation.
+  // A size past the bytes present fails kDataLoss before the payload is
+  // checksummed or anything is allocated: the payload is a view of the
+  // source's range, so no multi-GiB buffer is ever attempted.
   std::string under_cap = valid;
   const uint64_t huge = (1ull << 32) - 1;
   std::memcpy(under_cap.data() + 8, &huge, sizeof(huge));
   EXPECT_EQ(TryRestore(under_cap).code(), StatusCode::kDataLoss);
 
-  // Past the cap: rejected before any payload byte is read.
+  // Past 4 GiB: the same check, whatever the size.
   std::string over_cap = valid;
   const uint64_t absurd = 1ull << 33;
   std::memcpy(over_cap.data() + 8, &absurd, sizeof(absurd));
@@ -1559,6 +1559,61 @@ TEST(ServiceDurabilityTest, CheckpointDuringAsyncIngestIsASequencePoint) {
   EXPECT_EQ(sink.data(), CheckpointBytes(reference, "s"));
 }
 
+/// Calls every StreamHandle query once, on the stream's owning shard.
+void QueryEverything(SnsService& service, const std::string& name) {
+  auto answered = service.Query(name, [](const StreamHandle& handle) {
+    ModeIndex cell;
+    for (int mode = 0; mode < handle.num_modes(); ++mode) {
+      (void)handle.TopK(mode, 3);
+      (void)handle.TopKForComponent(mode, 0, 3);
+      (void)handle.FactorRow(mode, 0);
+      (void)handle.OutlierActivity(mode, 3);
+      cell.PushBack(0);
+    }
+    (void)handle.Reconstruct(cell);
+    (void)handle.ComponentActivity();
+    (void)handle.RunningFitness();
+    (void)handle.ExactFitness();
+    (void)handle.Stats();
+    return 0;
+  });
+  SNS_CHECK(answered.ok());
+}
+
+// A query never changes serialized state: every StreamHandle query between
+// batches leaves the checkpoint bytes equal to those of a run that never
+// queries, inline and sharded, on the Gaussian path and on a robust
+// Poisson stream. The running-fitness query's exact resync once overwrote
+// the serialized accumulators after resync_interval (128) events.
+TEST(ServiceDurabilityTest, QueriesBetweenBatchesLeaveStateBitwise) {
+  const DataStream stream = SmallStream(130, 37);
+  ContinuousCpdOptions poisson = RobustOptions(32);
+  poisson.variant = SnsVariant::kVec;
+  poisson.loss = LossKind::kPoisson;
+  for (const ContinuousCpdOptions& options :
+       {SmallEngineOptions(SnsVariant::kRnd), poisson}) {
+    const ProtocolInput input = MakeProtocol(stream, options);
+    const std::string reference = RunUninterrupted(input, /*shards=*/0);
+    for (int shards : {0, 1, 4}) {
+      SCOPED_TRACE("loss=" + LossKindName(options.loss) +
+                   " shards=" + std::to_string(shards));
+      SnsService service = MakeService(shards);
+      ASSERT_TRUE(service.CreateStream("s", {6, 5}, input.options).ok());
+      ASSERT_TRUE(service.Warmup("s", input.warmup).ok());
+      QueryEverything(service, "s");
+      ASSERT_TRUE(service.Initialize("s").ok());
+      for (const auto& batch : input.batches) {
+        QueryEverything(service, "s");
+        ASSERT_TRUE(service.Ingest("s", batch).ok());
+      }
+      QueryEverything(service, "s");
+      ASSERT_TRUE(service.AdvanceTo("s", input.horizon).ok());
+      QueryEverything(service, "s");
+      EXPECT_EQ(CheckpointBytes(service, "s"), reference);
+    }
+  }
+}
+
 TEST(ServiceDurabilityTest, DurabilityCallsAfterShutdownFailTyped) {
   const DataStream stream = SmallStream(90, 37);
   const ProtocolInput input =
@@ -1735,17 +1790,9 @@ class RecoveryGate {
 };
 
 std::string ReadFileBytes(const std::string& path) {
-  auto source = serial::FileSource::Open(path);
-  SNS_CHECK(source.ok());
-  std::string bytes;
-  char chunk[4096];
-  for (;;) {
-    auto n = source.value().ReadSome(chunk, sizeof chunk);
-    SNS_CHECK(n.ok());
-    if (n.value() == 0) break;
-    bytes.append(chunk, n.value());
-  }
-  return bytes;
+  auto bytes = serial::ReadFileToString(path);
+  SNS_CHECK(bytes.ok());
+  return std::move(bytes).value();
 }
 
 // THE acceptance differential: inject a journal-append failure in the
@@ -1797,9 +1844,10 @@ TEST_F(SelfHealingTest, InjectedAppendFailureHealsBitwise) {
     // re-appended record continued the token sequence across the segment
     // the recovery opened, so checkpoint + journal rebuild the same state.
     SnsService recovered = MakeService(0);
-    auto source = serial::FileSource::Open(ckpt);
-    ASSERT_TRUE(source.ok());
-    auto report = durability::RecoverStream(recovered, source.value(), dir);
+    auto bytes = serial::ReadFileToString(ckpt);
+    ASSERT_TRUE(bytes.ok());
+    serial::StringSource source(bytes.value());
+    auto report = durability::RecoverStream(recovered, source, dir);
     ASSERT_TRUE(report.ok());
     EXPECT_EQ(CheckpointBytes(recovered, "s"), reference);
   }
@@ -1900,6 +1948,41 @@ TEST_F(SelfHealingTest, TornWriteHealsBitwiseViaTailRepair) {
 
   const StreamHealthInfo health = service.Health("s").value();
   EXPECT_EQ(health.health, StreamHealth::kHealthy);
+  EXPECT_EQ(health.recoveries_completed, 1u);
+  EXPECT_EQ(CheckpointBytes(service, "s"), reference);
+}
+
+// Recovery compares the live stream's bytes with checkpoint + journal
+// replay, which never queries. A stream queried for its running fitness
+// after every batch must therefore heal one failed append in one attempt.
+TEST_F(SelfHealingTest, QueriedStreamHealsInOneAttempt) {
+  const DataStream stream = SmallStream(120, 61);
+  const ProtocolInput input =
+      MakeProtocol(stream, SmallEngineOptions(SnsVariant::kVecPlus));
+  const std::string reference = RunUninterrupted(input, /*shards=*/0);
+  const std::string dir = FreshDir("heal_queried");
+  const std::string ckpt = dir + ".ckpt";
+  fs::remove(ckpt);
+  SnsService service = MakeService(1);
+  ASSERT_TRUE(service.CreateStream("s", {6, 5}, input.options).ok());
+  ASSERT_TRUE(service.EnableJournal("s", dir).ok());
+  ASSERT_TRUE(service.CheckpointToFile("s", ckpt).ok());
+  ASSERT_TRUE(service.EnableAutoRecovery("s", ckpt, TestPolicy()).ok());
+  ASSERT_TRUE(service.Warmup("s", input.warmup).ok());
+  ASSERT_TRUE(service.Initialize("s").ok());
+  for (size_t i = 0; i < input.batches.size(); ++i) {
+    if (i == input.batches.size() / 2) {
+      ASSERT_TRUE(failpoint::Arm("journal.append", "once").ok());
+    }
+    ASSERT_TRUE(service.Ingest("s", input.batches[i]).ok());
+    ASSERT_TRUE(service.RunningFitness("s").ok());
+  }
+  ASSERT_TRUE(service.AdvanceTo("s", input.horizon).ok());
+
+  const StreamHealthInfo health = service.Health("s").value();
+  EXPECT_EQ(health.health, StreamHealth::kHealthy);
+  EXPECT_EQ(health.quarantine_count, 1u);
+  EXPECT_EQ(health.recovery_attempts, 1u);
   EXPECT_EQ(health.recoveries_completed, 1u);
   EXPECT_EQ(CheckpointBytes(service, "s"), reference);
 }
