@@ -24,6 +24,7 @@
 #include "core/continuous_cpd.h"
 #include "core/cpd_state.h"
 #include "core/gram_solve.h"
+#include "core/row_updater.h"
 #include "data/datasets.h"
 #include "losses/loss_function.h"
 #include "linalg/rank_dispatch.h"
@@ -457,7 +458,7 @@ void BM_KernelMttkrpRow(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelMttkrpRow)->SNS_KERNEL_BENCH_ARGS;
 
-// Gram rank-1 update Q ← Q − p'p + a'a (Eq. 13).
+// Gram commit Q ← Q − p'p + a'a (Eq. 13): one gram_rank_two_update call.
 void BM_KernelGramRankOneUpdate(benchmark::State& state) {
   KernelTier tier;
   if (!ResolveBenchTier(state, &tier)) return;
@@ -485,6 +486,35 @@ void BM_KernelGramRankOneUpdate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_KernelGramRankOneUpdate)->SNS_KERNEL_BENCH_ARGS;
+
+// One clipped coordinate-descent sweep (Alg. 5 lines 3-6) as the + variants
+// pay it per row: H = (A'A)∘(B'B), and a numerator H·t with t uniform in
+// [−1.5, 1.5], so about a third of the entries clip at ±1. Each call
+// updates the next row of a factor in place.
+void BM_KernelCoordinateDescent(benchmark::State& state) {
+  KernelTier tier;
+  if (!ResolveBenchTier(state, &tier)) return;
+  const ScopedProcessTier pin(tier);
+  const int64_t rank = state.range(0);
+  KernelFixture w(rank);
+  const Matrix hq = Hadamard(MultiplyTransposeA(w.factors[1], w.factors[1]),
+                             MultiplyTransposeA(w.factors[2], w.factors[2]));
+  AlignedVector target(rank), numerator(rank);
+  for (int64_t r = 0; r < rank; ++r) {
+    target[r] = 3.0 * w.rng.UniformDouble() - 1.5;
+  }
+  RowTimesMatrixPadded(target.data(), hq, numerator.data());
+  int64_t row = 0;
+  for (auto _ : state) {
+    CoordinateDescentRow(w.factors[0].Row(row), rank, hq, numerator.data(),
+                         -1.0, 1.0);
+    benchmark::DoNotOptimize(w.factors[0].Row(row));
+    benchmark::ClobberMemory();
+    row = (row + 1) % kKernelDim;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_KernelCoordinateDescent)->SNS_KERNEL_BENCH_ARGS;
 
 // Gram solve x = b H⁻¹ as the engine pays it on every row step: one
 // GramSolver::Factorize of H (the tier's cholesky_upper slot and the pivot

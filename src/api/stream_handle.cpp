@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "common/serial.h"
@@ -87,6 +88,9 @@ StreamHandle::StreamHandle(std::string name, std::vector<int64_t> mode_dims,
 
 Status StreamHandle::ValidateBatch(std::span<const Tuple> tuples) const {
   const int arity = static_cast<int>(mode_dims_.size());
+  // A tuple's last window event is due at time + W·period (Validate()).
+  const int64_t latest_time =
+      std::numeric_limits<int64_t>::max() - window_size() * period();
   int64_t prev_time = last_time_;
   for (size_t n = 0; n < tuples.size(); ++n) {
     const Tuple& tuple = tuples[n];
@@ -118,6 +122,11 @@ Status StreamHandle::ValidateBatch(std::span<const Tuple> tuples) const {
           "tuple " + std::to_string(n) + " regresses in time (" +
           std::to_string(tuple.time) + " < " + std::to_string(prev_time) +
           "); streams are strictly chronological");
+    }
+    if (tuple.time > latest_time) {
+      return Status::InvalidArgument("tuple " + std::to_string(n) +
+                                     " is past the latest time " +
+                                     std::to_string(latest_time));
     }
     prev_time = tuple.time;
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -104,6 +105,10 @@ StatusOr<std::unique_ptr<ContinuousCpd>> ContinuousCpd::Create(
   }
   for (int64_t dim : mode_dims) {
     if (dim < 1) return Status::InvalidArgument("mode sizes must be >= 1");
+    // ModeIndex stores int32 coordinates.
+    if (dim > std::numeric_limits<int32_t>::max()) {
+      return Status::InvalidArgument("mode sizes must be <= INT32_MAX");
+    }
   }
   // Not make_unique: the constructor is private, and the engine is pinned in
   // place (no copies/moves), so it is built directly behind the pointer.

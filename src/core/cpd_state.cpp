@@ -45,12 +45,9 @@ void CpdState::AbsorbLambda() {
 
 void ApplyGramRowUpdate(Matrix& gram, const double* old_row,
                         const double* new_row) {
-  const RankKernelTable& kr = GetRankKernelTable(gram.stride());
-  const int64_t r = gram.rows();
-  for (int64_t i = 0; i < r; ++i) {
-    kr.gram_row_delta(new_row[i], new_row, old_row[i], old_row, gram.Row(i),
-                      gram.stride());
-  }
+  GetRankKernelTable(gram.stride())
+      .gram_rank_two_update(new_row, old_row, gram.Row(0), gram.rows(),
+                            gram.stride());
 }
 
 }  // namespace sns

@@ -45,6 +45,10 @@ Status ContinuousCpdOptions::Validate() const {
     return Status::InvalidArgument("window_size must be >= 1");
   }
   if (period < 1) return Status::InvalidArgument("period must be >= 1");
+  // A tuple's window events run to its time plus this span.
+  if (int64_t span; __builtin_mul_overflow(window_size, period, &span)) {
+    return Status::InvalidArgument("window_size * period must fit in int64");
+  }
   if (sample_threshold < 1) {
     return Status::InvalidArgument("sample_threshold must be >= 1");
   }

@@ -192,15 +192,13 @@ class RowUpdater : public EventUpdater {
 /// Coordinate-descent inner loop of the + variants. For each k it computes
 /// a(m)_{i,k} ← (numerator_k − d_k) / c_k, clipped to [clip_min, clip_max],
 /// where c_k = HQ(k,k), d_k = Σ_{r≠k} row[r]·HQ(r,k) uses the live row
-/// (Eq. 20), and numerator_k is the variant-specific data term (Σ x·Πa of
-/// Eq. 21, or e + Σ Δx·Πa of Eq. 22, or e + Σ (x̄+Δx)·Πa of Eq. 23).
-/// One-dimensional projection onto [clip_min, clip_max] never increases the
-/// convex per-entry objective. Entries with c_k ≈ 0 (dead component) are
-/// left unchanged.
-///
-/// Padded-buffer contract: `row` must reference hq.stride() doubles with
-/// zero padding lanes (factor rows qualify) — the d_k dot runs tail-free to
-/// the padded bound. `numerator` only needs `rank` values.
+/// (Eq. 20; carried as the gradient H·row, see CoordinateDescentSweep), and
+/// numerator_k is the variant-specific data term (Σ x·Πa of Eq. 21, or
+/// e + Σ Δx·Πa of Eq. 22, or e + Σ (x̄+Δx)·Πa of Eq. 23). One-dimensional
+/// projection onto [clip_min, clip_max] never increases the convex
+/// per-entry objective. Entries with c_k ≈ 0 (dead component) are left
+/// unchanged. `row` must reference hq.stride() doubles with zero padding
+/// lanes (factor rows qualify); `numerator` only needs `rank` values.
 void CoordinateDescentRow(double* row, int64_t rank, const Matrix& hq,
                           const double* numerator, double clip_min,
                           double clip_max);

@@ -32,9 +32,6 @@
 //   Min(a, b), Max(a, b)   b when either operand is a NaN (as min_pd/max_pd);
 //   Pow2(t)                the exponential's 2^k from the shifted t;
 //   Reduce(v)              ReduceLanes8 of the eight lanes;
-//   LoadLow(p), Low(v)     four doubles zero-extended into V, and lanes 0–3;
-//   Blend(v, lanes, x)     x in the lanes of v whose bit is set in the low
-//                          8 bits of `lanes`;
 //   LoadFirst(p, count), StoreFirst(p, count, v)
 //                          the first count (1..7) lanes; the others load 0
 //                          and are not stored.
@@ -156,22 +153,26 @@ void Fma3(double v, const double* a, const double* b, double* out, int64_t n) {
       [&](int64_t r) { out[r] = std::fma(v, a[r] * b[r], out[r]); });
 }
 
-// g += new_i·new − old_i·old, the delta formed first: one multiply and one
-// fused negated multiply-add keep the subtraction inside the delta like the
-// generic expression.
+// Q ← Q − p'p + a'a (see VecGramRankTwoUpdate): each delta is a multiply
+// and a fused negated multiply-add, subtracted inside the delta.
 template <class B, int64_t P>
-void GramRowDelta(double new_i, const double* new_row, double old_i,
-                  const double* old_row, double* g, int64_t n) {
-  ForEachBlock<B, P>(
-      n,
-      [&](auto w, int64_t r) {
-        const auto t = w.Fnmadd(w.Set1(old_i), w.Load(old_row + r),
-                                w.Mul(w.Set1(new_i), w.Load(new_row + r)));
-        w.Store(g + r, w.Add(w.Load(g + r), t));
-      },
-      [&](int64_t r) {
-        g[r] += std::fma(new_i, new_row[r], -(old_i * old_row[r]));
-      });
+void GramRankTwoUpdate(const double* new_row, const double* old_row,
+                       double* gram, int64_t rows, int64_t n) {
+  const int64_t m = TripCount<P>(n);
+  for (int64_t i = 0; i < rows; ++i) {
+    double* g = gram + i * m;
+    const double new_i = new_row[i], old_i = old_row[i];
+    ForEachBlock<B, P>(
+        n,
+        [&](auto w, int64_t r) {
+          const auto t = w.Fnmadd(w.Set1(old_i), w.Load(old_row + r),
+                                  w.Mul(w.Set1(new_i), w.Load(new_row + r)));
+          w.Store(g + r, w.Add(w.Load(g + r), t));
+        },
+        [&](int64_t r) {
+          g[r] += std::fma(-old_i, old_row[r], new_i * new_row[r]);
+        });
+  }
 }
 
 template <class B, int64_t P>
@@ -193,69 +194,31 @@ double Dot(const double* a, const double* b, int64_t n) {
   return sum;
 }
 
-// One coordinate-descent entry from its dot: ((numerator − (dot − row·c))
-// / c) clipped, each operation rounded on its own as in the portable
-// sources.
-inline double CoordinateValue(double dot, double row_k, double c_k,
-                              double numerator_k, double clip_min,
-                              double clip_max) {
-  double value = (numerator_k - (dot - row_k * c_k)) / c_k;
-  if (value > clip_max) {
-    value = clip_max;
-  } else if (value < clip_min) {
-    value = clip_min;
-  }
-  return value;
+// CoordinateDescentSweep's gradient block and multiply-add, fused: each
+// block of lanes takes its rank multiply-adds in a register.
+template <class B, int64_t P>
+void GradientBlock(const double* row, int64_t rank, const double* hq,
+                   int64_t m, double* g, int64_t lanes) {
+  ForEachBlock<B, P>(
+      lanes,
+      [&](auto w, int64_t r) {
+        auto acc = w.Zero();
+        for (int64_t i = 0; i < rank; ++i) {
+          acc = w.Fmadd(w.Set1(row[i]), w.Load(hq + i * m + r), acc);
+        }
+        w.Store(g + r, acc);
+      },
+      [&](int64_t r) {
+        double acc = 0.0;
+        for (int64_t i = 0; i < rank; ++i) {
+          acc = std::fma(row[i], hq[i * m + r], acc);
+        }
+        g[r] = acc;
+      });
 }
 
-// Clipped coordinate descent (see VecCoordinateDescent). For P ≤ 32 the row
-// lives in at most four blocks (the last holding a four-lane tail in its
-// low half when P ≡ 4 mod 8) and lane k is blended in place, so no dot
-// reloads a lane the step before it just stored; each dot is the chain,
-// reduction and four-lane step of Dot<P>. P = 0 loops over Dot<0>.
-template <class B, int64_t P>
-void CoordinateDescent(double* row, int64_t rank, const double* hq,
-                       const double* numerator, double clip_min,
-                       double clip_max, int64_t n) {
-  if constexpr (P == 0) {
-    for (int64_t k = 0; k < rank; ++k) {
-      const double* hq_k = hq + k * n;
-      const double c_k = hq_k[k];
-      if (!(c_k > 1e-300)) continue;
-      row[k] = CoordinateValue(Dot<B, 0>(row, hq_k, n), row[k], c_k,
-                               numerator[k], clip_min, clip_max);
-    }
-  } else {
-    constexpr int kZ = static_cast<int>(P / 8);  // Full eight-lane blocks.
-    constexpr bool kTail = P % 8 != 0;           // Then one four-lane block.
-    constexpr int kRegs = kZ + (kTail ? 1 : 0);
-    typename B::V r[kRegs];
-    for (int v = 0; v < kZ; ++v) r[v] = B::Load(row + 8 * v);
-    if constexpr (kTail) r[kZ] = B::LoadLow(row + 8 * kZ);
-    for (int64_t k = 0; k < rank; ++k) {
-      const double* hq_k = hq + k * P;
-      const double c_k = hq_k[k];
-      if (!(c_k > 1e-300)) continue;
-      typename B::V acc = B::Zero();
-      for (int v = 0; v < kZ; ++v) {
-        acc = B::Fmadd(r[v], B::Load(hq_k + 8 * v), acc);
-      }
-      double dot = B::Reduce(acc);
-      if constexpr (kTail) {
-        dot += ReduceLanes4(
-            Ymm::Mul(B::Low(r[kZ]), Ymm::Load(hq_k + 8 * kZ)));
-      }
-      // Lane k has not been written yet, so memory still holds row[k].
-      const typename B::V value = B::Set1(CoordinateValue(
-          dot, row[k], c_k, numerator[k], clip_min, clip_max));
-      const uint32_t bit = 1u << k;
-      for (int v = 0; v < kRegs; ++v) {
-        r[v] = B::Blend(r[v], bit >> (8 * v), value);
-      }
-    }
-    for (int v = 0; v < kZ; ++v) B::Store(row + 8 * v, r[v]);
-    if constexpr (kTail) Ymm::Store(row + 8 * kZ, B::Low(r[kZ]));
-  }
+inline double FusedMulAdd(double a, double b, double c) {
+  return std::fma(a, b, c);
 }
 
 // The GCP Newton panel passes (see VecPanelDots, VecPanelAxpy): direct,
@@ -715,9 +678,10 @@ constexpr RankKernelTable SharedKernelTable(
           &MulAccum<B, P>,
           &Fma3<B, P>,
           &Dot<B, P>,
-          &GramRowDelta<B, P>,
+          &GramRankTwoUpdate<B, P>,
           syrk,
-          &CoordinateDescent<B, P>,
+          &CoordinateDescentSweep<P, &GradientBlock<B, P>, &Axpy<B, P>,
+                                  &FusedMulAdd>,
           &PanelDots<B, P>,
           &PanelAxpy<B, P>,
           &GatherHadamardDots<B, P>,

@@ -42,14 +42,6 @@
 namespace sns::codelets {
 namespace {
 
-// x in the lanes of v whose bit is set in the low 4 bits of `lanes`.
-inline __m256d BlendLanes(__m256d v, uint32_t lanes, __m256d x) {
-  const __m256i bits = _mm256_setr_epi64x(1, 2, 4, 8);
-  const __m256i set = _mm256_cmpeq_epi64(
-      _mm256_and_si256(_mm256_set1_epi64x(lanes), bits), bits);
-  return _mm256_blendv_pd(v, x, _mm256_castsi256_pd(set));
-}
-
 inline __m256d Pow2Lanes(__m256d t) {
   return _mm256_castsi256_pd(_mm256_slli_epi64(
       _mm256_add_epi64(_mm256_castpd_si256(t),
@@ -96,13 +88,6 @@ struct YmmPair {
   }
   static V Pow2(V t) { return {Pow2Lanes(t.lo), Pow2Lanes(t.hi)}; }
   static double Reduce(V v) { return ReduceLanes8(v.lo, v.hi); }
-  static V LoadLow(const double* p) {
-    return {_mm256_loadu_pd(p), _mm256_setzero_pd()};
-  }
-  static __m256d Low(V v) { return v.lo; }
-  static V Blend(V v, uint32_t lanes, V x) {
-    return {BlendLanes(v.lo, lanes, x.lo), BlendLanes(v.hi, lanes >> 4, x.hi)};
-  }
   static V LoadFirst(const double* p, int64_t count) {
     return {_mm256_maskload_pd(p, First(count, 0)),
             _mm256_maskload_pd(p + 4, First(count, 1))};

@@ -63,16 +63,6 @@ struct Zmm {
         52));
   }
   static double Reduce(V v) { return ReduceLanes8(Lo256(v), Hi256(v)); }
-  // A plain 256-bit load, zero-extended: a masked load would not be
-  // forwarded a row that was stored just before.
-  static V LoadLow(const double* p) {
-    return _mm512_maskz_insertf64x4(0xFF, _mm512_setzero_pd(),
-                                    _mm256_loadu_pd(p), 0);
-  }
-  static __m256d Low(V v) { return Lo256(v); }
-  static V Blend(V v, uint32_t lanes, V x) {
-    return _mm512_mask_mov_pd(v, static_cast<__mmask8>(lanes), x);
-  }
   static __mmask8 First(int64_t count) {
     return static_cast<__mmask8>((1u << count) - 1u);
   }

@@ -45,9 +45,11 @@ constexpr RankKernelTable kGenericTable = {KernelTier::kGeneric,
                                            &VecMulAccum<P>,
                                            &VecFma3<P>,
                                            &VecDot<P>,
-                                           &VecGramRowDelta<P>,
+                                           &VecGramRankTwoUpdate<P>,
                                            &VecWeightedSyrkUpper<P>,
-                                           &VecCoordinateDescent<P>,
+                                           &CoordinateDescentSweep<
+                                               P, &VecGradientBlock<P>,
+                                               &VecAxpy<P>, &UnfusedMulAdd>,
                                            &VecPanelDots<P>,
                                            &VecPanelAxpy<P>,
                                            &VecGatherHadamardDots<P>,

@@ -11,7 +11,7 @@
 //     template instantiation, with RankTag<0> as the runtime-bound generic
 //     fallback for larger ranks,
 //   - the templated __restrict vector primitives every dense kernel is
-//     built from (fill/copy/axpy/Hadamard/dot/rank-1 Gram deltas, the
+//     built from (fill/copy/axpy/Hadamard/dot, the rank-two Gram commit, the
 //     weighted upper-triangle SYRK, the gathered Hadamard staging and the
 //     panel dot / axpy passes of the GCP Newton step, and the clipped
 //     coordinate descent of the + variants),
@@ -37,6 +37,7 @@
 #ifndef SLICENSTITCH_LINALG_RANK_DISPATCH_H_
 #define SLICENSTITCH_LINALG_RANK_DISPATCH_H_
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 
@@ -162,15 +163,21 @@ inline double VecDot(const double* a, const double* b, int64_t n) {
   return sum;
 }
 
-/// g[j] += new_i·new_row[j] − old_i·old_row[j]: one row of the Gram rank-1
-/// update Q ← Q − p'p + a'a (Eq. 13). g must not alias the row arguments.
+/// Q ← Q − p'p + a'a (Eq. 13) after a factor row changed from p = old_row
+/// to a = new_row: gram[i·n + j] += new_row[i]·new_row[j] −
+/// old_row[i]·old_row[j] for i < rows. `gram` must not alias the rows.
 template <int64_t P>
-inline void VecGramRowDelta(double new_i, const double* SNS_RESTRICT new_row,
-                            double old_i, const double* SNS_RESTRICT old_row,
-                            double* SNS_RESTRICT g, int64_t n) {
+inline void VecGramRankTwoUpdate(const double* SNS_RESTRICT new_row,
+                                 const double* SNS_RESTRICT old_row,
+                                 double* SNS_RESTRICT gram, int64_t rows,
+                                 int64_t n) {
   const int64_t m = TripCount<P>(n);
-  for (int64_t j = 0; j < m; ++j) {
-    g[j] += new_i * new_row[j] - old_i * old_row[j];
+  for (int64_t i = 0; i < rows; ++i) {
+    const double new_i = new_row[i], old_i = old_row[i];
+    double* SNS_RESTRICT g = gram + i * m;
+    for (int64_t j = 0; j < m; ++j) {
+      g[j] += new_i * new_row[j] - old_i * old_row[j];
+    }
   }
 }
 
@@ -201,34 +208,72 @@ inline void VecWeightedSyrkUpper(const double* SNS_RESTRICT panel,
 }
 
 /// Clipped coordinate descent over one row (Alg. 5 lines 3-6; see
-/// CoordinateDescentRow in core/row_updater.h). For k = 0..rank−1, in
-/// order, with c_k = hq[k·n + k]: entries with !(c_k > 1e-300) (dead
-/// components) are left as they are; otherwise
-///   d_k = dot(row, hq row k) − row[k]·c_k,
-///   row[k] ← (numerator[k] − d_k) / c_k, clipped to [clip_min, clip_max],
-/// where dot is this tier's `dot` against the live (partially updated) row
-/// and every other operation rounds on its own. `hq` is rank × n row-major
-/// (symmetric, so row k is column k) and `row` holds n doubles, both with
-/// zero padding lanes; `numerator` needs `rank` values.
-template <int64_t P>
-inline void VecCoordinateDescent(double* row, int64_t rank, const double* hq,
-                                 const double* numerator, double clip_min,
-                                 double clip_max, int64_t n) {
-  for (int64_t k = 0; k < rank; ++k) {
-    const double* hq_k = hq + k * TripCount<P>(n);
-    const double c_k = hq_k[k];
-    if (!(c_k > 1e-300)) continue;
-    double d_k = VecDot<P>(row, hq_k, n);
-    d_k -= row[k] * c_k;
-    double value = (numerator[k] - d_k) / c_k;
-    if (value > clip_max) {
-      value = clip_max;
-    } else if (value < clip_min) {
-      value = clip_min;
+/// CoordinateDescentRow in core/row_updater.h) that carries the gradient
+/// g = H·row instead of taking a dot per coordinate. Coordinates go in
+/// blocks [k0, k1) of 32 (one block for every P > 0, all ≤ 32). Per
+/// block, kGradient(row, rank, hq + k0, m, g, k1 − k0) forms g_j =
+/// Σ_i row[i]·hq[i·n + j] for j in [k0, k1) as one axpy per row i in order
+/// (hq is symmetric, so this is H·row); then for k = k0..k1−1 with
+/// c_k = hq[k·n + k] > 1e-300 (dead components are left as they are):
+///   row[k] ← ((numerator[k] − (g_k − row[k]·c_k)) / c_k) clipped to
+///     [clip_min, clip_max], each operation rounded on its own;
+///   g += (new − old)·hq row k over the block, through kAxpy.
+/// Every g lane takes the tier's axpy arithmetic, so nothing reduces
+/// across lanes. Only the division and one kMulAdd (a·b + c, rounded as
+/// kAxpy rounds a lane) separate one coordinate from the next: g_{k+1} is
+/// read before step k and advanced as a scalar while the vector update of
+/// g runs beside it, and a clipped step is the bound minus the old value,
+/// so it does not wait for the clip. `hq` is rank × n row-major and `row`
+/// holds n doubles, both with zero padding lanes.
+template <int64_t P, auto kGradient, auto kAxpy, auto kMulAdd>
+inline void CoordinateDescentSweep(double* row, int64_t rank,
+                                   const double* hq, const double* numerator,
+                                   double clip_min, double clip_max,
+                                   int64_t n) {
+  const int64_t m = TripCount<P>(n);
+  constexpr int64_t kBlock = 32;
+  alignas(64) double g[kBlock] = {};
+  for (int64_t k0 = 0; k0 < rank; k0 += kBlock) {
+    const int64_t k1 = std::min(rank, k0 + kBlock);
+    kGradient(row, rank, hq + k0, m, g, k1 - k0);
+    double g_k = g[0];
+    for (int64_t k = k0; k < k1; ++k) {
+      const double* hq_k = hq + k * m;
+      const double c_k = hq_k[k];
+      const double next = k + 1 < k1 ? g[k + 1 - k0] : 0.0;
+      if (!(c_k > 1e-300)) {
+        g_k = next;
+        continue;
+      }
+      const double old = row[k];
+      double value = (numerator[k] - (g_k - old * c_k)) / c_k;
+      double step = value - old;
+      if (value > clip_max) {
+        value = clip_max;
+        step = clip_max - old;
+      } else if (value < clip_min) {
+        value = clip_min;
+        step = clip_min - old;
+      }
+      row[k] = value;
+      if (k + 1 == k1) break;
+      g_k = kMulAdd(step, hq_k[k + 1], next);
+      kAxpy(step, hq_k + k0, g, k1 - k0);
     }
-    row[k] = value;
   }
 }
+
+/// The generic tier's gradient block and multiply-add, in VecAxpy's
+/// arithmetic.
+template <int64_t P>
+inline void VecGradientBlock(const double* row, int64_t rank,
+                             const double* hq, int64_t m, double* g,
+                             int64_t lanes) {
+  VecFill<P>(g, 0.0, lanes);
+  for (int64_t i = 0; i < rank; ++i) VecAxpy<P>(row[i], hq + i * m, g, lanes);
+}
+
+inline double UnfusedMulAdd(double a, double b, double c) { return c + a * b; }
 
 /// Per-cell dots against one vector: out[c] = VecDot<P>(panel + c·n, v, n)
 /// for c in [0, cells). `panel` is cells × n row-major.
@@ -406,32 +451,30 @@ double ExpClamped(double x);
 /// takes the padded length as its trailing argument; specialized tables
 /// (padded_rank > 0) ignore it.
 ///
-/// Three tiers of the same contract exist (common/cpu_features.h): the
-/// generic tier points at the templated primitives above; the AVX2 and
-/// AVX-512 tiers point at the intrinsic codelets of linalg/codelets/,
-/// compiled in dedicated TUs with the matching -m flags and only reachable
-/// through this table (so a baseline build never executes them on hosts
-/// without the extensions). The two intrinsic tiers return the same bits
-/// from every slot: every slot but the SYRK is one source
-/// (codelets/codelet_kernels.h) compiled in both TUs, whose dots keep eight
-/// partial sums (two four-lane accumulators on AVX2) in one reduction
-/// order, so a slot can move from one table to the other without changing
-/// a trajectory. They fuse multiply-adds and group their
-/// dots differently from the generic tier, so they match it to a few ulps,
-/// not bitwise; elementwise kernels (fill/copy/mul/mul_accum) and
-/// exp_clamped are bitwise across all three tiers. Within one tier,
-/// weighted_syrk_upper is bitwise equal to the per-cell axpy accumulation
-/// it replaces (see VecWeightedSyrkUpper), coordinate_descent computes
-/// every entry exactly as the scalar loop over the same tier's `dot` does
-/// (the intrinsic tiers hold a P ≤ 32 row in registers and write lane k in
-/// place instead of storing it for the next dot to reload; P = 0 runs the
-/// loop), fma3(v, a, b) equals axpy(v, a∗b) with a∗b formed by `mul`,
-/// panel_dots / panel_axpy equal the same tier's per-row dot / axpy
-/// sequence, and gather_hadamard_dots equals HadamardOfRows over the same
-/// rows (copy, mul and mul_accum, bitwise on every tier) followed by the
-/// same tier's `dot` of each panel row with v. exp_clamped is bitwise
-/// identical on every tier (see ExpClamped); it takes an element count, not
-/// a padded length.
+/// Three tiers of the same contract exist (common/cpu_features.h): the generic
+/// tier points at the templated primitives above; the AVX2 and AVX-512 tiers
+/// point at the intrinsic codelets of linalg/codelets/, compiled in dedicated
+/// TUs with the matching -m flags and only reachable through this table (so a
+/// baseline build never executes them on hosts without the extensions). The two
+/// intrinsic tiers return the same bits from every slot: every slot but the
+/// SYRK is one source (codelets/codelet_kernels.h) compiled in both TUs, whose
+/// dots keep eight partial sums (two four-lane accumulators on AVX2) in one
+/// reduction order, so a slot can move from one table to the other without
+/// changing a trajectory. They fuse multiply-adds and group their dots
+/// differently from the generic tier, so they match it to a few ulps, not
+/// bitwise; elementwise kernels (fill/copy/mul/mul_accum) and exp_clamped are
+/// bitwise across all three tiers. Within one tier, weighted_syrk_upper is
+/// bitwise equal to the per-cell axpy accumulation it replaces (see
+/// VecWeightedSyrkUpper), coordinate_descent reduces nothing across lanes, so
+/// its P ≤ 32 and P = 0 tables agree bitwise (see CoordinateDescentSweep),
+/// gram_rank_two_update forms the deltas of (i, j) and (j, i) alike, so a
+/// symmetric Gram stays bitwise symmetric, fma3(v, a, b) equals axpy(v, a∗b)
+/// with a∗b formed by `mul`, panel_dots / panel_axpy equal the same tier's
+/// per-row dot / axpy sequence, and gather_hadamard_dots equals HadamardOfRows
+/// over the same rows (copy, mul and mul_accum, bitwise on every tier) followed
+/// by the same tier's `dot` of each panel row with v. exp_clamped is bitwise
+/// identical on every tier (see ExpClamped); it takes an element count, not a
+/// padded length.
 /// cholesky_upper and cholesky_solve_upper take the system's order and the
 /// padded row stride; on every tier they compute exactly what
 /// CholeskyUpperRowSuffixes and CholeskySolveUpperRowSuffixes compute over
@@ -454,13 +497,14 @@ struct RankKernelTable {
   void (*fma3)(double v, const double* a, const double* b, double* out,
                int64_t n);
   double (*dot)(const double* a, const double* b, int64_t n);
-  void (*gram_row_delta)(double new_i, const double* new_row, double old_i,
-                         const double* old_row, double* g, int64_t n);
+  // Whole-Gram commit of one changed factor row (see VecGramRankTwoUpdate).
+  void (*gram_rank_two_update)(const double* new_row, const double* old_row,
+                               double* gram, int64_t rows, int64_t n);
   // GCP Newton curvature (rows × n upper triangle; see VecWeightedSyrkUpper).
   void (*weighted_syrk_upper)(const double* panel, const double* weights,
                               int64_t cells, int64_t rows, double* out,
                               int64_t n);
-  // Clipped coordinate descent of the + variants (see VecCoordinateDescent).
+  // The + variants' clipped sweep (see CoordinateDescentSweep).
   void (*coordinate_descent)(double* row, int64_t rank, const double* hq,
                              const double* numerator, double clip_min,
                              double clip_max, int64_t n);

@@ -511,12 +511,12 @@ TEST(RowUpdaterGoldenTest, SerializedStateMatchesRecordedTrajectories) {
   const Golden runs[] = {
       {SnsVariant::kVec, false, false, 0xdd1acfd2a2dc95c3ull},
       {SnsVariant::kRnd, false, false, 0x0b0bc6b94e2b248dull},
-      {SnsVariant::kVecPlus, false, false, 0xe66c7b2d091a408cull},
-      {SnsVariant::kRndPlus, false, false, 0x5aded3ccb2325ab5ull},
-      {SnsVariant::kVecPlus, true, false, 0x796d7ecc5a41e112ull},
-      {SnsVariant::kRndPlus, true, false, 0x23e4ea02d6abb737ull},
-      {SnsVariant::kVecPlus, false, true, 0xadb526ca7b0e60f5ull},
-      {SnsVariant::kRndPlus, false, true, 0xecae81d2ed152455ull},
+      {SnsVariant::kVecPlus, false, false, 0x1b06fa2835a66ca7ull},
+      {SnsVariant::kRndPlus, false, false, 0xb7fe3a08e0b9ac85ull},
+      {SnsVariant::kVecPlus, true, false, 0x2ed5096b1b6e27a8ull},
+      {SnsVariant::kRndPlus, true, false, 0x4c0a0ab512749777ull},
+      {SnsVariant::kVecPlus, false, true, 0xa7cea28854045d16ull},
+      {SnsVariant::kRndPlus, false, true, 0x7b0a06d7be7fa4acull},
   };
   for (const Golden& run : runs) {
     EXPECT_EQ(GoldenStateHash(run.variant, run.robust, run.nonnegative),
@@ -529,10 +529,13 @@ TEST(RowUpdaterGoldenTest, SerializedStateMatchesRecordedTrajectories) {
 
 // ---------------------------------------------------------------------------
 // Goldens of the sampled, clipped and GCP rules at ranks 4, 10 and 20 on
-// the generic tier. These hashes were recorded before the row updater's
-// register-held coordinate descent, fused sample staging, the Gram
-// product cache's by-reference products and the window's occupancy bitset
-// existed, and pin that those fast paths change no bit. The grids are large
+// the generic tier. These hashes were recorded before the fused sample
+// staging, the Gram product cache's by-reference products and the window's
+// occupancy bitset existed, and pin that those fast paths change no bit.
+// The clipped rules' rows (SNS+RND, SNS+RND 4-mode, SNS+VEC) were
+// re-recorded when the coordinate descent began carrying its gradient
+// instead of taking a dot per coordinate, a last-bits change; the other
+// rows did not move. The grids are large
 // enough that heavy rows take rejection sampling (not the tiny-slice
 // enumeration), and one run has four modes.
 //
@@ -617,20 +620,20 @@ const RankGoldenRun kRankGoldens[] = {
      SnsVariant::kRndPlus,
      LossKind::kGaussian,
      {12, 10},
-     {{0x7c9031dc5577f993ull, 0x4c73ec9671d709ecull, 0xb781278ff431824eull},
-      {0x649569522a907c2dull, 0x6f15e6f434a42dc6ull, 0xd2070e2a0ee11c17ull}}},
+     {{0xe455e28e25c04fc7ull, 0xb69518094022c025ull, 0x07a9919e944c2cc0ull},
+      {0xb58502b2205636acull, 0x3c4baa2086881f2bull, 0x65c004aff12b7b22ull}}},
     {"SNS+RND 4-mode",
      SnsVariant::kRndPlus,
      LossKind::kGaussian,
      {6, 5, 4},
-     {{0x5ba9afe9717228d4ull, 0x3a5caf6faa5c2c3full, 0xa79048b24b225bffull},
-      {0x042e85b2bfb760e7ull, 0x967a68de06adf54aull, 0x6f607d7f5685a577ull}}},
+     {{0xfac5bd65580faa6full, 0x1529a5b9eef67fb4ull, 0x4d65989d0c6fcc08ull},
+      {0xc15db2392de56a46ull, 0x99f28321308091ccull, 0xff44b79f6effd122ull}}},
     {"SNS+VEC",
      SnsVariant::kVecPlus,
      LossKind::kGaussian,
      {12, 10},
-     {{0x58156b1ae5819bedull, 0xa47d95a171852b3dull, 0x4d763b523f7c5eebull},
-      {0x286b2ecdf0ff618dull, 0xc413d94aa44ef744ull, 0x377121435140d50full}}},
+     {{0x353953adf6349b51ull, 0x8367eb5defa5a067ull, 0xf83d22cbd3e718a9ull},
+      {0x77c2c06aaf1b2cfaull, 0x1d9c4bfe91964654ull, 0xf7b01020179841b8ull}}},
     {"Poisson SNS-VEC",
      SnsVariant::kVec,
      LossKind::kPoisson,

@@ -283,8 +283,9 @@ TEST_P(KernelDispatchTest, GramRowUpdatesMatchNaive) {
 // Every RankKernelTable entry point, per available tier, against a scalar
 // reference. Elementwise kernels (fill/copy/mul/mul_accum) are bitwise on
 // every tier — same per-entry arithmetic; FMA-bearing kernels
-// (axpy/fma3/dot/gram deltas/weighted_syrk_upper) are bitwise on the
-// generic tier and ulp-tight on the intrinsic ones.
+// (axpy/fma3/dot/weighted_syrk_upper) are bitwise on the generic tier and
+// ulp-tight on the intrinsic ones. The Gram commit is pinned by
+// GramRowUpdatesMatchNaive, the coordinate descent below.
 
 TEST_P(KernelDispatchTest, TableKernelsMatchNaivePerTier) {
   const int64_t rank = GetParam();
@@ -350,12 +351,6 @@ TEST_P(KernelDispatchTest, TableKernelsMatchNaivePerTier) {
       ExpectTierValue(tier, kr.dot(a.data(), b.data(), padded), expected);
     }
 
-    kr.copy(b.data(), out.data(), padded);
-    kr.gram_row_delta(a[0], a.data(), b[0], b.data(), out.data(), padded);
-    for (int64_t r = 0; r < rank; ++r) {
-      ExpectTierValue(tier, out[r], b[r] + (a[0] * a[r] - b[0] * b[r]));
-    }
-
     // weighted_syrk_upper: the upper triangle against a naive scalar
     // accumulation (tier tolerance, scaled to the summed term magnitudes),
     // and bitwise against the per-cell AddOuterProduct accumulation through
@@ -392,39 +387,225 @@ TEST_P(KernelDispatchTest, TableKernelsMatchNaivePerTier) {
   }
 }
 
-// coordinate_descent against the scalar loop over the same tier's `dot`,
-// bitwise: the register-held row of the intrinsic tiers must compute every
-// entry exactly as the loop that stores and reloads it.
+// ---------------------------------------------------------------------------
+// coordinate_descent: the gradient-carrying sweep, bitwise against a scalar
+// loop of the same arithmetic, and by what it must do as a solver: stay in
+// the box, never raise the row objective, converge to an interior
+// minimizer, and agree with the dot-per-coordinate sweep it replaced.
 
-TEST_P(KernelDispatchTest, CoordinateDescentMatchesScalarDotLoop) {
+// hq = K'K + shift·I over 2·rank + 1 random rows of K.
+Matrix SymmetricGram(int64_t rank, double shift, Rng& rng) {
+  const Matrix k = Matrix::RandomNormal(2 * rank + 1, rank, rng);
+  Matrix hq = MultiplyTransposeA(k, k);
+  for (int64_t i = 0; i < rank; ++i) hq(i, i) += shift;
+  return hq;
+}
+
+// The sweep's definition (see CoordinateDescentSweep) as a scalar loop over
+// rows `stride` apart: each g lane takes std::fma on the intrinsic tiers
+// and an unfused multiply-add on the generic one.
+void GradientSweepReference(KernelTier tier, double* row, int64_t rank,
+                            const double* hq, int64_t stride,
+                            const double* numerator, double lo, double hi) {
+  const auto axpy = [tier](double alpha, const double* x, double* y,
+                           int64_t lanes) {
+    for (int64_t j = 0; j < lanes; ++j) {
+      y[j] = tier == KernelTier::kGeneric ? y[j] + alpha * x[j]
+                                          : std::fma(alpha, x[j], y[j]);
+    }
+  };
+  for (int64_t k0 = 0; k0 < rank; k0 += 32) {
+    const int64_t lanes = std::min<int64_t>(32, rank - k0);
+    std::vector<double> g(static_cast<size_t>(lanes), 0.0);
+    for (int64_t i = 0; i < rank; ++i) {
+      axpy(row[i], hq + i * stride + k0, g.data(), lanes);
+    }
+    for (int64_t k = k0; k < k0 + lanes; ++k) {
+      const double c_k = hq[k * stride + k];
+      if (!(c_k > 1e-300)) continue;
+      const double d_k = g[static_cast<size_t>(k - k0)] - row[k] * c_k;
+      const double value =
+          std::min(hi, std::max(lo, (numerator[k] - d_k) / c_k));
+      axpy(value - row[k], hq + k * stride + k0, g.data(), lanes);
+      row[k] = value;
+    }
+  }
+}
+
+TEST_P(KernelDispatchTest, CoordinateDescentMatchesScalarGradientLoop) {
   const int64_t rank = GetParam();
   const int64_t padded = PaddedRank(rank);
   Rng rng(300 + rank);
-  Matrix k = Matrix::RandomNormal(2 * rank + 1, rank, rng);
-  Matrix hq = MultiplyTransposeA(k, k);
+  Matrix hq = SymmetricGram(rank, 0.0, rng);
   hq(rank / 2, rank / 2) = 0.0;  // A dead component keeps its entry.
   AlignedVector start(rank), numerator(rank);
   for (int64_t r = 0; r < rank; ++r) {
     start[r] = rng.Normal();
     numerator[r] = 3.0 * rng.Normal();  // Some entries clip.
   }
+  // The same system at stride `rank`, for the runtime-length table's
+  // scalar tails.
+  std::vector<double> tight(static_cast<size_t>(rank * rank));
+  for (int64_t i = 0; i < rank; ++i) {
+    for (int64_t j = 0; j < rank; ++j) {
+      tight[static_cast<size_t>(i * rank + j)] = hq(i, j);
+    }
+  }
 
   for (const KernelTier tier : AvailableTiers()) {
     SCOPED_TRACE(KernelTierName(tier));
+    AlignedVector expected = start;
+    GradientSweepReference(tier, expected.data(), rank, hq.Row(0), padded,
+                           numerator.data(), -2.0, 2.0);
+    for (const RankKernelTable* kr : {&GetRankKernelTable(padded, tier),
+                                      &GetRankKernelTable(0, tier)}) {
+      SCOPED_TRACE(testing::Message() << "table P = " << kr->padded_rank);
+      AlignedVector row = start;
+      kr->coordinate_descent(row.data(), rank, hq.Row(0), numerator.data(),
+                             -2.0, 2.0, padded);
+      for (int64_t r = 0; r < padded; ++r) {
+        ASSERT_EQ(row.data()[r], expected.data()[r]) << "r " << r;
+      }
+    }
+    std::vector<double> unpadded(start.data(), start.data() + rank);
+    GetRankKernelTable(0, tier).coordinate_descent(
+        unpadded.data(), rank, tight.data(), numerator.data(), -2.0, 2.0,
+        rank);
+    for (int64_t r = 0; r < rank; ++r) {
+      ASSERT_EQ(unpadded[static_cast<size_t>(r)], expected[r]) << "r " << r;
+    }
+  }
+}
+
+// ½ x'Hx − num'x, in long double.
+long double RowObjective(const Matrix& hq, const AlignedVector& x,
+                         const AlignedVector& numerator) {
+  const int64_t rank = hq.rows();
+  long double f = 0.0L;
+  for (int64_t i = 0; i < rank; ++i) {
+    long double hx = 0.0L;
+    for (int64_t j = 0; j < rank; ++j) {
+      hx += static_cast<long double>(hq(i, j)) * x[j];
+    }
+    f += 0.5L * x[i] * hx - static_cast<long double>(numerator[i]) * x[i];
+  }
+  return f;
+}
+
+TEST_P(KernelDispatchTest, CoordinateDescentStaysBoxedAndNeverRaisesObjective) {
+  const int64_t rank = GetParam();
+  const int64_t padded = PaddedRank(rank);
+  Rng rng(500 + rank);
+  Matrix hq = SymmetricGram(rank, 0.0, rng);
+  // A dead component: its Gram row and column are zero.
+  for (int64_t j = 0; j < rank; ++j) hq(rank / 2, j) = hq(j, rank / 2) = 0.0;
+  AlignedVector start(rank), numerator(rank);
+  for (int64_t r = 0; r < rank; ++r) {
+    start[r] = 1.8 * (2.0 * rng.UniformDouble() - 1.0);
+    // About 4·N(0, 1) before the clip, with c_k ≈ 2·rank + 1.
+    numerator[r] = 4.0 * static_cast<double>(2 * rank + 1) * rng.Normal();
+  }
+  const long double before = RowObjective(hq, start, numerator);
+  for (const KernelTier tier : AvailableTiers()) {
+    SCOPED_TRACE(KernelTierName(tier));
+    AlignedVector row = start;
+    GetRankKernelTable(padded, tier)
+        .coordinate_descent(row.data(), rank, hq.Row(0), numerator.data(),
+                            -2.0, 2.0, padded);
+    int clipped = 0;
+    for (int64_t r = 0; r < rank; ++r) {
+      ASSERT_GE(row[r], -2.0) << "r " << r;
+      ASSERT_LE(row[r], 2.0) << "r " << r;
+      if (std::fabs(row[r]) == 2.0) ++clipped;
+    }
+    EXPECT_EQ(row[rank / 2], start[rank / 2]);
+    if (rank >= 5) {
+      EXPECT_GT(clipped, 0);  // The box is active.
+    }
+    EXPECT_TRUE(row.PaddingIsZero());
+    const long double after = RowObjective(hq, row, numerator);
+    EXPECT_LE(after, before + 1e-12L * (1.0L + std::fabs(before)));
+  }
+}
+
+TEST_P(KernelDispatchTest, CoordinateDescentConvergesToTheInteriorSolution) {
+  const int64_t rank = GetParam();
+  const int64_t padded = PaddedRank(rank);
+  Rng rng(700 + rank);
+  // Diagonally weighted, so Gauss–Seidel converges in a few dozen sweeps.
+  const Matrix hq = SymmetricGram(rank, 2.0 * static_cast<double>(rank), rng);
+  AlignedVector solution(rank), numerator(rank);
+  for (int64_t r = 0; r < rank; ++r) {
+    solution[r] = 2.0 * rng.UniformDouble() - 1.0;
+  }
+  for (int64_t i = 0; i < rank; ++i) {
+    long double sum = 0.0L;
+    for (int64_t j = 0; j < rank; ++j) {
+      sum += static_cast<long double>(hq(i, j)) * solution[j];
+    }
+    numerator[i] = static_cast<double>(sum);
+  }
+  for (const KernelTier tier : AvailableTiers()) {
+    SCOPED_TRACE(KernelTierName(tier));
     const RankKernelTable& kr = GetRankKernelTable(padded, tier);
-    AlignedVector row = start, expected = start;
-    kr.coordinate_descent(row.data(), rank, hq.Row(0), numerator.data(),
-                          -2.0, 2.0, padded);
-    for (int64_t i = 0; i < rank; ++i) {
-      const double c_i = hq(i, i);
-      if (!(c_i > 1e-300)) continue;
-      double d_i = kr.dot(expected.data(), hq.Row(i), padded);
-      d_i -= expected[i] * c_i;
-      expected[i] = std::min(2.0, std::max(-2.0, (numerator[i] - d_i) / c_i));
+    AlignedVector row(rank);
+    for (int sweep = 0; sweep < 200; ++sweep) {
+      kr.coordinate_descent(row.data(), rank, hq.Row(0), numerator.data(),
+                            -5.0, 5.0, padded);
     }
-    for (int64_t r = 0; r < padded; ++r) {
-      ASSERT_EQ(row.data()[r], expected.data()[r]) << "r " << r;
+    for (int64_t r = 0; r < rank; ++r) {
+      ASSERT_NEAR(row[r], solution[r], 1e-10) << "r " << r;
     }
+  }
+}
+
+// The dot-per-coordinate sweep this kernel replaced, kept as a reference
+// only: d_k = dot(live row, hq row k) − row_k·c_k, in long double.
+void DotFormSweep(double* row, int64_t rank, const Matrix& hq,
+                  const double* numerator, double lo, double hi) {
+  for (int64_t k = 0; k < rank; ++k) {
+    const double c_k = hq(k, k);
+    if (!(c_k > 1e-300)) continue;
+    long double dot = 0.0L;
+    for (int64_t r = 0; r < rank; ++r) {
+      dot += static_cast<long double>(row[r]) * hq(k, r);
+    }
+    const long double d_k = dot - static_cast<long double>(row[k]) * c_k;
+    row[k] = std::min(hi, std::max(lo, static_cast<double>(
+                                           (numerator[k] - d_k) / c_k)));
+  }
+}
+
+TEST_P(KernelDispatchTest, CoordinateDescentAgreesWithTheDotFormSweep) {
+  const int64_t rank = GetParam();
+  Rng rng(100 + rank);
+  Matrix hq = SymmetricGram(rank, 0.0, rng);
+  hq(rank / 2, rank / 2) = 0.0;  // A dead component keeps its entry.
+  AlignedVector start(rank), numerator(rank);
+  for (int64_t r = 0; r < rank; ++r) {
+    start[r] = rng.Normal();
+    // Every third entry is pushed well outside the box, so it clips.
+    const double scale =
+        r % 3 == 0 ? 8.0 * static_cast<double>(2 * rank + 1) : 3.0;
+    numerator[r] = scale * rng.Normal();
+  }
+  std::vector<double> expected(start.data(), start.data() + rank);
+  DotFormSweep(expected.data(), rank, hq, numerator.data(), -2.0, 2.0);
+  if (rank >= 3) {
+    EXPECT_TRUE(std::any_of(expected.begin(), expected.end(),
+                            [](double v) { return std::fabs(v) == 2.0; }));
+  }
+  for (const KernelTier tier : AvailableTiers()) {
+    SCOPED_TRACE(KernelTierName(tier));
+    const ScopedProcessTier pin(tier);
+    AlignedVector row = start;
+    CoordinateDescentRow(row.data(), rank, hq, numerator.data(), -2.0, 2.0);
+    for (int64_t r = 0; r < rank; ++r) {
+      const double e = expected[static_cast<size_t>(r)];
+      ASSERT_NEAR(row[r], e, 1e-12 * (1.0 + std::fabs(e))) << "r " << r;
+    }
+    EXPECT_EQ(row[rank / 2], start[rank / 2]);
+    EXPECT_TRUE(row.PaddingIsZero());
   }
 }
 
@@ -1122,9 +1303,20 @@ std::map<std::string, std::vector<uint64_t>> SlotBits(
     const double d = kr.dot(x->data(), z->data(), n);
     Record(out["dot"], &d, 1);
   }
-  y = c;
-  kr.gram_row_delta(a[0], a.data(), b[0], b.data(), y.data(), n);
-  Record(out["gram_row_delta"], y.data(), n + kGuard);
+  {
+    // A len × n Gram from its own stream, leaving later slots' inputs as
+    // they were.
+    Rng gram_rng(2000 + 97 * static_cast<uint64_t>(len));
+    std::vector<double> gram;
+    for (int64_t i = 0; i < len; ++i) {
+      const std::vector<double> row =
+          Padded(SignedZeroValues(len, gram_rng), n);
+      gram.insert(gram.end(), row.begin(), row.begin() + n);
+    }
+    gram.resize(static_cast<size_t>(len * n + kGuard), kSentinel);
+    kr.gram_rank_two_update(a.data(), b.data(), gram.data(), len, n);
+    Record(out["gram_rank_two_update"], gram.data(), len * n + kGuard);
+  }
 
   // Panels of 131 cells cross the SYRK's 128-cell chunks.
   const int64_t cells = 131;
@@ -1269,45 +1461,6 @@ TEST(IntrinsicTierTest, Avx2AndAvx512SlotsReturnTheSameBits) {
     if (padded <= 32) ExpectSameSlotBits(padded, len, padded, padded);
     ExpectSameSlotBits(0, len, len, padded);
   }
-}
-
-// ---------------------------------------------------------------------------
-// Coordinate descent vs a naive reimplementation (same update order; tight
-// tolerance rather than bitwise — with -march enabling FMA the compiler may
-// contract the kernel's dot and this reference loop differently).
-
-TEST_P(KernelDispatchTest, CoordinateDescentRowMatchesNaive) {
-  const int64_t rank = GetParam();
-  Rng rng(100 + rank);
-  Matrix k = Matrix::RandomNormal(2 * rank + 1, rank, rng);
-  Matrix hq = MultiplyTransposeA(k, k);
-  AlignedVector row(rank), numerator(rank);
-  for (int64_t r = 0; r < rank; ++r) {
-    row[r] = rng.Normal();
-    numerator[r] = rng.Normal();
-  }
-  std::vector<double> naive_row(row.data(), row.data() + rank);
-
-  CoordinateDescentRow(row.data(), rank, hq, numerator.data(), -2.0, 2.0);
-
-  for (int64_t kk = 0; kk < rank; ++kk) {
-    const double c_k = hq(kk, kk);
-    if (!(c_k > 1e-300)) continue;
-    double d_k = 0.0;
-    for (int64_t r = 0; r < rank; ++r) {
-      d_k += naive_row[static_cast<size_t>(r)] * hq(kk, r);
-    }
-    d_k -= naive_row[static_cast<size_t>(kk)] * c_k;
-    double value = (numerator[kk] - d_k) / c_k;
-    value = std::min(2.0, std::max(-2.0, value));
-    naive_row[static_cast<size_t>(kk)] = value;
-  }
-  for (int64_t r = 0; r < rank; ++r) {
-    const double expected = naive_row[static_cast<size_t>(r)];
-    ASSERT_NEAR(row[r], expected, 1e-12 * (1.0 + std::fabs(expected)))
-        << "r " << r;
-  }
-  EXPECT_TRUE(row.PaddingIsZero());
 }
 
 // ---------------------------------------------------------------------------

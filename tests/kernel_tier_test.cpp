@@ -200,12 +200,18 @@ TEST(KernelTierTableTest, LibraryKernelsFollowThePinnedTier) {
       }
     }
 
-    // ApplyGramRowUpdate: one gram_row_delta per Gram row.
+    // ApplyGramRowUpdate: one delta per element, its subtraction fused into
+    // the second product on the intrinsic tiers.
     Matrix gram = base_gram, expected_gram = base_gram;
     ApplyGramRowUpdate(gram, old_row.data(), new_row.data());
     for (int64_t i = 0; i < kRank; ++i) {
-      kr.gram_row_delta(new_row[i], new_row.data(), old_row[i],
-                        old_row.data(), expected_gram.Row(i), padded);
+      for (int64_t j = 0; j < kRank; ++j) {
+        const double fresh = new_row[i] * new_row[j];
+        expected_gram(i, j) +=
+            tier == KernelTier::kGeneric
+                ? fresh - old_row[i] * old_row[j]
+                : std::fma(-old_row[i], old_row[j], fresh);
+      }
     }
     ASSERT_EQ(MaxAbsDiff(gram, expected_gram), 0.0);
 

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <iterator>
+#include <limits>
 #include <span>
 #include <string>
 #include <utility>
@@ -389,6 +390,74 @@ TEST(StreamHandleTest, CreateRejectsNanClipBoundWithoutAborting) {
   const auto handle = StreamHandle::Create("nan", {6, 5}, options);
   ASSERT_FALSE(handle.ok());
   EXPECT_EQ(handle.status().code(), StatusCode::kInvalidArgument);
+}
+
+// Create, Warmup, Initialize, live ingestion, then AdvanceTo(`until`)
+// through the public API, returning the first refusal: an accepted
+// configuration or tuple must end in a typed status or a finished run,
+// never in an abort.
+Status RunStream(const std::vector<int64_t>& dims,
+                 const ContinuousCpdOptions& options,
+                 const std::vector<Tuple>& warm,
+                 const std::vector<Tuple>& live, int64_t until) {
+  auto created = StreamHandle::Create("bounds", dims, options);
+  if (!created.ok()) return created.status();
+  StreamHandle& handle = created.value();
+  SNS_RETURN_IF_ERROR(handle.Warmup(warm));
+  SNS_RETURN_IF_ERROR(handle.Initialize());
+  SNS_RETURN_IF_ERROR(handle.Ingest(live));
+  return handle.AdvanceTo(until);
+}
+
+constexpr int64_t kMaxTime = std::numeric_limits<int64_t>::max();
+
+TEST(StreamHandleTest, WindowSpanPastInt64IsRefused) {
+  // W·period = 3·2⁶² does not fit in int64: a tuple's later window events
+  // overflowed their due time, and the schedule aborted on the wrapped
+  // value.
+  const std::vector<Tuple> warm = {{{1, 1}, 1.0, 1}, {{2, 2}, 2.0, 2}};
+  const std::vector<Tuple> live = {{{3, 3}, 1.0, 3}};
+  ContinuousCpdOptions options = SmallOptions();
+  options.period = int64_t{1} << 62;
+  EXPECT_EQ(RunStream({6, 5}, options, warm, live, kMaxTime).code(),
+            StatusCode::kInvalidArgument);
+  // 3·⌊INT64_MAX / 3⌋ = INT64_MAX − 1 fits: time 1's last event is due at
+  // INT64_MAX exactly, and the stream runs there.
+  options.period = kMaxTime / 3;
+  const std::vector<Tuple> first = {{{1, 1}, 1.0, 1}};
+  EXPECT_TRUE(RunStream({6, 5}, options, first, {}, kMaxTime).ok());
+  EXPECT_EQ(RunStream({6, 5}, options, first, {{{2, 2}, 1.0, 2}}, kMaxTime)
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(StreamHandleTest, TupleTimePastTheWindowHorizonIsRefused) {
+  // W·period = 90: a tuple after INT64_MAX − 90 would schedule a window
+  // event past int64. The horizon itself runs to INT64_MAX.
+  const ContinuousCpdOptions options = SmallOptions();
+  const std::vector<Tuple> warm = {{{1, 1}, 1.0, 1}, {{2, 2}, 2.0, 2}};
+  for (const bool live : {false, true}) {
+    SCOPED_TRACE(live ? "Ingest" : "Warmup");
+    const std::vector<Tuple> late = {{{3, 3}, 1.0, kMaxTime - 89}};
+    const std::vector<Tuple> last = {{{3, 3}, 1.0, kMaxTime - 90}};
+    EXPECT_EQ(RunStream({6, 5}, options, live ? warm : late,
+                        live ? late : std::vector<Tuple>{}, kMaxTime)
+                  .code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_TRUE(RunStream({6, 5}, options, live ? warm : last,
+                          live ? last : std::vector<Tuple>{}, kMaxTime)
+                    .ok());
+  }
+}
+
+TEST(StreamHandleTest, ModeSizeAboveInt32IsRefused) {
+  // ModeIndex holds int32 coordinates; a larger mode allocated its factor
+  // and died of std::bad_alloc.
+  for (const int64_t dim : {int64_t{1} << 31, int64_t{1} << 40}) {
+    const auto handle = StreamHandle::Create("wide", {dim, 5}, SmallOptions());
+    ASSERT_FALSE(handle.ok()) << dim;
+    EXPECT_EQ(handle.status().code(), StatusCode::kInvalidArgument) << dim;
+  }
 }
 
 TEST(StreamHandleTest, HugeExpectedNnzDoesNotAbort) {
